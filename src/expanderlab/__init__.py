@@ -21,6 +21,7 @@ _EXPORTS = {
     "ball_size": "words",
     "reduced_words": "words",
     "kesten_return": "words",
+    "kesten_series": "words",
     "kesten_upper_bound": "words",
     "radial_distribution": "words",
     "certify_free": "words",

@@ -204,7 +204,17 @@ def load_generators(cfg: ExperimentConfig):
     return builtin_generators(cfg.builtin or "lubotzky3")
 
 
-def resolve_subgroup(G, spec: str | None, q: int):
+def load_group(cfg: ExperimentConfig):
+    """The group the generators generate mod --q."""
+    from . import quotient as Q
+
+    gens = load_generators(cfg)
+    if cfg.q is None:
+        raise ValueError(f"{cfg.command} needs --q")
+    return Q.generate_group(gens, cfg.q)
+
+
+def resolve_subgroup(G, spec: str | None):
     from . import quotient as Q
 
     if spec is None or spec == "trivial":
@@ -215,15 +225,7 @@ def resolve_subgroup(G, spec: str | None, q: int):
         return Q.torus_subgroup(G)
     if spec.startswith("file:"):
         mats, _ = parse_generators(spec[5:])
-        import numpy as np
-
-        from .exact import crt_tuple
-
-        rows = []
-        for m in mats:
-            tup = crt_tuple(m, q)
-            rows.append([x for mm in tup for r in mm.rows for x in r])
-        ids = G.id_of_rows(np.array(rows, dtype=np.int64))
+        ids = Q.ids_of_matrices(G, mats)
         return Q.subgroup_closure(G, [int(i) for i in ids], flags=False)
     raise ValueError(f"unknown subgroup spec {spec!r}")
 
@@ -235,10 +237,7 @@ def resolve_subgroup(G, spec: str | None, q: int):
 def cmd_quotient(cfg: ExperimentConfig) -> int:
     from . import quotient as Q
 
-    gens = load_generators(cfg)
-    if cfg.q is None:
-        raise ValueError("quotient needs --q")
-    G = Q.generate_group(gens, cfg.q)
+    G = load_group(cfg)
     rows = []
     bijective = True
     if len(G.meta["primes"]) > 1:
@@ -252,12 +251,9 @@ def cmd_quotient(cfg: ExperimentConfig) -> int:
 
 
 def cmd_spectrum(cfg: ExperimentConfig) -> int:
-    from . import quotient as Q, spectral as S
+    from . import spectral as S
 
-    gens = load_generators(cfg)
-    if cfg.q is None:
-        raise ValueError("spectrum needs --q")
-    G = Q.generate_group(gens, cfg.q)
+    G = load_group(cfg)
     graph = S.CayleyGraph(G)
     report = S.spectrum(graph)
     mult_of = {}
@@ -281,13 +277,10 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
 
 
 def cmd_walk(cfg: ExperimentConfig) -> int:
-    from . import quotient as Q, spectral as S
+    from . import spectral as S
 
-    gens = load_generators(cfg)
-    if cfg.q is None:
-        raise ValueError("walk needs --q")
-    G = Q.generate_group(gens, cfg.q)
-    H = resolve_subgroup(G, cfg.subgroup, cfg.q)
+    G = load_group(cfg)
+    H = resolve_subgroup(G, cfg.subgroup)
     l_max = cfg.lmax if cfg.lmax is not None else 40
     series = S.walk_powers(G, l_max, H=H, exact=cfg.exact)
     rows = [(r.l, r.l2_norm, r.linf, r.mass_on_H) for r in series.rows]
@@ -302,13 +295,10 @@ def cmd_walk(cfg: ExperimentConfig) -> int:
 
 
 def cmd_escape(cfg: ExperimentConfig) -> int:
-    from . import quotient as Q, spectral as S
+    from . import spectral as S
 
-    gens = load_generators(cfg)
-    if cfg.q is None:
-        raise ValueError("escape needs --q")
-    G = Q.generate_group(gens, cfg.q)
-    H = resolve_subgroup(G, cfg.subgroup or "borel", cfg.q)
+    G = load_group(cfg)
+    H = resolve_subgroup(G, cfg.subgroup or "borel")
     if H is None:
         raise ValueError("escape needs a proper subgroup")
     report = S.escape_profile(G, H, cfg.lmax if cfg.lmax is not None else 40)
@@ -330,12 +320,9 @@ def cmd_escape(cfg: ExperimentConfig) -> int:
 def cmd_growth(cfg: ExperimentConfig) -> int:
     import numpy as np
 
-    from . import growth as GR, quotient as Q
+    from . import growth as GR
 
-    gens = load_generators(cfg)
-    if cfg.q is None:
-        raise ValueError("growth needs --q")
-    G = Q.generate_group(gens, cfg.q)
+    G = load_group(cfg)
     rows = []
     for i in range(cfg.samples):
         seed = cfg.seed + i
@@ -364,10 +351,10 @@ def cmd_freeness(cfg: ExperimentConfig) -> int:
     length = cfg.lmax if cfg.lmax is not None else 12
     free, witness = W.certify_free(positives, length)
     m = len(positives)
-    rows = []
-    for k in range(1, length + 1):
-        rows.append((k, float(W.kesten_return(m, 2 * k)),
-                     float(W.kesten_upper_bound(m, k))))
+    rows = [
+        (k, float(P), float(W.kesten_upper_bound(m, k)))
+        for k, P in enumerate(W.kesten_series(m, length), start=1)
+    ]
     notes = [
         f"generators = {m}",
         f"free_up_to = {length}",

@@ -29,6 +29,12 @@ class SingularMatrix(ExpanderLabError):
     """Inverse of a non-invertible matrix requested."""
 
 
+class NotInGroup(ExpanderLabError, KeyError):
+    """An element looked up in a group table is not in the group."""
+
+    __str__ = Exception.__str__
+
+
 class SizeCapExceeded(ExpanderLabError):
     """A closure or solver exceeded its configured size cap."""
 

@@ -253,22 +253,42 @@ def mod_mul(a: ModMatrix, b: ModMatrix) -> ModMatrix:
     )
 
 
-def mod_inv(a: ModMatrix) -> ModMatrix:
-    """Inverse mod p by Gaussian elimination; raises SingularMatrix."""
-    d, p = a.dim, a.p
-    m = [[a.rows[i][j] for j in range(d)] + [int(i == j) for j in range(d)] for i in range(d)]
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if m[r][col] % p != 0), None)
+def row_reduce_mod_p(
+    rows: Iterable[Iterable[int]], p: int
+) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over F_p, p prime.
+
+    Returns the nonzero reduced rows, each with a 1 at its pivot column
+    and 0 there in every other row, and the ascending pivot columns; the
+    rank is the number of pivots.
+    """
+    m = [[int(x) % p for x in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
-            raise SingularMatrix(f"matrix singular mod {p}")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = pow(m[col][col], p - 2, p)
-        m[col] = [x * inv % p for x in m[col]]
-        for r in range(d):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[col])]
-    return ModMatrix([row[d:] for row in m], p)
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[: len(pivots)], pivots
+
+
+def mod_inv(a: ModMatrix) -> ModMatrix:
+    """Inverse mod p by row reduction of [a | I]; raises SingularMatrix."""
+    d, p = a.dim, a.p
+    rows, pivots = row_reduce_mod_p(
+        [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(a.rows)], p
+    )
+    if pivots != list(range(d)):
+        raise SingularMatrix(f"matrix singular mod {p}")
+    return ModMatrix([row[d:] for row in rows], p)
 
 
 def reduce_mod_p(M: RationalMatrix, p: int) -> ModMatrix:

@@ -23,10 +23,12 @@ from .errors import (
     TableMismatch,
     ZeroVector,
 )
+from .exact import ModMatrix, mod_inv, row_reduce_mod_p
 from .quotient import (
     GroupTable,
     SubgroupRecord,
     _radix_weights,
+    coset_labels,
     levi_mask,
     lower_central_series,
     normal_closure,
@@ -196,14 +198,7 @@ class ProductFrame:
     def __init__(self, factors: Sequence[GroupTable]):
         self.factors = list(factors)
         self.orders = np.array([t.order for t in self.factors], dtype=np.int64)
-        w = np.ones(len(self.factors), dtype=np.int64)
-        space = 1
-        for i, o in enumerate(self.orders):
-            w[i] = space
-            space *= int(o)
-            if space > (1 << 62):
-                raise SizeCapExceeded("product code space exceeds 2^62")
-        self.weights = w
+        self.weights = _radix_weights(self.orders)
         self._levi_trivial = []
         self._levi_codes = []
         self.kernel_sizes = []
@@ -359,28 +354,16 @@ def _product_normal_closure_codes(frame: ProductFrame, g_row: np.ndarray) -> np.
 
 
 def _check_no_one_dim_factor(t: GroupTable) -> None:
-    """Reject actions whose natural module has a one-dimensional
-    composition factor, witnessed by an invariant line of the action or
-    of its dual."""
-    p = t.meta["p"]
-    d = t.meta["dim"]
-    gens = []
-    for gid in t.generator_ids:
-        row = t.digits[gid][: d * d].reshape(d, d)
-        gens.append(row)
+    """Reject semidirect tables whose Levi part acts on the unipotent
+    part with a one-dimensional composition factor."""
     if t.meta.get("action") == "trivial":
         raise HypothesisViolated("trivial action has one-dimensional factors")
-    for mats in (gens, [_transpose_inv_mod(m, p) for m in gens]):
-        line = _invariant_line(mats, p, d)
-        if line is not None:
-            raise HypothesisViolated(
-                f"one-dimensional composition factor witnessed by line {line}"
-            )
+    d = t.meta["dim"]
+    levi = [t.digits[gid][: d * d].reshape(d, d) for gid in t.generator_ids]
+    _reject_one_dim_module(ModuleAction(t.meta["p"], d, levi))
 
 
 def _transpose_inv_mod(m: np.ndarray, p: int) -> np.ndarray:
-    from .exact import ModMatrix, mod_inv
-
     inv = mod_inv(ModMatrix(m.tolist(), p))
     return np.array(inv.rows, dtype=np.int64).T
 
@@ -389,13 +372,8 @@ def _invariant_line(mats: list[np.ndarray], p: int, d: int) -> tuple | None:
     """Projective point fixed by every matrix, or None."""
     for v in _projective_points(p, d):
         vec = np.array(v, dtype=np.int64)
-        ok = True
-        for m in mats:
-            w = m @ vec % p
-            if not _collinear_mod(w, vec, p):
-                ok = False
-                break
-        if ok:
+        # m v is parallel to v iff the two rows have rank 1
+        if all(len(row_reduce_mod_p([(m @ vec % p).tolist(), v], p)[1]) == 1 for m in mats):
             return v
     return None
 
@@ -411,14 +389,6 @@ def _projective_points(p: int, d: int):
                 coords.append(x % p)
                 x //= p
             yield tuple(coords)
-
-
-def _collinear_mod(a: np.ndarray, b: np.ndarray, p: int) -> bool:
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            if (a[i] * b[j] - a[j] * b[i]) % p != 0:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +409,7 @@ class ModuleAction:
             m = np.asarray(g, dtype=np.int64) % self.p
             if m.shape != (self.dim, self.dim):
                 raise ValueError("generator shape does not match the dimension")
-            if _rank_mod_p(m, self.p) != self.dim:
+            if len(row_reduce_mod_p(m.tolist(), self.p)[1]) != self.dim:
                 raise ValueError("generators must be invertible mod p")
             mats.append(m)
         self.generators = mats
@@ -448,12 +418,12 @@ class ModuleAction:
         """Nonzero v with gv = v for all generators, by exact rank."""
         eye = np.eye(self.dim, dtype=np.int64)
         stacked = np.concatenate([(g - eye) % self.p for g in self.generators], axis=0)
-        return _rank_mod_p(stacked, self.p) < self.dim
+        return len(row_reduce_mod_p(stacked.tolist(), self.p)[1]) < self.dim
 
     def orbit(self, v: np.ndarray) -> np.ndarray:
         """All images of v under the generated group, as (n, m) coords."""
         v = np.asarray(v, dtype=np.int64).reshape(1, -1) % self.p
-        weights = self.p ** np.arange(self.dim, dtype=np.int64)
+        weights = _radix_weights(np.full(self.dim, self.p))
         seen = {int(v[0] @ weights)}
         frontier = v
         rows = [v]
@@ -476,48 +446,8 @@ class ModuleAction:
     def submodule_spanned_by(self, v: np.ndarray) -> np.ndarray:
         """All p^r vectors of the H-submodule generated by v."""
         orb = self.orbit(v)
-        basis = _row_basis_mod_p(orb, self.p)
-        return _span_vectors(basis, self.p)
-
-
-def _rank_mod_p(mat: np.ndarray, p: int) -> int:
-    m = mat.copy() % p
-    rows, cols = m.shape
-    rank = 0
-    for c in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if m[r, c] % p:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        inv = pow(int(m[rank, c]), p - 2, p)
-        m[rank] = m[rank] * inv % p
-        for r in range(rows):
-            if r != rank and m[r, c]:
-                m[r] = (m[r] - m[r, c] * m[rank]) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-def _row_basis_mod_p(rows: np.ndarray, p: int) -> np.ndarray:
-    m = rows.copy() % p
-    basis = []
-    for row in m:
-        r = row.copy()
-        for b in basis:
-            lead = np.nonzero(b)[0][0]
-            if r[lead]:
-                r = (r - r[lead] * b) % p
-        if r.any():
-            lead = np.nonzero(r)[0][0]
-            r = r * pow(int(r[lead]), p - 2, p) % p
-            basis.append(r)
-    return np.array(basis, dtype=np.int64) if basis else np.zeros((0, m.shape[1]), dtype=np.int64)
+        basis, _ = row_reduce_mod_p(orb.tolist(), self.p)
+        return _span_vectors(np.array(basis, dtype=np.int64).reshape(-1, self.dim), self.p)
 
 
 def _span_vectors(basis: np.ndarray, p: int) -> np.ndarray:
@@ -529,8 +459,16 @@ def _span_vectors(basis: np.ndarray, p: int) -> np.ndarray:
 
 
 def _vector_codes(rows: np.ndarray, p: int) -> np.ndarray:
-    weights = p ** np.arange(rows.shape[1], dtype=np.int64)
-    return rows @ weights
+    return rows @ _radix_weights(np.full(rows.shape[1], p))
+
+
+def _add_orbit(current: np.ndarray, orbit: np.ndarray, p: int) -> np.ndarray:
+    """The sumset current + (orbit and 0): current first, then the new
+    sums in order of first appearance."""
+    sums = (current[:, None, :] + orbit[None, :, :]) % p
+    both = np.concatenate([current, sums.reshape(-1, current.shape[1])], axis=0)
+    _, first = np.unique(_vector_codes(both, p), return_index=True)
+    return both[np.sort(first)]
 
 
 def orbit_sum_subspace(action: ModuleAction, v, c_max: int = 24) -> dict:
@@ -544,15 +482,9 @@ def orbit_sum_subspace(action: ModuleAction, v, c_max: int = 24) -> dict:
         raise FixedVectorExists("the action fixes a nonzero vector")
     p = action.p
     orbit = action.orbit(v)
-    orbit_codes = set(_vector_codes(orbit, p).tolist())
     current = np.zeros((1, action.dim), dtype=np.int64)  # empty sum
     for c in range(1, c_max + 1):
-        sums = (current[:, None, :] + orbit[None, :, :]) % p
-        sums = sums.reshape(-1, action.dim)
-        both = np.concatenate([current, sums], axis=0)
-        codes = _vector_codes(both, p)
-        _, first = np.unique(codes, return_index=True)
-        current = both[np.sort(first)]
+        current = _add_orbit(current, orbit, p)
         code_set = set(_vector_codes(current, p).tolist())
         found = _contained_subspace(action, current, code_set)
         if found is not None:
@@ -586,25 +518,22 @@ def orbit_sum_span(action: ModuleAction, v, c_bound: int = 24) -> dict:
     orbit = action.orbit(v)
     current = np.zeros((1, action.dim), dtype=np.int64)
     for c in range(1, c_bound + 1):
-        sums = (current[:, None, :] + orbit[None, :, :]) % p
-        both = np.concatenate([current, sums.reshape(-1, action.dim)], axis=0)
-        codes = _vector_codes(both, p)
-        _, first = np.unique(codes, return_index=True)
-        current = both[np.sort(first)]
+        current = _add_orbit(current, orbit, p)
         if len(current) == len(target_codes):
             return {"c": c, "holds": True, "submodule_size": len(target_codes)}
     return {"c": None, "holds": False, "submodule_size": len(target_codes)}
 
 
 def _reject_one_dim_module(action: ModuleAction) -> None:
-    line = _invariant_line(action.generators, action.p, action.dim)
-    if line is None:
-        duals = [_transpose_inv_mod(g, action.p) for g in action.generators]
-        line = _invariant_line(duals, action.p, action.dim)
-    if line is not None:
-        raise HypothesisViolated(
-            f"one-dimensional composition factor witnessed by line {line}"
-        )
+    """Reject a module with a one-dimensional composition factor,
+    witnessed by an invariant line of the action or of its dual."""
+    p, gens = action.p, action.generators
+    for mats in (gens, [_transpose_inv_mod(g, p) for g in gens]):
+        line = _invariant_line(mats, p, action.dim)
+        if line is not None:
+            raise HypothesisViolated(
+                f"one-dimensional composition factor witnessed by line {line}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +552,7 @@ def nilpotent_recover(U: GroupTable, A: ElementSet, t_max: int = 24) -> dict:
     gamma2 = chain[1] if len(chain) > 1 else chain[0][:1]
     g2_member = np.zeros(U.order, dtype=bool)
     g2_member[gamma2] = True
-    labels = _coset_labels_of(U, gamma2)
+    labels = coset_labels(U, gamma2)
     n_cosets = U.order // len(gamma2)
     covered = np.unique(labels[A.ids])
     if len(covered) != n_cosets:
@@ -638,23 +567,11 @@ def nilpotent_recover(U: GroupTable, A: ElementSet, t_max: int = 24) -> dict:
     return {"t": None, "covered": False}
 
 
-def _coset_labels_of(U: GroupTable, subgroup_ids: np.ndarray) -> np.ndarray:
-    labels = np.full(U.order, -1, dtype=np.int64)
-    nxt = 0
-    for g in range(U.order):
-        if labels[g] >= 0:
-            continue
-        coset = U.mul_vec(np.full(len(subgroup_ids), g, dtype=np.int64), subgroup_ids)
-        labels[coset] = nxt
-        nxt += 1
-    return labels
-
-
 def random_transversal(U: GroupTable, rng: np.random.Generator) -> ElementSet:
     """One random representative from each coset of [U, U]."""
     chain = lower_central_series(U)
     gamma2 = chain[1] if len(chain) > 1 else chain[0][:1]
-    labels = _coset_labels_of(U, gamma2)
+    labels = coset_labels(U, gamma2)
     n_cosets = U.order // len(gamma2)
     picks = []
     for c in range(n_cosets):
@@ -670,14 +587,11 @@ def commutator_identities_check(G: GroupTable, trials: int, seed: int = 0) -> bo
     y = rng.integers(0, G.order, size=trials)
     z = rng.integers(0, G.order, size=trials)
 
-    def comm(a, b):
-        return G.mul_vec(G.mul_vec(G.inv_vec(a), G.inv_vec(b)), G.mul_vec(a, b))
-
     def conj(a, b):  # a^b = b^-1 a b
         return G.mul_vec(G.mul_vec(G.inv_vec(b), a), b)
 
-    lhs1 = comm(x, G.mul_vec(y, z))
-    rhs1 = G.mul_vec(comm(x, z), conj(comm(x, y), z))
-    lhs2 = comm(G.mul_vec(x, y), z)
-    rhs2 = G.mul_vec(conj(comm(x, z), y), comm(y, z))
+    lhs1 = G.comm_vec(x, G.mul_vec(y, z))
+    rhs1 = G.mul_vec(G.comm_vec(x, z), conj(G.comm_vec(x, y), z))
+    lhs2 = G.comm_vec(G.mul_vec(x, y), z)
+    rhs2 = G.mul_vec(conj(G.comm_vec(x, z), y), G.comm_vec(y, z))
     return bool(np.array_equal(lhs1, rhs1) and np.array_equal(lhs2, rhs2))

@@ -19,8 +19,10 @@ from .errors import (
     BadPrime,
     HypothesisViolated,
     NotComposite,
+    NotInGroup,
     NotNormal,
     NotPGroup,
+    SingularMatrix,
     SizeCapExceeded,
     TableMismatch,
 )
@@ -28,13 +30,13 @@ from .exact import (
     ModMatrix,
     RationalMatrix,
     crt_tuple,
+    mod_inv,
     prime_factors,
     square_free_factors,
 )
 
 DEFAULT_ELEMENT_CAP = 2_000_000
 DENSE_SEEN_CAP = 1 << 27
-DENSE_TABLE_CAP = 4096
 MIN_PRIME = 5
 
 
@@ -83,8 +85,6 @@ class GroupTable:
         self._sorter = np.argsort(codes, kind="stable").astype(np.int64)
         self._sorted_codes = codes[self._sorter]
         self._perm_cache: dict[tuple[str, int], np.ndarray] = {}
-        self._dense: np.ndarray | None = None
-        self._inv_ids: np.ndarray | None = None
 
     @property
     def order(self) -> int:
@@ -97,7 +97,7 @@ class GroupTable:
         codes = np.atleast_2d(rows) @ self._weights
         pos = np.searchsorted(self._sorted_codes, codes).clip(0, self.order - 1)
         if not np.array_equal(self._sorted_codes[pos], codes):
-            raise KeyError("element not in group table")
+            raise NotInGroup("element not in group table")
         return self._sorter[pos]
 
     def rows_of(self, ids: np.ndarray | int) -> np.ndarray:
@@ -122,10 +122,11 @@ class GroupTable:
     def inv(self, i: int) -> int:
         return int(self.inv_vec(np.array([i]))[0])
 
-    def inverse_perm(self) -> np.ndarray:
-        if self._inv_ids is None:
-            self._inv_ids = self.inv_vec(np.arange(self.order))
-        return self._inv_ids
+    def comm_vec(self, a_ids, b_ids) -> np.ndarray:
+        """Elementwise commutators [a, b] = a^-1 b^-1 a b."""
+        return self.mul_vec(
+            self.mul_vec(self.inv_vec(a_ids), self.inv_vec(b_ids)), self.mul_vec(a_ids, b_ids)
+        )
 
     # ----- cached permutation actions -----
     def left_perm(self, gid: int) -> np.ndarray:
@@ -151,19 +152,6 @@ class GroupTable:
             gi = self.inv(gid)
             self._perm_cache[key] = self.left_perm(gid)[self.right_perm(gi)]
         return self._perm_cache[key]
-
-    def dense_table(self) -> np.ndarray:
-        """Full multiplication table, only for small groups."""
-        if self.order > DENSE_TABLE_CAP:
-            raise SizeCapExceeded(f"dense table capped at {DENSE_TABLE_CAP} elements")
-        if self._dense is None:
-            n = self.order
-            all_ids = np.arange(n, dtype=np.int64)
-            tbl = np.empty((n, n), dtype=np.int32)
-            for i in range(n):
-                tbl[i] = self.mul_vec(np.full(n, i, dtype=np.int64), all_ids)
-            self._dense = tbl
-        return self._dense
 
     def element_str(self, i: int) -> str:
         row = self.digits[i]
@@ -224,6 +212,8 @@ def _inv_block(x: np.ndarray, p: int) -> np.ndarray:
     d = x.shape[1]
     if d == 2:
         det = (x[:, 0, 0] * x[:, 1, 1] - x[:, 0, 1] * x[:, 1, 0]) % p
+        if not det.all():
+            raise SingularMatrix(f"matrix singular mod {p}")
         di = _modpow_vec(det, p - 2, p)
         out = np.empty_like(x)
         out[:, 0, 0] = x[:, 1, 1] * di % p
@@ -232,26 +222,20 @@ def _inv_block(x: np.ndarray, p: int) -> np.ndarray:
         out[:, 1, 1] = x[:, 0, 0] * di % p
         return out
     # general small dimension: per-element elimination
-    from .exact import mod_inv
-
     out = np.empty_like(x)
     for i in range(x.shape[0]):
         out[i] = np.array(mod_inv(ModMatrix(x[i].tolist(), p)).rows, dtype=np.int64)
     return out
 
 
-def _heisenberg_mul_factory(p: int):
-    def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = np.empty_like(a)
-        out[:, 0] = (a[:, 0] + b[:, 0]) % p
-        out[:, 1] = (a[:, 1] + b[:, 1]) % p
-        out[:, 2] = (a[:, 2] + b[:, 2] + a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]) % p
-        return out
-
-    def inv(a: np.ndarray) -> np.ndarray:
-        return (p - a) % p
-
-    return mul, inv
+def _heisenberg_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Rows (v, t) multiplied as (v,t)(v',t') = (v+v', t+t'+h(v,v')), with
+    the symplectic form h((a,b),(c,d)) = ad - bc."""
+    out = np.empty_like(a)
+    out[:, 0] = (a[:, 0] + b[:, 0]) % p
+    out[:, 1] = (a[:, 1] + b[:, 1]) % p
+    out[:, 2] = (a[:, 2] + b[:, 2] + a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]) % p
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +254,7 @@ def _bfs_table(
 ) -> GroupTable:
     cap = element_cap(cap)
     weights = _radix_weights(radices)
-    space = 1
-    for r in radices:
-        space *= int(r)
+    space = int(weights[-1]) * int(radices[-1])
     dense = space <= DENSE_SEEN_CAP
     if dense:
         seen = np.zeros(space, dtype=bool)
@@ -358,6 +340,8 @@ def generate_group(
     """
     if q is None:
         raise ValueError("modulus q is required")
+    if not gens:
+        raise ValueError("need at least one generator")
     primes = square_free_factors(q)
     low = [p for p in primes if p < min_prime]
     if low:
@@ -377,13 +361,17 @@ def generate_group(
     bad = denom_primes & set(primes)
     if bad:
         raise BadPrime(f"q shares prime factors {sorted(bad)} with generator denominators")
-    d = mats[0][0].dim
+    dims = {m.dim for tup in mats for m in tup}
+    if len(dims) != 1:
+        raise ValueError(f"generators of mixed dimension {sorted(dims)}")
+    d = dims.pop()
     rows = np.array(
         [[x for m in tup for row in m.rows for x in row] for tup in mats],
         dtype=np.int64,
     )
     radices = np.array([p for p in primes for _ in range(d * d)], dtype=np.int64)
     mul_rows, inv_rows = _matrix_mul_factory(primes, d)
+    inv_rows(rows)  # raises SingularMatrix on a generator singular mod a prime of q
     if symmetrize:
         rows = _symmetrize_rows(rows, inv_rows, _radix_weights(radices))
     ident = np.array(
@@ -397,6 +385,14 @@ def generate_group(
         "denominator_primes": sorted(denom_primes),
     }
     return _bfs_table(ident, rows, radices, mul_rows, inv_rows, "matrix", meta, cap)
+
+
+def ids_of_matrices(G: GroupTable, mats: Sequence[RationalMatrix]) -> np.ndarray:
+    """Ids in the matrix table G of the reductions of rational matrices
+    mod its q; raises NotInGroup for a matrix whose image is not in G."""
+    q = G.meta["q"]
+    rows = [[x for m in crt_tuple(mat, q) for r in m.rows for x in r] for mat in mats]
+    return G.id_of_rows(np.array(rows, dtype=np.int64))
 
 
 def cyclic_group(n: int) -> GroupTable:
@@ -422,7 +418,13 @@ def heisenberg_group(p: int) -> GroupTable:
     h((a,b),(c,d)) = ad - bc.  Odd p only."""
     if p < 3 or prime_factors(p) != [p]:
         raise ValueError("need an odd prime")
-    mul_rows, inv_rows = _heisenberg_mul_factory(p)
+
+    def mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return _heisenberg_mul(a, b, p)
+
+    def inv_rows(a: np.ndarray) -> np.ndarray:
+        return (p - a) % p
+
     radices = np.array([p, p, p], dtype=np.int64)
     gens = np.array(
         [[1, 0, 0], [p - 1, 0, 0], [0, 1, 0], [0, p - 1, 0]], dtype=np.int64
@@ -479,13 +481,7 @@ def semidirect_group(spec: SemidirectSpec, cap: int | None = None) -> GroupTable
         return np.einsum("nij,nj->ni", l_block, u) % p
 
     def u_add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if heis:
-            out = np.empty_like(x)
-            out[:, 0] = (x[:, 0] + y[:, 0]) % p
-            out[:, 1] = (x[:, 1] + y[:, 1]) % p
-            out[:, 2] = (x[:, 2] + y[:, 2] + x[:, 0] * y[:, 1] - x[:, 1] * y[:, 0]) % p
-            return out
-        return (x + y) % p
+        return _heisenberg_mul(x, y, p) if heis else (x + y) % p
 
     def u_neg(x: np.ndarray) -> np.ndarray:
         return (p - x) % p
@@ -630,6 +626,21 @@ def subgroup_closure(G: GroupTable, gen_ids: Sequence[int], *, flags: bool = Tru
     )
 
 
+def coset_labels(G: GroupTable, h_ids: np.ndarray) -> np.ndarray:
+    """labels[g] = index of the left coset gH, for the subgroup H with
+    element ids h_ids; cosets are numbered by their least id, so the
+    identity coset is 0."""
+    labels = np.full(G.order, -1, dtype=np.int64)
+    nxt = 0
+    for g in range(G.order):
+        if labels[g] >= 0:
+            continue
+        coset = G.mul_vec(np.full(len(h_ids), g, dtype=np.int64), h_ids)
+        labels[coset] = nxt
+        nxt += 1
+    return labels
+
+
 def _is_normal_set(G: GroupTable, gen_ids: np.ndarray, member: np.ndarray) -> bool:
     """H is normal iff conjugating its generators by the group generators
     stays inside H (conjugation by a generating set reaches all of G)."""
@@ -651,11 +662,7 @@ def _is_perfect_subgroup(G, gen_ids, member, ids) -> bool:
 
 def _commutator_seed(G: GroupTable, a_ids: np.ndarray, b_ids: np.ndarray) -> np.ndarray:
     """All commutators [a, b] = a^-1 b^-1 a b over the two id sets."""
-    a = np.repeat(a_ids, len(b_ids))
-    b = np.tile(b_ids, len(a_ids))
-    left = G.mul_vec(G.inv_vec(a), G.inv_vec(b))
-    right = G.mul_vec(a, b)
-    return np.unique(G.mul_vec(left, right))
+    return np.unique(G.comm_vec(np.repeat(a_ids, len(b_ids)), np.tile(b_ids, len(a_ids))))
 
 
 def _normal_closure_within(
@@ -880,16 +887,13 @@ def small_lifts(
 
     S = PrimeSet(G.meta.get("denominator_primes", []))
     bound = float(H.index) ** delta
-    q = G.meta["q"]
     out = []
     for word, mat in ball:
         if s_norm(mat, S) >= bound:
             continue
-        tup = crt_tuple(mat, q)
-        row = np.array([x for m in tup for r in m.rows for x in r], dtype=np.int64)
         try:
-            gid = int(G.id_of_rows(row.reshape(1, -1))[0])
-        except KeyError:
+            gid = int(ids_of_matrices(G, [mat])[0])
+        except NotInGroup:
             continue
         if H.member[gid]:
             out.append((word, mat))
@@ -967,10 +971,7 @@ def verify_product_form(G: GroupTable, H: SubgroupRecord) -> dict:
     acts_trivially = True
     witness = None
     for h in hl:
-        hp = np.full(len(u_ids), h, dtype=np.int64)
-        comm = G.mul_vec(
-            G.mul_vec(G.inv_vec(hp), G.inv_vec(u_ids)), G.mul_vec(hp, u_ids)
-        )
+        comm = G.comm_vec(np.full(len(u_ids), h, dtype=np.int64), u_ids)
         bad = ~hu_member[comm]
         if bad.any():
             acts_trivially = False

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import SizeCapExceeded, TableMismatch
-from .quotient import GroupTable, SubgroupRecord
+from .quotient import GroupTable, SubgroupRecord, coset_labels
 
 EXACT_CAP = 10_000
 DENSE_EIG_CAP = 5000
@@ -84,9 +84,6 @@ class Measure:
         else:
             if w.min() < -MASS_TOL or abs(float(w.sum()) - 1.0) > MASS_TOL:
                 raise ValueError("weights do not sum to 1 within tolerance")
-
-    def copy(self) -> "Measure":
-        return Measure(self.table, self.weights.copy(), self.exact)
 
 
 def convolve(mu: Measure, nu: Measure) -> Measure:
@@ -167,8 +164,7 @@ def walk_powers(
     gen_ids: Sequence[int] | None = None,
     H: SubgroupRecord | None = None,
     exact: bool = False,
-    keep: bool = False,
-) -> WalkSeries | tuple[WalkSeries, list[Measure]]:
+) -> WalkSeries:
     """Iterate chi_S^(l) for l = 1..l_max, recording norms per step.
 
     mass_on_H is the weight of the subgroup itself (identity coset);
@@ -186,7 +182,6 @@ def walk_powers(
         mask = H.member
     mu = Measure.point(table, table.identity_id, exact)
     rows = []
-    kept = []
     for l in range(1, l_max + 1):
         mu = walk_step(mu, ids)
         if mask is None:
@@ -194,10 +189,7 @@ def walk_powers(
         else:
             h_mass = float(mu.mass_on(mask))
         rows.append(WalkRow(l, mu.l2(), float(mu.linf()), h_mass))
-        if keep:
-            kept.append(mu.copy())
-    series = WalkSeries(rows=rows, final=mu, gen_ids=ids)
-    return (series, kept) if keep else series
+    return WalkSeries(rows=rows, final=mu, gen_ids=ids)
 
 
 @dataclass
@@ -244,20 +236,6 @@ def walk_flatten_exponent(series: WalkSeries, l: int) -> FlattenReport:
     return FlattenReport(lhs=lhs, rhs=rhs, delta_hat=delta)
 
 
-def coset_labels(G: GroupTable, H: SubgroupRecord) -> np.ndarray:
-    """labels[g] = index of the left coset gH, identity coset first."""
-    labels = np.full(G.order, -1, dtype=np.int64)
-    h_ids = H.element_ids
-    nxt = 0
-    for g in range(G.order):
-        if labels[g] >= 0:
-            continue
-        coset = G.mul_vec(np.full(len(h_ids), g, dtype=np.int64), h_ids)
-        labels[coset] = nxt
-        nxt += 1
-    return labels
-
-
 @dataclass
 class EscapeRow:
     l: int
@@ -292,7 +270,7 @@ def escape_profile(
     """
     ids = G.generator_ids if gen_ids is None else np.asarray(gen_ids, dtype=np.int64)
     ids = [int(x) for x in ids]
-    labels = coset_labels(G, H)
+    labels = coset_labels(G, H.element_ids)
     mu = Measure.point(G, G.identity_id)
     rows = []
     for l in range(1, l_max + 1):

@@ -8,32 +8,14 @@ reduced words of length exactly l.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .errors import ZeroVector
 from .exact import RationalMatrix
 
 Word = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Alphabet:
-    """Symmetric alphabet of 2M letters."""
-
-    M: int
-
-    def __post_init__(self):
-        if self.M < 2:
-            raise ValueError("need at least two free generators")
-
-    @property
-    def letters(self) -> tuple[int, ...]:
-        out = []
-        for i in range(1, self.M + 1):
-            out.extend((i, -i))
-        return tuple(out)
+State = TypeVar("State")
 
 
 def ball_size(M: int, l: int) -> int:
@@ -45,32 +27,57 @@ def ball_size(M: int, l: int) -> int:
     return 2 * M * (2 * M - 1) ** (l - 1)
 
 
+def _walk(
+    M: int, L: int, start: State, step: Callable[[State, int], State]
+) -> Iterator[tuple[list[int], State]]:
+    """Depth-first preorder over the reduced words of length 1..L on M
+    generators, letters ordered 1, -1, 2, -2, ..., M, -M.
+
+    Yields (word, state) per word, where state = step(state of the word
+    without its last letter, last letter) and the empty word has start.
+    word is one live list, changed by the walk after the consumer
+    resumes it; copy it to keep it.
+    """
+    letters = [a for i in range(1, M + 1) for a in (i, -i)]
+    word: list[int] = []
+    states = [start]
+    pending = [iter(letters)]
+    while pending:
+        for a in pending[-1]:
+            if word and word[-1] == -a:
+                continue
+            state = step(states[-1], a)
+            word.append(a)
+            yield word, state
+            if len(word) < L:
+                states.append(state)
+                pending.append(iter(letters))
+                break
+            word.pop()
+        else:
+            pending.pop()
+            states.pop()
+            if word:
+                word.pop()
+
+
 def reduced_words(M: int, l: int) -> Iterator[Word]:
     """Yield the words of B_l lazily, in lexicographic order of the letter
     sequence under the ordering 1 < -1 < 2 < -2 < ... < M < -M."""
-    letters = Alphabet(M).letters
+    if M < 2:
+        raise ValueError("need at least two free generators")
     if l == 0:
         yield ()
         return
-    word: list[int] = []
-
-    def rec(depth: int) -> Iterator[Word]:
-        for a in letters:
-            if depth > 0 and word[depth - 1] == -a:
-                continue
-            word.append(a)
-            if depth + 1 == l:
-                yield tuple(word)
-            else:
-                yield from rec(depth + 1)
-            word.pop()
-
-    yield from rec(0)
+    for word, _ in _walk(M, l, None, lambda state, a: None):
+        if len(word) == l:
+            yield tuple(word)
 
 
-def _sphere_numerators(M: int, k: int) -> list[int]:
+def _sphere_numerators(M: int, k: int) -> Iterator[list[int]]:
     """Integer numerators n[l] of the total mass on the distance-l sphere
-    after k steps of the uniform walk; the common denominator is (2M)^k.
+    after j steps of the uniform walk, yielded for j = 0..k; the common
+    denominator after j steps is (2M)^j.
 
     One step from distance 0 goes to distance 1 with probability 1; from
     distance l >= 1 it drops to l-1 with probability 1/(2M) and grows to
@@ -79,6 +86,7 @@ def _sphere_numerators(M: int, k: int) -> list[int]:
     D = 2 * M
     n = [0] * (k + 2)
     n[0] = 1
+    yield n
     for _ in range(k):
         new = [0] * (k + 2)
         for l in range(k + 1):
@@ -91,7 +99,7 @@ def _sphere_numerators(M: int, k: int) -> list[int]:
                 new[l - 1] += mass
                 new[l + 1] += (D - 1) * mass
         n = new
-    return n
+        yield n
 
 
 def kesten_return(M: int, k: int) -> Fraction:
@@ -99,7 +107,22 @@ def kesten_return(M: int, k: int) -> Fraction:
     after k steps (zero for odd k)."""
     if k < 0:
         raise ValueError("step count must be nonnegative")
-    return Fraction(_sphere_numerators(M, k)[0], (2 * M) ** k)
+    for n in _sphere_numerators(M, k):
+        pass
+    return Fraction(n[0], (2 * M) ** k)
+
+
+def kesten_series(M: int, n: int) -> list[Fraction]:
+    """The even-step return probabilities [P_2, P_4, ..., P_2n] of the
+    uniform walk on F_M, from one sweep; P_2k equals kesten_return(M, 2k)."""
+    if n < 0:
+        raise ValueError("step count must be nonnegative")
+    D = 2 * M
+    return [
+        Fraction(num[0], D**j)
+        for j, num in enumerate(_sphere_numerators(M, 2 * n))
+        if j and j % 2 == 0
+    ]
 
 
 def radial_distribution(M: int, k: int) -> list[Fraction]:
@@ -109,9 +132,9 @@ def radial_distribution(M: int, k: int) -> list[Fraction]:
     l; by symmetry it does not depend on the word.  The sphere masses
     satisfy the partition identity sum_l |B_l| P(l) = 1 exactly.
     """
-    D = 2 * M
-    n = _sphere_numerators(M, k)
-    den = D**k
+    for n in _sphere_numerators(M, k):
+        pass
+    den = (2 * M) ** k
     return [Fraction(n[l], den) / ball_size(M, l) for l in range(k + 1)]
 
 
@@ -165,40 +188,19 @@ def certify_free(gens: Sequence[RationalMatrix], L: int) -> tuple[bool, Word | N
         raise ValueError("word length cap is 16")
     d = gens[0].dim
     pairs = _as_integer_pairs(gens)
-    letters = []
-    for i in range(1, len(gens) + 1):
-        letters.extend((i, -i))
     ident = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
 
-    def is_scaled_identity(mat, scale) -> bool:
-        for i in range(d):
-            for j in range(d):
-                if mat[i][j] != (scale if i == j else 0):
-                    return False
-        return True
+    def step(state, a):
+        mat, dg = pairs[a]
+        return _int_mat_mul(state[0], mat, d), state[1] * dg
 
-    word: list[int] = []
-
-    def rec(prod, den) -> Word | None:
-        depth = len(word)
-        for a in letters:
-            if depth > 0 and word[-1] == -a:
-                continue
-            mat, dg = pairs[a]
-            new_prod = _int_mat_mul(prod, mat, d)
-            new_den = den * dg
-            word.append(a)
-            if is_scaled_identity(new_prod, new_den):
-                return tuple(word)
-            if depth + 1 < L:
-                hit = rec(new_prod, new_den)
-                if hit is not None:
-                    return hit
-            word.pop()
-        return None
-
-    witness = rec(ident, 1)
-    return (witness is None), witness
+    for word, (prod, den) in _walk(len(gens), L, (ident, 1), step):
+        # the word is the identity once prod = den * I
+        if prod[0][0] == den and prod == tuple(
+            tuple(den * x for x in row) for row in ident
+        ):
+            return False, tuple(word)
+    return True, None
 
 
 def _adjoint_matrices(g: RationalMatrix) -> RationalMatrix:
@@ -298,35 +300,21 @@ def _count_fixing_words(
             action[i] = (m.rows, v)
             vi = [-sum(mi.rows[r][c] * v[c] for c in range(d)) for r in range(d)]
             action[-i] = (mi.rows, vi)
-    letters = []
-    for i in range(1, len(mats) + 1):
-        letters.extend((i, -i))
 
-    count = 0
+    def step(vec: list[Fraction], a: int) -> list[Fraction]:
+        rows, trans = action[a]
+        new = [sum(rows[r][c] * vec[c] for c in range(d)) for r in range(d)]
+        if trans is not None:
+            new = [x + t for x, t in zip(new, trans)]
+        return new
+
     if l == 0:
         count = 1 if hit(list(w)) else 0
     else:
-        word: list[int] = []
-
-        def rec(vec: list[Fraction]):
-            nonlocal count
-            depth = len(word)
-            for a in letters:
-                if depth > 0 and word[-1] == -a:
-                    continue
-                rows, trans = action[a]
-                new = [sum(rows[r][c] * vec[c] for c in range(d)) for r in range(d)]
-                if trans is not None:
-                    new = [x + t for x, t in zip(new, trans)]
-                if depth + 1 == l:
-                    if hit(new):
-                        count += 1
-                else:
-                    word.append(a)
-                    rec(new)
-                    word.pop()
-
-        rec(list(w))
+        count = sum(
+            1 for word, vec in _walk(len(mats), l, list(w), step)
+            if len(word) == l and hit(vec)
+        )
     total = ball_size(len(mats), l)
     exponent = math.log(count) / math.log(total) if count > 1 and total > 1 else 0.0
     return {

@@ -54,7 +54,7 @@ from expanderlab.spectral import (
 from expanderlab.words import (
     ball_size,
     certify_free,
-    kesten_return,
+    kesten_series,
     kesten_upper_bound,
     radial_distribution,
     reduced_words,
@@ -144,7 +144,7 @@ def test_c01_ball_formula():
 
 def test_c02a_kesten_window():
     M, n = 2, 200
-    returns = {m: kesten_return(M, 2 * m) for m in range(1, n + 1)}
+    returns = dict(enumerate(kesten_series(M, n), start=1))
     closed_form = all(P == tree_return(M, m) for m, P in returns.items())
     below_bound = all(P <= kesten_upper_bound(M, m) for m, P in returns.items())
     plain = float(returns[n]) ** (1.0 / n)

@@ -215,6 +215,24 @@ def test_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_singular_generator_exits_1(tmp_path, capsys):
+    # det 5 vanishes mod 5: the matrix has no inverse there
+    gens = write(tmp_path, "g.txt", "dim 2\nprimes\n1 0 0 5\n")
+    assert main(["quotient", "--gens", gens, "--q", "5"]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error[SingularMatrix]")
+    assert "Traceback" not in err
+
+
+def test_subgroup_file_outside_group_exits_1(tmp_path, capsys):
+    # diag(2, 1) has det 2, so it is not in SL2(F_7)
+    sub = write(tmp_path, "sub.txt", "dim 2\nprimes\n2 0 0 1\n")
+    rc = main(["escape", "--builtin", "lubotzky3", "--q", "7", "--subgroup", f"file:{sub}"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_ERROR
+    assert err.startswith("error[NotInGroup]: element not in group table")
+
+
 def test_element_cap_env(monkeypatch, capsys):
     monkeypatch.setenv("EXPANDERLAB_CAP_ELEMS", "1000")
     rc = main(["quotient", "--builtin", "lubotzky3", "--q", "35"])

@@ -1,0 +1,240 @@
+"""Property tests for the reduced-word walker, the mod-p row reducer and
+the coset labeller, each against a brute-force oracle, plus a guard on
+the package's public names."""
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import expanderlab
+from expanderlab.errors import SingularMatrix
+from expanderlab.exact import ModMatrix, RationalMatrix, mod_inv, row_reduce_mod_p
+from expanderlab.growth import ModuleAction, orbit_sum_subspace
+from expanderlab.quotient import (
+    borel_subgroup,
+    coset_labels,
+    generate_group,
+    heisenberg_group,
+    lower_central_series,
+    torus_subgroup,
+)
+from expanderlab.words import ball_size, certify_free, reduced_words
+
+FEW = settings(max_examples=25, deadline=None)
+
+
+def letters(M):
+    return [a for i in range(1, M + 1) for a in (i, -i)]
+
+
+def brute_reduced_words(M, l):
+    """Every reduced word of length l, in itertools.product order, which
+    is lexicographic in the letter order 1, -1, 2, -2, ..."""
+    return [
+        w for w in itertools.product(letters(M), repeat=l)
+        if all(w[i] != -w[i + 1] for i in range(l - 1))
+    ]
+
+
+# ----- walker -----
+
+
+@FEW
+@given(M=st.sampled_from([2, 3]), l=st.integers(0, 6))
+def test_reduced_words_are_the_ball_in_lexicographic_order(M, l):
+    words = list(reduced_words(M, l))
+    assert len(words) == ball_size(M, l) == len(set(words))
+    assert words == brute_reduced_words(M, l)
+
+
+GENERATOR_POOL = [
+    RationalMatrix([[1, 1], [0, 1]]),
+    RationalMatrix([[1, 0], [1, 1]]),
+    RationalMatrix([[1, 2], [0, 1]]),
+    RationalMatrix([[1, 0], [2, 1]]),
+    RationalMatrix([["1", "1/2"], [0, 1]]),
+    RationalMatrix([[1, 0], ["1/2", 1]]),
+    RationalMatrix([[0, -1], [1, 0]]),  # order 4
+    RationalMatrix([[0, -1], [1, -1]]),  # order 3
+    RationalMatrix([[2, 0], [0, "1/2"]]),
+]
+
+
+@FEW
+@given(
+    picks=st.lists(st.integers(0, len(GENERATOR_POOL) - 1), min_size=1, max_size=2, unique=True),
+    L=st.integers(1, 6),
+)
+def test_certify_free_witness_is_the_first_identity_word(picks, L):
+    gens = [GENERATOR_POOL[i] for i in picks]
+    by_letter = {}
+    for i, g in enumerate(gens, start=1):
+        by_letter[i], by_letter[-i] = g, g.inverse()
+    ident = RationalMatrix.identity(2)
+    # all reduced words of length 1..L in walk order: a prefix comes
+    # before its extensions, siblings in letter order
+    rank = {a: r for r, a in enumerate(letters(len(gens)))}
+    words = sorted(
+        (w for l in range(1, L + 1) for w in brute_reduced_words(len(gens), l)),
+        key=lambda w: [rank[a] for a in w],
+    )
+    prods = {(): ident}
+    expected = None
+    for w in words:
+        prods[w] = prods[w[:-1]] * by_letter[w[-1]]
+        if prods[w] == ident:
+            expected = w
+            break
+    assert certify_free(gens, L) == (expected is None, expected)
+
+
+def test_certify_free_finds_torsion():
+    # a rotation of order 4 gives the witness a^4 before anything longer
+    assert certify_free([GENERATOR_POOL[6], GENERATOR_POOL[0]], 5) == (False, (1, 1, 1, 1))
+
+
+# ----- row reducer -----
+
+
+def row_space(rows, p):
+    """Every F_p-combination of the rows, as a set of tuples."""
+    n = len(rows[0])
+    out = set()
+    for coeffs in itertools.product(range(p), repeat=len(rows)):
+        out.add(tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) % p for j in range(n)))
+    return out
+
+
+def det_mod(a, p):
+    """Leibniz determinant mod p."""
+    d = len(a)
+    total = 0
+    for perm in itertools.permutations(range(d)):
+        inversions = sum(perm[i] > perm[j] for i in range(d) for j in range(i + 1, d))
+        term = -1 if inversions % 2 else 1
+        for i in range(d):
+            term *= a[i][perm[i]]
+        total += term
+    return total % p
+
+
+small_matrix = st.integers(1, 3).flatmap(
+    lambda n: st.integers(1, 3).flatmap(
+        lambda m: st.lists(
+            st.lists(st.integers(-12, 12), min_size=m, max_size=m), min_size=n, max_size=n
+        )
+    )
+)
+
+
+@FEW
+@given(rows=small_matrix, p=st.sampled_from([5, 7, 11]))
+def test_rank_is_the_dimension_of_the_row_space(rows, p):
+    reduced, pivots = row_reduce_mod_p(rows, p)
+    space = row_space(rows, p)
+    assert len(space) == p ** len(pivots)
+    assert len(reduced) == len(pivots) and pivots == sorted(set(pivots))
+    for r, c in zip(reduced, pivots):
+        assert r[c] == 1 and all(other[c] == 0 for other in reduced if other is not r)
+    if reduced:
+        assert row_space(reduced, p) == space
+
+
+@FEW
+@given(
+    d=st.integers(2, 3),
+    p=st.sampled_from([5, 7, 11]),
+    data=st.data(),
+)
+def test_mod_inv_inverts_or_raises(d, p, data):
+    entries = data.draw(st.lists(st.integers(0, p - 1), min_size=d * d, max_size=d * d))
+    a = [entries[i * d : (i + 1) * d] for i in range(d)]
+    if det_mod(a, p) == 0:
+        with pytest.raises(SingularMatrix):
+            mod_inv(ModMatrix(a, p))
+        return
+    inv = mod_inv(ModMatrix(a, p)).rows
+    prod = [[sum(inv[i][k] * a[k][j] for k in range(d)) % p for j in range(d)] for i in range(d)]
+    assert prod == [[int(i == j) for j in range(d)] for i in range(d)]
+
+
+# ----- coset labeller -----
+
+
+def sl2_7():
+    return generate_group([RationalMatrix([[1, 1], [0, 1]]), RationalMatrix([[1, 0], [1, 1]])], 7)
+
+
+def labelled_cases():
+    G = sl2_7()
+    U = heisenberg_group(5)
+    return [
+        (G, borel_subgroup(G).element_ids),
+        (G, torus_subgroup(G).element_ids),
+        (U, lower_central_series(U)[1]),
+    ]
+
+
+CASES = labelled_cases()
+
+
+@pytest.mark.parametrize("case", range(len(CASES)))
+def test_coset_classes_have_subgroup_size(case):
+    G, h_ids = CASES[case]
+    counts = np.bincount(coset_labels(G, h_ids))
+    assert len(counts) == G.order // len(h_ids)
+    assert (counts == len(h_ids)).all()
+
+
+@FEW
+@given(case=st.integers(0, len(CASES) - 1), data=st.data())
+def test_same_label_iff_same_left_coset(case, data):
+    G, h_ids = CASES[case]
+    labels = coset_labels(G, h_ids)
+    member = np.zeros(G.order, dtype=bool)
+    member[h_ids] = True
+    x = data.draw(st.integers(0, G.order - 1))
+    h = int(h_ids[data.draw(st.integers(0, len(h_ids) - 1))])
+    z = data.draw(st.integers(0, G.order - 1))
+    for y in (G.mul(x, h), z):
+        assert (labels[x] == labels[y]) == bool(member[G.mul(G.inv(x), y)])
+
+
+# ----- orbit sums -----
+
+
+def test_orbit_sum_subspace_is_an_invariant_line():
+    # diag(3, 5) on F_7^2 has exactly the two coordinate axes as invariant
+    # lines; the reducer may list the subspace in any row order
+    act = ModuleAction(7, 2, [np.array([[3, 0], [0, 5]])])
+    sub = {tuple(int(x) for x in v) for v in orbit_sum_subspace(act, [1, 1])["subspace"]}
+    axes = [{(k, 0) for k in range(7)}, {(0, k) for k in range(7)}]
+    assert sub in axes
+
+
+# ----- public names -----
+
+PUBLIC = [
+    "CayleyGraph", "ElementSet", "GroupTable", "Measure", "ModMatrix", "ModuleAction",
+    "PrimeSet", "ProductFrame", "RationalMatrix", "SemidirectSpec", "SubgroupRecord",
+    "ball_size", "borel_subgroup", "certify_free", "chain_inequality", "cheeger_bracket",
+    "commutator_identities_check", "conjugacy_classes", "convolve", "crt_tuple",
+    "cyclic_group", "direct_product", "edge_expansion_exact", "escape_profile",
+    "farah_distance", "fixed_line_fraction", "fixed_point_fraction", "flatten_check",
+    "generate_group", "gowers_cover", "heisenberg_group", "index_product_check",
+    "is_perfect", "kernel_displacement", "kesten_return", "kesten_series",
+    "kesten_upper_bound", "lower_central_series", "nilpotent_recover", "normal_closure",
+    "normal_closure_product", "normal_subgroups", "orbit_sum_span", "orbit_sum_subspace",
+    "product_decompose", "product_set", "radial_distribution", "random_symmetric_set",
+    "random_transversal", "reduce_mod_p", "reduced_words", "s_norm", "semidirect_group",
+    "small_lifts", "spectrum", "square_free_factors", "subgroup_closure", "torus_subgroup",
+    "trace_moment", "tripling_report", "verify_factor_product_form", "verify_normal_perfect",
+    "verify_product_form", "walk_flatten_exponent", "walk_powers", "walk_trace_side",
+]
+
+
+def test_public_names_are_stable_and_resolve():
+    assert expanderlab.__all__ == sorted(PUBLIC) + ["__version__", "errors"]
+    for name in expanderlab._EXPORTS:
+        assert getattr(expanderlab, name) is not None

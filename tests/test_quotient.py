@@ -5,8 +5,10 @@ from expanderlab.errors import (
     BadPrime,
     HypothesisViolated,
     NotComposite,
+    NotInGroup,
     NotNormal,
     NotPGroup,
+    SingularMatrix,
     SizeCapExceeded,
     TableMismatch,
 )
@@ -86,6 +88,25 @@ def test_generate_group_rejects_denominator_overlap():
 from fractions import Fraction  # noqa: E402
 
 
+def test_generate_group_rejects_singular_generators():
+    # det 5 vanishes mod 5; the check does not rely on symmetrizing
+    with pytest.raises(SingularMatrix):
+        generate_group([RationalMatrix([[1, 0], [0, 5]])], 5, symmetrize=False)
+    # singular mod 7 only, inside q = 35
+    with pytest.raises(SingularMatrix):
+        generate_group([RationalMatrix([[1, 1], [0, 1]]), RationalMatrix([[1, 0], [0, 7]])], 35)
+    # dimension 3 goes through per-element elimination
+    with pytest.raises(SingularMatrix):
+        generate_group([RationalMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 5]])], 5, symmetrize=False)
+
+
+def test_generate_group_rejects_empty_and_mixed_input():
+    with pytest.raises(ValueError):
+        generate_group([], 5)
+    with pytest.raises(ValueError):
+        generate_group([RationalMatrix.identity(2), RationalMatrix.identity(3)], 5)
+
+
 def test_generate_group_cap():
     with pytest.raises(SizeCapExceeded):
         generate_group(lubotzky_gens(), 35, cap=1000)
@@ -108,6 +129,11 @@ def test_id_of_rows_unknown_row_raises(sl2_5):
     bad = np.array([[9, 9, 9, 9]], dtype=np.int64)
     with pytest.raises(KeyError):
         sl2_5.id_of_rows(bad)
+
+
+def test_id_of_rows_raises_not_in_group(sl2_5):
+    with pytest.raises(NotInGroup):
+        sl2_5.id_of_rows(np.array([[2, 0, 0, 1]], dtype=np.int64))
 
 
 def test_perms_are_permutations(sl2_5):

@@ -193,7 +193,7 @@ def test_walk_flatten_exponent_needs_long_series(sl2_5):
 
 def test_coset_labels(sl2_5):
     H = borel_subgroup(sl2_5)
-    labels = coset_labels(sl2_5, H)
+    labels = coset_labels(sl2_5, H.element_ids)
     assert labels[sl2_5.identity_id] == 0
     counts = np.bincount(labels)
     assert (counts == H.size).all()

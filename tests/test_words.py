@@ -12,6 +12,7 @@ from expanderlab.words import (
     fixed_line_fraction,
     fixed_point_fraction,
     kesten_return,
+    kesten_series,
     kesten_upper_bound,
     radial_distribution,
     reduced_words,
@@ -54,6 +55,12 @@ def test_kesten_return_brute_force():
                     new[nxt] = new.get(nxt, Fraction(0)) + mass / (2 * M)
             dist = new
             assert kesten_return(M, k) == dist.get((), Fraction(0))
+
+
+def test_kesten_series_matches_kesten_return():
+    for M in (2, 3):
+        assert kesten_series(M, 0) == []
+        assert kesten_series(M, 15) == [kesten_return(M, 2 * k) for k in range(1, 16)]
 
 
 def test_kesten_return_odd_steps_zero():
