@@ -300,7 +300,7 @@ def cmd_escape(cfg: ExperimentConfig) -> int:
     G = load_group(cfg)
     H = resolve_subgroup(G, cfg.subgroup or "borel")
     if H is None:
-        raise ValueError("escape needs a proper subgroup")
+        raise ValueError("escape needs a nontrivial subgroup")
     report = S.escape_profile(G, H, cfg.lmax if cfg.lmax is not None else 40)
     rows = [
         (r.l, r.l2_norm, r.linf, r.mass_on_H, r.max_coset_mass)

@@ -6,6 +6,12 @@ coordinates of a nilpotent/semidirect element) together with vectorized
 multiplication and inversion callbacks acting on digit rows.  Element
 ids are assigned in BFS order from the identity, ties broken by the
 mixed-radix encoding of the digit row, so tables are deterministic.
+
+The BFS builds the table's one id lookup as it assigns ids, and the same
+structure serves as its seen-set.  A code space of at most ID_INDEX_CAP =
+2^25 codes gets a dense int32 code-to-id array, 4 bytes per code (71 MB
+for SL2 mod 65); a larger one (SL2 mod 77 or 97) gets the sorted codes
+with their ids alongside, searched with searchsorted.
 """
 from __future__ import annotations
 
@@ -36,7 +42,7 @@ from .exact import (
 )
 
 DEFAULT_ELEMENT_CAP = 2_000_000
-DENSE_SEEN_CAP = 1 << 27
+ID_INDEX_CAP = 1 << 25
 MIN_PRIME = 5
 
 
@@ -60,6 +66,44 @@ def _modpow_vec(base: np.ndarray, exp: int, p: int) -> np.ndarray:
     return result
 
 
+class _IdIndex:
+    """Code-to-id lookup, filled by the BFS one level at a time: a dense
+    int32 array (-1 for codes without an id) when the code space has at
+    most ID_INDEX_CAP codes, else sorted codes with their ids alongside."""
+
+    def __init__(self, space: int, start_code: int):
+        self.order = 1
+        if space <= ID_INDEX_CAP:
+            self.codes = None
+            self.ids = np.full(space, -1, dtype=np.int32)
+            self.ids[start_code] = 0
+        else:
+            self.codes = np.array([start_code], dtype=np.int64)
+            self.ids = np.zeros(1, dtype=np.int64)
+
+    def lookup(self, codes: np.ndarray) -> np.ndarray:
+        """Ids of codes inside the code space, -1 for codes without one."""
+        if self.codes is None:
+            return self.ids[codes].astype(np.int64)
+        pos = np.searchsorted(self.codes, codes).clip(0, self.order - 1)
+        return np.where(self.codes[pos] == codes, self.ids[pos], -1)
+
+    def add(self, codes: np.ndarray) -> np.ndarray:
+        """Give the next ids, in code order, to the codes without one among
+        the sorted distinct codes; returns the mask of those codes."""
+        fresh = self.lookup(codes) < 0
+        new = codes[fresh]
+        new_ids = np.arange(self.order, self.order + len(new))
+        if self.codes is None:
+            self.ids[new] = new_ids
+        else:
+            pos = np.searchsorted(self.codes, new)
+            self.codes = np.insert(self.codes, pos, new)
+            self.ids = np.insert(self.ids, pos, new_ids)
+        self.order += len(new)
+        return fresh
+
+
 class GroupTable:
     """Immutable element table for a finite group with O(1) multiplication."""
 
@@ -72,6 +116,7 @@ class GroupTable:
         generator_ids: np.ndarray,
         kind: str,
         meta: dict,
+        index: _IdIndex,
     ):
         self.digits = digits
         self.radices = radices
@@ -81,9 +126,8 @@ class GroupTable:
         self.kind = kind
         self.meta = meta
         self._weights = _radix_weights(radices)
-        codes = digits @ self._weights
-        self._sorter = np.argsort(codes, kind="stable").astype(np.int64)
-        self._sorted_codes = codes[self._sorter]
+        self._index = index
+        self._digit_bounds = radices.astype(np.uint64)
         self._perm_cache: dict[tuple[str, int], np.ndarray] = {}
 
     @property
@@ -94,11 +138,16 @@ class GroupTable:
 
     # ----- id resolution -----
     def id_of_rows(self, rows: np.ndarray) -> np.ndarray:
-        codes = np.atleast_2d(rows) @ self._weights
-        pos = np.searchsorted(self._sorted_codes, codes).clip(0, self.order - 1)
-        if not np.array_equal(self._sorted_codes[pos], codes):
+        rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
+        # read as unsigned, a negative digit fails the bound as well; a digit
+        # out of range would give another element's code, or one outside the
+        # index (where numpy wraps a negative code without an error)
+        if (rows.view(np.uint64) >= self._digit_bounds).any():
             raise NotInGroup("element not in group table")
-        return self._sorter[pos]
+        ids = self._index.lookup(rows @ self._weights)
+        if (ids < 0).any():
+            raise NotInGroup("element not in group table")
+        return ids
 
     def rows_of(self, ids: np.ndarray | int) -> np.ndarray:
         return self.digits[np.asarray(ids, dtype=np.int64)]
@@ -193,9 +242,7 @@ def _matrix_mul_factory(primes: Sequence[int], d: int):
         for off, p in blocks:
             x = a[:, off : off + d * d].reshape(-1, d, d)
             y = b[:, off : off + d * d].reshape(-1, d, d)
-            out[:, off : off + d * d] = (
-                np.einsum("nij,njk->nik", x, y) % p
-            ).reshape(-1, d * d)
+            out[:, off : off + d * d] = _block_mul(x, y, p).reshape(-1, d * d)
         return out
 
     def inv(a: np.ndarray) -> np.ndarray:
@@ -206,6 +253,12 @@ def _matrix_mul_factory(primes: Sequence[int], d: int):
         return out
 
     return mul, inv
+
+
+def _block_mul(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """Stacked products (x @ y) mod p of (n, d, d) blocks by (n, d, d) blocks
+    or (n, d, 1) columns; integer-exact while d p^2 stays below 2^63."""
+    return (x @ y) % p
 
 
 def _inv_block(x: np.ndarray, p: int) -> np.ndarray:
@@ -254,31 +307,9 @@ def _bfs_table(
 ) -> GroupTable:
     cap = element_cap(cap)
     weights = _radix_weights(radices)
-    space = int(weights[-1]) * int(radices[-1])
-    dense = space <= DENSE_SEEN_CAP
-    if dense:
-        seen = np.zeros(space, dtype=bool)
-    else:
-        seen_dict: dict[int, None] = {}
-
-    def mark(codes: np.ndarray) -> np.ndarray:
-        """Mark codes as seen, returning a mask of the newly seen ones."""
-        if dense:
-            fresh = ~seen[codes]
-            seen[codes[fresh]] = True
-            return fresh
-        fresh = np.zeros(len(codes), dtype=bool)
-        for i, c in enumerate(codes.tolist()):
-            if c not in seen_dict:
-                seen_dict[c] = None
-                fresh[i] = True
-        return fresh
-
-    start_code = int(start_row @ weights)
-    mark(np.array([start_code], dtype=np.int64))
+    index = _IdIndex(int(weights[-1]) * int(radices[-1]), int(start_row @ weights))
     levels = [start_row.reshape(1, -1)]
     frontier = levels[0]
-    total = 1
     k = len(gen_rows)
     while frontier.shape[0]:
         n = frontier.shape[0]
@@ -288,30 +319,21 @@ def _bfs_table(
         )
         codes = prod @ weights
         codes, first = np.unique(codes, return_index=True)
-        prod = prod[first]
-        fresh = mark(codes)
-        prod = prod[fresh]
-        if prod.shape[0]:
-            total += prod.shape[0]
-            if total > cap:
-                raise SizeCapExceeded(
-                    f"group closure exceeded cap of {cap} elements"
-                )
-            levels.append(prod)
+        prod = prod[first][index.add(codes)]
+        if index.order > cap:
+            raise SizeCapExceeded(f"group closure exceeded cap of {cap} elements")
+        levels.append(prod)
         frontier = prod
-    digits = np.concatenate(levels, axis=0)
-    gen_codes = gen_rows @ weights
-    table = GroupTable(
-        digits=digits,
+    return GroupTable(
+        digits=np.concatenate(levels, axis=0),
         radices=radices,
         mul_rows=mul_rows,
         inv_rows=inv_rows,
-        generator_ids=np.zeros(len(gen_rows), dtype=np.int64),
+        generator_ids=index.lookup(gen_rows @ weights),
         kind=kind,
         meta=meta,
+        index=index,
     )
-    table.generator_ids = table.id_of_rows(gen_rows)
-    return table
 
 
 def _symmetrize_rows(rows: np.ndarray, inv_rows, weights) -> np.ndarray:
@@ -352,12 +374,12 @@ def generate_group(
         if isinstance(g, RationalMatrix):
             denom_primes.update(g.denominator_support())
             mats.append(crt_tuple(g, q))
-        elif isinstance(g, ModMatrix):
-            if len(primes) != 1:
-                raise ValueError("a bare ModMatrix only matches a prime modulus")
-            mats.append([g])
         else:
-            mats.append(list(g))
+            tup = [g] if isinstance(g, ModMatrix) else list(g)
+            moduli = [m.p for m in tup]
+            if moduli != primes:
+                raise ValueError(f"generator moduli {moduli} differ from the primes {primes} of q")
+            mats.append(tup)
     bad = denom_primes & set(primes)
     if bad:
         raise BadPrime(f"q shares prime factors {sorted(bad)} with generator denominators")
@@ -470,15 +492,12 @@ def semidirect_group(spec: SemidirectSpec, cap: int | None = None) -> GroupTable
     heis = spec.u_kind == "heisenberg"
 
     def act(l_block: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Apply the L-part (n,d,d) to the U-part coordinates."""
+        """Apply the L-part (n,d,d) to the U-part coordinates; a Heisenberg
+        U part keeps its central coordinate."""
         if not natural:
             return u
-        if heis:
-            out = u.copy()
-            vec = np.einsum("nij,nj->ni", l_block, u[:, :2]) % p
-            out[:, :2] = vec
-            return out
-        return np.einsum("nij,nj->ni", l_block, u) % p
+        k = 2 if heis else u_len
+        return np.concatenate([_block_mul(l_block, u[:, :k, None], p)[:, :, 0], u[:, k:]], axis=1)
 
     def u_add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return _heisenberg_mul(x, y, p) if heis else (x + y) % p
@@ -490,7 +509,7 @@ def semidirect_group(spec: SemidirectSpec, cap: int | None = None) -> GroupTable
         out = np.empty_like(a)
         la = a[:, :dd].reshape(-1, d, d)
         lb = b[:, :dd].reshape(-1, d, d)
-        out[:, :dd] = (np.einsum("nij,njk->nik", la, lb) % p).reshape(-1, dd)
+        out[:, :dd] = _block_mul(la, lb, p).reshape(-1, dd)
         out[:, dd:] = u_add(a[:, dd:], act(la, b[:, dd:]))
         return out
 

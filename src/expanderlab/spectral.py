@@ -21,7 +21,6 @@ from .quotient import GroupTable, SubgroupRecord, coset_labels
 
 EXACT_CAP = 10_000
 DENSE_EIG_CAP = 5000
-MASS_TOL = 1e-12
 CLUSTER_TOL = 1e-6
 
 
@@ -75,15 +74,6 @@ class Measure:
 
     def linf(self) -> float | Fraction:
         return self.weights.max()
-
-    def check_probability(self) -> None:
-        w = self.weights
-        if self.exact:
-            if any(x < 0 for x in w) or w.sum() != 1:
-                raise ValueError("exact measure is not a probability measure")
-        else:
-            if w.min() < -MASS_TOL or abs(float(w.sum()) - 1.0) > MASS_TOL:
-                raise ValueError("weights do not sum to 1 within tolerance")
 
 
 def convolve(mu: Measure, nu: Measure) -> Measure:

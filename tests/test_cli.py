@@ -233,6 +233,14 @@ def test_subgroup_file_outside_group_exits_1(tmp_path, capsys):
     assert err.startswith("error[NotInGroup]: element not in group table")
 
 
+def test_escape_trivial_subgroup_exits_1(capsys):
+    rc = main(["escape", "--builtin", "lubotzky3", "--q", "7", "--subgroup", "trivial", "--lmax", "5"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_ERROR
+    assert err.startswith("error[ValueError]: escape needs a nontrivial subgroup")
+    assert "Traceback" not in err
+
+
 def test_element_cap_env(monkeypatch, capsys):
     monkeypatch.setenv("EXPANDERLAB_CAP_ELEMS", "1000")
     rc = main(["quotient", "--builtin", "lubotzky3", "--q", "35"])

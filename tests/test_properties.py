@@ -1,6 +1,8 @@
-"""Property tests for the reduced-word walker, the mod-p row reducer and
-the coset labeller, each against a brute-force oracle, plus a guard on
-the package's public names."""
+"""Property tests for the reduced-word walker, the mod-p row reducer,
+the coset labeller and the table id lookup, each against a brute-force
+oracle, plus guards on the BFS element order and the package's public
+names."""
+import hashlib
 import itertools
 
 import numpy as np
@@ -8,14 +10,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import expanderlab
-from expanderlab.errors import SingularMatrix
-from expanderlab.exact import ModMatrix, RationalMatrix, mod_inv, row_reduce_mod_p
+from expanderlab.cli import builtin_generators
+from expanderlab.errors import NotInGroup, SingularMatrix
+from expanderlab.exact import ModMatrix, RationalMatrix, mod_inv, mod_mul, row_reduce_mod_p
 from expanderlab.growth import ModuleAction, orbit_sum_subspace
 from expanderlab.quotient import (
+    ID_INDEX_CAP,
     borel_subgroup,
     coset_labels,
     generate_group,
     heisenberg_group,
+    ids_of_matrices,
     lower_central_series,
     torus_subgroup,
 )
@@ -199,6 +204,80 @@ def test_same_label_iff_same_left_coset(case, data):
     z = data.draw(st.integers(0, G.order - 1))
     for y in (G.mul(x, h), z):
         assert (labels[x] == labels[y]) == bool(member[G.mul(G.inv(x), y)])
+
+
+# ----- id lookup -----
+
+UNITRIANGULAR = [
+    RationalMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+    RationalMatrix([[1, 0, 0], [0, 1, 1], [0, 0, 1]]),
+]
+
+# the 3x3 upper unitriangular group, of order p^3: its code space p^9 takes
+# the dense code-to-id array mod 5 and the sorted codes mod 7
+LOOKUP_TABLES = {p: generate_group(UNITRIANGULAR, p) for p in (5, 7)}
+
+
+def as_matrix(G, i):
+    return ModMatrix(G.digits[i].reshape(3, 3).tolist(), G.meta["q"])
+
+
+def test_lookup_tables_sit_on_both_sides_of_the_dense_cap():
+    assert 5**9 <= ID_INDEX_CAP < 7**9
+    assert [G.order for G in LOOKUP_TABLES.values()] == [125, 343]
+
+
+@pytest.mark.parametrize("p", sorted(LOOKUP_TABLES))
+def test_id_of_rows_inverts_the_digit_table(p):
+    G = LOOKUP_TABLES[p]
+    ids = G.id_of_rows(G.digits)
+    assert ids.dtype == np.int64
+    assert (ids == np.arange(G.order)).all()
+
+
+@FEW
+@given(p=st.sampled_from(sorted(LOOKUP_TABLES)), data=st.data())
+def test_products_and_inverses_agree_with_matrix_arithmetic(p, data):
+    G = LOOKUP_TABLES[p]
+    a = data.draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=8))
+    b = data.draw(st.lists(st.integers(0, G.order - 1), min_size=len(a), max_size=len(a)))
+    for i, j, k in zip(a, b, G.mul_vec(a, b)):
+        assert as_matrix(G, k) == mod_mul(as_matrix(G, i), as_matrix(G, j))
+    for i, k in zip(a, G.inv_vec(a)):
+        assert as_matrix(G, k) == mod_inv(as_matrix(G, i))
+
+
+@FEW
+@given(p=st.sampled_from(sorted(LOOKUP_TABLES)), data=st.data())
+def test_id_of_rows_rejects_rows_outside_the_table(p, data):
+    G = LOOKUP_TABLES[p]
+    with pytest.raises(NotInGroup):
+        ids_of_matrices(G, [RationalMatrix([[1, 0, 0], [1, 1, 0], [0, 0, 1]])])
+    # the same residues with one digit out of [0, p): its code is another
+    # element's, another code or one outside the code space
+    row = G.digits[data.draw(st.integers(0, G.order - 1))].copy()
+    j = data.draw(st.integers(0, 8))
+    row[j] += p * data.draw(st.sampled_from([-3, -2, -1, 1, 2]))
+    with pytest.raises(NotInGroup):
+        G.id_of_rows(row)
+
+
+# sha256 of G.digits.tobytes(): the element order is BFS level first, then
+# code order within a level, and any change to either changes the digest
+BFS_ORDER_DIGESTS = [
+    ("lubotzky3", 7, "ecea5e746080d3deebb0771eed536469b7b1f34ed53fa763b795d602711763ee"),
+    ("lubotzky3", 35, "d25fe0011431c9590cdf2c8b2f94f51090719a56f1013ee1f9eec9cd9e0806d1"),
+    ("unitriangular", 7, "fff82ceb7977aa5c6089da66e2f3ee91bd5ca2010b8e5dc78862532dc30213f5"),
+]
+
+
+@pytest.mark.parametrize("name,q,digest", BFS_ORDER_DIGESTS)
+def test_bfs_element_order_is_pinned(name, q, digest):
+    if name == "unitriangular":
+        G = LOOKUP_TABLES[q]
+    else:
+        G = generate_group(builtin_generators(name), q)
+    assert hashlib.sha256(G.digits.tobytes()).hexdigest() == digest
 
 
 # ----- orbit sums -----

@@ -100,6 +100,15 @@ def test_generate_group_rejects_singular_generators():
         generate_group([RationalMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 5]])], 5, symmetrize=False)
 
 
+def test_generate_group_rejects_moduli_other_than_the_primes_of_q():
+    # matrices declared mod 7 must not be read as matrices mod 5
+    with pytest.raises(ValueError, match=r"\[7\].*\[5\]"):
+        generate_group([ModMatrix([[1, 2], [0, 1]], 7), ModMatrix([[1, 0], [2, 1]], 7)], 5)
+    # q = 35 needs a matrix mod 5 and one mod 7 in every tuple
+    with pytest.raises(ValueError, match=r"\[5\].*\[5, 7\]"):
+        generate_group([(ModMatrix([[1, 2], [0, 1]], 5),)], 35)
+
+
 def test_generate_group_rejects_empty_and_mixed_input():
     with pytest.raises(ValueError):
         generate_group([], 5)
