@@ -83,13 +83,16 @@ class ElementSet:
 def random_symmetric_set(table: GroupTable, size: int, rng: np.random.Generator) -> ElementSet:
     """Symmetric set containing the identity, of at least the asked size."""
     picks = rng.integers(0, table.order, size=max(size // 2, 1))
-    ids = np.concatenate([picks, table.inv_vec(picks), [table.identity_id]])
-    out = ElementSet.from_ids(table, ids)
-    while out.size < size:
+    member = np.zeros(table.order, dtype=bool)
+    member[np.concatenate([picks, table.inv_vec(picks), [table.identity_id]])] = True
+    count = int(member.sum())
+    while count < size:
         extra = int(rng.integers(0, table.order))
-        ids = np.concatenate([out.ids, [extra, table.inv_vec(np.array([extra]))[0]]])
-        out = ElementSet.from_ids(table, ids)
-    return out
+        if not member[extra]:  # the set stays symmetric: a member's inverse is one too
+            inv = table.inv(extra)
+            member[[extra, inv]] = True
+            count += 1 + (inv != extra)
+    return ElementSet.from_ids(table, np.flatnonzero(member))
 
 
 def product_set(A: ElementSet, B: ElementSet, work_cap: int = PAIR_WORK_CAP) -> ElementSet:

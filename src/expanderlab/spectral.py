@@ -340,6 +340,45 @@ def _cluster(values: np.ndarray, tol: float = CLUSTER_TOL) -> list[tuple[float, 
     return clusters
 
 
+def _block_eigenvalues(graph: CayleyGraph) -> np.ndarray:
+    """Full spectrum of T, descending, from Hermitian blocks of size n/m.
+
+    T sums left translations, so it commutes with x -> xg for g the
+    generator of largest order m.  On the f with f(x g^a) = w^(ka) f(x),
+    w = exp(2 pi i/m), T is B_k[i, j] = (1/|S|) sum of w^(kb) over the s
+    with s r_i = r_j g^b; r_i is the least id in its coset r_i<g>.
+    B_(m-k) is the conjugate of B_k, so only k <= m/2 is solved.
+    """
+    n = graph.order
+    if n > DENSE_EIG_CAP:
+        raise SizeCapExceeded(f"dense eigensolve capped at {DENSE_EIG_CAP} vertices")
+    orders = []
+    for p in graph.perms:
+        x, m = int(p[0]), 1  # p applied a times sends the identity to s^a
+        while x != 0:
+            x, m = int(p[x]), m + 1
+        orders.append(m)
+    m = max(orders)
+    right = graph.table.right_perm(int(graph.s_ids[orders.index(m)]))
+    rep, exp, cur = np.arange(n), np.zeros(n, dtype=np.int64), np.arange(n)
+    for a in range(1, m):
+        cur = right[cur]  # x g^a
+        less = cur < rep
+        rep[less], exp[less] = cur[less], m - a  # x = rep g^(m-a)
+    reps = np.flatnonzero(rep == np.arange(n))
+    hit = np.stack(graph.perms)[:, reps]  # s r_i, one row per generator
+    rows = np.broadcast_to(np.arange(len(reps)), hit.shape)
+    cols, b = np.searchsorted(reps, rep[hit]), exp[hit]
+    vals = []
+    for k in range(m // 2 + 1):
+        w = np.exp(2j * np.pi * (k * b % m) / m)
+        real = 2 * k % m == 0
+        B = np.zeros((len(reps), len(reps)), dtype=np.float64 if real else np.complex128)
+        np.add.at(B, (rows, cols), w.real if real else w)
+        vals += [np.linalg.eigvalsh(B / graph.degree)] * (1 if real else 2)
+    return np.sort(np.concatenate(vals))[::-1]
+
+
 def spectrum(
     graph: CayleyGraph,
     max_eigs: int = 20,
@@ -348,16 +387,15 @@ def spectrum(
 ) -> SpectrumReport:
     """Eigenvalues of the normalized adjacency operator.
 
-    Small graphs get the full symmetric eigensolve.  Larger ones fall
-    back to an implicitly restarted Lanczos run (ARPACK) on the
+    Small graphs get the full spectrum, from the n/m-sized blocks that a
+    generator of order m splits T into (see _block_eigenvalues).  Larger
+    ones fall back to an implicitly restarted Lanczos run (ARPACK) on the
     permutation-action operator, returning the extreme eigenvalues from
     both ends of the spectrum and flagging the report as partial.
     """
     n = graph.order
     if n <= dense_cap:
-        T = graph.dense_operator()
-        w = np.linalg.eigvalsh(T)[::-1]
-        report = SpectrumReport(eigenvalues=w)
+        report = SpectrumReport(eigenvalues=_block_eigenvalues(graph))
     else:
         from scipy.sparse.linalg import LinearOperator, eigsh
 

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expanderlab.cli import (
     EXIT_ASSERTION,
@@ -222,6 +227,58 @@ def test_singular_generator_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error[SingularMatrix]")
     assert "Traceback" not in err
+
+
+ENTRIES = st.sampled_from(["0", "1", "-1", "2", "1/3", "-2/3"])
+# no digit in the alphabet, so no such token reads as a rational, and no
+# '#', which would turn the line into a comment
+BAD_TOKENS = st.text(alphabet="abxyz?!%&*", min_size=1, max_size=4)
+BAD_HEADERS = [
+    [], ["dim 2"], ["dim", "primes 3"], ["dim two", "primes 3"], ["dimension 2", "primes 3"],
+    ["dim 2", "prime 3"], ["dim 2", "primes 4"], ["dim 2", "primes x"],
+]
+
+
+@st.composite
+def malformed_generator_files(draw):
+    """A well-formed file of 2x2 generators, given exactly one fault."""
+    header = ["dim 2", "primes 3"]
+    mats = draw(st.lists(st.lists(ENTRIES, min_size=4, max_size=4), min_size=1, max_size=3))
+    row = draw(st.integers(0, len(mats) - 1))
+    col = draw(st.integers(0, 3))
+    fault = draw(st.sampled_from(["token", "count", "zero", "dim", "mixed", "undeclared", "header"]))
+    if fault == "token":
+        mats[row][col] = draw(BAD_TOKENS)
+    elif fault == "count":  # 1 to 3 entries short or over; never an empty line
+        k = draw(st.integers(1, 3))
+        mats[row] = mats[row][k:] if draw(st.booleans()) else mats[row] + mats[row][:k]
+    elif fault == "zero":
+        mats[row][col] = f"{draw(st.integers(-5, 5))}/0"
+    elif fault == "dim":
+        header[0] = f"dim {draw(st.sampled_from([-1, 0, 1, 3, 4]))}"
+    elif fault == "mixed":  # a 3x3 generator among the 2x2 ones
+        mats.insert(row, draw(st.lists(ENTRIES, min_size=9, max_size=9)))
+    elif fault == "undeclared":
+        header[1] = "primes 5"
+        mats[row][col] = "1/3"
+    else:
+        header = draw(st.sampled_from(BAD_HEADERS))
+    return "\n".join(header + [" ".join(m) for m in mats]) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=malformed_generator_files())
+def test_malformed_generator_files_exit_1_without_a_traceback(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.txt")
+        with open(path, "w") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["quotient", "--gens", path, "--q", "7"])
+    assert rc == EXIT_ERROR, text
+    assert err.getvalue().startswith("error["), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_subgroup_file_outside_group_exits_1(tmp_path, capsys):

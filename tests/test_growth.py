@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from expanderlab.cli import builtin_generators
 from expanderlab.errors import (
     FixedVectorExists,
     HypothesisViolated,
@@ -89,6 +91,30 @@ def test_random_symmetric_set(sl2_5):
     assert A.member[0]
     inv = sl2_5.inv_vec(A.ids)
     assert A.member[inv].all()
+
+
+# sha256 of the drawn ids followed by the next 8 bytes of the generator:
+# the set and the draws it consumes are both pinned, so every growth
+# report built on these sets stays the same.  A q of 5 to 11 is SL2(F_q)
+# from lubotzky3, a larger one the cyclic group Z/q; "cyclic", q = 8, size
+# 7 and seed 1 draws the involution 4 when one element short of the size.
+RANDOM_SET_DIGESTS = [
+    ("sl2", 5, 40, 0, "d91533b8204ef952f2f95d58b40b02a9fbef1e8078022d26aa3c6c9ec302c858"),
+    ("sl2", 5, 100, 3, "09c91a224636f96b62da1567e7a2953cf5e78644fd87e8fc2480f31af6db2f00"),
+    ("sl2", 7, 20, 1, "a9163ba1bb726a1b1b8589173bf6daf0ba26d73fbf2f1a76db4dbaf5db003e1c"),
+    ("sl2", 11, 60, 2, "a9338ee0f143b21a3ed34bc20f307cd5bbc737c3cf9c096bf9ce9ab7b730f834"),
+    ("cyclic", 30, 25, 4, "2eab2ae3718594d0090f9d78c4870937f4af79ad36c6feeb8296e9b2a475740e"),
+    ("cyclic", 8, 7, 1, "9e359150450e1cb034344ee6a0ec4eeee6c48f940b51a7166a8fd596200f0e52"),
+]
+
+
+@pytest.mark.parametrize("kind,q,size,seed,digest", RANDOM_SET_DIGESTS)
+def test_random_symmetric_set_is_pinned(kind, q, size, seed, digest):
+    G = cyclic_group(q) if kind == "cyclic" else generate_group(builtin_generators("lubotzky3"), q)
+    rng = np.random.default_rng(seed)
+    A = random_symmetric_set(G, size, rng)
+    assert A.size >= size and A.symmetric and A.member[G.identity_id]
+    assert hashlib.sha256(A.ids.tobytes() + rng.bytes(8)).hexdigest() == digest
 
 
 def test_product_set_matches_brute_force():

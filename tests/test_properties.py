@@ -1,7 +1,7 @@
 """Property tests for the reduced-word walker, the mod-p row reducer,
-the coset labeller and the table id lookup, each against a brute-force
-oracle, plus guards on the BFS element order and the package's public
-names."""
+the coset labeller, the table id lookup and the block spectrum, each
+against a brute-force oracle, plus guards on the BFS element order and
+the package's public names."""
 import hashlib
 import itertools
 
@@ -16,14 +16,19 @@ from expanderlab.exact import ModMatrix, RationalMatrix, mod_inv, mod_mul, row_r
 from expanderlab.growth import ModuleAction, orbit_sum_subspace
 from expanderlab.quotient import (
     ID_INDEX_CAP,
+    SemidirectSpec,
     borel_subgroup,
     coset_labels,
+    cyclic_group,
+    direct_product,
     generate_group,
     heisenberg_group,
     ids_of_matrices,
     lower_central_series,
+    semidirect_group,
     torus_subgroup,
 )
+from expanderlab.spectral import CayleyGraph, _cluster, spectrum
 from expanderlab.words import ball_size, certify_free, reduced_words
 
 FEW = settings(max_examples=25, deadline=None)
@@ -278,6 +283,66 @@ def test_bfs_element_order_is_pinned(name, q, digest):
     else:
         G = generate_group(builtin_generators(name), q)
     assert hashlib.sha256(G.digits.tobytes()).hexdigest() == digest
+
+
+# ----- block spectrum -----
+
+
+def rational(*rows):
+    return [RationalMatrix(m) for m in rows]
+
+
+# one table from every constructor, all small enough for the dense oracle
+SPECTRUM_TABLES = {
+    "cyclic 2": cyclic_group(2),
+    "cyclic 97": cyclic_group(97),  # generator 1: a single coset of size 97
+    "heisenberg 5": heisenberg_group(5),
+    "semidirect borel 5": semidirect_group(
+        SemidirectSpec(p=5, l_gens=[ModMatrix([[1, 1], [0, 1]], 5), ModMatrix([[2, 0], [0, 3]], 5)])
+    ),
+    "direct product": direct_product(heisenberg_group(3), cyclic_group(4)),
+    "sl2 mod 7": sl2_7(),
+    "borel mod 35": generate_group(rational([[2, 0], [0, 18]], [[1, 1], [0, 1]]), 35),
+    "involutions mod 7": generate_group(
+        rational([[0, 1], [1, 0]], [[-1, 1], [0, 1]], [[1, 0], [2, -1]]), 7
+    ),
+}
+
+
+def assert_spectrum_matches_the_dense_solve(G, s_ids):
+    graph = CayleyGraph(G, s_ids)
+    dense = np.linalg.eigvalsh(graph.dense_operator())[::-1]
+    report = spectrum(graph)
+    assert not report.partial
+    assert np.abs(report.eigenvalues - dense).max() <= 1e-12
+    assert [m for _, m in report.clusters] == [m for _, m in _cluster(dense)]
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRUM_TABLES))
+def test_spectrum_of_the_table_generators_matches_the_dense_solve(name):
+    G = SPECTRUM_TABLES[name]
+    assert_spectrum_matches_the_dense_solve(G, G.generator_ids)
+
+
+def test_spectrum_with_the_identity_matches_the_dense_solve():
+    G = SPECTRUM_TABLES["involutions mod 7"]
+    # every generator has order 2, so the table generators give the two
+    # real blocks (checked in the test above)
+    assert G.order == 672 and (G.mul_vec(G.generator_ids, G.generator_ids) == 0).all()
+    # S = {e}: order 1, a single block that is the whole operator
+    assert_spectrum_matches_the_dense_solve(G, [G.identity_id])
+    assert_spectrum_matches_the_dense_solve(G, [G.identity_id, *G.generator_ids])
+
+
+@FEW
+@given(name=st.sampled_from(sorted(SPECTRUM_TABLES)), data=st.data())
+def test_spectrum_of_random_symmetric_multisets_matches_the_dense_solve(name, data):
+    G = SPECTRUM_TABLES[name]
+    picks = data.draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=3))
+    s_ids = picks + G.inv_vec(picks).tolist()
+    if data.draw(st.booleans()):
+        s_ids.append(G.identity_id)
+    assert_spectrum_matches_the_dense_solve(G, s_ids)
 
 
 # ----- orbit sums -----

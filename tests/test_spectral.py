@@ -12,6 +12,7 @@ from expanderlab.quotient import (
     generate_group,
 )
 from expanderlab.spectral import (
+    DENSE_EIG_CAP,
     CayleyGraph,
     Measure,
     cheeger_bracket,
@@ -274,6 +275,12 @@ def test_partial_spectrum_matches_dense():
     assert part.lam2 == pytest.approx(full.lam2, abs=1e-9)
     for a, b in zip(part.eigenvalues[:6], full.eigenvalues[:6]):
         assert a == pytest.approx(b, abs=1e-9)
+
+
+def test_full_spectrum_stays_capped_when_the_dense_cap_is_raised():
+    graph = CayleyGraph(cyclic_group(DENSE_EIG_CAP + 1))
+    with pytest.raises(SizeCapExceeded):
+        spectrum(graph, dense_cap=DENSE_EIG_CAP + 1)
 
 
 # ----- expansion -----
