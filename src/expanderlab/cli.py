@@ -94,6 +94,9 @@ def parse_generators(path: str, symmetrize: bool = False):
         toks = ln.split()
         if len(toks) != d * d:
             raise ParseError(f"expected {d * d} entries, got {len(toks)}", n)
+        # Fraction reads exponents, so '1e9999999' would cost unbounded time
+        if any("e" in t.lower() for t in toks):
+            raise ParseError("bad rational token", n)
         try:
             vals = [Fraction(t) for t in toks]
         except (ValueError, ZeroDivisionError):

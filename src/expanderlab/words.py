@@ -181,6 +181,14 @@ def certify_free(gens: Sequence[RationalMatrix], L: int) -> tuple[bool, Word | N
     (False, witness) with the first offending word in search order.  The
     certificate is exact (big-integer arithmetic) but only covers words up
     to length L.
+
+    The proof meets in the middle.  A relation w of length n <= L splits
+    as u v^-1 with u != v reduced, |u| = ceil(n/2), |v| = floor(n/2) and
+    u = v in the group; conversely such a pair reduces to a relation.  So
+    the words of length <= ceil(L/2) are hashed by their exact matrix,
+    keeping the shortest length per matrix, and no two with lengths
+    summing to <= L may share one.  Only when two do is the depth-first
+    search over lengths 1..L run, to name the witness.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -194,6 +202,18 @@ def certify_free(gens: Sequence[RationalMatrix], L: int) -> tuple[bool, Word | N
         mat, dg = pairs[a]
         return _int_mat_mul(state[0], mat, d), state[1] * dg
 
+    cap = max(L, 1)  # _walk yields the length-1 words at any L
+    shortest = {(ident, 1): 0}
+    for word, (prod, den) in _walk(len(gens), (cap + 1) // 2, (ident, 1), step):
+        n = len(word)
+        g = math.gcd(den, *(x for row in prod for x in row))
+        key = (tuple(tuple(x // g for x in row) for row in prod), den // g)
+        m = shortest.get(key, cap)  # an unseen matrix proves nothing
+        if m + n <= cap:
+            break
+        shortest[key] = min(m, n)
+    else:
+        return True, None
     for word, (prod, den) in _walk(len(gens), L, (ident, 1), step):
         # the word is the identity once prod = den * I
         if prod[0][0] == den and prod == tuple(

@@ -78,6 +78,16 @@ def test_parse_generators_bad_token(tmp_path):
     assert e.value.line == 3
 
 
+@pytest.mark.parametrize("token", ["1e9999999", "1E5", "2.5e-3"])
+def test_exponent_token_exits_1_without_a_traceback(tmp_path, capsys, token):
+    # Fraction would read the exponent and build a 10-million-digit integer
+    gens = write(tmp_path, "g.txt", f"dim 2\nprimes\n1 {token} 0 1\n")
+    assert main(["quotient", "--gens", gens, "--q", "7"]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == "error[ParseError]: line 3: bad rational token\n"
+    assert "Traceback" not in err
+
+
 def test_parse_generators_declared_support_accepts(tmp_path):
     # entry 1/3 with declared {3}: fine
     path = write(tmp_path, "g.txt", "dim 2\nprimes 3\n1 1/3 0 1\n")
@@ -230,9 +240,12 @@ def test_singular_generator_exits_1(tmp_path, capsys):
 
 
 ENTRIES = st.sampled_from(["0", "1", "-1", "2", "1/3", "-2/3"])
-# no digit in the alphabet, so no such token reads as a rational, and no
-# '#', which would turn the line into a comment
-BAD_TOKENS = st.text(alphabet="abxyz?!%&*", min_size=1, max_size=4)
+# no all-digit token, so none reads as a rational except through an
+# exponent such as '1e9', which the parser rejects; and no '#', which
+# would turn the line into a comment
+BAD_TOKENS = st.text(alphabet="0123456789eabxyz?!%&*", min_size=1, max_size=4).filter(
+    lambda t: not t.isdigit()
+)
 BAD_HEADERS = [
     [], ["dim 2"], ["dim", "primes 3"], ["dim two", "primes 3"], ["dimension 2", "primes 3"],
     ["dim 2", "prime 3"], ["dim 2", "primes 4"], ["dim 2", "primes x"],

@@ -28,7 +28,15 @@ from expanderlab.quotient import (
     semidirect_group,
     torus_subgroup,
 )
-from expanderlab.spectral import CayleyGraph, _cluster, spectrum
+from expanderlab.spectral import (
+    CayleyGraph,
+    Measure,
+    _cluster,
+    convolve,
+    generator_measure,
+    spectrum,
+    walk_step,
+)
 from expanderlab.words import ball_size, certify_free, reduced_words
 
 FEW = settings(max_examples=25, deadline=None)
@@ -96,6 +104,41 @@ def test_certify_free_witness_is_the_first_identity_word(picks, L):
         if prods[w] == ident:
             expected = w
             break
+    assert certify_free(gens, L) == (expected is None, expected)
+
+
+def first_identity_word(gens, L):
+    """Recursive preorder scan of the reduced words of length 1..L,
+    letters in the order 1, -1, 2, -2, ...; the first identity or None."""
+    by_letter = {}
+    for i, g in enumerate(gens, start=1):
+        by_letter[i], by_letter[-i] = g, g.inverse()
+    ident = RationalMatrix.identity(2)
+
+    def scan(word, prod):
+        for a in letters(len(gens)):
+            if word and word[-1] == -a:
+                continue
+            w, p = word + (a,), prod * by_letter[a]
+            if p == ident:
+                return w
+            if len(w) < L:
+                found = scan(w, p)
+                if found:
+                    return found
+        return None
+
+    return scan((), ident)
+
+
+@FEW
+@given(
+    picks=st.lists(st.integers(0, len(GENERATOR_POOL) - 1), min_size=1, max_size=3, unique=True),
+    L=st.integers(1, 8),
+)
+def test_certify_free_agrees_with_a_preorder_scan(picks, L):
+    gens = [GENERATOR_POOL[i] for i in picks]
+    expected = first_identity_word(gens, L)
     assert certify_free(gens, L) == (expected is None, expected)
 
 
@@ -343,6 +386,74 @@ def test_spectrum_of_random_symmetric_multisets_matches_the_dense_solve(name, da
     if data.draw(st.booleans()):
         s_ids.append(G.identity_id)
     assert_spectrum_matches_the_dense_solve(G, s_ids)
+
+
+# ----- group laws, CRT orders and walks -----
+
+
+@FEW
+@given(name=st.sampled_from(sorted(SPECTRUM_TABLES)), data=st.data())
+def test_mul_vec_has_an_identity_inverses_and_associativity(name, data):
+    G = SPECTRUM_TABLES[name]
+    every = np.arange(G.order)
+    e = np.full(G.order, G.identity_id)
+    assert (G.mul_vec(every, e) == every).all() and (G.mul_vec(e, every) == every).all()
+    inv = G.inv_vec(every)
+    assert (G.mul_vec(every, inv) == e).all() and (G.mul_vec(inv, every) == e).all()
+    triples = st.lists(st.integers(0, G.order - 1), min_size=16, max_size=16)
+    a, b, c = (np.array(data.draw(triples)) for _ in range(3))
+    assert (G.mul_vec(G.mul_vec(a, b), c) == G.mul_vec(a, G.mul_vec(b, c))).all()
+
+
+def element_orders(G):
+    """The order of every element of G, by repeated multiplication."""
+    every = np.arange(G.order)
+    orders = np.zeros(G.order, dtype=np.int64)
+    power, k = every, 1
+    while not orders.all():
+        orders[(power == G.identity_id) & (orders == 0)] = k
+        power, k = G.mul_vec(power, every), k + 1
+    return orders
+
+
+# the image mod 35 is the whole product of the images mod 5 and 7: for
+# SL2 because SL2(F_5) and SL2(F_7) share no nontrivial quotient
+# (Goursat), for the Borel pair because the factor orders 20 and 21 are
+# coprime
+@pytest.mark.parametrize("gens", [
+    builtin_generators("lubotzky3"),
+    rational([[2, 0], [0, 18]], [[1, 1], [0, 1]]),
+], ids=["lubotzky3", "borel"])
+def test_orders_multiply_across_the_crt_factors(gens):
+    G = generate_group(gens, 35)
+    F5, F7 = (generate_group(gens, p) for p in (5, 7))
+    assert (F5.order, F7.order) == ((120, 336) if len(gens) == 4 else (20, 21))
+    assert G.order == F5.order * F7.order
+    # the residues of each element mod 5 and mod 7, as ids of the factors
+    i5, i7 = F5.id_of_rows(G.digits[:, :4]), F7.id_of_rows(G.digits[:, 4:])
+    assert len(np.unique(i5 * F7.order + i7)) == G.order
+    assert (element_orders(G) == np.lcm(element_orders(F5)[i5], element_orders(F7)[i7])).all()
+
+
+@FEW
+@given(name=st.sampled_from(sorted(SPECTRUM_TABLES)), data=st.data())
+def test_exact_walk_steps_keep_mass_1_and_are_convolutions(name, data):
+    G = SPECTRUM_TABLES[name]
+    picks = data.draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=3))
+    s_ids = picks + G.inv_vec(picks).tolist()
+    chi = generator_measure(G, s_ids, exact=True)
+    mu = Measure.point(G, G.identity_id, exact=True)
+    for _ in range(data.draw(st.integers(1, 3))):
+        # from the identity the walk is chi_S^(k), which commutes with chi_S
+        step = walk_step(mu, s_ids)
+        assert (step.weights == convolve(mu, chi).weights).all()
+        mu = step
+        assert mu.mass() == 1
+    # for any measure and any multiset S, one step is chi_(S^-1) * mu
+    support = data.draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=4))
+    nu = Measure.uniform_on(G, support, exact=True)
+    chi_inv = generator_measure(G, G.inv_vec(picks), exact=True)
+    assert (walk_step(nu, picks).weights == convolve(chi_inv, nu).weights).all()
 
 
 # ----- orbit sums -----

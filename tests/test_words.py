@@ -119,6 +119,58 @@ def test_certify_free_elementary_witness():
     assert prod == RationalMatrix.identity(2)
 
 
+def test_certify_free_sanov_at_the_cap():
+    # Sanov's ping-pong lemma: (1 2; 0 1) and (1 0; 2 1) generate a free
+    # group, so there is no relation at any length
+    assert certify_free(lubotzky_pair(2), 16) == (True, None)
+
+
+def evaluate(gens, word):
+    prod = RationalMatrix.identity(gens[0].dim)
+    for letter in word:
+        g = gens[abs(letter) - 1]
+        prod = prod * (g if letter > 0 else g.inverse())
+    return prod
+
+
+def test_certify_free_odd_length_edge():
+    # the first relation has length 10, so at L = 9 two words of length 5
+    # share a matrix, but 5 + 5 > 9 and they prove nothing
+    gens = lubotzky_pair(Fraction(1, 2))
+    assert certify_free(gens, 9) == (True, None)
+    witness = (1, 1, 2, -1, -1, 2, 2, 1, -2, -2)
+    assert certify_free(gens, 10) == (False, witness)
+    assert evaluate(gens, witness) == RationalMatrix.identity(2)
+
+
+def test_certify_free_degenerate_generators():
+    a, b = lubotzky_pair(3)
+    flip = RationalMatrix([[0, 1], [1, 0]])
+    ident = RationalMatrix.identity(2)
+    cases = [
+        # a duplicated generator: (1, -2) is shortest, but not first in preorder
+        ([a, a], 4, (1, 1, -2, -1)),
+        ([flip, a], 4, (1, 1)),  # an involution
+        ([a, flip], 4, (1, 2, 2, -1)),
+        ([ident, a], 4, (1,)),  # the identity as a generator
+        ([ident, a], 1, (1,)),
+        ([a, ident], 4, (1, 2, -1)),
+        ([a, b, a * b], 6, (1, 1, 2, -3, -1)),  # M = 3
+        ([a, b, b * a * b], 6, (1, 1, 2, -3, 2, -1)),
+    ]
+    for gens, L, witness in cases:
+        assert certify_free(gens, L) == (False, witness)
+        assert evaluate(gens, witness) == ident
+
+
+def test_certify_free_compares_reduced_fractions():
+    # conjugate to the t = 1 pair by diag(2, 1); the two halves of the
+    # relation carry different powers of 2 in their denominators, so the
+    # certificate must compare their matrices as reduced fractions
+    gens = [RationalMatrix([[1, 2], [0, 1]]), RationalMatrix([[1, 0], ["1/2", 1]])]
+    assert certify_free(gens, 6) == (False, (1, 2, -1, 2, 1, -2))
+
+
 def test_certify_free_word_cap():
     with pytest.raises(ValueError):
         certify_free(lubotzky_pair(3), 17)
