@@ -28,20 +28,6 @@ BUILTIN_GENS = {
 }
 
 
-def _apply_thread_flag(argv: list[str]) -> None:
-    """Pin BLAS/OpenMP pools before numpy is imported; later imports in
-    this process then respect the cap."""
-    threads = None
-    for i, a in enumerate(argv):
-        if a == "--threads" and i + 1 < len(argv):
-            threads = argv[i + 1]
-        elif a.startswith("--threads="):
-            threads = a.split("=", 1)[1]
-    if threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = threads
-
-
 def builtin_generators(name: str):
     """Named generator sets, symmetric by construction."""
     from .exact import RationalMatrix
@@ -459,31 +445,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    _apply_thread_flag(argv)
-    ap = build_parser()
     try:
-        ns = ap.parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 on usage errors; 2 is reserved for assertion
         # failures here, so remap
         return EXIT_OK if e.code in (0, None) else EXIT_ERROR
-    cfg = ExperimentConfig(
-        command=ns.command,
-        gens=ns.gens,
-        builtin=ns.builtin,
-        q=ns.q,
-        lmax=ns.lmax,
-        subgroup=ns.subgroup,
-        samples=ns.samples,
-        set_size=ns.set_size,
-        seed=ns.seed,
-        exact=ns.exact,
-        out=ns.out,
-        threads=ns.threads,
-        symmetrize=ns.symmetrize,
-        p=ns.p,
-    )
+    if ns.threads is not None:
+        # argparse loads no numpy, so the BLAS/OpenMP pools numpy starts
+        # later in this process respect the cap
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ[var] = str(ns.threads)
+    cfg = ExperimentConfig(**vars(ns))
     from .errors import ExpanderLabError
 
     try:

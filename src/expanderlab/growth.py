@@ -51,8 +51,7 @@ class ElementSet:
     @classmethod
     def from_ids(cls, table: GroupTable, ids: Sequence[int]) -> "ElementSet":
         arr = np.unique(np.asarray(list(ids), dtype=np.int64))
-        member = np.zeros(table.order, dtype=bool)
-        member[arr] = True
+        member = table.mask(arr)
         symmetric = bool(member[table.inv_vec(arr)].all())
         return cls(parent=table, ids=arr, member=member, symmetric=symmetric)
 
@@ -83,8 +82,7 @@ class ElementSet:
 def random_symmetric_set(table: GroupTable, size: int, rng: np.random.Generator) -> ElementSet:
     """Symmetric set containing the identity, of at least the asked size."""
     picks = rng.integers(0, table.order, size=max(size // 2, 1))
-    member = np.zeros(table.order, dtype=bool)
-    member[np.concatenate([picks, table.inv_vec(picks), [table.identity_id]])] = True
+    member = table.mask(np.concatenate([picks, table.inv_vec(picks), [table.identity_id]]))
     count = int(member.sum())
     while count < size:
         extra = int(rng.integers(0, table.order))
@@ -106,10 +104,8 @@ def product_set(A: ElementSet, B: ElementSet, work_cap: int = PAIR_WORK_CAP) -> 
     member = np.zeros(G.order, dtype=bool)
     step = max(1, CHUNK // max(B.size, 1))
     for lo in range(0, A.size, step):
-        a = A.ids[lo : lo + step]
-        prod = G.mul_vec(np.repeat(a, B.size), np.tile(B.ids, len(a)))
-        member[prod] = True
-    ids = np.nonzero(member)[0].astype(np.int64)
+        member[G.mul_vec(A.ids[lo : lo + step, None], B.ids)] = True
+    ids = np.flatnonzero(member)
     sym = bool(member[G.inv_vec(ids)].all())
     return ElementSet(parent=G, ids=ids, member=member, symmetric=sym)
 
@@ -543,6 +539,14 @@ def _reject_one_dim_module(action: ModuleAction) -> None:
 # nilpotent recovery and identities
 
 
+def _derived_cosets(U: GroupTable) -> tuple[np.ndarray, int]:
+    """Coset labels of the derived subgroup [U, U] of the p-group U, and
+    the number of cosets."""
+    chain = lower_central_series(U)
+    gamma2 = chain[1] if len(chain) > 1 else chain[0][:1]
+    return coset_labels(U, gamma2), U.order // len(gamma2)
+
+
 def nilpotent_recover(U: GroupTable, A: ElementSet, t_max: int = 24) -> dict:
     """Minimal t with the t-fold product of A equal to the p-group U.
 
@@ -551,12 +555,7 @@ def nilpotent_recover(U: GroupTable, A: ElementSet, t_max: int = 24) -> dict:
     """
     if A.parent is not U:
         raise TableMismatch("set lives on a different table")
-    chain = lower_central_series(U)
-    gamma2 = chain[1] if len(chain) > 1 else chain[0][:1]
-    g2_member = np.zeros(U.order, dtype=bool)
-    g2_member[gamma2] = True
-    labels = coset_labels(U, gamma2)
-    n_cosets = U.order // len(gamma2)
+    labels, n_cosets = _derived_cosets(U)
     covered = np.unique(labels[A.ids])
     if len(covered) != n_cosets:
         raise HypothesisViolated(
@@ -572,10 +571,7 @@ def nilpotent_recover(U: GroupTable, A: ElementSet, t_max: int = 24) -> dict:
 
 def random_transversal(U: GroupTable, rng: np.random.Generator) -> ElementSet:
     """One random representative from each coset of [U, U]."""
-    chain = lower_central_series(U)
-    gamma2 = chain[1] if len(chain) > 1 else chain[0][:1]
-    labels = coset_labels(U, gamma2)
-    n_cosets = U.order // len(gamma2)
+    labels, n_cosets = _derived_cosets(U)
     picks = []
     for c in range(n_cosets):
         members = np.nonzero(labels == c)[0]

@@ -15,6 +15,7 @@ with their ids alongside, searched with searchsorted.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -152,8 +153,18 @@ class GroupTable:
     def rows_of(self, ids: np.ndarray | int) -> np.ndarray:
         return self.digits[np.asarray(ids, dtype=np.int64)]
 
+    def mask(self, ids) -> np.ndarray:
+        """Boolean membership array over the table, True at the given ids."""
+        member = np.zeros(self.order, dtype=bool)
+        member[ids] = True
+        return member
+
     # ----- products -----
     def mul_vec(self, a_ids, b_ids) -> np.ndarray:
+        """Ids of the products a b, with a_ids and b_ids broadcast against
+        each other: mul_vec(a[:, None], b) is the (len(a), len(b)) array
+        of all pairwise products, and a scalar against an array is one
+        translate of it."""
         a = np.asarray(a_ids, dtype=np.int64)
         b = np.asarray(b_ids, dtype=np.int64)
         a, b = np.broadcast_arrays(a, b)
@@ -177,21 +188,26 @@ class GroupTable:
             self.mul_vec(self.inv_vec(a_ids), self.inv_vec(b_ids)), self.mul_vec(a_ids, b_ids)
         )
 
-    # ----- cached permutation actions -----
+    # ----- permutation actions -----
+    def translation(self, gid: int, right: bool) -> np.ndarray:
+        """Array mapping x to id(x g) if right, else to id(g x); built
+        afresh on every call."""
+        g = np.broadcast_to(self.digits[gid], self.digits.shape)
+        rows = self._mul_rows(self.digits, g) if right else self._mul_rows(g, self.digits)
+        return self.id_of_rows(rows)
+
     def left_perm(self, gid: int) -> np.ndarray:
-        """Array mapping x to id(g x)."""
+        """Array mapping x to id(g x), cached."""
         key = ("L", int(gid))
         if key not in self._perm_cache:
-            g = np.broadcast_to(self.digits[gid], self.digits.shape)
-            self._perm_cache[key] = self.id_of_rows(self._mul_rows(g, self.digits))
+            self._perm_cache[key] = self.translation(gid, right=False)
         return self._perm_cache[key]
 
     def right_perm(self, gid: int) -> np.ndarray:
-        """Array mapping x to id(x g)."""
+        """Array mapping x to id(x g), cached."""
         key = ("R", int(gid))
         if key not in self._perm_cache:
-            g = np.broadcast_to(self.digits[gid], self.digits.shape)
-            self._perm_cache[key] = self.id_of_rows(self._mul_rows(self.digits, g))
+            self._perm_cache[key] = self.translation(gid, right=True)
         return self._perm_cache[key]
 
     def conj_perm(self, gid: int) -> np.ndarray:
@@ -205,18 +221,22 @@ class GroupTable:
     def element_str(self, i: int) -> str:
         row = self.digits[i]
         if self.kind == "matrix":
-            parts = []
-            pos = 0
             d = self.meta["dim"]
-            for p in self.meta["primes"]:
-                block = row[pos : pos + d * d].reshape(d, d)
-                parts.append(f"mod{p}:" + ";".join(",".join(str(x) for x in r) for r in block))
-                pos += d * d
-            return "|".join(parts)
+            return "|".join(
+                f"mod{p}:" + ";".join(",".join(str(x) for x in r) for r in row[cols].reshape(d, d))
+                for p, cols in _prime_blocks(self)
+            )
         return ",".join(str(x) for x in row)
 
     def __repr__(self) -> str:
         return f"GroupTable({self.kind}, order={self.order})"
+
+
+def _prime_blocks(G: GroupTable) -> list[tuple[int, slice]]:
+    """(p, digit columns of the mod-p matrix) per prime factor of the q of
+    a matrix table."""
+    dd = G.meta["dim"] ** 2
+    return [(p, slice(i * dd, (i + 1) * dd)) for i, p in enumerate(G.meta["primes"])]
 
 
 def _radix_weights(radices: np.ndarray) -> np.ndarray:
@@ -607,15 +627,11 @@ def _closure_ids(
     """
     gen_ids = np.asarray(sorted(set(int(g) for g in gen_ids)), dtype=np.int64)
     gen_ids = np.unique(np.concatenate([gen_ids, G.inv_vec(gen_ids)]))
-    member = np.zeros(G.order, dtype=bool)
-    member[G.identity_id] = True
+    member = G.mask(G.identity_id)
     count = 1
     frontier = np.array([G.identity_id], dtype=np.int64)
     while frontier.size:
-        prod = G.mul_vec(
-            np.repeat(frontier, len(gen_ids)), np.tile(gen_ids, len(frontier))
-        )
-        prod = np.unique(prod)
+        prod = np.unique(G.mul_vec(frontier[:, None], gen_ids))
         prod = prod[~member[prod]]
         member[prod] = True
         count += prod.size
@@ -627,8 +643,7 @@ def _closure_ids(
 
 def subgroup_closure(G: GroupTable, gen_ids: Sequence[int], *, flags: bool = True) -> SubgroupRecord:
     ids = _closure_ids(G, gen_ids)
-    member = np.zeros(G.order, dtype=bool)
-    member[ids] = True
+    member = G.mask(ids)
     normal = False
     perfect = False
     if flags:
@@ -654,8 +669,7 @@ def coset_labels(G: GroupTable, h_ids: np.ndarray) -> np.ndarray:
     for g in range(G.order):
         if labels[g] >= 0:
             continue
-        coset = G.mul_vec(np.full(len(h_ids), g, dtype=np.int64), h_ids)
-        labels[coset] = nxt
+        labels[G.mul_vec(g, h_ids)] = nxt
         nxt += 1
     return labels
 
@@ -681,7 +695,7 @@ def _is_perfect_subgroup(G, gen_ids, member, ids) -> bool:
 
 def _commutator_seed(G: GroupTable, a_ids: np.ndarray, b_ids: np.ndarray) -> np.ndarray:
     """All commutators [a, b] = a^-1 b^-1 a b over the two id sets."""
-    return np.unique(G.comm_vec(np.repeat(a_ids, len(b_ids)), np.tile(b_ids, len(a_ids))))
+    return np.unique(G.comm_vec(a_ids[:, None], b_ids))
 
 
 def _normal_closure_within(
@@ -699,8 +713,7 @@ def _normal_closure_within(
         ids = _closure_ids(G, gens or [G.identity_id], stop_majority=stop_majority)
         if len(ids) == G.order:
             return ids
-        member = np.zeros(G.order, dtype=bool)
-        member[ids] = True
+        member = G.mask(ids)
         new = []
         for s in conj:
             cp = G.conj_perm(s)
@@ -768,9 +781,7 @@ def normal_subgroups(G: GroupTable, cap: int = 100_000) -> list[SubgroupRecord]:
         if key in found:
             return False
         found[key] = sorted(set(gen_set))
-        m = np.zeros(G.order, dtype=bool)
-        m[ids] = True
-        masks[key] = m
+        masks[key] = G.mask(ids)
         return True
 
     register([])
@@ -794,14 +805,12 @@ def normal_subgroups(G: GroupTable, cap: int = 100_000) -> list[SubgroupRecord]:
     records = []
     for key, gen_set in found.items():
         ids = np.frombuffer(key, dtype=np.int64)
-        member = np.zeros(G.order, dtype=bool)
-        member[ids] = True
         records.append(
             SubgroupRecord(
                 parent=G,
                 generator_ids=np.array(gen_set, dtype=np.int64),
                 element_ids=ids.copy(),
-                member=member,
+                member=masks[key],
                 index=G.order // len(ids),
                 normal=True,
                 perfect=False,
@@ -821,18 +830,11 @@ def product_decompose(G: GroupTable) -> tuple[list[GroupTable], dict]:
         raise NotComposite("decomposition needs a matrix table with composite q")
     d = G.meta["dim"]
     factors = []
-    orders = []
-    pos = 0
-    for p in G.meta["primes"]:
-        gen_rows = G.digits[G.generator_ids][:, pos : pos + d * d]
-        gens = [ModMatrix(r.reshape(d, d).tolist(), p) for r in gen_rows]
-        t = generate_group(gens, p, symmetrize=True)
-        factors.append(t)
-        orders.append(t.order)
-        pos += d * d
-    prod = 1
-    for o in orders:
-        prod *= o
+    for p, cols in _prime_blocks(G):
+        gens = [ModMatrix(r.reshape(d, d).tolist(), p) for r in G.digits[G.generator_ids, cols]]
+        factors.append(generate_group(gens, p, symmetrize=True))
+    orders = [t.order for t in factors]
+    prod = math.prod(orders)
     report = {
         "orders": orders,
         "product_of_orders": prod,
@@ -842,49 +844,33 @@ def product_decompose(G: GroupTable) -> tuple[list[GroupTable], dict]:
     return factors, report
 
 
-def projection_sizes(G: GroupTable, ids: np.ndarray) -> list[int]:
-    """Number of distinct per-prime blocks among the given elements."""
-    d = G.meta["dim"]
-    sizes = []
-    pos = 0
-    for p in G.meta["primes"]:
-        block = G.digits[ids][:, pos : pos + d * d]
-        sizes.append(len(np.unique(block @ _radix_weights(np.full(d * d, p, dtype=np.int64)))))
-        pos += d * d
-    return sizes
-
-
 def index_product_check(G: GroupTable, H: SubgroupRecord, delta: float = 0.25) -> dict:
     """Compare prod_p [G_p : pi_p(H)] against [G:H]^delta."""
     if G.kind == "matrix":
-        primes = G.meta["primes"]
-        if len(primes) < 2:
+        if len(G.meta["primes"]) < 2:
             raise NotComposite("need a composite modulus")
         factors, _ = product_decompose(G)
-        proj = projection_sizes(G, H.element_ids)
-        lhs = 1
-        for t, s in zip(factors, proj):
-            lhs *= t.order // s
+        blocks = [cols for _, cols in _prime_blocks(G)]
     elif G.kind == "product":
         primes = G.meta["factor_primes"]
         if len(set(primes)) != len(primes):
             raise HypothesisViolated(
                 "index product bound assumes pairwise distinct primes"
             )
-        t1, t2 = G.meta["factors"]
+        factors = G.meta["factors"]
         k1 = G.meta["split"]
-        lhs = 1
-        for t, block in ((t1, G.digits[H.element_ids][:, :k1]), (t2, G.digits[H.element_ids][:, k1:])):
-            w = _radix_weights(t.radices)
-            lhs *= t.order // len(np.unique(block @ w))
+        blocks = [slice(None, k1), slice(k1, None)]
     else:
         raise NotComposite("index product check needs a product-type table")
+    # [G_p : pi_p(H)], with pi_p(H) counted as the distinct digit blocks
+    rows = G.digits[H.element_ids]
+    lhs = math.prod(
+        t.order // len(np.unique(rows[:, cols], axis=0)) for t, cols in zip(factors, blocks)
+    )
     rhs = H.index
     if rhs == 1:
         delta_hat = float("inf")
     else:
-        import math
-
         delta_hat = math.log(lhs) / math.log(rhs)
     return {
         "lhs": lhs,
@@ -957,17 +943,7 @@ def unipotent_mask(G: GroupTable) -> np.ndarray:
     if G.kind != "semidirect":
         raise TableMismatch("levi/unipotent split needs a semidirect table")
     dd = G.meta["l_digits"]
-    d = G.meta["dim"]
-    ident = np.array([int(i == j) for i in range(d) for j in range(d)], dtype=np.int64)
-    return (G.digits[:, :dd] == ident).all(axis=1)
-
-
-def levi_projection_count(G: GroupTable, ids: np.ndarray) -> int:
-    """Number of distinct Levi parts among the given elements."""
-    dd = G.meta["l_digits"]
-    block = G.digits[ids][:, :dd]
-    w = _radix_weights(G.radices[:dd])
-    return len(np.unique(block @ w))
+    return (G.digits[:, :dd] == G.digits[G.identity_id, :dd]).all(axis=1)
 
 
 def verify_product_form(G: GroupTable, H: SubgroupRecord) -> dict:
@@ -979,19 +955,15 @@ def verify_product_form(G: GroupTable, H: SubgroupRecord) -> dict:
     hl = H.element_ids[lmask[H.element_ids]]
     hu = H.element_ids[umask[H.element_ids]]
     # product set (H cap L)(H cap U)
-    prod = np.unique(
-        G.mul_vec(np.repeat(hl, len(hu)), np.tile(hu, len(hl)))
-    )
+    prod = np.unique(G.mul_vec(hl[:, None], hu))
     splits = prod.size == H.size and bool(H.member[prod].all())
     # trivial action on U/(H cap U): commutators [h, u] must fall in H cap U
-    u_ids = np.nonzero(umask)[0].astype(np.int64)
-    hu_member = np.zeros(G.order, dtype=bool)
-    hu_member[hu] = True
+    u_ids = np.flatnonzero(umask)
+    hu_member = G.mask(hu)
     acts_trivially = True
     witness = None
     for h in hl:
-        comm = G.comm_vec(np.full(len(u_ids), h, dtype=np.int64), u_ids)
-        bad = ~hu_member[comm]
+        bad = ~hu_member[G.comm_vec(h, u_ids)]
         if bad.any():
             acts_trivially = False
             witness = (int(h), int(u_ids[np.nonzero(bad)[0][0]]))
@@ -1047,11 +1019,12 @@ def verify_normal_perfect(G: GroupTable) -> dict:
     surjecting onto the Levi part is the whole group."""
     if not is_perfect(G):
         return {"applicable": False, "passed": False, "reason": "group is not perfect"}
-    lmask = levi_mask(G)
-    l_count = int(lmask.sum())
+    l_count = int(levi_mask(G).sum())
+    dd = G.meta["l_digits"]
     failures = []
     for H in normal_subgroups(G):
-        if levi_projection_count(G, H.element_ids) == l_count and H.size < G.order:
+        levi_parts = np.unique(G.digits[H.element_ids, :dd], axis=0)
+        if len(levi_parts) == l_count and H.size < G.order:
             failures.append(H.size)
     return {"applicable": True, "passed": not failures, "failures": failures}
 
@@ -1065,37 +1038,21 @@ def verify_factor_product_form(G: GroupTable, H: SubgroupRecord) -> dict:
     """
     if G.kind != "matrix" or len(G.meta["primes"]) < 2:
         raise NotComposite("product form over factors needs a composite matrix table")
-    d = G.meta["dim"]
-    primes = G.meta["primes"]
-    ident = [int(i == j) for i in range(d) for j in range(d)]
-    # embedded copy of each factor: identity in every other prime block
-    factor_members = []
-    pos = 0
-    for _ in primes:
-        others = np.ones(G.order, dtype=bool)
-        qos = 0
-        for _ in primes:
-            if qos != pos:
-                others &= (G.digits[:, qos : qos + d * d] == ident).all(axis=1)
-            qos += d * d
-        factor_members.append(others)
-        pos += d * d
+    ident = G.digits[G.identity_id]
+    at_ident = [(G.digits[:, cols] == ident[cols]).all(axis=1) for _, cols in _prime_blocks(G)]
     center = np.ones(G.order, dtype=bool)
     for s in G.generator_ids:
         center &= G.conj_perm(int(s)) == np.arange(G.order)
     inside = []
     core = np.array([G.identity_id], dtype=np.int64)
-    for i, fm in enumerate(factor_members):
-        f_ids = np.nonzero(fm)[0].astype(np.int64)
+    for i in range(len(at_ident)):
+        # embedded copy of factor i: identity in every other prime block
+        f_ids = np.flatnonzero(np.logical_and.reduce(at_ident[:i] + at_ident[i + 1 :]))
         if H.member[f_ids].all():
             inside.append(i)
-            core = np.unique(
-                G.mul_vec(np.repeat(core, len(f_ids)), np.tile(f_ids, len(core)))
-            )
-    z_ids = np.nonzero(center & H.member)[0].astype(np.int64)
-    full = np.unique(
-        G.mul_vec(np.repeat(core, len(z_ids)), np.tile(z_ids, len(core)))
-    )
+            core = np.unique(G.mul_vec(core[:, None], f_ids))
+    z_ids = np.flatnonzero(center & H.member)
+    full = np.unique(G.mul_vec(core[:, None], z_ids))
     passed = full.size == H.size and bool(H.member[full].all())
     return {
         "passed": passed,

@@ -98,14 +98,12 @@ def convolve(mu: Measure, nu: Measure) -> Measure:
         # loop over h: add nu(h) * (right translate of mu by h)
         hinv = G.inv_vec(supp_nu)
         for h, hi in zip(supp_nu.tolist(), hinv.tolist()):
-            rows = G._mul_rows(G.digits, np.broadcast_to(G.digits[hi], G.digits.shape))
-            out = out + nu.weights[h] * mu.weights[G.id_of_rows(rows)]
+            out = out + nu.weights[h] * mu.weights[G.translation(hi, right=True)]
     else:
         # same sum rearranged: sum_x mu(x) nu(x^-1 g)
         xinv = G.inv_vec(supp_mu)
         for x, xi in zip(supp_mu.tolist(), xinv.tolist()):
-            rows = G._mul_rows(np.broadcast_to(G.digits[xi], G.digits.shape), G.digits)
-            out = out + mu.weights[x] * nu.weights[G.id_of_rows(rows)]
+            out = out + mu.weights[x] * nu.weights[G.translation(xi, right=False)]
     return Measure(G, out, mu.exact)
 
 

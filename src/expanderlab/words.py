@@ -41,7 +41,7 @@ def _walk(
     letters = [a for i in range(1, M + 1) for a in (i, -i)]
     word: list[int] = []
     states = [start]
-    pending = [iter(letters)]
+    pending = [iter(letters)] if L >= 1 else []
     while pending:
         for a in pending[-1]:
             if word and word[-1] == -a:
@@ -192,8 +192,8 @@ def certify_free(gens: Sequence[RationalMatrix], L: int) -> tuple[bool, Word | N
     """
     if not gens:
         raise ValueError("need at least one generator")
-    if L > 16:
-        raise ValueError("word length cap is 16")
+    if not 0 <= L <= 16:
+        raise ValueError("word length must be in 0..16")
     d = gens[0].dim
     pairs = _as_integer_pairs(gens)
     ident = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
@@ -202,14 +202,13 @@ def certify_free(gens: Sequence[RationalMatrix], L: int) -> tuple[bool, Word | N
         mat, dg = pairs[a]
         return _int_mat_mul(state[0], mat, d), state[1] * dg
 
-    cap = max(L, 1)  # _walk yields the length-1 words at any L
     shortest = {(ident, 1): 0}
-    for word, (prod, den) in _walk(len(gens), (cap + 1) // 2, (ident, 1), step):
+    for word, (prod, den) in _walk(len(gens), (L + 1) // 2, (ident, 1), step):
         n = len(word)
         g = math.gcd(den, *(x for row in prod for x in row))
         key = (tuple(tuple(x // g for x in row) for row in prod), den // g)
-        m = shortest.get(key, cap)  # an unseen matrix proves nothing
-        if m + n <= cap:
+        m = shortest.get(key, L)  # an unseen matrix proves nothing
+        if m + n <= L:
             break
         shortest[key] = min(m, n)
     else:

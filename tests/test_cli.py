@@ -204,6 +204,19 @@ def test_freeness_exit_codes(capsys):
     assert "# witness = [1, 2, -1, 2, 1, -2]" in out
 
 
+def test_freeness_lmax_range(tmp_path, capsys):
+    # the identity among the generators is a relation of length 1, which
+    # --lmax 0 does not reach
+    gens = write(tmp_path, "g.txt", "dim 2\nprimes\n1 0 0 1\n1 2 0 1\n")
+    assert main(["freeness", "--gens", gens, "--lmax", "0"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "# free = true" in out and "# witness = none" in out
+    assert main(["freeness", "--gens", gens, "--lmax", "-2"]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error[ValueError]: word length must be in 0..16")
+    assert "Traceback" not in err
+
+
 def test_freeness_kesten_rows(capsys):
     main(["freeness", "--builtin", "lubotzky3", "--lmax", "4"])
     out = capsys.readouterr().out
@@ -339,3 +352,15 @@ def test_console_script_installed(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().strip().splitlines()[-1] == "5,120,true"
+
+
+def test_threads_flag_sets_the_blas_variables(monkeypatch, capsys):
+    args = ["quotient", "--builtin", "lubotzky3", "--q", "5"]
+    assert main(args) == EXIT_OK
+    report = capsys.readouterr().out
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in names:
+        monkeypatch.delenv(var, raising=False)
+    assert main(args + ["--threads", "3"]) == EXIT_OK
+    assert capsys.readouterr().out == report
+    assert [os.environ.get(var) for var in names] == ["3", "3", "3"]

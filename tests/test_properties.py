@@ -35,7 +35,9 @@ from expanderlab.spectral import (
     convolve,
     generator_measure,
     spectrum,
+    trace_moment,
     walk_step,
+    walk_trace_side,
 )
 from expanderlab.words import ball_size, certify_free, reduced_words
 
@@ -403,6 +405,24 @@ def test_mul_vec_has_an_identity_inverses_and_associativity(name, data):
     triples = st.lists(st.integers(0, G.order - 1), min_size=16, max_size=16)
     a, b, c = (np.array(data.draw(triples)) for _ in range(3))
     assert (G.mul_vec(G.mul_vec(a, b), c) == G.mul_vec(a, G.mul_vec(b, c))).all()
+    # the broadcast all-pairs form against the pairs written out
+    pairs = G.mul_vec(np.repeat(a, len(b)), np.tile(b, len(a)))
+    assert np.array_equal(G.mul_vec(a[:, None], b).ravel(), pairs)
+    g = int(c[0])
+    assert np.array_equal(G.translation(g, right=True), G.mul_vec(every, g))
+    assert np.array_equal(G.translation(g, right=False), G.mul_vec(g, every))
+    assert np.array_equal(G.right_perm(g), G.mul_vec(every, g))
+    assert np.array_equal(G.left_perm(g), G.mul_vec(g, every))
+    assert np.array_equal(np.flatnonzero(G.mask(a)), np.unique(a))
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRUM_TABLES))
+def test_trace_moments_equal_the_walk_side(name):
+    # Tr(T^2l) = |G| ||chi^(l)||_2^2: both count the closed walks of length 2l
+    graph = CayleyGraph(SPECTRUM_TABLES[name])
+    report = spectrum(graph)
+    for l in range(1, 5):
+        assert trace_moment(graph, l, report) == pytest.approx(walk_trace_side(graph, l), rel=1e-9)
 
 
 def element_orders(G):

@@ -172,8 +172,16 @@ def test_certify_free_compares_reduced_fractions():
 
 
 def test_certify_free_word_cap():
-    with pytest.raises(ValueError):
-        certify_free(lubotzky_pair(3), 17)
+    for L in (-1, 17):
+        with pytest.raises(ValueError):
+            certify_free(lubotzky_pair(3), L)
+
+
+def test_certify_free_at_length_0_checks_no_word():
+    # only the empty word has length 0, so even the identity as a
+    # generator proves no relation there
+    gens = [RationalMatrix.identity(2), RationalMatrix([[1, 2], [0, 1]])]
+    assert certify_free(gens, 0) == (True, None)
 
 
 def test_fixed_line_natural():
