@@ -541,10 +541,13 @@ def _reject_one_dim_module(action: ModuleAction) -> None:
 
 def _derived_cosets(U: GroupTable) -> tuple[np.ndarray, int]:
     """Coset labels of the derived subgroup [U, U] of the p-group U, and
-    the number of cosets."""
-    chain = lower_central_series(U)
-    gamma2 = chain[1] if len(chain) > 1 else chain[0][:1]
-    return coset_labels(U, gamma2), U.order // len(gamma2)
+    the number of cosets; the labels are cached on U."""
+    if ("D", 0) not in U._perm_cache:
+        chain = lower_central_series(U)
+        gamma2 = chain[1] if len(chain) > 1 else chain[0][:1]
+        U._perm_cache["D", 0] = coset_labels(U, gamma2)
+    labels = U._perm_cache["D", 0]
+    return labels, int(labels.max()) + 1
 
 
 def nilpotent_recover(U: GroupTable, A: ElementSet, t_max: int = 24) -> dict:

@@ -178,17 +178,17 @@ def certify_free(gens: Sequence[RationalMatrix], L: int) -> tuple[bool, Word | N
     generators evaluates to the identity.
 
     Returns (True, None) if the generators are free up to length L, else
-    (False, witness) with the first offending word in search order.  The
-    certificate is exact (big-integer arithmetic) but only covers words up
-    to length L.
+    (False, witness).  The certificate is exact (big-integer arithmetic)
+    but only covers words up to length L.
 
-    The proof meets in the middle.  A relation w of length n <= L splits
-    as u v^-1 with u != v reduced, |u| = ceil(n/2), |v| = floor(n/2) and
-    u = v in the group; conversely such a pair reduces to a relation.  So
-    the words of length <= ceil(L/2) are hashed by their exact matrix,
-    keeping the shortest length per matrix, and no two with lengths
-    summing to <= L may share one.  Only when two do is the depth-first
-    search over lengths 1..L run, to name the witness.
+    The search meets in the middle.  A relation w of length n <= L is
+    u v^-1 with u = w[:ceil(n/2)] and v the inverse of the rest: reduced
+    words with one matrix, |u| - |v| in {0, 1}, not ending in the same
+    letter; conversely such a pair joins to a relation.  So the ball of
+    radius ceil(L/2) is hashed once by exact matrix, whatever the answer,
+    and the witness is the lexicographically first u v^-1 over colliding
+    pairs (letters 1 < -1 < 2 < -2 < ..., a prefix first; the first
+    identity word in preorder, not always the shortest).
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -202,24 +202,30 @@ def certify_free(gens: Sequence[RationalMatrix], L: int) -> tuple[bool, Word | N
         mat, dg = pairs[a]
         return _int_mat_mul(state[0], mat, d), state[1] * dg
 
-    shortest = {(ident, 1): 0}
+    def rank(w):  # preorder is lexicographic order of the letter ranks
+        return tuple(2 * abs(a) - (a > 0) for a in w)
+
+    buckets = {(ident, 1): [()]}
     for word, (prod, den) in _walk(len(gens), (L + 1) // 2, (ident, 1), step):
-        n = len(word)
         g = math.gcd(den, *(x for row in prod for x in row))
         key = (tuple(tuple(x // g for x in row) for row in prod), den // g)
-        m = shortest.get(key, L)  # an unseen matrix proves nothing
-        if m + n <= L:
-            break
-        shortest[key] = min(m, n)
-    else:
-        return True, None
-    for word, (prod, den) in _walk(len(gens), L, (ident, 1), step):
-        # the word is the identity once prod = den * I
-        if prod[0][0] == den and prod == tuple(
-            tuple(den * x for x in row) for row in ident
-        ):
-            return False, tuple(word)
-    return True, None
+        buckets.setdefault(key, []).append(tuple(word))
+
+    def relations(words):  # the u v^-1 of one bucket that can come first
+        top = {}  # per length, the first two v^-1 that start with different letters
+        for vi in sorted((tuple(-a for a in reversed(v)) for v in words), key=rank):
+            kept = top.setdefault(len(vi), [])
+            if not kept or (len(kept) == 1 and kept[0][0] != vi[0]):
+                kept.append(vi)
+        return (
+            u + vi for u in words if u
+            for vi in top[len(u)] + top.get(len(u) - 1, [])
+            if len(u) + len(vi) <= L and vi[:1] != (-u[-1],)
+        )
+
+    found = (w for ws in buckets.values() if len(ws) > 1 for w in relations(ws))
+    witness = min(found, key=rank, default=None)
+    return witness is None, witness
 
 
 def _adjoint_matrices(g: RationalMatrix) -> RationalMatrix:

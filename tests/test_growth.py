@@ -16,6 +16,7 @@ from expanderlab.errors import (
 from expanderlab.exact import ModMatrix, RationalMatrix
 from expanderlab.growth import (
     ElementSet,
+    _derived_cosets,
     ModuleAction,
     ProductFrame,
     chain_inequality,
@@ -35,9 +36,11 @@ from expanderlab.growth import (
 )
 from expanderlab.quotient import (
     SemidirectSpec,
+    coset_labels,
     cyclic_group,
     generate_group,
     heisenberg_group,
+    lower_central_series,
     semidirect_group,
     unipotent_mask,
 )
@@ -377,6 +380,19 @@ def test_random_transversal_covers():
     rng = np.random.default_rng(1)
     tr = random_transversal(U, rng)
     assert tr.size == 25  # one per coset of the derived subgroup
+
+
+def test_derived_cosets_are_cached_on_the_table():
+    U = heisenberg_group(5)
+    labels, n_cosets = _derived_cosets(U)
+    assert np.array_equal(labels, coset_labels(U, lower_central_series(U)[1]))
+    assert n_cosets == 25
+    assert _derived_cosets(U)[0] is labels  # the second call reuses the first
+    # another table gets its own labels
+    V = heisenberg_group(3)
+    labels3, n_cosets3 = _derived_cosets(V)
+    assert n_cosets3 == 9
+    assert np.array_equal(labels3, coset_labels(V, lower_central_series(V)[1]))
 
 
 def test_commutator_identities(sl2_5):

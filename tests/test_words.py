@@ -163,6 +163,25 @@ def test_certify_free_degenerate_generators():
         assert evaluate(gens, witness) == ident
 
 
+def test_certify_free_deep_witnesses():
+    # the first identity word in preorder, as a depth-first scan over
+    # every reduced word of length <= L names it: deep witnesses near the
+    # cap, and one of length 1 that the whole ball is hashed for
+    a, b = lubotzky_pair(3)
+    half, one = lubotzky_pair(Fraction(1, 2)), lubotzky_pair(1)
+    cases = [
+        (half, 15, (1, 1, 1, 1, 2, -1, -1, -1, -1, 2, 1, 1, 1, 1, -2)),
+        (half, 16, (1, 1, 1, 1, 1, 2, -1, -1, 2, 2, 1, -2, -2, -1, -1, -1)),
+        (one, 16, (1, 1, 1, 1, 1, 1, 2, -1, 2, 1, -2, -1, -1, -1, -1, -1)),
+        ([RationalMatrix.identity(2), a], 16, (1,)),
+        ([a, b, a * b], 10, (1, 1, 1, 1, 2, -3, -1, -1, -1)),  # M = 3
+        (one + [RationalMatrix([[0, -1], [1, 0]])], 9, (1, 1, 1, -2, 1, 2, 2, 3)),
+    ]
+    for gens, L, witness in cases:
+        assert certify_free(gens, L) == (False, witness)
+        assert evaluate(gens, witness) == RationalMatrix.identity(2)
+
+
 def test_certify_free_compares_reduced_fractions():
     # conjugate to the t = 1 pair by diag(2, 1); the two halves of the
     # relation carry different powers of 2 in their denominators, so the
