@@ -11,7 +11,11 @@ The BFS builds the table's one id lookup as it assigns ids, and the same
 structure serves as its seen-set.  A code space of at most ID_INDEX_CAP =
 2^25 codes gets a dense int32 code-to-id array, 4 bytes per code (71 MB
 for SL2 mod 65); a larger one (SL2 mod 77 or 97) gets the sorted codes
-with their ids alongside, searched with searchsorted.
+with their ids alongside, searched with searchsorted.  It multiplies on
+the left: level l, the sphere of word length l, is the same from either
+side, and the ids of the products g x seed left_perm(g).  It keeps only
+product codes, decoding each new level's rows from them, and gives the
+table its level_ends: the first level_ends[l] ids are the ball B_l.
 """
 from __future__ import annotations
 
@@ -89,20 +93,22 @@ class _IdIndex:
         pos = np.searchsorted(self.codes, codes).clip(0, self.order - 1)
         return np.where(self.codes[pos] == codes, self.ids[pos], -1)
 
-    def add(self, codes: np.ndarray) -> np.ndarray:
+    def add(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Give the next ids, in code order, to the codes without one among
-        the sorted distinct codes; returns the mask of those codes."""
-        fresh = self.lookup(codes) < 0
+        the sorted distinct codes; returns the mask of those codes and the
+        ids of all the codes."""
+        ids = self.lookup(codes)
+        fresh = ids < 0
         new = codes[fresh]
-        new_ids = np.arange(self.order, self.order + len(new))
+        ids[fresh] = np.arange(self.order, self.order + len(new))
         if self.codes is None:
-            self.ids[new] = new_ids
+            self.ids[new] = ids[fresh]
         else:
             pos = np.searchsorted(self.codes, new)
             self.codes = np.insert(self.codes, pos, new)
-            self.ids = np.insert(self.ids, pos, new_ids)
+            self.ids = np.insert(self.ids, pos, ids[fresh])
         self.order += len(new)
-        return fresh
+        return fresh, ids
 
 
 class GroupTable:
@@ -118,6 +124,7 @@ class GroupTable:
         kind: str,
         meta: dict,
         index: _IdIndex,
+        level_ends: np.ndarray,
     ):
         self.digits = digits
         self.radices = radices
@@ -128,6 +135,7 @@ class GroupTable:
         self.meta = meta
         self._weights = _radix_weights(radices)
         self._index = index
+        self.level_ends = level_ends
         self._digit_bounds = radices.astype(np.uint64)
         self._perm_cache: dict[tuple[str, int], np.ndarray] = {}
 
@@ -330,21 +338,19 @@ def _bfs_table(
     index = _IdIndex(int(weights[-1]) * int(radices[-1]), int(start_row @ weights))
     levels = [start_row.reshape(1, -1)]
     frontier = levels[0]
-    k = len(gen_rows)
+    moves: list[list[np.ndarray]] = [[] for _ in gen_rows]  # id(g x), level by level
     while frontier.shape[0]:
         n = frontier.shape[0]
-        prod = mul_rows(
-            np.repeat(frontier, k, axis=0),
-            np.tile(gen_rows, (n, 1)),
-        )
-        codes = prod @ weights
-        codes, first = np.unique(codes, return_index=True)
-        prod = prod[first][index.add(codes)]
+        g_x = (mul_rows(np.broadcast_to(g, frontier.shape), frontier) for g in gen_rows)
+        codes, inverse = np.unique(np.concatenate([r @ weights for r in g_x]), return_inverse=True)
+        fresh, ids = index.add(codes)
         if index.order > cap:
             raise SizeCapExceeded(f"group closure exceeded cap of {cap} elements")
-        levels.append(prod)
-        frontier = prod
-    return GroupTable(
+        for j, ids_j in enumerate(moves):
+            ids_j.append(ids[inverse[j * n : (j + 1) * n]])
+        frontier = codes[fresh][:, None] // weights % radices
+        levels.append(frontier)
+    table = GroupTable(
         digits=np.concatenate(levels, axis=0),
         radices=radices,
         mul_rows=mul_rows,
@@ -353,7 +359,12 @@ def _bfs_table(
         kind=kind,
         meta=meta,
         index=index,
+        level_ends=np.cumsum([len(lv) for lv in levels[:-1]]),
     )
+    for j, gid in enumerate(table.generator_ids.tolist()):
+        table._perm_cache["L", gid] = np.concatenate(moves[j])
+        moves[j] = []
+    return table
 
 
 def _symmetrize_rows(rows: np.ndarray, inv_rows, weights) -> np.ndarray:

@@ -3,8 +3,8 @@
 Walks are driven by the normalized counting measure on a symmetric
 generator multiset S.  One step sends mu to the average of its left
 translates by S, so step l of the walk is the l-fold convolution power
-chi_S^(l).  Exact mode keeps the weights as Fractions; everything else
-runs in float64.
+chi_S^(l).  Exact walks count words as Python ints and divide once by
+k^l per reported value; everything else runs in float64.
 """
 from __future__ import annotations
 
@@ -116,16 +116,10 @@ def generator_measure(table: GroupTable, gen_ids: Sequence[int] | None = None, e
 def walk_step(mu: Measure, gen_ids: Sequence[int]) -> Measure:
     """One convolution by chi_S, via cached left-translation permutations."""
     G = mu.table
-    ids = [int(s) for s in gen_ids]
-    acc = None
-    for s in ids:
-        term = mu.weights[G.left_perm(s)]
-        acc = term if acc is None else acc + term
-    if mu.exact:
-        out = acc / len(ids)
-    else:
-        out = acc / float(len(ids))
-    return Measure(G, out, mu.exact)
+    # 0 + t0 is t0, so the sum adds the terms in the order of gen_ids; an
+    # exact sum of Fractions over an int stays a Fraction
+    acc = sum(mu.weights[G.left_perm(int(s))] for s in gen_ids)
+    return Measure(G, acc / len(gen_ids), mu.exact)
 
 
 @dataclass
@@ -161,23 +155,43 @@ def walk_powers(
     """
     if exact and table.order > EXACT_CAP:
         raise SizeCapExceeded(f"exact walks capped at {EXACT_CAP} elements")
-    ids = table.generator_ids if gen_ids is None else np.asarray(gen_ids, dtype=np.int64)
-    ids = [int(x) for x in ids]
+    ids = [int(x) for x in (table.generator_ids if gen_ids is None else gen_ids)]
     if H is not None and H.parent is not table:
         raise TableMismatch("subgroup belongs to a different table")
-    mask = None
-    if H is not None:
-        mask = H.member
-    mu = Measure.point(table, table.identity_id, exact)
     rows = []
+    for l, w in _walk(table, ids, l_max, exact):
+        # exact weights are word counts: one division by k^l rounds correctly
+        scale = len(ids) ** l if exact else 1
+        if l:
+            h = w[table.identity_id] if H is None else w[H.member].sum()
+            l2 = math.sqrt((w * w).sum() / scale**2)
+            rows.append(WalkRow(l, l2, float(w.max() / scale), float(h / scale)))
+    if exact:
+        w = np.array([Fraction(c, scale) for c in w.tolist()], dtype=object)
+    return WalkSeries(rows=rows, final=Measure(table, w, exact), gen_ids=ids)
+
+
+def _walk(table: GroupTable, ids: list[int], l_max: int, exact: bool):
+    """Yield (l, chi_S^(l)) for l = 0..l_max from the identity; exact mode
+    yields the Python-int word counts k^l chi_S^(l).
+
+    Step l is supported on S^-l; when S^-1 is among the BFS generators
+    that is inside the ball B_l, the first level_ends[l] ids, and only
+    that prefix is gathered.  Entries past it stay +0.0, as in walk_step.
+    """
+    if l_max < 0:
+        raise ValueError(f"walk length must be >= 0, got {l_max}")
+    perms = [table.left_perm(s) for s in ids]
+    ends = table.level_ends if np.isin(table.inv_vec(ids), table.generator_ids).all() else []
+    w = np.zeros(table.order, dtype=object if exact else float)
+    w[table.identity_id] = 1
+    yield 0, w
     for l in range(1, l_max + 1):
-        mu = walk_step(mu, ids)
-        if mask is None:
-            h_mass = float(mu.weights[table.identity_id])
-        else:
-            h_mass = float(mu.mass_on(mask))
-        rows.append(WalkRow(l, mu.l2(), float(mu.linf()), h_mass))
-    return WalkSeries(rows=rows, final=mu, gen_ids=ids)
+        end = ends[l] if l < len(ends) else table.order
+        acc = sum(w[p[:end]] for p in perms)  # as walk_step adds
+        w = np.zeros(table.order, dtype=w.dtype)
+        w[:end] = acc if exact else acc / len(ids)
+        yield l, w
 
 
 @dataclass
@@ -256,19 +270,18 @@ def escape_profile(
     The walk has escaped once the heaviest coset carries no more than
     2/[G:H] + epsilon, the stationary share with room to spare.
     """
-    ids = G.generator_ids if gen_ids is None else np.asarray(gen_ids, dtype=np.int64)
-    ids = [int(x) for x in ids]
+    ids = [int(x) for x in (G.generator_ids if gen_ids is None else gen_ids)]
     labels = coset_labels(G, H.element_ids)
-    mu = Measure.point(G, G.identity_id)
     rows = []
-    for l in range(1, l_max + 1):
-        mu = walk_step(mu, ids)
-        coset_mass = np.bincount(labels, weights=mu.weights, minlength=H.index)
+    for l, w in _walk(G, ids, l_max, False):
+        if not l:
+            continue
+        coset_mass = np.bincount(labels, weights=w, minlength=H.index)
         rows.append(
             EscapeRow(
                 l=l,
-                l2_norm=mu.l2(),
-                linf=float(mu.linf()),
+                l2_norm=math.sqrt((w * w).sum()),
+                linf=float(w.max()),
                 mass_on_H=float(coset_mass[labels[G.identity_id]]),
                 max_coset_mass=float(coset_mass.max()),
             )

@@ -217,6 +217,22 @@ def test_freeness_lmax_range(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_walk_lmax_range(capsys):
+    # --lmax 0 reports no steps; a negative length is an error, not an
+    # empty report or a verdict on a walk that never ran
+    base = ["--builtin", "lubotzky3", "--q", "7", "--lmax"]
+    assert main(["walk", *base, "0"]) == EXIT_OK
+    assert main(["escape", *base, "0"]) == EXIT_ASSERTION
+    out = capsys.readouterr().out
+    assert out.count("# uniform_l2 = ") == 1 and "# settled = false" in out
+    assert not [l for l in out.splitlines() if l[:1].isdigit()]
+    for argv in (["walk", *base, "-3"], ["walk", "--exact", *base, "-3"], ["escape", *base, "-3"]):
+        assert main(argv) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[ValueError]: walk length must be >= 0, got -3")
+        assert "Traceback" not in captured.err
+
 def test_freeness_kesten_rows(capsys):
     main(["freeness", "--builtin", "lubotzky3", "--lmax", "4"])
     out = capsys.readouterr().out

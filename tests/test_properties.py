@@ -1,15 +1,18 @@
 """Property tests for the reduced-word walker, the mod-p row reducer,
-the coset labeller, the table id lookup and the block spectrum, each
-against a brute-force oracle, plus guards on the BFS element order and
-the package's public names."""
+the coset labeller, the table id lookup, the block spectrum, the
+translations and ball radii the BFS records and the walks that use them,
+each against a brute-force oracle, plus guards on the BFS element order
+and the package's public names."""
 import hashlib
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import expanderlab
+from expanderlab import quotient
 from expanderlab.cli import builtin_generators
 from expanderlab.errors import NotInGroup, SingularMatrix
 from expanderlab.exact import ModMatrix, RationalMatrix, mod_inv, mod_mul, row_reduce_mod_p
@@ -26,16 +29,21 @@ from expanderlab.quotient import (
     ids_of_matrices,
     lower_central_series,
     semidirect_group,
+    subgroup_closure,
     torus_subgroup,
 )
 from expanderlab.spectral import (
     CayleyGraph,
+    EscapeRow,
     Measure,
+    WalkRow,
     _cluster,
     convolve,
+    escape_profile,
     generator_measure,
     spectrum,
     trace_moment,
+    walk_powers,
     walk_step,
     walk_trace_side,
 )
@@ -474,6 +482,103 @@ def test_exact_walk_steps_keep_mass_1_and_are_convolutions(name, data):
     nu = Measure.uniform_on(G, support, exact=True)
     chi_inv = generator_measure(G, G.inv_vec(picks), exact=True)
     assert (walk_step(nu, picks).weights == convolve(chi_inv, nu).weights).all()
+
+
+# ----- BFS-recorded translations and the walks that use them -----
+
+
+def assert_translations_recorded(G):
+    for s in G.generator_ids.tolist():
+        assert ("L", s) in G._perm_cache  # seeded by the BFS, not built on demand
+        assert np.array_equal(G.left_perm(s), G.translation(s, right=False))
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRUM_TABLES))
+def test_bfs_records_the_generator_translations(name):
+    assert_translations_recorded(SPECTRUM_TABLES[name])
+
+
+def test_bfs_records_the_translations_with_the_sorted_code_index(monkeypatch):
+    dense = sl2_7()
+    monkeypatch.setattr(quotient, "ID_INDEX_CAP", 100)
+    G = sl2_7()
+    assert G._index.codes is not None and dense._index.codes is None
+    assert_translations_recorded(G)
+    assert np.array_equal(G.digits, dense.digits)
+    assert np.array_equal(G.level_ends, dense.level_ends)
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRUM_TABLES))
+def test_level_ends_are_the_word_length_spheres(name):
+    G = SPECTRUM_TABLES[name]
+    ends = G.level_ends
+    assert ends[0] == 1 and ends[-1] == G.order and (np.diff(ends) > 0).all()
+    level = np.searchsorted(ends, np.arange(G.order), side="right")
+    # the generator sets are symmetric, so the neighbours s x are the s^-1 x
+    nearest = np.min([level[G.left_perm(s)] for s in G.generator_ids.tolist()], axis=0)
+    assert (nearest[1:] == level[1:] - 1).all()
+    # and the spheres are those of the plain BFS that multiplies on the right
+    dist, frontier, d = np.full(G.order, -1), np.array([G.identity_id]), 0
+    dist[frontier] = 0
+    while len(frontier):
+        d += 1
+        frontier = np.unique(G.mul_vec(frontier[:, None], G.generator_ids))
+        frontier = frontier[dist[frontier] < 0]
+        dist[frontier] = d
+    assert (level == dist).all()
+
+
+def check_walks_against_full_steps(G, gen_ids, l_max, exact, H):
+    """walk_powers (with and without H) and, for float walks, escape_profile
+    against a plain loop of full walk_step calls, compared with ==."""
+    S = G.generator_ids.tolist() if gen_ids is None else gen_ids
+    mus = [Measure.point(G, G.identity_id, exact)]
+    for _ in range(l_max):
+        mus.append(walk_step(mus[-1], S))
+    for sub, mass in ((None, lambda w: w[G.identity_id]), (H, lambda w: w[H.member].sum())):
+        series = walk_powers(G, l_max, gen_ids, H=sub, exact=exact)
+        assert series.rows == [
+            WalkRow(l, mu.l2(), float(mu.linf()), float(mass(mu.weights)))
+            for l, mu in enumerate(mus) if l
+        ]
+        assert series.final.exact == exact
+        assert series.final.weights.tolist() == mus[-1].weights.tolist()
+        assert {type(x) for x in series.final.weights.tolist()} == {Fraction if exact else float}
+    if not exact:
+        labels = coset_labels(G, H.element_ids)
+        want = []
+        for l, mu in enumerate(mus[1:], 1):
+            m = np.bincount(labels, weights=mu.weights, minlength=H.index)
+            want.append(EscapeRow(l, mu.l2(), float(mu.linf()), float(m[labels[0]]), float(m.max())))
+        assert escape_profile(G, H, l_max, gen_ids).rows == want
+
+
+@FEW
+@given(name=st.sampled_from(sorted(SPECTRUM_TABLES)), exact=st.booleans(), data=st.data())
+def test_walks_equal_full_walk_steps(name, exact, data):
+    G = SPECTRUM_TABLES[name]
+    gens = G.generator_ids.tolist()
+    gen_ids = data.draw(st.one_of(
+        st.none(),
+        # a multiset inside S takes the ball-prefix steps, any other the full gathers
+        st.lists(st.sampled_from(gens), min_size=1, max_size=5),
+        st.lists(st.integers(0, G.order - 1), min_size=1, max_size=4),
+    ))
+    H = subgroup_closure(G, [data.draw(st.integers(0, G.order - 1))], flags=False)
+    check_walks_against_full_steps(G, gen_ids, data.draw(st.integers(0, 10)), exact, H)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_walks_with_repeats_and_non_generators_equal_full_walk_steps(exact):
+    G = SPECTRUM_TABLES["sl2 mod 7"]
+    s = int(G.generator_ids[0])
+    x = next(i for i in range(1, G.order) if not np.isin(G.inv_vec([i]), G.generator_ids).any())
+    H = borel_subgroup(G)
+    check_walks_against_full_steps(G, [s, s, x, s], 12, exact, H)
+    check_walks_against_full_steps(G, [s, s, G.inv(s)], 12, exact, H)
+    # without its inverses a generator set walks outside the balls of its BFS
+    A = generate_group(rational([[1, 1], [0, 1]], [[1, 0], [1, 1]]), 7, symmetrize=False)
+    check_walks_against_full_steps(A, None, 12, exact, borel_subgroup(A))
 
 
 # ----- orbit sums -----
