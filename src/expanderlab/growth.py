@@ -264,8 +264,9 @@ class ProductFrame:
         pairs = len(a) * len(b)
         if pairs > work_cap:
             raise SizeCapExceeded(f"frame product needs {pairs} pair lookups")
-        out = self.mul(np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1)))
-        return self.dedup(out)
+        # row i len(b) + j is a_i b_j, factor by factor
+        out = [t.mul_vec(a[:, i, None], b[:, i]).ravel() for i, t in enumerate(self.factors)]
+        return self.dedup(np.stack(out, axis=1))
 
     def section_rows(self) -> np.ndarray:
         """The homomorphism-section subgroup: all rows with trivial

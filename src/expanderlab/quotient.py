@@ -16,6 +16,11 @@ the left: level l, the sphere of word length l, is the same from either
 side, and the ids of the products g x seed left_perm(g).  It keeps only
 product codes, decoding each new level's rows from them, and gives the
 table its level_ends: the first level_ends[l] ids are the ball B_l.
+
+A table of at most PRODUCT_TABLE_CAP = 4096 elements answers mul_vec
+from an int16 product table, 2 bytes per pair, built on first use from
+the recorded generator translations (the row of g x is L_g applied to
+the row of x), and inv_vec from a cached inverse permutation.
 """
 from __future__ import annotations
 
@@ -48,6 +53,7 @@ from .exact import (
 
 DEFAULT_ELEMENT_CAP = 2_000_000
 ID_INDEX_CAP = 1 << 25
+PRODUCT_TABLE_CAP = 4096
 MIN_PRIME = 5
 
 
@@ -176,6 +182,8 @@ class GroupTable:
         a = np.asarray(a_ids, dtype=np.int64)
         b = np.asarray(b_ids, dtype=np.int64)
         a, b = np.broadcast_arrays(a, b)
+        if self.order <= PRODUCT_TABLE_CAP:
+            return np.asarray(self._products()[a, b], dtype=np.int64)
         rows = self._mul_rows(self.digits[a.ravel()], self.digits[b.ravel()])
         return self.id_of_rows(rows).reshape(a.shape)
 
@@ -184,6 +192,9 @@ class GroupTable:
 
     def inv_vec(self, ids) -> np.ndarray:
         ids = np.asarray(ids, dtype=np.int64)
+        if self.order <= PRODUCT_TABLE_CAP:
+            inverse = self._cached(("I", 0), lambda: self.id_of_rows(self._inv_rows(self.digits)))
+            return np.asarray(inverse[ids])
         rows = self._inv_rows(self.digits[ids.ravel()])
         return self.id_of_rows(rows).reshape(ids.shape)
 
@@ -204,27 +215,49 @@ class GroupTable:
         rows = self._mul_rows(self.digits, g) if right else self._mul_rows(g, self.digits)
         return self.id_of_rows(rows)
 
+    def _cached(self, key: tuple[str, int], build: Callable[[], np.ndarray]) -> np.ndarray:
+        if key not in self._perm_cache:
+            self._perm_cache[key] = build()
+        return self._perm_cache[key]
+
+    def _products(self) -> np.ndarray:
+        """The (order, order) int16 array of the ids x y, cached; rows are
+        filled outward from the identity's, the row of g x as L_g[row x]."""
+
+        def build() -> np.ndarray:
+            table = np.empty((self.order, self.order), dtype=np.int16)
+            table[0] = np.arange(self.order)
+            done = self.mask(self.identity_id)
+            frontier = np.array([self.identity_id])
+            perms = map(self.left_perm, self.generator_ids.tolist())
+            moves = [(perm, perm.astype(np.int16)) for perm in perms]
+            while len(frontier):
+                found = []
+                for perm, perm16 in moves:
+                    kids = perm[frontier]
+                    new = ~done[kids]
+                    kids, first = np.unique(kids[new], return_index=True)
+                    table[kids] = perm16[table[frontier[new][first]]]
+                    done[kids] = True
+                    found.append(kids)
+                frontier = np.concatenate(found)
+            return table
+
+        return self._cached(("P", 0), build)
+
     def left_perm(self, gid: int) -> np.ndarray:
         """Array mapping x to id(g x), cached."""
-        key = ("L", int(gid))
-        if key not in self._perm_cache:
-            self._perm_cache[key] = self.translation(gid, right=False)
-        return self._perm_cache[key]
+        return self._cached(("L", int(gid)), lambda: self.translation(gid, right=False))
 
     def right_perm(self, gid: int) -> np.ndarray:
         """Array mapping x to id(x g), cached."""
-        key = ("R", int(gid))
-        if key not in self._perm_cache:
-            self._perm_cache[key] = self.translation(gid, right=True)
-        return self._perm_cache[key]
+        return self._cached(("R", int(gid)), lambda: self.translation(gid, right=True))
 
     def conj_perm(self, gid: int) -> np.ndarray:
         """Array mapping x to id(g x g^-1)."""
-        key = ("C", int(gid))
-        if key not in self._perm_cache:
-            gi = self.inv(gid)
-            self._perm_cache[key] = self.left_perm(gid)[self.right_perm(gi)]
-        return self._perm_cache[key]
+        return self._cached(
+            ("C", int(gid)), lambda: self.left_perm(gid)[self.right_perm(self.inv(gid))]
+        )
 
     def element_str(self, i: int) -> str:
         row = self.digits[i]

@@ -63,9 +63,6 @@ class Measure:
     def mass(self) -> float | Fraction:
         return self.weights.sum()
 
-    def mass_on(self, mask: np.ndarray) -> float | Fraction:
-        return self.weights[mask].sum()
-
     def l2_squared(self) -> float | Fraction:
         return (self.weights * self.weights).sum()
 

@@ -16,7 +16,7 @@ from expanderlab import quotient
 from expanderlab.cli import builtin_generators
 from expanderlab.errors import NotInGroup, SingularMatrix
 from expanderlab.exact import ModMatrix, RationalMatrix, mod_inv, mod_mul, row_reduce_mod_p
-from expanderlab.growth import ModuleAction, orbit_sum_subspace
+from expanderlab.growth import ModuleAction, ProductFrame, orbit_sum_subspace
 from expanderlab.quotient import (
     ID_INDEX_CAP,
     SemidirectSpec,
@@ -579,6 +579,84 @@ def test_walks_with_repeats_and_non_generators_equal_full_walk_steps(exact):
     # without its inverses a generator set walks outside the balls of its BFS
     A = generate_group(rational([[1, 1], [0, 1]], [[1, 0], [1, 1]]), 7, symmetrize=False)
     check_walks_against_full_steps(A, None, 12, exact, borel_subgroup(A))
+
+
+# ----- the product table of small groups -----
+
+PRODUCT_TABLES = {
+    **SPECTRUM_TABLES,
+    "unsymmetrized mod 7": generate_group(
+        rational([[1, 1], [0, 1]], [[1, 0], [1, 1]]), 7, symmetrize=False
+    ),
+}
+
+
+def assert_table_path_is_the_kernel_path(G, method, *args):
+    """G.method(*args) from the product table and inverse permutation
+    against the digit kernels, which every table uses with the cap at 0."""
+    got = getattr(G, method)(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quotient, "PRODUCT_TABLE_CAP", 0)
+        want = getattr(G, method)(*args)
+    assert isinstance(got, np.ndarray) and got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_TABLES))
+def test_the_product_table_answers_as_the_kernels_on_every_element(name):
+    G = PRODUCT_TABLES[name]
+    assert G.order <= quotient.PRODUCT_TABLE_CAP
+    every = np.arange(G.order)
+    assert_table_path_is_the_kernel_path(G, "inv_vec", every)
+    if G.order <= 400:
+        assert_table_path_is_the_kernel_path(G, "mul_vec", every[:, None], every)
+
+
+@FEW
+@given(name=st.sampled_from(sorted(PRODUCT_TABLES)), data=st.data())
+def test_the_product_table_answers_as_the_kernels_on_random_ids(name, data):
+    G = PRODUCT_TABLES[name]
+    # -1 wraps to the last id on both paths
+    ids = st.lists(st.integers(-1, G.order - 1), max_size=32)
+    a, b = (np.array(data.draw(ids), dtype=np.int64) for _ in range(2))
+    g = data.draw(st.integers(-1, G.order - 1))
+    check = assert_table_path_is_the_kernel_path
+    check(G, "mul_vec", a[:, None], b)
+    check(G, "mul_vec", a[: len(b)], b[: len(a)])
+    check(G, "mul_vec", g, b)
+    check(G, "mul_vec", a, g)
+    check(G, "mul_vec", g, -1)
+    check(G, "mul_vec", a[:0, None], b)
+    check(G, "inv_vec", a)
+    check(G, "inv_vec", g)
+
+
+@FEW
+@given(data=st.data())
+def test_frame_products_are_the_pairs_written_out_in_order(data):
+    borel = SPECTRUM_TABLES["semidirect borel 5"]
+    frame = ProductFrame([borel, borel])
+    rows = st.lists(st.tuples(*(st.integers(0, t.order - 1) for t in frame.factors)), max_size=12)
+    a, b = (np.array(data.draw(rows), dtype=np.int64).reshape(-1, 2) for _ in range(2))
+    pairs = frame.mul(np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1)))
+    assert np.array_equal(frame.product_rows(a, b), frame.dedup(pairs))
+
+
+def test_the_product_table_is_built_only_by_mul_vec_and_only_up_to_the_cap():
+    G = generate_group(builtin_generators("lubotzky3"), 13)
+    spectrum(CayleyGraph(G))
+    walk_powers(G, 6)
+    walk_powers(G, 6, exact=True)
+    # spectra and walks never multiply ids, so they never pay for the n^2 table
+    assert ("P", 0) not in G._perm_cache
+    G.mul_vec(0, 1)
+    assert G._perm_cache["P", 0].dtype == np.int16
+    assert G._perm_cache["P", 0].shape == (G.order, G.order)
+    big = heisenberg_group(17)
+    assert big.order > quotient.PRODUCT_TABLE_CAP
+    every = np.arange(big.order)
+    assert (big.mul_vec(every, big.inv_vec(every)) == big.identity_id).all()
+    assert ("P", 0) not in big._perm_cache and ("I", 0) not in big._perm_cache
 
 
 # ----- orbit sums -----
