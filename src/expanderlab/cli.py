@@ -311,6 +311,8 @@ def cmd_growth(cfg: ExperimentConfig) -> int:
 
     from . import growth as GR
 
+    if cfg.samples < 0 or cfg.set_size < 1:
+        raise ValueError("growth needs --samples >= 0 and --set-size >= 1")
     G = load_group(cfg)
     rows = []
     for i in range(cfg.samples):
@@ -358,9 +360,14 @@ def cmd_lemmas(cfg: ExperimentConfig) -> int:
     import numpy as np
 
     from . import growth as GR, quotient as Q
-    from .exact import ModMatrix
+    from .errors import BadPrime
+    from .exact import ModMatrix, prime_factors
 
-    p = cfg.p or 5
+    p = 5 if cfg.p is None else cfg.p
+    if p < Q.MIN_PRIME or prime_factors(p) != [p]:
+        raise BadPrime(f"--p must be a prime >= {Q.MIN_PRIME}, got {p}")
+    if cfg.samples < 1:
+        raise ValueError(f"lemmas needs --samples >= 1, got {cfg.samples}")
     gens = load_generators(cfg)
     checks: list[tuple[str, bool]] = []
 

@@ -21,6 +21,10 @@ A table of at most PRODUCT_TABLE_CAP = 4096 elements answers mul_vec
 from an int16 product table, 2 bytes per pair, built on first use from
 the recorded generator translations (the row of g x is L_g applied to
 the row of x), and inv_vec from a cached inverse permutation.
+
+Subgroups, normal closures and commutator subgroups come from one BFS
+from the identity that multiplies by the generators and conjugates by a
+second id set in each step, stopping once past half the group.
 """
 from __future__ import annotations
 
@@ -660,47 +664,47 @@ class SubgroupRecord:
         return bool(self.member[i])
 
 
-def _closure_ids(
-    G: GroupTable, gen_ids: Sequence[int], stop_majority: bool = False
-) -> np.ndarray:
-    """Subgroup closure by BFS over ids (generators symmetrized).
+def _closure_ids(G: GroupTable, gen_ids, conj_ids=()) -> np.ndarray:
+    """Element ids of the smallest subgroup holding gen_ids and closed under
+    conjugation by conj_ids, by one BFS from the identity.
 
-    With stop_majority, the walk stops as soon as more than half the group
-    is covered: subgroup orders divide the group order, so a subgroup past
-    the halfway mark is the whole group.
+    Each step takes the union of right multiplication by the symmetrized
+    generators and conjugation by each conj_ids element.  A set holding e
+    and closed under both holds y (c s c^-1) = c ((c^-1 y c) s) c^-1, as
+    conjugation by c^-1 is a power of conjugation by c, so it is a group.
+    The walk stops once it covers more than half the group: subgroup
+    orders divide the group order, so such a subgroup is the whole group.
     """
-    gen_ids = np.asarray(sorted(set(int(g) for g in gen_ids)), dtype=np.int64)
-    gen_ids = np.unique(np.concatenate([gen_ids, G.inv_vec(gen_ids)]))
+    gens = np.unique(np.asarray(gen_ids, dtype=np.int64))
+    gens = np.unique(np.concatenate([gens, G.inv_vec(gens)]))
+    conj = [G.conj_perm(int(c)) for c in np.unique(np.asarray(conj_ids, dtype=np.int64))]
     member = G.mask(G.identity_id)
     count = 1
     frontier = np.array([G.identity_id], dtype=np.int64)
     while frontier.size:
-        prod = np.unique(G.mul_vec(frontier[:, None], gen_ids))
+        moves = [G.mul_vec(frontier[:, None], gens).ravel()] + [cp[frontier] for cp in conj]
+        prod = np.unique(np.concatenate(moves))
         prod = prod[~member[prod]]
         member[prod] = True
         count += prod.size
-        if stop_majority and 2 * count > G.order:
+        if 2 * count > G.order:
             return np.arange(G.order, dtype=np.int64)
         frontier = prod
-    return np.nonzero(member)[0].astype(np.int64)
+    return np.flatnonzero(member).astype(np.int64)
 
 
 def subgroup_closure(G: GroupTable, gen_ids: Sequence[int], *, flags: bool = True) -> SubgroupRecord:
+    gen_ids = np.asarray(sorted(set(int(g) for g in gen_ids)), dtype=np.int64)
     ids = _closure_ids(G, gen_ids)
     member = G.mask(ids)
-    normal = False
-    perfect = False
-    if flags:
-        normal = _is_normal_set(G, np.asarray(gen_ids, dtype=np.int64), member)
-        perfect = _is_perfect_subgroup(G, np.asarray(gen_ids, dtype=np.int64), member, ids)
     return SubgroupRecord(
         parent=G,
-        generator_ids=np.asarray(sorted(set(int(g) for g in gen_ids)), dtype=np.int64),
+        generator_ids=gen_ids,
         element_ids=ids,
         member=member,
         index=G.order // len(ids),
-        normal=normal,
-        perfect=perfect,
+        normal=flags and _is_normal_set(G, gen_ids, member),
+        perfect=flags and _is_perfect(G, gen_ids, len(ids)),
     )
 
 
@@ -721,66 +725,27 @@ def coset_labels(G: GroupTable, h_ids: np.ndarray) -> np.ndarray:
 def _is_normal_set(G: GroupTable, gen_ids: np.ndarray, member: np.ndarray) -> bool:
     """H is normal iff conjugating its generators by the group generators
     stays inside H (conjugation by a generating set reaches all of G)."""
-    if gen_ids.size == 0:
-        return True
     for s in G.generator_ids:
         if not member[G.conj_perm(int(s))[gen_ids]].all():
             return False
     return True
 
 
-def _is_perfect_subgroup(G, gen_ids, member, ids) -> bool:
-    if len(ids) == 1:
-        return True
-    comm = _commutator_seed(G, gen_ids, gen_ids)
-    closure = _normal_closure_within(G, comm, gen_ids)
-    return len(closure) == len(ids)
-
-
-def _commutator_seed(G: GroupTable, a_ids: np.ndarray, b_ids: np.ndarray) -> np.ndarray:
-    """All commutators [a, b] = a^-1 b^-1 a b over the two id sets."""
-    return np.unique(G.comm_vec(a_ids[:, None], b_ids))
-
-
-def _normal_closure_within(
-    G: GroupTable,
-    seed_ids: np.ndarray,
-    conj_gen_ids: np.ndarray,
-    stop_majority: bool = False,
-) -> np.ndarray:
-    """Smallest subgroup containing the seeds and closed under conjugation
-    by the given conjugating generators."""
-    gens = [int(x) for x in np.unique(seed_ids) if x != G.identity_id]
-    conj = [int(c) for c in np.unique(conj_gen_ids)]
-    conj = sorted(set(conj) | set(int(x) for x in G.inv_vec(np.array(conj, dtype=np.int64)))) if conj else []
-    while True:
-        ids = _closure_ids(G, gens or [G.identity_id], stop_majority=stop_majority)
-        if len(ids) == G.order:
-            return ids
-        member = G.mask(ids)
-        new = []
-        for s in conj:
-            cp = G.conj_perm(s)
-            for t in gens:
-                c = int(cp[t])
-                if not member[c]:
-                    new.append(c)
-        if not new:
-            return ids
-        gens.extend(sorted(set(new)))
+def _is_perfect(G: GroupTable, gen_ids: np.ndarray, order: int) -> bool:
+    """Whether the subgroup of the given order generated by gen_ids is its
+    own commutator subgroup: the closure of [gens, gens] under conjugation
+    by gens has that order."""
+    return len(_closure_ids(G, G.comm_vec(gen_ids[:, None], gen_ids), gen_ids)) == order
 
 
 def normal_closure(G: GroupTable, seed_ids: Sequence[int]) -> np.ndarray:
     """Element ids of the smallest normal subgroup containing the seeds."""
-    return _normal_closure_within(
-        G, np.asarray(list(seed_ids), dtype=np.int64), G.generator_ids
-    )
+    return _closure_ids(G, seed_ids, G.generator_ids)
 
 
 def is_perfect(G: GroupTable) -> bool:
     """Whether G equals its commutator subgroup."""
-    comm = _commutator_seed(G, G.generator_ids, G.generator_ids)
-    return len(normal_closure(G, comm)) == G.order
+    return _is_perfect(G, G.generator_ids, G.order)
 
 
 def conjugacy_classes(G: GroupTable) -> list[np.ndarray]:
@@ -817,10 +782,7 @@ def normal_subgroups(G: GroupTable, cap: int = 100_000) -> list[SubgroupRecord]:
         if probe in tried:
             return False
         tried.add(probe)
-        ids = _normal_closure_within(
-            G, np.array(gen_set or [0], dtype=np.int64), G.generator_ids,
-            stop_majority=True,
-        )
+        ids = _closure_ids(G, gen_set, G.generator_ids)
         key = ids.tobytes()
         if key in found:
             return False
@@ -963,8 +925,7 @@ def lower_central_series(U: GroupTable, cap: int = 4096) -> list[np.ndarray]:
     chain = [np.arange(U.order, dtype=np.int64)]
     all_ids = np.arange(U.order, dtype=np.int64)
     while len(chain[-1]) > 1:
-        comm = _commutator_seed(U, all_ids, chain[-1])
-        nxt = _closure_ids(U, [int(x) for x in comm if x != 0] or [0])
+        nxt = _closure_ids(U, U.comm_vec(all_ids[:, None], chain[-1]))
         if len(nxt) == len(chain[-1]):
             raise NotPGroup("series did not descend; group is not nilpotent")
         chain.append(nxt)

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -9,6 +11,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from expanderlab import quotient
 from expanderlab.cli import (
     EXIT_ASSERTION,
     EXIT_ERROR,
@@ -340,6 +343,34 @@ def test_escape_trivial_subgroup_exits_1(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("p", ["0", "1", "4", "6"])
+def test_lemmas_p_must_be_a_prime_from_5(p, monkeypatch, capsys):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(quotient, "_bfs_table", no_table)
+    assert main(["lemmas", "--p", p]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error[BadPrime]: --p must be a prime >= 5, got {p}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["lemmas", "--samples", "0"], "lemmas needs --samples >= 1, got 0"),
+    (["lemmas", "--samples", "-1"], "lemmas needs --samples >= 1, got -1"),
+    (["growth", "--samples", "-2"], "growth needs --samples >= 0 and --set-size >= 1"),
+    (["growth", "--set-size", "-4"], "growth needs --samples >= 0 and --set-size >= 1"),
+    (["growth", "--set-size", "0"], "growth needs --samples >= 0 and --set-size >= 1"),
+])
+def test_vacuous_sample_counts_exit_1(argv, message, capsys):
+    # zero lemma trials would report recovery as true, and a negative
+    # count or set size would print a report of nothing
+    assert main(argv + ["--builtin", "lubotzky3", "--q", "7"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error[ValueError]: {message}\n"
+
+
 def test_element_cap_env(monkeypatch, capsys):
     monkeypatch.setenv("EXPANDERLAB_CAP_ELEMS", "1000")
     rc = main(["quotient", "--builtin", "lubotzky3", "--q", "35"])
@@ -380,3 +411,13 @@ def test_threads_flag_sets_the_blas_variables(monkeypatch, capsys):
     assert main(args + ["--threads", "3"]) == EXIT_OK
     assert capsys.readouterr().out == report
     assert [os.environ.get(var) for var in names] == ["3", "3", "3"]
+
+
+def test_readme_python_blocks_run(capsys):
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    # SL2(F_13), whose spectrum is all dense blocks
+    assert capsys.readouterr().out.startswith("2184 0.84427")

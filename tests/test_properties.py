@@ -1,8 +1,8 @@
 """Property tests for the reduced-word walker, the mod-p row reducer,
 the coset labeller, the table id lookup, the block spectrum, the
 translations and ball radii the BFS records and the walks that use them,
-each against a brute-force oracle, plus guards on the BFS element order
-and the package's public names."""
+and the subgroup and normal closures, each against a brute-force oracle,
+plus guards on the BFS element order and the package's public names."""
 import hashlib
 import itertools
 from fractions import Fraction
@@ -27,7 +27,9 @@ from expanderlab.quotient import (
     generate_group,
     heisenberg_group,
     ids_of_matrices,
+    is_perfect,
     lower_central_series,
+    normal_closure,
     semidirect_group,
     subgroup_closure,
     torus_subgroup,
@@ -657,6 +659,76 @@ def test_the_product_table_is_built_only_by_mul_vec_and_only_up_to_the_cap():
     every = np.arange(big.order)
     assert (big.mul_vec(every, big.inv_vec(every)) == big.identity_id).all()
     assert ("P", 0) not in big._perm_cache and ("I", 0) not in big._perm_cache
+
+
+# ----- subgroup and normal closures -----
+
+CLOSURE_TABLES = {
+    "sl2 mod 5": generate_group(builtin_generators("lubotzky3"), 5),
+    "heisenberg 5": SPECTRUM_TABLES["heisenberg 5"],
+    # the semidirect group of the lemmas subcommand at p = 5
+    "lemmas semidirect 5": semidirect_group(
+        SemidirectSpec(p=5, l_gens=[ModMatrix([[1, 3], [0, 1]], 5), ModMatrix([[1, 0], [3, 1]], 5)])
+    ),
+    "cyclic 4 x cyclic 6": direct_product(cyclic_group(4), cyclic_group(6)),
+}
+
+
+def brute_subgroup(G, ids):
+    """The subgroup generated by ids: {e} and ids, squared as a set until
+    it stops growing, so closed under products with no BFS or inverses."""
+    S = np.union1d([G.identity_id], np.asarray(ids, dtype=np.int64))
+    while True:
+        T = np.flatnonzero(G.mask(G.mul_vec(S[:, None], S)))
+        if len(T) == len(S):
+            return S
+        S = T
+
+
+def all_conjugates(G, ids):
+    """g x g^-1 for every g in G (rows) and x in ids (columns)."""
+    every = np.arange(G.order)
+    return G.mul_vec(G.mul_vec(every[:, None], ids), G.inv_vec(every)[:, None])
+
+
+def closure_seeds(G, data):
+    return np.array(data.draw(st.lists(st.integers(0, G.order - 1), max_size=3)), dtype=np.int64)
+
+
+@FEW
+@given(name=st.sampled_from(sorted(CLOSURE_TABLES)), data=st.data())
+def test_normal_closure_is_the_subgroup_of_all_conjugates(name, data):
+    G = CLOSURE_TABLES[name]
+    seeds = closure_seeds(G, data)
+    conjugates = all_conjugates(G, seeds).ravel()
+    want = subgroup_closure(G, conjugates, flags=False).element_ids
+    assert np.array_equal(want, brute_subgroup(G, conjugates))
+    got = normal_closure(G, seeds)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+@FEW
+@given(name=st.sampled_from(sorted(CLOSURE_TABLES)), data=st.data())
+def test_subgroup_flags_match_their_definitions(name, data):
+    G = CLOSURE_TABLES[name]
+    seeds = closure_seeds(G, data)
+    H = subgroup_closure(G, seeds)
+    assert np.array_equal(H.element_ids, brute_subgroup(G, seeds))
+    assert H.normal == bool(H.member[all_conjugates(G, H.element_ids)].all())
+    derived = brute_subgroup(G, G.comm_vec(H.element_ids[:, None], H.element_ids).ravel())
+    assert H.perfect == (len(derived) == H.size)
+
+
+@pytest.mark.parametrize("name,perfect", [
+    ("sl2 mod 5", True), ("heisenberg 5", False),
+    ("lemmas semidirect 5", True), ("cyclic 4 x cyclic 6", False),
+])
+def test_is_perfect_matches_the_derived_subgroup(name, perfect):
+    G = CLOSURE_TABLES[name]
+    every = np.arange(G.order)
+    derived = brute_subgroup(G, G.comm_vec(every[:, None], every).ravel())
+    assert (len(derived) == G.order) == perfect
+    assert is_perfect(G) == perfect
 
 
 # ----- orbit sums -----
