@@ -368,6 +368,8 @@ def cmd_lemmas(cfg: ExperimentConfig) -> int:
         raise BadPrime(f"--p must be a prime >= {Q.MIN_PRIME}, got {p}")
     if cfg.samples < 1:
         raise ValueError(f"lemmas needs --samples >= 1, got {cfg.samples}")
+    if cfg.samples > 100:
+        raise ValueError(f"lemmas runs at most 100 trials, got --samples {cfg.samples}")
     gens = load_generators(cfg)
     checks: list[tuple[str, bool]] = []
 
@@ -400,7 +402,7 @@ def cmd_lemmas(cfg: ExperimentConfig) -> int:
     )
     rng = np.random.default_rng(cfg.seed)
     t_vals = []
-    for _ in range(min(cfg.samples, 100)):
+    for _ in range(cfg.samples):
         tr = GR.random_transversal(U, rng)
         t_vals.append(GR.nilpotent_recover(U, tr)["t"])
     checks.append(("nilpotent recovery within t_max on random transversals",

@@ -22,12 +22,17 @@ from an int16 product table, 2 bytes per pair, built on first use from
 the recorded generator translations (the row of g x is L_g applied to
 the row of x), and inv_vec from a cached inverse permutation.
 
+A larger matrix table mod a composite q lies, by the CRT, in the product of
+its per-prime images; when each fits PRODUCT_TABLE_CAP, mul_vec and inv_vec
+gather in their tables and map back by a dense pair index (<= ID_INDEX_CAP).
+
 Subgroups, normal closures and commutator subgroups come from one BFS
 from the identity that multiplies by the generators and conjugates by a
-second id set in each step, stopping once past half the group.
+second id set in each step, deduplicated by a mask, until past half the group.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -188,6 +193,8 @@ class GroupTable:
         a, b = np.broadcast_arrays(a, b)
         if self.order <= PRODUCT_TABLE_CAP:
             return np.asarray(self._products()[a, b], dtype=np.int64)
+        if (ab := self._via_factors("mul_vec", a, b)) is not None:
+            return ab
         rows = self._mul_rows(self.digits[a.ravel()], self.digits[b.ravel()])
         return self.id_of_rows(rows).reshape(a.shape)
 
@@ -199,6 +206,8 @@ class GroupTable:
         if self.order <= PRODUCT_TABLE_CAP:
             inverse = self._cached(("I", 0), lambda: self.id_of_rows(self._inv_rows(self.digits)))
             return np.asarray(inverse[ids])
+        if (inverse := self._via_factors("inv_vec", ids)) is not None:
+            return inverse
         rows = self._inv_rows(self.digits[ids.ravel()])
         return self.id_of_rows(rows).reshape(ids.shape)
 
@@ -248,6 +257,30 @@ class GroupTable:
             return table
 
         return self._cached(("P", 0), build)
+
+    @functools.cached_property
+    def _factors(self) -> list[GroupTable]:
+        """The per-prime images of a matrix table, each closed mod its prime."""
+        d, rows = self.meta["dim"], self.digits[self.generator_ids]
+        gens = [(p, [ModMatrix(r.reshape(d, d).tolist(), p) for r in rows[:, c]]) for p, c in _prime_blocks(self)]
+        return [generate_group(mats, p, min_prime=p) for p, mats in gens]
+
+    def _via_factors(self, method: str, *ids: np.ndarray) -> np.ndarray | None:
+        """mul_vec or inv_vec through the per-prime factors; None off that path."""
+        if self.kind != "matrix" or len(self.meta["primes"]) < 2:
+            return None
+        factors = self._factors
+        orders = np.array([F.order for F in factors])
+        if orders.max() > PRODUCT_TABLE_CAP or orders.prod() > ID_INDEX_CAP:
+            return None
+        weights = _radix_weights(orders)
+        if ("X", 0) not in self._perm_cache:
+            fids = np.stack([F.id_of_rows(self.digits[:, c]) for F, (_, c) in zip(factors, _prime_blocks(self))])
+            self._perm_cache["F", 0], self._perm_cache["X", 0] = fids, np.full(orders.prod(), -1, np.int32)
+            self._perm_cache["X", 0][weights @ fids] = np.arange(self.order)
+        fids, pairs = self._perm_cache["F", 0], self._perm_cache["X", 0]
+        codes = sum(w * getattr(F, method)(*(f[x] for x in ids)) for F, f, w in zip(factors, fids, weights))
+        return np.asarray(pairs[codes], dtype=np.int64)
 
     def left_perm(self, gid: int) -> np.ndarray:
         """Array mapping x to id(g x), cached."""
@@ -679,17 +712,14 @@ def _closure_ids(G: GroupTable, gen_ids, conj_ids=()) -> np.ndarray:
     gens = np.unique(np.concatenate([gens, G.inv_vec(gens)]))
     conj = [G.conj_perm(int(c)) for c in np.unique(np.asarray(conj_ids, dtype=np.int64))]
     member = G.mask(G.identity_id)
-    count = 1
     frontier = np.array([G.identity_id], dtype=np.int64)
     while frontier.size:
         moves = [G.mul_vec(frontier[:, None], gens).ravel()] + [cp[frontier] for cp in conj]
-        prod = np.unique(np.concatenate(moves))
-        prod = prod[~member[prod]]
-        member[prod] = True
-        count += prod.size
-        if 2 * count > G.order:
+        fresh = G.mask(np.concatenate(moves)) & ~member
+        member |= fresh
+        frontier = np.flatnonzero(fresh)
+        if 2 * member.sum() > G.order:
             return np.arange(G.order, dtype=np.int64)
-        frontier = prod
     return np.flatnonzero(member).astype(np.int64)
 
 
@@ -834,12 +864,7 @@ def product_decompose(G: GroupTable) -> tuple[list[GroupTable], dict]:
     """Per-prime projections of a mod-q table plus a bijectivity report."""
     if G.kind != "matrix" or len(G.meta["primes"]) < 2:
         raise NotComposite("decomposition needs a matrix table with composite q")
-    d = G.meta["dim"]
-    factors = []
-    for p, cols in _prime_blocks(G):
-        gens = [ModMatrix(r.reshape(d, d).tolist(), p) for r in G.digits[G.generator_ids, cols]]
-        factors.append(generate_group(gens, p, symmetrize=True))
-    orders = [t.order for t in factors]
+    orders = [t.order for t in G._factors]
     prod = math.prod(orders)
     report = {
         "orders": orders,
@@ -847,14 +872,12 @@ def product_decompose(G: GroupTable) -> tuple[list[GroupTable], dict]:
         "group_order": G.order,
         "bijective": prod == G.order,
     }
-    return factors, report
+    return list(G._factors), report
 
 
 def index_product_check(G: GroupTable, H: SubgroupRecord, delta: float = 0.25) -> dict:
     """Compare prod_p [G_p : pi_p(H)] against [G:H]^delta."""
     if G.kind == "matrix":
-        if len(G.meta["primes"]) < 2:
-            raise NotComposite("need a composite modulus")
         factors, _ = product_decompose(G)
         blocks = [cols for _, cols in _prime_blocks(G)]
     elif G.kind == "product":
@@ -914,8 +937,8 @@ def small_lifts(
 def lower_central_series(U: GroupTable, cap: int = 4096) -> list[np.ndarray]:
     """Chain gamma_1 = U, gamma_{i+1} = <[U, gamma_i]>, down to the identity.
 
-    Computed by brute force over all commutator pairs, so it is exact and
-    only sensible for small p-groups.
+    gamma_{i+1} is the normal closure of the [s, x], s a generator and x in
+    gamma_i, as [st, x] = [s, x]^t [t, x]; exact, for small p-groups.
     """
     fac = prime_factors(U.order)
     if len(fac) != 1:
@@ -923,9 +946,9 @@ def lower_central_series(U: GroupTable, cap: int = 4096) -> list[np.ndarray]:
     if U.order > cap:
         raise SizeCapExceeded(f"lower central series capped at {cap} elements")
     chain = [np.arange(U.order, dtype=np.int64)]
-    all_ids = np.arange(U.order, dtype=np.int64)
+    S = U.generator_ids
     while len(chain[-1]) > 1:
-        nxt = _closure_ids(U, U.comm_vec(all_ids[:, None], chain[-1]))
+        nxt = _closure_ids(U, U.comm_vec(S[:, None], chain[-1]), S)
         if len(nxt) == len(chain[-1]):
             raise NotPGroup("series did not descend; group is not nilpotent")
         chain.append(nxt)

@@ -355,6 +355,20 @@ def test_lemmas_p_must_be_a_prime_from_5(p, monkeypatch, capsys):
     assert captured.err == f"error[BadPrime]: --p must be a prime >= 5, got {p}\n"
 
 
+@pytest.mark.parametrize("samples", ["101", "500"])
+def test_lemmas_rejects_more_samples_than_it_runs(samples, monkeypatch, capsys):
+    # lemmas runs at most 100 recovery trials, so a larger count would be
+    # echoed in the report without being run
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(quotient, "_bfs_table", no_table)
+    assert main(["lemmas", "--samples", samples]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error[ValueError]: lemmas runs at most 100 trials, got --samples {samples}\n"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["lemmas", "--samples", "0"], "lemmas needs --samples >= 1, got 0"),
     (["lemmas", "--samples", "-1"], "lemmas needs --samples >= 1, got -1"),

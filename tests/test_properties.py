@@ -1,8 +1,10 @@
 """Property tests for the reduced-word walker, the mod-p row reducer,
 the coset labeller, the table id lookup, the block spectrum, the
 translations and ball radii the BFS records and the walks that use them,
-and the subgroup and normal closures, each against a brute-force oracle,
-plus guards on the BFS element order and the package's public names."""
+the products through the per-prime factors of composite tables, the
+subgroup and normal closures and the lower central series, each against
+a brute-force oracle, plus guards on the BFS element order and the
+package's public names."""
 import hashlib
 import itertools
 from fractions import Fraction
@@ -30,6 +32,7 @@ from expanderlab.quotient import (
     is_perfect,
     lower_central_series,
     normal_closure,
+    product_decompose,
     semidirect_group,
     subgroup_closure,
     torus_subgroup,
@@ -661,6 +664,82 @@ def test_the_product_table_is_built_only_by_mul_vec_and_only_up_to_the_cap():
     assert ("P", 0) not in big._perm_cache and ("I", 0) not in big._perm_cache
 
 
+# ----- products through the per-prime factors of composite tables -----
+
+# with the product-table cap at 48 these tables lie above it and their
+# per-prime factors below it, and they are small enough for all pairs
+FACTORED_CAP = 48
+FACTORED_TABLES = {
+    # B_5 x B_7, order 840: one diagonal generator per prime
+    "borel mod 35": generate_group(rational([[22, 0], [0, 8]], [[31, 0], [0, 26]], [[1, 1], [0, 1]]), 35),
+    # diag(17, 33) has orders 4 mod 5 and 6 mod 7, so this is the subgroup
+    # of index 2 in B_5 x B_7
+    "index-2 borel mod 35": generate_group(rational([[17, 0], [0, 33]], [[1, 1], [0, 1]]), 35),
+    # -u has orders 10, 14 and 22 mod 5, 7 and 11: cyclic, of order 70 in a
+    # product of order 140, and of order 770 in one of order 3,080
+    "cyclic mod 35": generate_group(rational([[34, 34], [0, 34]]), 35),
+    "cyclic mod 385": generate_group(rational([[384, 384], [0, 384]]), 385),
+}
+# above the default cap, with factors of orders 120 and 336 below it
+SL2_35 = generate_group(builtin_generators("lubotzky3"), 35)
+
+
+def assert_factored_path_is_the_kernel_path(G, method, *args, cap=FACTORED_CAP):
+    """G.method(*args) with the product-table cap at cap, through the
+    factors and with G's own digit kernels switched off, against the
+    kernels, which every table uses with the cap at 0."""
+    def no_kernel(*rows):
+        raise AssertionError("the factored path used the digit kernels")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quotient, "PRODUCT_TABLE_CAP", cap)
+        mp.setattr(G, "_mul_rows", no_kernel)
+        mp.setattr(G, "_inv_rows", no_kernel)
+        got = getattr(G, method)(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quotient, "PRODUCT_TABLE_CAP", 0)
+        want = getattr(G, method)(*args)
+    assert isinstance(got, np.ndarray) and got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(FACTORED_TABLES))
+def test_the_factored_path_answers_as_the_kernels_on_every_element(name):
+    G = FACTORED_TABLES[name]
+    factors, report = product_decompose(G)
+    assert FACTORED_CAP < G.order and max(report["orders"]) <= FACTORED_CAP
+    assert report["bijective"] == (name == "borel mod 35")
+    every = np.arange(G.order)
+    assert_factored_path_is_the_kernel_path(G, "inv_vec", every)
+    assert_factored_path_is_the_kernel_path(G, "mul_vec", every[:, None], every)
+    # off the table the pair index holds -1
+    assert (G._perm_cache["X", 0] >= 0).sum() == G.order
+
+
+@FEW
+@given(name=st.sampled_from(sorted(FACTORED_TABLES) + ["sl2 mod 35"]), data=st.data())
+def test_the_factored_path_answers_as_the_kernels_on_random_ids(name, data):
+    if name == "sl2 mod 35":
+        G, cap = SL2_35, quotient.PRODUCT_TABLE_CAP
+    else:
+        G, cap = FACTORED_TABLES[name], FACTORED_CAP
+    # -1 wraps to the last id on both paths
+    ids = st.lists(st.integers(-1, G.order - 1), max_size=32)
+    a, b = (np.array(data.draw(ids), dtype=np.int64) for _ in range(2))
+    g = data.draw(st.integers(-1, G.order - 1))
+    for method, *args in [
+        ("mul_vec", a[:, None], b),
+        ("mul_vec", a[: len(b)], b[: len(a)]),
+        ("mul_vec", g, b),
+        ("mul_vec", a, g),
+        ("mul_vec", g, -1),
+        ("mul_vec", a[:0, None], b),
+        ("inv_vec", a),
+        ("inv_vec", g),
+    ]:
+        assert_factored_path_is_the_kernel_path(G, method, *args, cap=cap)
+
+
 # ----- subgroup and normal closures -----
 
 CLOSURE_TABLES = {
@@ -729,6 +808,22 @@ def test_is_perfect_matches_the_derived_subgroup(name, perfect):
     derived = brute_subgroup(G, G.comm_vec(every[:, None], every).ravel())
     assert (len(derived) == G.order) == perfect
     assert is_perfect(G) == perfect
+
+
+@pytest.mark.parametrize("U", [
+    heisenberg_group(3),
+    heisenberg_group(7),
+    # a 3-group of class 3: the unipotent Levi part acting on the Heisenberg group
+    semidirect_group(SemidirectSpec(p=3, l_gens=[ModMatrix([[1, 1], [0, 1]], 3)], u_kind="heisenberg")),
+], ids=["heisenberg 3", "heisenberg 7", "class-3 group of order 81"])
+def test_lower_central_series_is_the_chain_of_all_commutator_subgroups(U):
+    every = np.arange(U.order)
+    want = [every]
+    while len(want[-1]) > 1:
+        want.append(brute_subgroup(U, U.comm_vec(every[:, None], want[-1]).ravel()))
+    got = lower_central_series(U)
+    assert [len(c) for c in got] == [len(c) for c in want]
+    assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
 # ----- orbit sums -----

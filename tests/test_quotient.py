@@ -282,6 +282,40 @@ def test_product_decompose(sl2_35, sl2_5):
         product_decompose(sl2_5)
 
 
+def test_composite_tables_have_one_factor_path(monkeypatch, capsys):
+    from expanderlab import quotient
+    from expanderlab.cli import main
+
+    G = generate_group(lubotzky_gens(), 35)
+    factors, report = product_decompose(G)
+    assert report == {
+        "orders": [120, 336], "product_of_orders": 40320, "group_order": 40320, "bijective": True,
+    }
+    # the factor ids and the pair index wait for the first product
+    assert ("X", 0) not in G._perm_cache
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a factor table was built again")
+
+    monkeypatch.setattr(quotient, "generate_group", no_table)
+    again, again_report = product_decompose(G)
+    assert again_report == report and all(F is F2 for F, F2 in zip(factors, again))
+    assert G.mul_vec(1, 2) == G.mul(1, 2) and G.inv_vec(3) == G.inv(3)
+    # products and inverses went through the same factors' tables
+    assert all(("P", 0) in F._perm_cache and ("I", 0) in F._perm_cache for F in factors)
+    H = subgroup_closure(G, [int(i) for i in G.generator_ids])
+    assert index_product_check(G, H)["lhs"] == 1
+    monkeypatch.undo()
+
+    # the quotient report never multiplies, so it builds no pair index
+    def no_pairs(self, *args):
+        raise AssertionError("the pair index was built")
+
+    monkeypatch.setattr(quotient.GroupTable, "_via_factors", no_pairs)
+    assert main(["quotient", "--builtin", "lubotzky3", "--q", "35"]) == 0
+    assert capsys.readouterr().out.splitlines()[-3:] == ["5,120,", "7,336,", "35,40320,true"]
+
+
 def test_index_product_check(sl2_35):
     G = sl2_35
     H = subgroup_closure(G, [int(i) for i in G.generator_ids])
