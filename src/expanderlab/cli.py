@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 VERSION = "0.1.0"
@@ -109,34 +108,15 @@ def parse_generators(path: str, symmetrize: bool = False):
     return mats, declared
 
 
-@dataclass
-class ExperimentConfig:
-    command: str
-    gens: str | None = None
-    builtin: str | None = None
-    q: int | None = None
-    lmax: int | None = None
-    subgroup: str | None = None
-    samples: int = 100
-    set_size: int = 20
-    seed: int = 0
-    exact: bool = False
-    out: str | None = None
-    threads: int | None = None
-    symmetrize: bool = False
-    p: int | None = None
-
-    def echo(self) -> str:
-        # out and threads do not affect results; leaving them out keeps
-        # reports byte-identical across destinations
-        parts = []
-        for k in sorted(vars(self)):
-            if k in ("out", "threads"):
-                continue
-            v = getattr(self, k)
-            if v is not None and v is not False:
-                parts.append(f"{k}={fmt_value(v)}")
-        return " ".join(parts)
+def echo(cfg: argparse.Namespace) -> str:
+    """The sorted config line of a report.  out and threads do not affect
+    results; leaving them out keeps reports byte-identical across
+    destinations."""
+    return " ".join(
+        f"{k}={fmt_value(v)}"
+        for k, v in sorted(vars(cfg).items())
+        if k not in ("out", "threads") and v is not None and v is not False
+    )
 
 
 def fmt_value(x) -> str:
@@ -150,7 +130,7 @@ def fmt_value(x) -> str:
 def emit_report(
     columns: list[str],
     rows: list[tuple],
-    config: ExperimentConfig,
+    config: argparse.Namespace,
     extra_comments: list[str] | None = None,
 ) -> str:
     """Render a report deterministically; .json output paths get JSON,
@@ -159,7 +139,7 @@ def emit_report(
     if as_json:
         payload = {
             "version": VERSION,
-            "config": config.echo(),
+            "config": echo(config),
             "columns": columns,
             "rows": [
                 {c: (float(fmt_value(v)) if isinstance(v, float) else v)
@@ -171,7 +151,7 @@ def emit_report(
             payload["notes"] = extra_comments
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
-        out = [f"# expanderlab {VERSION}", f"# config: {config.echo()}"]
+        out = [f"# expanderlab {VERSION}", f"# config: {echo(config)}"]
         for c in extra_comments or []:
             out.append(f"# {c}")
         out.append(",".join(columns))
@@ -186,14 +166,14 @@ def emit_report(
     return text
 
 
-def load_generators(cfg: ExperimentConfig):
+def load_generators(cfg: argparse.Namespace):
     if cfg.gens:
         mats, _ = parse_generators(cfg.gens, cfg.symmetrize)
         return mats
     return builtin_generators(cfg.builtin or "lubotzky3")
 
 
-def load_group(cfg: ExperimentConfig):
+def load_group(cfg: argparse.Namespace):
     """The group the generators generate mod --q."""
     from . import quotient as Q
 
@@ -223,7 +203,7 @@ def resolve_subgroup(G, spec: str | None):
 # commands
 
 
-def cmd_quotient(cfg: ExperimentConfig) -> int:
+def cmd_quotient(cfg: argparse.Namespace) -> int:
     from . import quotient as Q
 
     G = load_group(cfg)
@@ -239,7 +219,7 @@ def cmd_quotient(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_spectrum(cfg: ExperimentConfig) -> int:
+def cmd_spectrum(cfg: argparse.Namespace) -> int:
     from . import spectral as S
 
     G = load_group(cfg)
@@ -265,7 +245,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_walk(cfg: ExperimentConfig) -> int:
+def cmd_walk(cfg: argparse.Namespace) -> int:
     from . import spectral as S
 
     G = load_group(cfg)
@@ -283,7 +263,7 @@ def cmd_walk(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_escape(cfg: ExperimentConfig) -> int:
+def cmd_escape(cfg: argparse.Namespace) -> int:
     from . import spectral as S
 
     G = load_group(cfg)
@@ -306,7 +286,7 @@ def cmd_escape(cfg: ExperimentConfig) -> int:
     return EXIT_ASSERTION if not report.settled else EXIT_OK
 
 
-def cmd_growth(cfg: ExperimentConfig) -> int:
+def cmd_growth(cfg: argparse.Namespace) -> int:
     import numpy as np
 
     from . import growth as GR
@@ -325,7 +305,7 @@ def cmd_growth(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_freeness(cfg: ExperimentConfig) -> int:
+def cmd_freeness(cfg: argparse.Namespace) -> int:
     from . import words as W
 
     gens = load_generators(cfg)
@@ -356,7 +336,7 @@ def cmd_freeness(cfg: ExperimentConfig) -> int:
     return EXIT_OK if free else EXIT_ASSERTION
 
 
-def cmd_lemmas(cfg: ExperimentConfig) -> int:
+def cmd_lemmas(cfg: argparse.Namespace) -> int:
     import numpy as np
 
     from . import growth as GR, quotient as Q
@@ -465,11 +445,10 @@ def main(argv: list[str] | None = None) -> int:
         # later in this process respect the cap
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(ns.threads)
-    cfg = ExperimentConfig(**vars(ns))
     from .errors import ExpanderLabError
 
     try:
-        return COMMANDS[ns.command](cfg)
+        return COMMANDS[ns.command](ns)
     except ExpanderLabError as e:
         print(f"error[{type(e).__name__}]: {e}", file=sys.stderr)
         return EXIT_ERROR

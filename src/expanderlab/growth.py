@@ -27,6 +27,7 @@ from .exact import ModMatrix, mod_inv, row_reduce_mod_p
 from .quotient import (
     GroupTable,
     SubgroupRecord,
+    _first_rows,
     _radix_weights,
     coset_labels,
     levi_mask,
@@ -235,8 +236,7 @@ class ProductFrame:
         return rows @ self.weights
 
     def dedup(self, rows: np.ndarray) -> np.ndarray:
-        _, first = np.unique(self.codes(rows), return_index=True)
-        return rows[np.sort(first)]
+        return _first_rows(rows, self.codes(rows))
 
     def in_kernel(self, rows: np.ndarray) -> np.ndarray:
         """Mask of rows with trivial Levi part in every factor."""
@@ -467,8 +467,7 @@ def _add_orbit(current: np.ndarray, orbit: np.ndarray, p: int) -> np.ndarray:
     sums in order of first appearance."""
     sums = (current[:, None, :] + orbit[None, :, :]) % p
     both = np.concatenate([current, sums.reshape(-1, current.shape[1])], axis=0)
-    _, first = np.unique(_vector_codes(both, p), return_index=True)
-    return both[np.sort(first)]
+    return _first_rows(both, _vector_codes(both, p))
 
 
 def orbit_sum_subspace(action: ModuleAction, v, c_max: int = 24) -> dict:

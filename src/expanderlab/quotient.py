@@ -29,6 +29,9 @@ gather in their tables and map back by a dense pair index (<= ID_INDEX_CAP).
 Subgroups, normal closures and commutator subgroups come from one BFS
 from the identity that multiplies by the generators and conjugates by a
 second id set in each step, deduplicated by a mask, until past half the group.
+Conjugacy classes come from one labelling that lowers each element's label
+to its class's least element; normal subgroups are the normal closures of
+one element per class, joined in pairs unless a found one is the join.
 """
 from __future__ import annotations
 
@@ -437,12 +440,15 @@ def _bfs_table(
     return table
 
 
-def _symmetrize_rows(rows: np.ndarray, inv_rows, weights) -> np.ndarray:
-    inv = inv_rows(rows)
-    both = np.concatenate([rows, inv], axis=0)
-    codes = both @ weights
+def _first_rows(rows: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The first row with each code, in row order."""
     _, first = np.unique(codes, return_index=True)
-    return both[np.sort(first)]
+    return rows[np.sort(first)]
+
+
+def _symmetrize_rows(rows: np.ndarray, inv_rows, weights) -> np.ndarray:
+    both = np.concatenate([rows, inv_rows(rows)], axis=0)
+    return _first_rows(both, both @ weights)
 
 
 def generate_group(
@@ -779,81 +785,57 @@ def is_perfect(G: GroupTable) -> bool:
 
 
 def conjugacy_classes(G: GroupTable) -> list[np.ndarray]:
-    """Conjugation orbits, by BFS under conjugation with the generators."""
+    """Conjugation orbits, ordered by least element, each sorted.
+
+    Each round lowers every label to its conjugates' labels under the
+    generators, then to its label's label.  A label only falls and never
+    leaves its class; once a round changes nothing, labels are constant
+    on classes, so each is its class's least element.
+    """
     conj_perms = [G.conj_perm(int(s)) for s in G.generator_ids]
-    seen = np.zeros(G.order, dtype=bool)
-    classes = []
-    for start in range(G.order):
-        if seen[start]:
-            continue
-        seen[start] = True
-        orbit = [start]
-        frontier = np.array([start], dtype=np.int64)
-        while frontier.size:
-            nxt = np.unique(np.concatenate([cp[frontier] for cp in conj_perms]))
-            nxt = nxt[~seen[nxt]]
-            seen[nxt] = True
-            orbit.append(nxt)
-            frontier = nxt
-        classes.append(np.sort(np.concatenate([np.atleast_1d(o) for o in orbit])))
-    return classes
+    label, prev = np.arange(G.order, dtype=np.int64), None
+    while not np.array_equal(label, prev):
+        prev = label
+        for cp in conj_perms:
+            label = np.minimum(label, label[cp])
+        label = label[label]
+    by_class = np.argsort(label, kind="stable")
+    return np.split(by_class, np.flatnonzero(np.diff(label[by_class])) + 1)
 
 
 def normal_subgroups(G: GroupTable, cap: int = 100_000) -> list[SubgroupRecord]:
-    """All normal subgroups, as joins of normal closures of conjugacy classes."""
+    """All normal subgroups, as joins of normal closures of conjugacy classes.
+
+    Each sweep joins the pairs whose later side is new since the last one.
+    A pair runs no closure when a found subgroup holds both sides and has
+    their join's order |N_i||N_j| / |N_i & N_j|: that subgroup is the join.
+    """
     if G.order > cap:
         raise SizeCapExceeded(f"normal subgroup enumeration capped at {cap}")
-    found: dict[bytes, list[int]] = {}
-    masks: dict[bytes, np.ndarray] = {}
-    tried: set[tuple[int, ...]] = set()
+    found: dict[bytes, tuple[list[int], np.ndarray, np.ndarray]] = {}
 
-    def register(gen_set: list[int]) -> bool:
-        probe = tuple(sorted(set(gen_set)))
-        if probe in tried:
-            return False
-        tried.add(probe)
-        ids = _closure_ids(G, gen_set, G.generator_ids)
-        key = ids.tobytes()
-        if key in found:
-            return False
-        found[key] = sorted(set(gen_set))
-        masks[key] = G.mask(ids)
-        return True
+    def register(seeds: list[int]) -> None:
+        ids = _closure_ids(G, seeds, G.generator_ids)
+        found.setdefault(ids.tobytes(), (seeds, ids, G.mask(ids)))
 
     register([])
     for cls in conjugacy_classes(G):
         register([int(cls[0])])
-    # close under pairwise joins; skip pairs where one side already
-    # contains the other's generators (the join is the bigger one)
-    while True:
-        items = list(found.items())
-        grew = False
-        for i in range(len(items)):
-            ki, gi = items[i]
-            for j in range(i + 1, len(items)):
-                kj, gj = items[j]
-                if (gj and masks[ki][gj].all()) or (gi and masks[kj][gi].all()) or not (gi and gj):
-                    continue
-                if register(gi + gj):
-                    grew = True
-        if not grew:
-            break
-    records = []
-    for key, gen_set in found.items():
-        ids = np.frombuffer(key, dtype=np.int64)
-        records.append(
-            SubgroupRecord(
-                parent=G,
-                generator_ids=np.array(gen_set, dtype=np.int64),
-                element_ids=ids.copy(),
-                member=masks[key],
-                index=G.order // len(ids),
-                normal=True,
-                perfect=False,
-            )
-        )
-    records.sort(key=lambda r: (r.size, r.element_ids.tobytes()))
-    return records
+    done = 0
+    while done < len(found):
+        items = list(found.values())
+        for i, (si, ids_i, mi) in enumerate(items):
+            for sj, ids_j, _ in items[max(i + 1, done):]:
+                seeds = sorted(set(si + sj))
+                order = ids_i.size * ids_j.size // int(mi[ids_j].sum())
+                if not any(ids.size == order and m[seeds].all() for _, ids, m in found.values()):
+                    register(seeds)
+        done = len(items)
+    records = [
+        SubgroupRecord(G, np.array(seeds, dtype=np.int64), ids, member, G.order // ids.size, normal=True)
+        for seeds, ids, member in found.values()
+    ]
+    return sorted(records, key=lambda r: (r.size, r.element_ids.tobytes()))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from expanderlab.quotient import (
     ID_INDEX_CAP,
     SemidirectSpec,
     borel_subgroup,
+    conjugacy_classes,
     coset_labels,
     cyclic_group,
     direct_product,
@@ -32,6 +33,7 @@ from expanderlab.quotient import (
     is_perfect,
     lower_central_series,
     normal_closure,
+    normal_subgroups,
     product_decompose,
     semidirect_group,
     subgroup_closure,
@@ -824,6 +826,55 @@ def test_lower_central_series_is_the_chain_of_all_commutator_subgroups(U):
     got = lower_central_series(U)
     assert [len(c) for c in got] == [len(c) for c in want]
     assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+# ----- conjugacy classes and normal subgroups -----
+
+CLASS_TABLES = {
+    "sl2 mod 5": CLOSURE_TABLES["sl2 mod 5"],
+    "sl2 mod 7": generate_group(builtin_generators("lubotzky3"), 7),
+    "heisenberg 5": SPECTRUM_TABLES["heisenberg 5"],
+    "cyclic 4 x cyclic 6": CLOSURE_TABLES["cyclic 4 x cyclic 6"],
+    # no inverses among the generators, so conjugation by them alone must
+    # reach every conjugate
+    "non-symmetric pair mod 7": generate_group(
+        [ModMatrix([[1, 1], [0, 1]], 7), ModMatrix([[1, 0], [1, 1]], 7)], 7, symmetrize=False
+    ),
+}
+
+
+def brute_classes(G):
+    """The sets {g x g^-1 : g in G}, ordered by least element."""
+    conj = all_conjugates(G, np.arange(G.order))
+    return sorted({tuple(np.unique(conj[:, x]).tolist()) for x in range(G.order)})
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_TABLES))
+def test_conjugacy_classes_are_the_sets_of_all_conjugates(name):
+    G = CLASS_TABLES[name]
+    got = conjugacy_classes(G)
+    assert all(c.dtype == np.int64 for c in got)
+    assert [tuple(c.tolist()) for c in got] == brute_classes(G)
+
+
+@pytest.mark.parametrize("G", [
+    CLASS_TABLES["sl2 mod 5"], heisenberg_group(3), cyclic_group(12),
+    direct_product(cyclic_group(2), direct_product(cyclic_group(2), cyclic_group(2))),
+], ids=["sl2 mod 5", "heisenberg 3", "cyclic 12", "cyclic 2 cubed"])
+def test_normal_subgroups_are_the_unions_of_classes_closed_under_products(G):
+    classes = [np.array(c, dtype=np.int64) for c in brute_classes(G) if c != (G.identity_id,)]
+    want = []
+    for picks in itertools.product([False, True], repeat=len(classes)):
+        S = np.sort(np.concatenate([[G.identity_id]] + [c for c, on in zip(classes, picks) if on]))
+        if np.isin(G.mul_vec(S[:, None], S), S).all():
+            want.append(S)
+    want.sort(key=lambda S: (S.size, S.tobytes()))
+    got = normal_subgroups(G)
+    assert [H.element_ids.tolist() for H in got] == [S.tolist() for S in want]
+    for H in got:
+        assert np.array_equal(H.element_ids, normal_closure(G, H.generator_ids))
+        assert np.array_equal(H.member, G.mask(H.element_ids))
+        assert H.normal and H.index == G.order // H.size
 
 
 # ----- orbit sums -----

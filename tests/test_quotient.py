@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from expanderlab.cli import builtin_generators
 from expanderlab.errors import (
     BadPrime,
     HypothesisViolated,
@@ -254,6 +255,23 @@ def test_normal_subgroups_sl2_5(sl2_5):
 def test_normal_subgroups_mod35(sl2_35):
     sizes = [H.size for H in normal_subgroups(sl2_35)]
     assert sizes == [1, 2, 2, 2, 4, 120, 240, 336, 672, 40320]
+
+
+@pytest.mark.parametrize("make,records", [
+    (lambda: generate_group(builtin_generators("lubotzky3"), 35),
+     [(1, []), (2, [40201]), (2, [40212]), (2, [40319]), (4, [40201, 40212]),
+      (120, [1579]), (240, [139]), (336, [203]), (672, [596]), (40320, [1])]),
+    (lambda: generate_group(builtin_generators("sanov2"), 35),
+     [(1, []), (2, [40269]), (2, [611]), (2, [21186]), (4, [611, 21186]),
+      (120, [1764]), (240, [9730]), (336, [210]), (672, [492]), (40320, [1])]),
+    # the whole group is a join of joins, found in the second sweep
+    (lambda: direct_product(cyclic_group(2), direct_product(cyclic_group(2), cyclic_group(2))),
+     [(1, [])] + [(2, [i]) for i in range(1, 8)]
+     + [(4, [1, 2]), (4, [1, 3]), (4, [1, 6]), (4, [2, 3]), (4, [2, 5]), (4, [3, 4]), (4, [4, 5]),
+        (8, [1, 2, 3])]),
+], ids=["lubotzky3 mod 35", "sanov2 mod 35", "cyclic 2 cubed"])
+def test_normal_subgroup_records_are_pinned(make, records):
+    assert [(H.size, H.generator_ids.tolist()) for H in normal_subgroups(make())] == records
 
 
 def test_factor_product_form(sl2_35):
