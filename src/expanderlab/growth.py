@@ -82,6 +82,8 @@ class ElementSet:
 
 def random_symmetric_set(table: GroupTable, size: int, rng: np.random.Generator) -> ElementSet:
     """Symmetric set containing the identity, of at least the asked size."""
+    if size > table.order:
+        raise ValueError(f"a set of {size} elements does not fit in a group of order {table.order}")
     picks = rng.integers(0, table.order, size=max(size // 2, 1))
     member = table.mask(np.concatenate([picks, table.inv_vec(picks), [table.identity_id]]))
     count = int(member.sum())

@@ -266,7 +266,7 @@ class GroupTable:
         """The per-prime images of a matrix table, each closed mod its prime."""
         d, rows = self.meta["dim"], self.digits[self.generator_ids]
         gens = [(p, [ModMatrix(r.reshape(d, d).tolist(), p) for r in rows[:, c]]) for p, c in _prime_blocks(self)]
-        return [generate_group(mats, p, min_prime=p) for p, mats in gens]
+        return [generate_group(mats, p) for p, mats in gens]
 
     def _via_factors(self, method: str, *ids: np.ndarray) -> np.ndarray | None:
         """mul_vec or inv_vec through the per-prime factors; None off that path."""
@@ -457,7 +457,6 @@ def generate_group(
     *,
     symmetrize: bool = True,
     cap: int | None = None,
-    min_prime: int = MIN_PRIME,
 ) -> GroupTable:
     """BFS closure of the generators inside the mod-q matrix group.
 
@@ -472,9 +471,9 @@ def generate_group(
     if not gens:
         raise ValueError("need at least one generator")
     primes = square_free_factors(q)
-    low = [p for p in primes if p < min_prime]
+    low = [p for p in primes if p < MIN_PRIME]
     if low:
-        raise BadPrime(f"prime factors {low} below the working threshold {min_prime}")
+        raise BadPrime(f"prime factors {low} below the working threshold {MIN_PRIME}")
     mats: list[list[ModMatrix]] = []
     denom_primes: set[int] = set()
     for g in gens:

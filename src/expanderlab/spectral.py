@@ -24,6 +24,10 @@ DENSE_EIG_CAP = 5000
 CLUSTER_TOL = 1e-6
 
 
+def _zeros(n: int, exact: bool) -> np.ndarray:
+    return np.array([Fraction(0)] * n, dtype=object) if exact else np.zeros(n)
+
+
 class Measure:
     """Probability measure on a group table, dense weights indexed by id."""
 
@@ -34,26 +38,14 @@ class Measure:
 
     @classmethod
     def point(cls, table: GroupTable, gid: int = 0, exact: bool = False) -> "Measure":
-        if exact:
-            w = np.array([Fraction(0)] * table.order, dtype=object)
-            w[gid] = Fraction(1)
-        else:
-            w = np.zeros(table.order)
-            w[gid] = 1.0
-        return cls(table, w, exact)
+        return cls.uniform_on(table, [gid], exact)
 
     @classmethod
     def uniform_on(cls, table: GroupTable, ids: Sequence[int], exact: bool = False) -> "Measure":
-        ids = np.asarray(ids, dtype=np.int64)
-        if exact:
-            w = np.array([Fraction(0)] * table.order, dtype=object)
-            share = Fraction(1, len(ids))
-            # a multiset is allowed: repeated ids accumulate weight
-            for i in ids.tolist():
-                w[i] += share
-        else:
-            w = np.zeros(table.order)
-            np.add.at(w, ids, 1.0 / len(ids))
+        w = _zeros(table.order, exact)
+        # a multiset is allowed: repeated ids accumulate weight
+        share = Fraction(1, len(ids)) if exact else 1.0 / len(ids)
+        np.add.at(w, np.asarray(ids, dtype=np.int64), share)
         return cls(table, w, exact)
 
     @classmethod
@@ -85,10 +77,7 @@ def convolve(mu: Measure, nu: Measure) -> Measure:
     G = mu.table
     if mu.exact != nu.exact:
         raise TableMismatch("cannot mix exact and float measures")
-    if mu.exact:
-        out = np.array([Fraction(0)] * G.order, dtype=object)
-    else:
-        out = np.zeros(G.order)
+    out = _zeros(G.order, mu.exact)
     supp_mu = np.nonzero(mu.weights)[0]
     supp_nu = np.nonzero(nu.weights)[0]
     if len(supp_nu) <= len(supp_mu):

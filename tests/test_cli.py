@@ -16,6 +16,7 @@ from expanderlab.cli import (
     EXIT_ASSERTION,
     EXIT_ERROR,
     EXIT_OK,
+    build_parser,
     builtin_generators,
     main,
     parse_generators,
@@ -45,13 +46,6 @@ def test_parse_generators(tmp_path):
     assert len(mats) == 2
     assert list(primes) == [3]
     assert mats[0] == RationalMatrix([["1", "1/3"], ["0", "1"]])
-
-
-def test_parse_generators_symmetrize(tmp_path):
-    path = write(tmp_path, "g.txt", GOOD_FILE)
-    mats, _ = parse_generators(path, symmetrize=True)
-    assert len(mats) == 4
-    assert mats[0].inverse() in mats
 
 
 def test_parse_generators_comments_and_blanks(tmp_path):
@@ -173,6 +167,17 @@ def test_growth_deterministic(tmp_path):
     args[-3] = "10"  # different seed
     assert main(args + ["--out", str(other)]) == EXIT_OK
     assert a.read_bytes() != other.read_bytes()
+
+
+def test_growth_set_larger_than_the_group_exits_1(capsys):
+    # SL2(F_5) has 120 elements: 120 is the whole group, 121 cannot be drawn
+    base = ["growth", "--builtin", "lubotzky3", "--q", "5", "--samples", "1", "--set-size"]
+    assert main([*base, "120"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "0,120,120,1"
+    assert main([*base, "121"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error[ValueError]: a set of 121 elements does not fit in a group of order 120\n"
 
 
 def test_json_output(tmp_path):
@@ -425,6 +430,20 @@ def test_threads_flag_sets_the_blas_variables(monkeypatch, capsys):
     assert main(args + ["--threads", "3"]) == EXIT_OK
     assert capsys.readouterr().out == report
     assert [os.environ.get(var) for var in names] == ["3", "3", "3"]
+
+
+# Every CLI flag: adding or removing one is a deliberate edit here
+OPTIONS = [
+    "--builtin", "--exact", "--gens", "--lmax", "--out", "--p", "--q", "--samples",
+    "--seed", "--set-size", "--subgroup", "--threads",
+]
+
+
+def test_option_list_is_stable():
+    actions = build_parser()._actions
+    flags = [f for a in actions for f in a.option_strings if f not in ("-h", "--help")]
+    assert sorted(flags) == OPTIONS
+    assert [a.dest for a in actions if not a.option_strings] == ["command"]
 
 
 def test_readme_python_blocks_run(capsys):

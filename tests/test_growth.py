@@ -96,6 +96,13 @@ def test_random_symmetric_set(sl2_5):
     assert A.member[inv].all()
 
 
+def test_random_symmetric_set_at_most_the_group(sl2_5):
+    # size == order draws the whole group; one more cannot be drawn
+    assert random_symmetric_set(sl2_5, 120, np.random.default_rng(0)).size == 120
+    with pytest.raises(ValueError, match="a set of 121 elements does not fit in a group of order 120"):
+        random_symmetric_set(sl2_5, 121, np.random.default_rng(0))
+
+
 # sha256 of the drawn ids followed by the next 8 bytes of the generator:
 # the set and the draws it consumes are both pinned, so every growth
 # report built on these sets stays the same.  A q of 5 to 11 is SL2(F_q)

@@ -2,9 +2,9 @@
 the coset labeller, the table id lookup, the block spectrum, the
 translations and ball radii the BFS records and the walks that use them,
 the products through the per-prime factors of composite tables, the
-subgroup and normal closures and the lower central series, each against
-a brute-force oracle, plus guards on the BFS element order and the
-package's public names."""
+measure constructors, the subgroup and normal closures and the lower
+central series, each against a brute-force oracle, plus guards on the
+BFS element order and the package's public names."""
 import hashlib
 import itertools
 from fractions import Fraction
@@ -489,6 +489,23 @@ def test_exact_walk_steps_keep_mass_1_and_are_convolutions(name, data):
     nu = Measure.uniform_on(G, support, exact=True)
     chi_inv = generator_measure(G, G.inv_vec(picks), exact=True)
     assert (walk_step(nu, picks).weights == convolve(chi_inv, nu).weights).all()
+
+
+C24 = cyclic_group(24)
+
+
+@FEW
+@given(ids=st.lists(st.integers(0, 23), min_size=1, max_size=12), g=st.integers(0, 23))
+def test_uniform_on_weighs_each_id_by_its_count_and_point_is_one_id(ids, g):
+    G = C24
+    w = Measure.uniform_on(G, ids, exact=True).weights
+    assert all(type(x) is Fraction for x in w)
+    assert w.tolist() == [Fraction(ids.count(i), len(ids)) for i in range(G.order)]
+    assert sum(w) == 1
+    for exact in (False, True):
+        point, one = Measure.point(G, g, exact).weights, Measure.uniform_on(G, [g], exact).weights
+        assert point.dtype == one.dtype and [type(x) for x in point] == [type(x) for x in one]
+        assert point.tolist() == one.tolist() == [int(i == g) for i in range(G.order)]
 
 
 # ----- BFS-recorded translations and the walks that use them -----

@@ -351,6 +351,22 @@ def test_index_product_check(sl2_35):
     assert rep["lhs"] >= 1
 
 
+def test_index_product_check_on_a_product_table():
+    F5, F7 = (generate_group(builtin_generators("lubotzky3"), p) for p in (5, 7))
+    G = direct_product(F5, F7)
+    k1 = F5.digits.shape[1]
+    gens = [int(i) for i in G.generator_ids]
+    # <first two generators> is a cyclic group of order 5 inside the SL2(F_5) factor
+    for ids, index in ((gens[:2], 8064), (gens, 1)):
+        H = subgroup_closure(G, ids, flags=False)
+        rows = G.digits[H.element_ids].tolist()
+        # [G_p : pi_p(H)] from the distinct projections, one element at a time
+        images = len({tuple(r[:k1]) for r in rows}), len({tuple(r[k1:]) for r in rows})
+        lhs = F5.order // images[0] * (F7.order // images[1])
+        rep = index_product_check(G, H)
+        assert rep["lhs"] == lhs == index and rep["rhs"] == H.index == index
+
+
 def test_index_product_check_duplicate_primes():
     t = generate_group(lubotzky_gens(), 5)
     GG = direct_product(t, t)
