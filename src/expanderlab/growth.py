@@ -2,9 +2,10 @@
 
 Sets of group elements are dense boolean masks over a GroupTable.
 Product sets are computed by exact table lookups over all pairs, in
-chunks, so the cost is the literal pair count; callers control scale
-through the work cap.  The module-action operations (orbit sums, fixed
-vectors) run exact linear algebra mod p on small coordinate arrays.
+chunks, so the cost is the literal pair count, which PAIR_WORK_CAP
+bounds; searches for the least power c or t stop at PRODUCT_DEPTH_CAP.
+The module-action operations (orbit sums, fixed vectors) run exact
+linear algebra mod p on small coordinate arrays.
 """
 from __future__ import annotations
 
@@ -37,6 +38,7 @@ from .quotient import (
 )
 
 PAIR_WORK_CAP = 100_000_000
+PRODUCT_DEPTH_CAP = 24
 CHUNK = 1 << 20
 
 
@@ -96,14 +98,14 @@ def random_symmetric_set(table: GroupTable, size: int, rng: np.random.Generator)
     return ElementSet.from_ids(table, np.flatnonzero(member))
 
 
-def product_set(A: ElementSet, B: ElementSet, work_cap: int = PAIR_WORK_CAP) -> ElementSet:
+def product_set(A: ElementSet, B: ElementSet) -> ElementSet:
     """A.B = {ab}, exact, chunked over all |A|*|B| pairs."""
     if A.parent is not B.parent:
         raise TableMismatch("sets live on different tables")
     G = A.parent
     pairs = A.size * B.size
-    if pairs > work_cap:
-        raise SizeCapExceeded(f"product set needs {pairs} pair lookups, cap {work_cap}")
+    if pairs > PAIR_WORK_CAP:
+        raise SizeCapExceeded(f"product set needs {pairs} pair lookups, cap {PAIR_WORK_CAP}")
     member = np.zeros(G.order, dtype=bool)
     step = max(1, CHUNK // max(B.size, 1))
     for lo in range(0, A.size, step):
@@ -113,13 +115,13 @@ def product_set(A: ElementSet, B: ElementSet, work_cap: int = PAIR_WORK_CAP) -> 
     return ElementSet(parent=G, ids=ids, member=member, symmetric=sym)
 
 
-def product_power(A: ElementSet, n: int, work_cap: int = PAIR_WORK_CAP) -> ElementSet:
+def product_power(A: ElementSet, n: int) -> ElementSet:
     """The n-fold product set A.A...A."""
     if n < 1:
         raise ValueError("need n >= 1")
     out = A
     for _ in range(n - 1):
-        out = product_set(out, A, work_cap)
+        out = product_set(out, A)
     return out
 
 
@@ -262,9 +264,9 @@ class ProductFrame:
             total *= s
         return len(np.unique(self.levi_code(rows))) == total
 
-    def product_rows(self, a: np.ndarray, b: np.ndarray, work_cap: int = PAIR_WORK_CAP) -> np.ndarray:
+    def product_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         pairs = len(a) * len(b)
-        if pairs > work_cap:
+        if pairs > PAIR_WORK_CAP:
             raise SizeCapExceeded(f"frame product needs {pairs} pair lookups")
         # row i len(b) + j is a_i b_j, factor by factor
         out = [t.mul_vec(a[:, i, None], b[:, i]).ravel() for i, t in enumerate(self.factors)]
@@ -287,13 +289,13 @@ def farah_distance(g1: Sequence[int], g2: Sequence[int], kernel_sizes: Sequence[
     )
 
 
-def kernel_displacement(frame: ProductFrame, rows: np.ndarray, work_cap: int = PAIR_WORK_CAP) -> dict:
+def kernel_displacement(frame: ProductFrame, rows: np.ndarray) -> dict:
     """eps_hat = max over g in AAA with beta(g) = 1 of d(1, g) / log|Ker beta|."""
     rows = frame.dedup(np.asarray(rows, dtype=np.int64))
     if not frame.projection_onto_levi(rows):
         raise ProjectionNotOnto("the set does not project onto the Levi part")
-    aa = frame.product_rows(rows, rows, work_cap)
-    aaa = frame.product_rows(aa, rows, work_cap)
+    aa = frame.product_rows(rows, rows)
+    aaa = frame.product_rows(aa, rows)
     kernel_rows = aaa[frame.in_kernel(aaa)]
     log_kernel = sum(math.log(k) for k in frame.kernel_sizes)
     ident = frame.identity_row()
@@ -308,8 +310,7 @@ def kernel_displacement(frame: ProductFrame, rows: np.ndarray, work_cap: int = P
     }
 
 
-def normal_closure_product(frame: ProductFrame, rows: np.ndarray, g_row: Sequence[int],
-                           c_max: int = 24, work_cap: int = PAIR_WORK_CAP) -> dict:
+def normal_closure_product(frame: ProductFrame, rows: np.ndarray, g_row: Sequence[int]) -> dict:
     """Smallest c with prod_c {h g h^-1 : h in A} containing the normal
     closure of g.  Preconditions: beta(A) = L, beta(g) = 1, elementary
     abelian kernels acting without one-dimensional composition factors.
@@ -332,11 +333,11 @@ def normal_closure_product(frame: ProductFrame, rows: np.ndarray, g_row: Sequenc
     # oracle: normal closure per factor, combined as a full product
     closure_codes = _product_normal_closure_codes(frame, g_row[0])
     power = conj
-    for c in range(1, c_max + 1):
+    for c in range(1, PRODUCT_DEPTH_CAP + 1):
         covered = np.isin(closure_codes, frame.codes(power)).all()
         if covered:
             return {"c": int(c), "conjugates": len(conj), "closure_size": len(closure_codes)}
-        power = frame.product_rows(power, conj, work_cap)
+        power = frame.product_rows(power, conj)
     return {"c": None, "conjugates": len(conj), "closure_size": len(closure_codes)}
 
 
@@ -472,7 +473,7 @@ def _add_orbit(current: np.ndarray, orbit: np.ndarray, p: int) -> np.ndarray:
     return _first_rows(both, _vector_codes(both, p))
 
 
-def orbit_sum_subspace(action: ModuleAction, v, c_max: int = 24) -> dict:
+def orbit_sum_subspace(action: ModuleAction, v) -> dict:
     """Smallest c for which the c-fold sumset of the orbit H.v contains a
     nonzero H-subspace.  Sums of at most c orbit elements, empty sum
     included, so 0 always belongs."""
@@ -484,7 +485,7 @@ def orbit_sum_subspace(action: ModuleAction, v, c_max: int = 24) -> dict:
     p = action.p
     orbit = action.orbit(v)
     current = np.zeros((1, action.dim), dtype=np.int64)  # empty sum
-    for c in range(1, c_max + 1):
+    for c in range(1, PRODUCT_DEPTH_CAP + 1):
         current = _add_orbit(current, orbit, p)
         code_set = set(_vector_codes(current, p).tolist())
         found = _contained_subspace(action, current, code_set)
@@ -506,9 +507,9 @@ def _contained_subspace(action: ModuleAction, vectors: np.ndarray, code_set: set
     return None
 
 
-def orbit_sum_span(action: ModuleAction, v, c_bound: int = 24) -> dict:
-    """Minimal c <= c_bound with the c-fold orbit sumset equal to the
-    H-submodule generated by v."""
+def orbit_sum_span(action: ModuleAction, v) -> dict:
+    """Minimal c <= PRODUCT_DEPTH_CAP with the c-fold orbit sumset equal
+    to the H-submodule generated by v."""
     _reject_one_dim_module(action)
     v = np.asarray(v, dtype=np.int64) % action.p
     if not v.any():
@@ -518,7 +519,7 @@ def orbit_sum_span(action: ModuleAction, v, c_bound: int = 24) -> dict:
     target_codes = np.unique(_vector_codes(target, p))
     orbit = action.orbit(v)
     current = np.zeros((1, action.dim), dtype=np.int64)
-    for c in range(1, c_bound + 1):
+    for c in range(1, PRODUCT_DEPTH_CAP + 1):
         current = _add_orbit(current, orbit, p)
         if len(current) == len(target_codes):
             return {"c": c, "holds": True, "submodule_size": len(target_codes)}
@@ -552,7 +553,7 @@ def _derived_cosets(U: GroupTable) -> tuple[np.ndarray, int]:
     return labels, int(labels.max()) + 1
 
 
-def nilpotent_recover(U: GroupTable, A: ElementSet, t_max: int = 24) -> dict:
+def nilpotent_recover(U: GroupTable, A: ElementSet) -> dict:
     """Minimal t with the t-fold product of A equal to the p-group U.
 
     A must cover every coset of [U, U]; the series check makes the
@@ -567,7 +568,7 @@ def nilpotent_recover(U: GroupTable, A: ElementSet, t_max: int = 24) -> dict:
             f"set covers {len(covered)} of {n_cosets} cosets of the derived subgroup"
         )
     power = A
-    for t in range(1, t_max + 1):
+    for t in range(1, PRODUCT_DEPTH_CAP + 1):
         if power.size == U.order:
             return {"t": t, "covered": True}
         power = product_set(power, A)

@@ -63,17 +63,12 @@ from .exact import (
     square_free_factors,
 )
 
-DEFAULT_ELEMENT_CAP = 2_000_000
+DEFAULT_ELEMENT_CAP = 2_000_000  # EXPANDERLAB_CAP_ELEMS overrides it
 ID_INDEX_CAP = 1 << 25
 PRODUCT_TABLE_CAP = 4096
+NORMAL_SUBGROUP_CAP = 100_000
+CENTRAL_SERIES_CAP = 4096
 MIN_PRIME = 5
-
-
-def element_cap(override: int | None = None) -> int:
-    if override is not None:
-        return int(override)
-    env = os.environ.get("EXPANDERLAB_CAP_ELEMS")
-    return int(env) if env else DEFAULT_ELEMENT_CAP
 
 
 def _modpow_vec(base: np.ndarray, exp: int, p: int) -> np.ndarray:
@@ -404,9 +399,8 @@ def _bfs_table(
     inv_rows,
     kind: str,
     meta: dict,
-    cap: int | None = None,
 ) -> GroupTable:
-    cap = element_cap(cap)
+    cap = int(os.environ.get("EXPANDERLAB_CAP_ELEMS") or DEFAULT_ELEMENT_CAP)
     weights = _radix_weights(radices)
     index = _IdIndex(int(weights[-1]) * int(radices[-1]), int(start_row @ weights))
     levels = [start_row.reshape(1, -1)]
@@ -451,13 +445,7 @@ def _symmetrize_rows(rows: np.ndarray, inv_rows, weights) -> np.ndarray:
     return _first_rows(both, both @ weights)
 
 
-def generate_group(
-    gens: Sequence,
-    q: int | None = None,
-    *,
-    symmetrize: bool = True,
-    cap: int | None = None,
-) -> GroupTable:
+def generate_group(gens: Sequence, q: int | None = None, *, symmetrize: bool = True) -> GroupTable:
     """BFS closure of the generators inside the mod-q matrix group.
 
     gens may be RationalMatrix values (reduced mod every prime factor of
@@ -512,7 +500,7 @@ def generate_group(
         "dim": d,
         "denominator_primes": sorted(denom_primes),
     }
-    return _bfs_table(ident, rows, radices, mul_rows, inv_rows, "matrix", meta, cap)
+    return _bfs_table(ident, rows, radices, mul_rows, inv_rows, "matrix", meta)
 
 
 def ids_of_matrices(G: GroupTable, mats: Sequence[RationalMatrix]) -> np.ndarray:
@@ -589,7 +577,7 @@ class SemidirectSpec:
                     )
 
 
-def semidirect_group(spec: SemidirectSpec, cap: int | None = None) -> GroupTable:
+def semidirect_group(spec: SemidirectSpec) -> GroupTable:
     p = spec.p
     d = spec.l_gens[0].dim
     u_len = 3 if spec.u_kind == "heisenberg" else spec.u_dim
@@ -646,10 +634,10 @@ def semidirect_group(spec: SemidirectSpec, cap: int | None = None) -> GroupTable
         "action": spec.action,
         "l_digits": dd,
     }
-    return _bfs_table(ident, rows, radices, mul, inv, "semidirect", meta, cap)
+    return _bfs_table(ident, rows, radices, mul, inv, "semidirect", meta)
 
 
-def direct_product(t1: GroupTable, t2: GroupTable, cap: int | None = None) -> GroupTable:
+def direct_product(t1: GroupTable, t2: GroupTable) -> GroupTable:
     """Explicit direct product table (for modest factor sizes)."""
     k1 = t1.digits.shape[1]
 
@@ -677,7 +665,7 @@ def direct_product(t1: GroupTable, t2: GroupTable, cap: int | None = None) -> Gr
         "factors": (t1, t2),
         "split": k1,
     }
-    return _bfs_table(ident, rows, radices, mul, inv, "product", meta, cap)
+    return _bfs_table(ident, rows, radices, mul, inv, "product", meta)
 
 
 # ---------------------------------------------------------------------------
@@ -802,15 +790,15 @@ def conjugacy_classes(G: GroupTable) -> list[np.ndarray]:
     return np.split(by_class, np.flatnonzero(np.diff(label[by_class])) + 1)
 
 
-def normal_subgroups(G: GroupTable, cap: int = 100_000) -> list[SubgroupRecord]:
+def normal_subgroups(G: GroupTable) -> list[SubgroupRecord]:
     """All normal subgroups, as joins of normal closures of conjugacy classes.
 
     Each sweep joins the pairs whose later side is new since the last one.
     A pair runs no closure when a found subgroup holds both sides and has
     their join's order |N_i||N_j| / |N_i & N_j|: that subgroup is the join.
     """
-    if G.order > cap:
-        raise SizeCapExceeded(f"normal subgroup enumeration capped at {cap}")
+    if G.order > NORMAL_SUBGROUP_CAP:
+        raise SizeCapExceeded(f"normal subgroup enumeration capped at {NORMAL_SUBGROUP_CAP}")
     found: dict[bytes, tuple[list[int], np.ndarray, np.ndarray]] = {}
 
     def register(seeds: list[int]) -> None:
@@ -915,7 +903,7 @@ def small_lifts(
     return out
 
 
-def lower_central_series(U: GroupTable, cap: int = 4096) -> list[np.ndarray]:
+def lower_central_series(U: GroupTable) -> list[np.ndarray]:
     """Chain gamma_1 = U, gamma_{i+1} = <[U, gamma_i]>, down to the identity.
 
     gamma_{i+1} is the normal closure of the [s, x], s a generator and x in
@@ -924,8 +912,8 @@ def lower_central_series(U: GroupTable, cap: int = 4096) -> list[np.ndarray]:
     fac = prime_factors(U.order)
     if len(fac) != 1:
         raise NotPGroup(f"order {U.order} is not a prime power")
-    if U.order > cap:
-        raise SizeCapExceeded(f"lower central series capped at {cap} elements")
+    if U.order > CENTRAL_SERIES_CAP:
+        raise SizeCapExceeded(f"lower central series capped at {CENTRAL_SERIES_CAP} elements")
     chain = [np.arange(U.order, dtype=np.int64)]
     S = U.generator_ids
     while len(chain[-1]) > 1:
@@ -1001,26 +989,29 @@ def _single_prime_dim2(G: GroupTable) -> int:
     return G.meta["primes"][0]
 
 
+def _named_subgroup(G: GroupTable, name: str, rows: list[list[int]]) -> SubgroupRecord:
+    try:
+        ids = G.id_of_rows(np.array(rows, dtype=np.int64))
+    except NotInGroup:
+        raise NotInGroup(
+            f"the {name} subgroup is not inside this group of order {G.order}; "
+            "name a subgroup with --subgroup file:PATH"
+        ) from None
+    return subgroup_closure(G, ids, flags=False)
+
+
 def borel_subgroup(G: GroupTable) -> SubgroupRecord:
     """Upper triangular subgroup of a 2x2 mod-p table, order p(p-1)."""
     p = _single_prime_dim2(G)
     g0 = _primitive_root(p)
-    rows = np.array(
-        [
-            [g0, 0, 0, pow(g0, p - 2, p)],
-            [1, 1, 0, 1],
-        ],
-        dtype=np.int64,
-    )
-    return subgroup_closure(G, G.id_of_rows(rows), flags=False)
+    return _named_subgroup(G, "borel", [[g0, 0, 0, pow(g0, p - 2, p)], [1, 1, 0, 1]])
 
 
 def torus_subgroup(G: GroupTable) -> SubgroupRecord:
     """Diagonal subgroup of a 2x2 mod-p table, order p-1."""
     p = _single_prime_dim2(G)
     g0 = _primitive_root(p)
-    rows = np.array([[g0, 0, 0, pow(g0, p - 2, p)]], dtype=np.int64)
-    return subgroup_closure(G, G.id_of_rows(rows), flags=False)
+    return _named_subgroup(G, "torus", [[g0, 0, 0, pow(g0, p - 2, p)]])
 
 
 def verify_normal_perfect(G: GroupTable) -> dict:

@@ -21,7 +21,9 @@ from .quotient import GroupTable, SubgroupRecord, coset_labels
 
 EXACT_CAP = 10_000
 DENSE_EIG_CAP = 5000
+MAX_EIGS = 20
 CLUSTER_TOL = 1e-6
+ESCAPE_EPSILON = 0.01
 
 
 def _zeros(n: int, exact: bool) -> np.ndarray:
@@ -249,12 +251,11 @@ def escape_profile(
     H: SubgroupRecord,
     l_max: int,
     gen_ids: Sequence[int] | None = None,
-    epsilon: float = 0.01,
 ) -> EscapeReport:
     """Track m_l = max_g chi^(l)(gH) along the walk.
 
     The walk has escaped once the heaviest coset carries no more than
-    2/[G:H] + epsilon, the stationary share with room to spare.
+    2/[G:H] + ESCAPE_EPSILON, the stationary share with room to spare.
     """
     ids = [int(x) for x in (G.generator_ids if gen_ids is None else gen_ids)]
     labels = coset_labels(G, H.element_ids)
@@ -272,9 +273,9 @@ def escape_profile(
                 max_coset_mass=float(coset_mass.max()),
             )
         )
-    target = 2.0 / H.index + epsilon
+    target = 2.0 / H.index + ESCAPE_EPSILON
     settled = bool(rows and rows[-1].max_coset_mass <= target)
-    return EscapeReport(rows=rows, index=H.index, settled=settled, epsilon=epsilon)
+    return EscapeReport(rows=rows, index=H.index, settled=settled, epsilon=ESCAPE_EPSILON)
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +327,11 @@ class SpectrumReport:
     bottom: np.ndarray | None = None  # most negative eigenvalues, ascending
 
 
-def _cluster(values: np.ndarray, tol: float = CLUSTER_TOL) -> list[tuple[float, int]]:
+def _cluster(values: np.ndarray) -> list[tuple[float, int]]:
     clusters = []
     start = 0
     for i in range(1, len(values) + 1):
-        if i == len(values) or values[i - 1] - values[i] > tol:
+        if i == len(values) or values[i - 1] - values[i] > CLUSTER_TOL:
             block = values[start:i]
             clusters.append((float(block.mean()), len(block)))
             start = i
@@ -347,8 +348,6 @@ def _block_eigenvalues(graph: CayleyGraph) -> np.ndarray:
     B_(m-k) is the conjugate of B_k, so only k <= m/2 is solved.
     """
     n = graph.order
-    if n > DENSE_EIG_CAP:
-        raise SizeCapExceeded(f"dense eigensolve capped at {DENSE_EIG_CAP} vertices")
     orders = []
     for p in graph.perms:
         x, m = int(p[0]), 1  # p applied a times sends the identity to s^a
@@ -376,28 +375,23 @@ def _block_eigenvalues(graph: CayleyGraph) -> np.ndarray:
     return np.sort(np.concatenate(vals))[::-1]
 
 
-def spectrum(
-    graph: CayleyGraph,
-    max_eigs: int = 20,
-    dense_cap: int = DENSE_EIG_CAP,
-    tol: float = CLUSTER_TOL,
-) -> SpectrumReport:
+def spectrum(graph: CayleyGraph) -> SpectrumReport:
     """Eigenvalues of the normalized adjacency operator.
 
-    Small graphs get the full spectrum, from the n/m-sized blocks that a
-    generator of order m splits T into (see _block_eigenvalues).  Larger
-    ones fall back to an implicitly restarted Lanczos run (ARPACK) on the
-    permutation-action operator, returning the extreme eigenvalues from
-    both ends of the spectrum and flagging the report as partial.
+    Graphs of at most DENSE_EIG_CAP vertices get the full spectrum, from
+    the n/m-sized blocks that a generator of order m splits T into (see
+    _block_eigenvalues).  Larger ones fall back to an implicitly restarted
+    Lanczos run (ARPACK) on the permutation-action operator, returning the
+    top MAX_EIGS eigenvalues and the bottom few, flagged as partial.
     """
     n = graph.order
-    if n <= dense_cap:
+    if n <= DENSE_EIG_CAP:
         report = SpectrumReport(eigenvalues=_block_eigenvalues(graph))
     else:
         from scipy.sparse.linalg import LinearOperator, eigsh
 
         op = LinearOperator((n, n), matvec=graph.apply, dtype=np.float64)
-        k = min(max_eigs, n - 2)
+        k = min(MAX_EIGS, n - 2)
         v0 = np.cos(np.arange(n) * 0.7) + 1.3  # deterministic start
         top = eigsh(op, k=k, which="LA", v0=v0, tol=1e-11, return_eigenvectors=False)
         bot = eigsh(op, k=min(4, k), which="SA", v0=v0, tol=1e-11, return_eigenvectors=False)
@@ -406,7 +400,7 @@ def spectrum(
     vals = report.eigenvalues
     if abs(vals[0] - 1.0) > 1e-9:
         raise ValueError("leading eigenvalue is not 1; operator is broken")
-    report.clusters = _cluster(vals, tol)
+    report.clusters = _cluster(vals)
     report.lam2 = float(vals[1]) if len(vals) > 1 else float("nan")
     low = report.bottom[0] if report.partial else vals[-1]
     report.lam_star = float(max(abs(report.lam2), abs(low)))

@@ -14,6 +14,8 @@ from typing import Callable, Iterator, Sequence, TypeVar
 from .errors import ZeroVector
 from .exact import RationalMatrix
 
+BALL_SCAN_CAP = 12  # longest word fixed_line_fraction and fixed_point_fraction scan
+
 Word = tuple[int, ...]
 State = TypeVar("State")
 
@@ -271,8 +273,8 @@ def fixed_line_fraction(
     w = [Fraction(x) for x in w]
     if all(x == 0 for x in w):
         raise ZeroVector("fixed-line test needs a nonzero vector")
-    if l > 12:
-        raise ValueError("ball scan cap is l <= 12")
+    if l > BALL_SCAN_CAP:
+        raise ValueError(f"ball scan cap is l <= {BALL_SCAN_CAP}")
     if rep == "natural":
         mats = list(gens)
     elif rep == "adjoint":
@@ -292,8 +294,8 @@ def fixed_point_fraction(
 ) -> dict:
     """Count words g in B_l whose affine action x -> rho(g)x + v(g) fixes w."""
     w = [Fraction(x) for x in w]
-    if l > 12:
-        raise ValueError("ball scan cap is l <= 12")
+    if l > BALL_SCAN_CAP:
+        raise ValueError(f"ball scan cap is l <= {BALL_SCAN_CAP}")
     if len(translations) != len(gens):
         raise ValueError("one translation part per generator required")
     return _count_fixing_words(

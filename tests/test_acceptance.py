@@ -229,7 +229,7 @@ def test_c04b_abelian_control():
 def test_c05_multiplicity_floor():
     bad = []
     for p in (5, 7, 11, 13):
-        rep = spectrum(CayleyGraph(sl2(p)), tol=1e-6)
+        rep = spectrum(CayleyGraph(sl2(p)))
         floor = (p - 1) // 2
         for value, size in rep.clusters:
             if abs(value - 1.0) > 1e-6 and size < floor:

@@ -348,6 +348,20 @@ def test_escape_trivial_subgroup_exits_1(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["escape", "walk"])
+@pytest.mark.parametrize("name", ["borel", "torus"])
+def test_named_subgroup_outside_the_group_exits_1(command, name, tmp_path, capsys):
+    gens = tmp_path / "unipotent.txt"
+    gens.write_text("dim 2\nprimes\n1 2 0 1\n1 2 0 1\n")  # order 13 mod 13
+    assert main([command, "--q", "13", "--gens", str(gens), "--subgroup", name]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error[NotInGroup]: the {name} subgroup is not inside this group of order 13; "
+        "name a subgroup with --subgroup file:PATH\n"
+    )
+
+
 @pytest.mark.parametrize("p", ["0", "1", "4", "6"])
 def test_lemmas_p_must_be_a_prime_from_5(p, monkeypatch, capsys):
     def no_table(*args, **kwargs):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from expanderlab import growth
 from expanderlab.cli import builtin_generators
 from expanderlab.errors import (
     FixedVectorExists,
@@ -147,10 +148,13 @@ def test_product_power(sl2_5):
     assert set(product_power(A, 3).ids.tolist()) == set(AAA.ids.tolist())
 
 
-def test_product_set_work_cap(sl2_5):
+def test_product_set_work_cap(sl2_5, monkeypatch):
     A = ElementSet.whole_group(sl2_5)
+    monkeypatch.setattr(growth, "PAIR_WORK_CAP", 100)
+    with pytest.raises(SizeCapExceeded, match="14400 pair lookups, cap 100"):
+        product_set(A, A)
     with pytest.raises(SizeCapExceeded):
-        product_set(A, A, work_cap=100)
+        product_power(A, 2)
 
 
 def test_tripling_report(sl2_5):
@@ -235,6 +239,17 @@ def test_frame_section_is_subgroup(frame5):
     assert len(sec) == 120
     prod = frame5.product_rows(sec, sec)
     assert len(prod) == len(sec)
+
+
+def test_frame_product_rows_work_cap(frame5, monkeypatch):
+    sec = frame5.section_rows()
+    monkeypatch.setattr(growth, "PAIR_WORK_CAP", 120 * 120 - 1)
+    with pytest.raises(SizeCapExceeded, match="frame product needs 14400 pair lookups"):
+        frame5.product_rows(sec, sec)
+    with pytest.raises(SizeCapExceeded):
+        kernel_displacement(frame5, sec)
+    monkeypatch.setattr(growth, "PAIR_WORK_CAP", 120 * 120)
+    assert len(frame5.product_rows(sec, sec)) == 120
 
 
 def test_farah_distance():
@@ -353,6 +368,27 @@ def test_orbit_sum_span_rejects_one_dim():
     act = ModuleAction(7, 2, [np.array([[3, 0], [0, 5]])])
     with pytest.raises(HypothesisViolated):
         orbit_sum_span(act, [1, 1])
+
+
+def test_product_depth_cap_leaves_the_power_unfound(frame5, monkeypatch):
+    monkeypatch.setattr(growth, "PRODUCT_DEPTH_CAP", 1)
+    uids = np.nonzero(unipotent_mask(frame5.factors[0]))[0]
+    rep = normal_closure_product(frame5, frame5.section_rows(), [int(uids[1])])
+    assert rep == {"c": None, "conjugates": 24, "closure_size": 25}  # c = 2 uncapped
+    U = heisenberg_group(5)
+    tr = random_transversal(U, np.random.default_rng(9))
+    assert nilpotent_recover(U, tr) == {"t": None, "covered": False}  # t = 2 uncapped
+    monkeypatch.setattr(growth, "PRODUCT_DEPTH_CAP", 2)
+    act = ModuleAction(7, 2, [np.array([[3, 0], [0, 5]])])
+    rep = orbit_sum_subspace(act, [1, 1])  # c = 3 uncapped
+    assert rep["c"] is None and rep["subspace"] is None
+    # a rotation of order 4 on F_7^2 has no invariant line: sums of at most
+    # c of the four vectors +-e_1, +-e_2 reach every vector only at c = 6
+    rot = ModuleAction(7, 2, [np.array([[0, 6], [1, 0]])])
+    monkeypatch.setattr(growth, "PRODUCT_DEPTH_CAP", 5)
+    assert orbit_sum_span(rot, [1, 0]) == {"c": None, "holds": False, "submodule_size": 49}
+    monkeypatch.setattr(growth, "PRODUCT_DEPTH_CAP", 6)
+    assert orbit_sum_span(rot, [1, 0]) == {"c": 6, "holds": True, "submodule_size": 49}
 
 
 # ----- nilpotent recovery -----

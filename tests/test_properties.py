@@ -4,8 +4,9 @@ translations and ball radii the BFS records and the walks that use them,
 the products through the per-prime factors of composite tables, the
 measure constructors, the subgroup and normal closures and the lower
 central series, each against a brute-force oracle, plus guards on the
-BFS element order and the package's public names."""
+BFS element order and the package's public names and signatures."""
 import hashlib
+import inspect
 import itertools
 from fractions import Fraction
 
@@ -931,3 +932,84 @@ def test_public_names_are_stable_and_resolve():
     assert expanderlab.__all__ == sorted(PUBLIC) + ["__version__", "errors"]
     for name in expanderlab._EXPORTS:
         assert getattr(expanderlab, name) is not None
+
+
+# parameters and defaults of every public callable, annotations left out;
+# a new parameter or a changed default is a deliberate API change
+SIGNATURES = {
+    "RationalMatrix": "(rows)",
+    "PrimeSet": "(primes=())",
+    "ModMatrix": "(rows, p)",
+    "reduce_mod_p": "(M, p)",
+    "crt_tuple": "(M, q)",
+    "s_norm": "(M, S)",
+    "square_free_factors": "(q)",
+    "ball_size": "(M, l)",
+    "reduced_words": "(M, l)",
+    "kesten_return": "(M, k)",
+    "kesten_series": "(M, n)",
+    "kesten_upper_bound": "(M, k)",
+    "radial_distribution": "(M, k)",
+    "certify_free": "(gens, L)",
+    "fixed_line_fraction": "(gens, rep, w, l)",
+    "fixed_point_fraction": "(gens, translations, w, l)",
+    "GroupTable": "(digits, radices, mul_rows, inv_rows, generator_ids, kind, meta, index, level_ends)",
+    "generate_group": "(gens, q=None, *, symmetrize=True)",
+    "cyclic_group": "(n)",
+    "heisenberg_group": "(p)",
+    "SemidirectSpec": "(p, l_gens, u_kind='vector', u_dim=2, action='natural')",
+    "semidirect_group": "(spec)",
+    "direct_product": "(t1, t2)",
+    "SubgroupRecord": "(parent, generator_ids, element_ids, member, index, normal, perfect=False)",
+    "subgroup_closure": "(G, gen_ids, *, flags=True)",
+    "normal_closure": "(G, seed_ids)",
+    "normal_subgroups": "(G)",
+    "conjugacy_classes": "(G)",
+    "is_perfect": "(G)",
+    "product_decompose": "(G)",
+    "index_product_check": "(G, H, delta=0.25)",
+    "small_lifts": "(ball, G, H, delta)",
+    "lower_central_series": "(U)",
+    "verify_product_form": "(G, H)",
+    "verify_normal_perfect": "(G)",
+    "verify_factor_product_form": "(G, H)",
+    "borel_subgroup": "(G)",
+    "torus_subgroup": "(G)",
+    "Measure": "(table, weights, exact=False)",
+    "convolve": "(mu, nu)",
+    "walk_powers": "(table, l_max, gen_ids=None, H=None, exact=False)",
+    "flatten_check": "(mu, nu)",
+    "walk_flatten_exponent": "(series, l)",
+    "escape_profile": "(G, H, l_max, gen_ids=None)",
+    "CayleyGraph": "(table, s_ids=None)",
+    "spectrum": "(graph)",
+    "trace_moment": "(graph, l, report=None)",
+    "walk_trace_side": "(graph, l)",
+    "edge_expansion_exact": "(graph)",
+    "cheeger_bracket": "(lam2, degree)",
+    "ElementSet": "(parent, ids, member, symmetric)",
+    "random_symmetric_set": "(table, size, rng)",
+    "product_set": "(A, B)",
+    "tripling_report": "(A)",
+    "chain_inequality": "(A, C)",
+    "gowers_cover": "(B1, B2, B3, d_min)",
+    "ProductFrame": "(factors)",
+    "farah_distance": "(g1, g2, kernel_sizes)",
+    "kernel_displacement": "(frame, rows)",
+    "normal_closure_product": "(frame, rows, g_row)",
+    "ModuleAction": "(p, dim, generators=<factory>)",
+    "orbit_sum_subspace": "(action, v)",
+    "orbit_sum_span": "(action, v)",
+    "nilpotent_recover": "(U, A)",
+    "random_transversal": "(U, rng)",
+    "commutator_identities_check": "(G, trials, seed=0)",
+}
+
+
+def test_public_signatures_are_stable():
+    def bare(obj):
+        sig = inspect.signature(obj)
+        params = [p.replace(annotation=p.empty) for p in sig.parameters.values()]
+        return str(sig.replace(parameters=params, return_annotation=sig.empty))
+
+    assert {name: bare(getattr(expanderlab, name)) for name in expanderlab._EXPORTS} == SIGNATURES

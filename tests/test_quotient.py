@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from expanderlab import quotient
 from expanderlab.cli import builtin_generators
 from expanderlab.errors import (
     BadPrime,
@@ -117,9 +118,14 @@ def test_generate_group_rejects_empty_and_mixed_input():
         generate_group([RationalMatrix.identity(2), RationalMatrix.identity(3)], 5)
 
 
-def test_generate_group_cap():
-    with pytest.raises(SizeCapExceeded):
-        generate_group(lubotzky_gens(), 35, cap=1000)
+def test_generate_group_cap(monkeypatch):
+    monkeypatch.delenv("EXPANDERLAB_CAP_ELEMS", raising=False)
+    monkeypatch.setattr(quotient, "DEFAULT_ELEMENT_CAP", 1000)
+    with pytest.raises(SizeCapExceeded, match="cap of 1000 elements"):
+        generate_group(lubotzky_gens(), 35)
+    # the environment variable wins over the constant; the cap is inclusive
+    monkeypatch.setenv("EXPANDERLAB_CAP_ELEMS", "40320")
+    assert generate_group(lubotzky_gens(), 35).order == 40320
 
 
 def test_group_table_multiplication(sl2_5):
@@ -250,6 +256,14 @@ def test_conjugacy_classes(sl2_5):
 def test_normal_subgroups_sl2_5(sl2_5):
     sizes = [H.size for H in normal_subgroups(sl2_5)]
     assert sizes == [1, 2, 120]
+
+
+def test_normal_subgroups_cap(sl2_5, monkeypatch):
+    monkeypatch.setattr(quotient, "NORMAL_SUBGROUP_CAP", 119)
+    with pytest.raises(SizeCapExceeded, match="enumeration capped at 119"):
+        normal_subgroups(sl2_5)
+    monkeypatch.setattr(quotient, "NORMAL_SUBGROUP_CAP", 120)
+    assert [H.size for H in normal_subgroups(sl2_5)] == [1, 2, 120]
 
 
 def test_normal_subgroups_mod35(sl2_35):
@@ -413,6 +427,15 @@ def test_lower_central_series_heisenberg():
     U = heisenberg_group(5)
     chain = lower_central_series(U)
     assert [len(c) for c in chain] == [125, 5, 1]
+
+
+def test_lower_central_series_cap(monkeypatch):
+    U = heisenberg_group(5)
+    monkeypatch.setattr(quotient, "CENTRAL_SERIES_CAP", 124)
+    with pytest.raises(SizeCapExceeded, match="capped at 124 elements"):
+        lower_central_series(U)
+    monkeypatch.setattr(quotient, "CENTRAL_SERIES_CAP", 125)
+    assert [len(c) for c in lower_central_series(U)] == [125, 5, 1]
 
 
 def test_lower_central_series_rejects_non_p_group(sl2_5):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from expanderlab import spectral
 from expanderlab.errors import SizeCapExceeded
 from expanderlab.exact import RationalMatrix
 from expanderlab.quotient import (
@@ -12,7 +13,6 @@ from expanderlab.quotient import (
     generate_group,
 )
 from expanderlab.spectral import (
-    DENSE_EIG_CAP,
     CayleyGraph,
     Measure,
     cheeger_bracket,
@@ -213,6 +213,15 @@ def test_escape_profile(sl2_5):
     assert abs(m[-1] - 1 / 6) < 0.05
 
 
+def test_escape_epsilon_is_read_per_call(sl2_5, monkeypatch):
+    H = borel_subgroup(sl2_5)
+    # after two steps the heaviest coset holds 0.375 > 2/6 + 0.01
+    assert not escape_profile(sl2_5, H, 2).settled
+    monkeypatch.setattr(spectral, "ESCAPE_EPSILON", 0.05)
+    report = escape_profile(sl2_5, H, 2)
+    assert report.settled and report.epsilon == 0.05
+
+
 # ----- spectra -----
 
 
@@ -258,29 +267,34 @@ def test_trace_moment_small_cyclic():
     assert trace_moment(graph, 1, rep) == pytest.approx(2.5)
 
 
-def test_trace_moment_partial_raises():
+def test_trace_moment_partial_raises(monkeypatch):
     # force a partial spectrum by shrinking the dense cap
+    monkeypatch.setattr(spectral, "DENSE_EIG_CAP", 10)
+    monkeypatch.setattr(spectral, "MAX_EIGS", 6)
     G = cyclic_group(40)
-    rep = spectrum(CayleyGraph(G), max_eigs=6, dense_cap=10)
-    assert rep.partial
+    rep = spectrum(CayleyGraph(G))
+    assert rep.partial and len(rep.eigenvalues) == 6
     with pytest.raises(SizeCapExceeded):
         trace_moment(CayleyGraph(G), 2, rep)
 
 
-def test_partial_spectrum_matches_dense():
+def test_partial_spectrum_matches_dense(monkeypatch):
     G = cyclic_group(60)
     full = spectrum(CayleyGraph(G))
-    part = spectrum(CayleyGraph(G), max_eigs=8, dense_cap=10)
-    assert part.partial
+    monkeypatch.setattr(spectral, "DENSE_EIG_CAP", 10)
+    monkeypatch.setattr(spectral, "MAX_EIGS", 8)
+    part = spectrum(CayleyGraph(G))
+    assert part.partial and len(part.eigenvalues) == 8
     assert part.lam2 == pytest.approx(full.lam2, abs=1e-9)
     for a, b in zip(part.eigenvalues[:6], full.eigenvalues[:6]):
         assert a == pytest.approx(b, abs=1e-9)
 
 
-def test_full_spectrum_stays_capped_when_the_dense_cap_is_raised():
-    graph = CayleyGraph(cyclic_group(DENSE_EIG_CAP + 1))
-    with pytest.raises(SizeCapExceeded):
-        spectrum(graph, dense_cap=DENSE_EIG_CAP + 1)
+def test_cluster_tolerance_is_read_per_call(monkeypatch):
+    graph = CayleyGraph(cyclic_group(5))
+    assert [m for _, m in spectrum(graph).clusters] == [1, 2, 2]
+    monkeypatch.setattr(spectral, "CLUSTER_TOL", 2.0)
+    assert [m for _, m in spectrum(graph).clusters] == [5]
 
 
 # ----- expansion -----

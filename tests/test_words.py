@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from expanderlab import words
 from expanderlab.errors import ZeroVector
 from expanderlab.exact import RationalMatrix
 from expanderlab.words import (
@@ -222,6 +223,17 @@ def test_fixed_line_adjoint_smaller_than_natural():
 def test_fixed_line_rejects_zero():
     with pytest.raises(ZeroVector):
         fixed_line_fraction(lubotzky_pair(3), "natural", [0, 0], 2)
+
+
+def test_ball_scan_cap(monkeypatch):
+    gens = lubotzky_pair(3)
+    with pytest.raises(ValueError, match="ball scan cap is l <= 12$"):
+        fixed_line_fraction(gens, "natural", [1, 0], 13)
+    monkeypatch.setattr(words, "BALL_SCAN_CAP", 2)
+    with pytest.raises(ValueError, match="ball scan cap is l <= 2$"):
+        fixed_line_fraction(gens, "natural", [1, 0], 3)
+    with pytest.raises(ValueError, match="ball scan cap is l <= 2$"):
+        fixed_point_fraction(gens, [[0, 0], [0, 0]], [0, 0], 3)
 
 
 def test_fixed_point_affine():
