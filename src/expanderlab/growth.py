@@ -225,16 +225,10 @@ class ProductFrame:
         return np.zeros(self.num_factors, dtype=np.int64)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = np.empty_like(a)
-        for i, t in enumerate(self.factors):
-            out[:, i] = t.mul_vec(a[:, i], b[:, i])
-        return out
+        return np.stack([t.mul_vec(x, y) for t, x, y in zip(self.factors, a.T, b.T)], axis=1)
 
     def inv(self, a: np.ndarray) -> np.ndarray:
-        out = np.empty_like(a)
-        for i, t in enumerate(self.factors):
-            out[:, i] = t.inv_vec(a[:, i])
-        return out
+        return np.stack([t.inv_vec(x) for t, x in zip(self.factors, a.T)], axis=1)
 
     def codes(self, rows: np.ndarray) -> np.ndarray:
         return rows @ self.weights
@@ -250,19 +244,12 @@ class ProductFrame:
         return mask
 
     def levi_code(self, rows: np.ndarray) -> np.ndarray:
-        """Combined code of the per-factor Levi projections."""
-        out = np.zeros(len(rows), dtype=np.int64)
-        scale = 1
-        for i, t in enumerate(self.factors):
-            out += self._levi_codes[i][rows[:, i]] * scale
-            scale *= t.order  # safe upper bound on distinct levi codes
-        return out
+        """Combined code of the per-factor Levi projections, in the radix of
+        the factor orders (a safe bound on the distinct Levi codes)."""
+        return sum(w * c[r] for c, w, r in zip(self._levi_codes, self.weights, rows.T))
 
     def projection_onto_levi(self, rows: np.ndarray) -> bool:
-        total = 1
-        for s in self.levi_sizes:
-            total *= s
-        return len(np.unique(self.levi_code(rows))) == total
+        return len(np.unique(self.levi_code(rows))) == math.prod(self.levi_sizes)
 
     def product_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         pairs = len(a) * len(b)

@@ -22,9 +22,10 @@ from an int16 product table, 2 bytes per pair, built on first use from
 the recorded generator translations (the row of g x is L_g applied to
 the row of x), and inv_vec from a cached inverse permutation.
 
-A larger matrix table mod a composite q lies, by the CRT, in the product of
-its per-prime images; when each fits PRODUCT_TABLE_CAP, mul_vec and inv_vec
-gather in their tables and map back by a dense pair index (<= ID_INDEX_CAP).
+A larger table mod a composite q (inside the product of its per-prime images,
+by the CRT) or direct product has factor tables and factor ids, built on first
+use; when each factor fits PRODUCT_TABLE_CAP, mul_vec and inv_vec gather in
+those tables and map back by a dense pair index (<= ID_INDEX_CAP).
 
 Subgroups, normal closures and commutator subgroups come from one BFS
 from the identity that multiplies by the generators and conjugates by a
@@ -258,27 +259,41 @@ class GroupTable:
 
     @functools.cached_property
     def _factors(self) -> list[GroupTable]:
-        """The per-prime images of a matrix table, each closed mod its prime."""
+        """The factor tables of a composite table: the per-prime images of a
+        matrix table mod two or more primes, each closed mod its prime, or
+        the factors of a direct product; none for any other table."""
+        if self.kind == "product":
+            return list(self.meta["factors"])
+        if self.kind != "matrix" or len(self.meta["primes"]) < 2:
+            return []
         d, rows = self.meta["dim"], self.digits[self.generator_ids]
         gens = [(p, [ModMatrix(r.reshape(d, d).tolist(), p) for r in rows[:, c]]) for p, c in _prime_blocks(self)]
         return [generate_group(mats, p) for p, mats in gens]
 
+    @functools.cached_property
+    def _factor_ids(self) -> np.ndarray:
+        """The (r, n) ids of the elements' images in the r factors: row i
+        reads factor i's digit columns, which follow those of factors < i."""
+        widths = [F.digits.shape[1] for F in self._factors]
+        blocks = np.split(self.digits, np.cumsum(widths)[:-1], axis=1)
+        return np.stack([F.id_of_rows(b) for F, b in zip(self._factors, blocks)])
+
+    @functools.cached_property
+    def _pair_index(self) -> np.ndarray:
+        """Element id of each factor-id tuple's radix code, -1 off the table."""
+        orders = [F.order for F in self._factors]
+        pairs = np.full(math.prod(orders), -1, np.int32)
+        pairs[_radix_weights(orders) @ self._factor_ids] = np.arange(self.order)
+        return pairs
+
     def _via_factors(self, method: str, *ids: np.ndarray) -> np.ndarray | None:
-        """mul_vec or inv_vec through the per-prime factors; None off that path."""
-        if self.kind != "matrix" or len(self.meta["primes"]) < 2:
+        """mul_vec or inv_vec through the factor tables; None off that path."""
+        orders = np.array([F.order for F in self._factors])
+        if not orders.size or orders.max() > PRODUCT_TABLE_CAP or orders.prod() > ID_INDEX_CAP:
             return None
-        factors = self._factors
-        orders = np.array([F.order for F in factors])
-        if orders.max() > PRODUCT_TABLE_CAP or orders.prod() > ID_INDEX_CAP:
-            return None
-        weights = _radix_weights(orders)
-        if ("X", 0) not in self._perm_cache:
-            fids = np.stack([F.id_of_rows(self.digits[:, c]) for F, (_, c) in zip(factors, _prime_blocks(self))])
-            self._perm_cache["F", 0], self._perm_cache["X", 0] = fids, np.full(orders.prod(), -1, np.int32)
-            self._perm_cache["X", 0][weights @ fids] = np.arange(self.order)
-        fids, pairs = self._perm_cache["F", 0], self._perm_cache["X", 0]
-        codes = sum(w * getattr(F, method)(*(f[x] for x in ids)) for F, f, w in zip(factors, fids, weights))
-        return np.asarray(pairs[codes], dtype=np.int64)
+        fids, weights = self._factor_ids, _radix_weights(orders)
+        codes = sum(w * getattr(F, method)(*(f[x] for x in ids)) for F, f, w in zip(self._factors, fids, weights))
+        return np.asarray(self._pair_index[codes], dtype=np.int64)
 
     def left_perm(self, gid: int) -> np.ndarray:
         """Array mapping x to id(g x), cached."""
@@ -663,7 +678,6 @@ def direct_product(t1: GroupTable, t2: GroupTable) -> GroupTable:
         "factor_primes": list(t1.meta.get("primes", [t1.meta.get("p")]))
         + list(t2.meta.get("primes", [t2.meta.get("p")])),
         "factors": (t1, t2),
-        "split": k1,
     }
     return _bfs_table(ident, rows, radices, mul, inv, "product", meta)
 
@@ -846,25 +860,18 @@ def product_decompose(G: GroupTable) -> tuple[list[GroupTable], dict]:
 
 def index_product_check(G: GroupTable, H: SubgroupRecord, delta: float = 0.25) -> dict:
     """Compare prod_p [G_p : pi_p(H)] against [G:H]^delta."""
-    if G.kind == "matrix":
-        factors, _ = product_decompose(G)
-        blocks = [cols for _, cols in _prime_blocks(G)]
-    elif G.kind == "product":
-        primes = G.meta["factor_primes"]
-        if len(set(primes)) != len(primes):
-            raise HypothesisViolated(
-                "index product bound assumes pairwise distinct primes"
-            )
-        factors = G.meta["factors"]
-        k1 = G.meta["split"]
-        blocks = [slice(None, k1), slice(k1, None)]
-    else:
-        raise NotComposite("index product check needs a product-type table")
-    # [G_p : pi_p(H)], with pi_p(H) counted as the distinct digit blocks
-    rows = G.digits[H.element_ids]
-    lhs = math.prod(
-        t.order // len(np.unique(rows[:, cols], axis=0)) for t, cols in zip(factors, blocks)
-    )
+    primes = G.meta.get("factor_primes", [])
+    if len(set(primes)) != len(primes):
+        raise HypothesisViolated("index product bound assumes pairwise distinct primes")
+    if not G._factors:
+        raise NotComposite(
+            "decomposition needs a matrix table with composite q"
+            if G.kind == "matrix"
+            else "index product check needs a product-type table"
+        )
+    # [G_p : pi_p(H)], with pi_p(H) counted as the distinct factor ids
+    fids = G._factor_ids[:, H.element_ids]
+    lhs = math.prod(F.order // int(F.mask(f).sum()) for F, f in zip(G._factors, fids))
     rhs = H.index
     if rhs == 1:
         delta_hat = float("inf")
@@ -1038,16 +1045,15 @@ def verify_factor_product_form(G: GroupTable, H: SubgroupRecord) -> dict:
     """
     if G.kind != "matrix" or len(G.meta["primes"]) < 2:
         raise NotComposite("product form over factors needs a composite matrix table")
-    ident = G.digits[G.identity_id]
-    at_ident = [(G.digits[:, cols] == ident[cols]).all(axis=1) for _, cols in _prime_blocks(G)]
+    at_ident = G._factor_ids == 0
     center = np.ones(G.order, dtype=bool)
     for s in G.generator_ids:
         center &= G.conj_perm(int(s)) == np.arange(G.order)
     inside = []
     core = np.array([G.identity_id], dtype=np.int64)
     for i in range(len(at_ident)):
-        # embedded copy of factor i: identity in every other prime block
-        f_ids = np.flatnonzero(np.logical_and.reduce(at_ident[:i] + at_ident[i + 1 :]))
+        # embedded copy of factor i: identity in every other factor
+        f_ids = np.flatnonzero(np.delete(at_ident, i, axis=0).all(axis=0))
         if H.member[f_ids].all():
             inside.append(i)
             core = np.unique(G.mul_vec(core[:, None], f_ids))

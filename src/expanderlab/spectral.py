@@ -240,7 +240,6 @@ class EscapeReport:
     rows: list[EscapeRow]
     index: int
     settled: bool
-    epsilon: float
 
     def max_coset_series(self) -> list[float]:
         return [r.max_coset_mass for r in self.rows]
@@ -275,7 +274,7 @@ def escape_profile(
         )
     target = 2.0 / H.index + ESCAPE_EPSILON
     settled = bool(rows and rows[-1].max_coset_mass <= target)
-    return EscapeReport(rows=rows, index=H.index, settled=settled, epsilon=ESCAPE_EPSILON)
+    return EscapeReport(rows=rows, index=H.index, settled=settled)
 
 
 # ---------------------------------------------------------------------------

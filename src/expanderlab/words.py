@@ -15,6 +15,7 @@ from .errors import ZeroVector
 from .exact import RationalMatrix
 
 BALL_SCAN_CAP = 12  # longest word fixed_line_fraction and fixed_point_fraction scan
+FREE_LENGTH_CAP = 16  # longest relation certify_free searches for
 
 Word = tuple[int, ...]
 State = TypeVar("State")
@@ -194,8 +195,8 @@ def certify_free(gens: Sequence[RationalMatrix], L: int) -> tuple[bool, Word | N
     """
     if not gens:
         raise ValueError("need at least one generator")
-    if not 0 <= L <= 16:
-        raise ValueError("word length must be in 0..16")
+    if not 0 <= L <= FREE_LENGTH_CAP:
+        raise ValueError(f"word length must be in 0..{FREE_LENGTH_CAP}")
     d = gens[0].dim
     pairs = _as_integer_pairs(gens)
     ident = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))

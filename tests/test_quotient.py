@@ -23,6 +23,7 @@ from expanderlab.quotient import (
     direct_product,
     generate_group,
     heisenberg_group,
+    ids_of_matrices,
     index_product_check,
     is_perfect,
     lower_central_series,
@@ -324,7 +325,7 @@ def test_composite_tables_have_one_factor_path(monkeypatch, capsys):
         "orders": [120, 336], "product_of_orders": 40320, "group_order": 40320, "bijective": True,
     }
     # the factor ids and the pair index wait for the first product
-    assert ("X", 0) not in G._perm_cache
+    assert "_factor_ids" not in vars(G) and "_pair_index" not in vars(G)
 
     def no_table(*args, **kwargs):
         raise AssertionError("a factor table was built again")
@@ -339,11 +340,13 @@ def test_composite_tables_have_one_factor_path(monkeypatch, capsys):
     assert index_product_check(G, H)["lhs"] == 1
     monkeypatch.undo()
 
-    # the quotient report never multiplies, so it builds no pair index
+    # the quotient report never multiplies, so it builds no factor ids and
+    # no pair index
     def no_pairs(self, *args):
-        raise AssertionError("the pair index was built")
+        raise AssertionError("the factor ids or the pair index were built")
 
     monkeypatch.setattr(quotient.GroupTable, "_via_factors", no_pairs)
+    monkeypatch.setattr(quotient.GroupTable, "_factor_ids", property(no_pairs))
     assert main(["quotient", "--builtin", "lubotzky3", "--q", "35"]) == 0
     assert capsys.readouterr().out.splitlines()[-3:] == ["5,120,", "7,336,", "35,40320,true"]
 
@@ -368,16 +371,26 @@ def test_index_product_check(sl2_35):
 def test_index_product_check_on_a_product_table():
     F5, F7 = (generate_group(builtin_generators("lubotzky3"), p) for p in (5, 7))
     G = direct_product(F5, F7)
-    k1 = F5.digits.shape[1]
     gens = [int(i) for i in G.generator_ids]
-    # <first two generators> is a cyclic group of order 5 inside the SL2(F_5) factor
-    for ids, index in ((gens[:2], 8064), (gens, 1)):
-        H = subgroup_closure(G, ids, flags=False)
-        rows = G.digits[H.element_ids].tolist()
+    # B_5 x B_7 mod 35, of order 20 x 42; diag(22, 8) has order 4 mod 5 and
+    # is the identity mod 7, the unipotent u has order 35
+    diag, u = (RationalMatrix(m) for m in ([[22, 0], [0, 8]], [[1, 1], [0, 1]]))
+    borel = generate_group([diag, RationalMatrix([[31, 0], [0, 26]]), u], 35)
+    diag_id, u_id = (int(i) for i in ids_of_matrices(borel, [diag, u]))
+    cases = [
+        # <first two generators> is a cyclic group of order 5 inside the SL2(F_5) factor
+        (G, (F5.order, F7.order), F5.digits.shape[1], gens[:2], 8064),
+        (G, (F5.order, F7.order), F5.digits.shape[1], gens, 1),
+        (borel, (20, 42), 4, [diag_id], 210),
+        (borel, (20, 42), 4, [u_id], 24),
+    ]
+    for T, orders, k1, ids, index in cases:
+        H = subgroup_closure(T, ids, flags=False)
+        rows = T.digits[H.element_ids].tolist()
         # [G_p : pi_p(H)] from the distinct projections, one element at a time
         images = len({tuple(r[:k1]) for r in rows}), len({tuple(r[k1:]) for r in rows})
-        lhs = F5.order // images[0] * (F7.order // images[1])
-        rep = index_product_check(G, H)
+        lhs = orders[0] // images[0] * (orders[1] // images[1])
+        rep = index_product_check(T, H)
         assert rep["lhs"] == lhs == index and rep["rhs"] == H.index == index
 
 

@@ -126,6 +126,16 @@ def test_certify_free_sanov_at_the_cap():
     assert certify_free(lubotzky_pair(2), 16) == (True, None)
 
 
+def test_free_length_cap(monkeypatch):
+    gens = lubotzky_pair(2)
+    with pytest.raises(ValueError, match=r"word length must be in 0\.\.16$"):
+        certify_free(gens, 17)
+    monkeypatch.setattr(words, "FREE_LENGTH_CAP", 2)
+    assert certify_free(gens, 2) == (True, None)
+    with pytest.raises(ValueError, match=r"word length must be in 0\.\.2$"):
+        certify_free(gens, 3)
+
+
 def evaluate(gens, word):
     prod = RationalMatrix.identity(gens[0].dim)
     for letter in word:
