@@ -130,19 +130,19 @@ def emit_report(
     everything else CSV with a version stamp and config echo."""
     as_json = bool(config.out and config.out.endswith(".json"))
     if as_json:
-        payload = {
-            "version": VERSION,
-            "config": echo(config),
-            "columns": columns,
-            "rows": [
-                {c: (float(fmt_value(v)) if isinstance(v, float) else v)
-                 for c, v in zip(columns, row)}
-                for row in rows
-            ],
-        }
+        dicts = [{c: (float(fmt_value(v)) if isinstance(v, float) else v) for c, v in zip(columns, row)}
+                 for row in rows]
+        payload = {"version": VERSION, "config": echo(config), "columns": columns, "rows": None}
         if extra_comments:
             payload["notes"] = extra_comments
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        # indent=2 runs the pure-Python encoder, so the C one writes the rows; it escapes
+        # newlines in strings, so "},\n" and '"rows": null' below are its own separators and key
+        body = json.dumps(dicts, sort_keys=True, separators=(",\n      ", ": "))
+        if dicts:
+            inner = body[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+            body = "[\n    {\n      " + inner + "\n    }\n  ]"
+        text = json.dumps(payload, sort_keys=True, indent=2)
+        text = text.replace('"rows": null', '"rows": ' + body, 1) + "\n"
     else:
         out = [f"# expanderlab {VERSION}", f"# config: {echo(config)}"]
         for c in extra_comments or []:

@@ -864,11 +864,7 @@ def index_product_check(G: GroupTable, H: SubgroupRecord, delta: float = 0.25) -
     if len(set(primes)) != len(primes):
         raise HypothesisViolated("index product bound assumes pairwise distinct primes")
     if not G._factors:
-        raise NotComposite(
-            "decomposition needs a matrix table with composite q"
-            if G.kind == "matrix"
-            else "index product check needs a product-type table"
-        )
+        raise NotComposite("index_product_check needs a matrix table with composite q or a direct product")
     # [G_p : pi_p(H)], with pi_p(H) counted as the distinct factor ids
     fids = G._factor_ids[:, H.element_ids]
     lhs = math.prod(F.order // int(F.mask(f).sum()) for F, f in zip(G._factors, fids))

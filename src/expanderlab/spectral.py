@@ -337,24 +337,48 @@ def _cluster(values: np.ndarray) -> list[tuple[float, int]]:
     return clusters
 
 
+def _cycle_length(perm: np.ndarray) -> int:
+    """Length of the identity's cycle under perm: the order of g for x -> x g."""
+    x, m = int(perm[0]), 1
+    while x != 0:
+        x, m = int(perm[x]), m + 1
+    return m
+
+
+def _split_element(graph: CayleyGraph) -> tuple[np.ndarray, int]:
+    """The map x -> x g and the order m of g, for the g = s z of largest
+    order with s in S and z central (on SL2(F_p), a unipotent s times -I).
+    ord(s z) divides lcm(ord(s), E), E = |Z| or, on an abelian table, the
+    lcm of the generator orders; the search stops at the largest such bound.
+    """
+    G = graph.table
+    gens = G.generator_ids.tolist()
+    centre = np.flatnonzero(np.logical_and.reduce([G.left_perm(s) == G.right_perm(s) for s in gens]))
+    E = math.lcm(*map(_cycle_length, map(G.right_perm, gens))) if len(centre) == G.order else len(centre)
+    S = dict.fromkeys(graph.s_ids.tolist())
+    bound, m = max(math.lcm(_cycle_length(G.right_perm(s)), E) for s in S), 0
+    for z in centre.tolist():
+        by_z = G.translation(z, right=False)  # x s z = z x s; uncached: abelian tables have n
+        for s in S:
+            perm = G.right_perm(s)[by_z]
+            if (order := _cycle_length(perm)) > m:
+                m, best = order, perm
+            if m == bound:
+                return best, m
+    return best, m
+
+
 def _block_eigenvalues(graph: CayleyGraph) -> np.ndarray:
     """Full spectrum of T, descending, from Hermitian blocks of size n/m.
 
-    T sums left translations, so it commutes with x -> xg for g the
-    generator of largest order m.  On the f with f(x g^a) = w^(ka) f(x),
+    T sums left translations, so it commutes with x -> xg for the g of
+    order m that _split_element picks.  On the f with f(x g^a) = w^(ka) f(x),
     w = exp(2 pi i/m), T is B_k[i, j] = (1/|S|) sum of w^(kb) over the s
     with s r_i = r_j g^b; r_i is the least id in its coset r_i<g>.
     B_(m-k) is the conjugate of B_k, so only k <= m/2 is solved.
     """
     n = graph.order
-    orders = []
-    for p in graph.perms:
-        x, m = int(p[0]), 1  # p applied a times sends the identity to s^a
-        while x != 0:
-            x, m = int(p[x]), m + 1
-        orders.append(m)
-    m = max(orders)
-    right = graph.table.right_perm(int(graph.s_ids[orders.index(m)]))
+    right, m = _split_element(graph)
     rep, exp, cur = np.arange(n), np.zeros(n, dtype=np.int64), np.arange(n)
     for a in range(1, m):
         cur = right[cur]  # x g^a
@@ -377,8 +401,8 @@ def _block_eigenvalues(graph: CayleyGraph) -> np.ndarray:
 def spectrum(graph: CayleyGraph) -> SpectrumReport:
     """Eigenvalues of the normalized adjacency operator.
 
-    Graphs of at most DENSE_EIG_CAP vertices get the full spectrum, from
-    the n/m-sized blocks that a generator of order m splits T into (see
+    Graphs of at most DENSE_EIG_CAP vertices get the full spectrum from
+    n/m-sized blocks, split off by an s z of order m with z central (see
     _block_eigenvalues).  Larger ones fall back to an implicitly restarted
     Lanczos run (ARPACK) on the permutation-action operator, returning the
     top MAX_EIGS eigenvalues and the bottom few, flagged as partial.

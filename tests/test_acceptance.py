@@ -31,6 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from expanderlab import spectral
 from expanderlab.cli import builtin_generators, main
 from expanderlab.exact import RationalMatrix
 from expanderlab.growth import chain_inequality, gowers_cover, random_symmetric_set
@@ -66,6 +67,7 @@ GAP_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 SWEEP_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 CONTROL_PRIMES = (53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+MULTIPLICITY_PRIMES = (5, 7, 11, 13, 17, 19, 23)
 UNIPOTENT = RationalMatrix([["1", "1"], ["0", "1"]])
 
 
@@ -226,17 +228,20 @@ def test_c04b_abelian_control():
            f"{worst_dev:.2e}, smallest lam2 {min_gap:.6f} > 0.99")
 
 
-def test_c05_multiplicity_floor():
+def test_c05_multiplicity_floor(monkeypatch):
+    # the full block spectrum at every p, above the CLI's dense cap too
+    monkeypatch.setattr(spectral, "DENSE_EIG_CAP", sl2(23).order)
     bad = []
-    for p in (5, 7, 11, 13):
+    for p in MULTIPLICITY_PRIMES:
         rep = spectrum(CayleyGraph(sl2(p)))
+        assert not rep.partial
         floor = (p - 1) // 2
         for value, size in rep.clusters:
             if abs(value - 1.0) > 1e-6 and size < floor:
                 bad.append((p, value, size))
     record("05", not bad,
            "every non-unit eigenvalue cluster has size >= (p-1)/2 for "
-           f"p in (5, 7, 11, 13)" + ("" if not bad else f"; violations {bad}"))
+           f"p in {MULTIPLICITY_PRIMES}" + ("" if not bad else f"; violations {bad}"))
 
 
 def test_c06_trace_identity():

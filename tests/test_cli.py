@@ -1,6 +1,8 @@
+import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import re
@@ -16,8 +18,12 @@ from expanderlab.cli import (
     EXIT_ASSERTION,
     EXIT_ERROR,
     EXIT_OK,
+    VERSION,
     build_parser,
     builtin_generators,
+    echo,
+    emit_report,
+    fmt_value,
     main,
     parse_generators,
 )
@@ -189,6 +195,45 @@ def test_json_output(tmp_path):
     assert payload["columns"] == ["l", "l2_norm", "linf", "mass_on_H"]
     assert payload["rows"][0]["l2_norm"] == 0.5
     assert "version" in payload and "config" in payload
+
+
+# report cells: the floats the reports print (and the ones fmt_value
+# rounds to nan, inf or -0), and strings holding what the writer splices on
+CELLS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-300]),
+    st.floats(),
+    st.sampled_from(['"', "\n", "},\n      {", '"rows": null', "", "λ ≥ √2"]),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    columns=st.lists(st.text(max_size=6), min_size=1, max_size=4),
+    notes=st.none() | st.lists(st.sampled_from(['"rows": null', "a\nb", "λ"]) | st.text(max_size=8), max_size=2),
+    data=st.data(),
+)
+def test_json_report_equals_the_indented_encoding(columns, notes, data):
+    # columns mix types across rows, as quotient's "" and bool do
+    rows = data.draw(st.lists(st.tuples(*[CELLS] * len(columns)), max_size=4))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = argparse.Namespace(out=os.path.join(tmp, "r.json"), q=7, note="},\n")
+        text = emit_report(columns, rows, cfg, notes)
+        written = pathlib.Path(cfg.out).read_text()
+    payload = {
+        "version": VERSION,
+        "config": echo(cfg),
+        "columns": columns,
+        "rows": [
+            {c: (float(fmt_value(v)) if isinstance(v, float) else v) for c, v in zip(columns, row)}
+            for row in rows
+        ],
+    }
+    if notes:
+        payload["notes"] = notes
+    assert written == text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def test_empty_csv_is_header_only(tmp_path):

@@ -47,6 +47,7 @@ from expanderlab.spectral import (
     Measure,
     WalkRow,
     _cluster,
+    _split_element,
     convolve,
     escape_profile,
     generator_measure,
@@ -391,9 +392,53 @@ def test_spectrum_with_the_identity_matches_the_dense_solve():
     # every generator has order 2, so the table generators give the two
     # real blocks (checked in the test above)
     assert G.order == 672 and (G.mul_vec(G.generator_ids, G.generator_ids) == 0).all()
-    # S = {e}: order 1, a single block that is the whole operator
+    # S = {e}: the split element is -I, so T = I is solved in two blocks
     assert_spectrum_matches_the_dense_solve(G, [G.identity_id])
     assert_spectrum_matches_the_dense_solve(G, [G.identity_id, *G.generator_ids])
+
+
+def assert_split_element(graph, order):
+    """_split_element gives the right translation by an s z of the order."""
+    G = graph.table
+    perm, m = _split_element(graph)
+    h = int(perm[0])
+    assert m == order and np.array_equal(perm, G.right_perm(h))
+    power, k = h, 1
+    while power != G.identity_id:
+        power, k = G.mul(power, h), k + 1
+    assert k == order
+    # h = s z for some s in S and some z that commutes with every element
+    every = np.arange(G.order)
+    zs = G.mul_vec(G.inv_vec(graph.s_ids), h).tolist()
+    assert any((G.mul_vec(z, every) == G.mul_vec(every, z)).all() for z in zs)
+
+
+@pytest.mark.parametrize("name", ["lubotzky3", "sanov2"])
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
+def test_the_split_element_of_sl2_has_order_2p(name, p):
+    # a unipotent generator (order p) times -I
+    assert_split_element(CayleyGraph(generate_group(builtin_generators(name), p)), 2 * p)
+
+
+SPLIT_CASES = [
+    # S = {e}: the split element is a central element times e
+    ("sl2 mod 7", "identity", 2),
+    ("borel mod 35", "identity", 2),
+    ("direct product", "identity", 12),
+    # the centre, of order 5, lies outside every <s>; any s z has order 5
+    ("heisenberg 5", "table", 5),
+    # Z(H_3) x C_4 of order 12, against generator orders 3 and 4
+    ("direct product", "table", 12),
+    ("borel mod 35", "table", 70),
+]
+
+
+@pytest.mark.parametrize("name,gens,order", SPLIT_CASES)
+def test_spectrum_split_by_a_generator_times_a_central_element(name, gens, order):
+    G = SPECTRUM_TABLES[name]
+    s_ids = [G.identity_id] if gens == "identity" else G.generator_ids
+    assert_split_element(CayleyGraph(G, s_ids), order)
+    assert_spectrum_matches_the_dense_solve(G, s_ids)
 
 
 @FEW

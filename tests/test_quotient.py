@@ -402,6 +402,15 @@ def test_index_product_check_duplicate_primes():
         index_product_check(GG, H)
 
 
+@pytest.mark.parametrize("table", ["sl2 mod 5", "cyclic 7"])
+def test_index_product_check_needs_a_composite_table(table, sl2_5):
+    G = sl2_5 if table == "sl2 mod 5" else cyclic_group(7)
+    H = subgroup_closure(G, [int(i) for i in G.generator_ids], flags=False)
+    with pytest.raises(NotComposite) as err:
+        index_product_check(G, H)
+    assert str(err.value) == "index_product_check needs a matrix table with composite q or a direct product"
+
+
 def word_ball(gens, l_max):
     """(word, matrix) pairs for every reduced word of length <= l_max."""
     mats = {}
