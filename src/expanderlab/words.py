@@ -3,12 +3,18 @@
 Letters of the alphabet on M symbols are the nonzero integers
 -M..-1, 1..M, with -i the formal inverse of i.  A word is a tuple of
 letters with no adjacent cancelling pair.  B_l denotes the set of
-reduced words of length exactly l.
+reduced words of length exactly l.  Words are ordered letter by letter
+under 1 < -1 < 2 < -2 < ...; inside certify_free a letter is its rank
+in that order (0, 1, 2, 3, ...), so r ^ 1 is the inverse of r and rank
+tuples compare as the words do.
 """
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from functools import partial, reduce
+from itertools import chain, repeat
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .errors import ZeroVector
@@ -16,6 +22,7 @@ from .exact import RationalMatrix
 
 BALL_SCAN_CAP = 12  # longest word fixed_line_fraction and fixed_point_fraction scan
 FREE_LENGTH_CAP = 16  # longest relation certify_free searches for
+_add = partial(map, operator.add)  # elementwise sum of two iterables
 
 Word = tuple[int, ...]
 State = TypeVar("State")
@@ -65,16 +72,19 @@ def _walk(
 
 
 def reduced_words(M: int, l: int) -> Iterator[Word]:
-    """Yield the words of B_l lazily, in lexicographic order of the letter
-    sequence under the ordering 1 < -1 < 2 < -2 < ... < M < -M."""
+    """An iterator over the words of B_l, in lexicographic order of the
+    letter sequence under the ordering 1 < -1 < 2 < -2 < ... < M < -M."""
     if M < 2:
         raise ValueError("need at least two free generators")
-    if l == 0:
-        yield ()
-        return
-    for word, _ in _walk(M, l, None, lambda state, a: None):
-        if len(word) == l:
-            yield tuple(word)
+    # a word is a head from a materialised sphere and a suffix of length
+    # tail that does not start with the inverse of the head's last letter
+    tail = min(l, 4)
+    heads, suffixes = (
+        [tuple(w) for w, _ in _walk(M, k, None, lambda state, a: None) if len(w) == k] if k else [()]
+        for k in (l - tail, tail)
+    )
+    after = {a: [s for s in suffixes if s[:1] != (-a,)] for a in range(-M, M + 1) if a}
+    return chain.from_iterable(map(h.__add__, after[h[-1]] if h else suffixes) for h in heads)
 
 
 def _sphere_numerators(M: int, k: int) -> Iterator[list[int]]:
@@ -152,30 +162,6 @@ def kesten_upper_bound(M: int, k: int) -> Fraction:
     return Fraction(2 * M - 1, M * M) ** k
 
 
-def _as_integer_pairs(gens: Sequence[RationalMatrix]):
-    """Clear denominators: return (int_matrix, den) for each generator and
-    its inverse, so word products can run on plain integers."""
-    pairs = {}
-    for i, g in enumerate(gens, start=1):
-        for letter, mat in ((i, g), (-i, g.inverse())):
-            den = 1
-            for row in mat.rows:
-                for x in row:
-                    den = den * x.denominator // math.gcd(den, x.denominator)
-            rows = tuple(
-                tuple(int(x * den) for x in row) for row in mat.rows
-            )
-            pairs[letter] = (rows, den)
-    return pairs
-
-
-def _int_mat_mul(a, b, d):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d))
-        for i in range(d)
-    )
-
-
 def certify_free(gens: Sequence[RationalMatrix], L: int) -> tuple[bool, Word | None]:
     """Check that no nonempty reduced word of length <= L in the given
     generators evaluates to the identity.
@@ -192,43 +178,66 @@ def certify_free(gens: Sequence[RationalMatrix], L: int) -> tuple[bool, Word | N
     and the witness is the lexicographically first u v^-1 over colliding
     pairs (letters 1 < -1 < 2 < -2 < ..., a prefix first; the first
     identity word in preorder, not always the shortest).
+
+    The ball is built a sphere at a time, in blocks by last letter: the
+    extension by a joins every block but that of a^-1.  A block holds its
+    words of letter ranks, denominators and one list per matrix entry; a
+    step multiplies them by a's integer coefficients and cancels factors.
     """
     if not gens:
         raise ValueError("need at least one generator")
     if not 0 <= L <= FREE_LENGTH_CAP:
         raise ValueError(f"word length must be in 0..{FREE_LENGTH_CAP}")
-    d = gens[0].dim
-    pairs = _as_integer_pairs(gens)
-    ident = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    dims = sorted({g.dim for g in gens})
+    if len(dims) > 1:
+        raise ValueError(f"generators of mixed dimension {dims}")
+    d = dims[0]
+    letters = []  # per rank: the columns of the matrix with cleared denominators, and those
+    for mat in (m for g in gens for m in (g, g.inverse())):
+        den = math.lcm(*(x.denominator for row in mat.rows for x in row))
+        letters.append(([[int(mat.rows[k][j] * den) for k in range(d)] for j in range(d)], den))
+    ident = [int(i == j) for i in range(d) for j in range(d)]
+    sphere = [(-1, [[()], [1], *([x] for x in ident)])]  # (last, [words, dens, *entries])
+    keys, words = [(1, *ident)], [()]  # per word: (denominator, *entries) in lowest terms
+    for _ in range((L + 1) // 2):
+        grown = []
+        for a, (coeffs, dg) in enumerate(letters):
+            parts = zip(*(block for last, block in sphere if last != a ^ 1))
+            ws, den, *cols = (list(chain.from_iterable(part)) for part in parts)
+            prod = [list(reduce(_add, (col if c == 1 else map(c.__mul__, col)
+                                       for col, c in zip(cols[i * d:i * d + d], coeffs[j]) if c)))
+                    for i in range(d) for j in range(d)]
+            den = den if dg == 1 else list(map(dg.__mul__, den))
+            g = list(map(math.gcd, den, *prod))
+            if g.count(1) != len(g):
+                den, *prod = (list(map(operator.floordiv, col, g)) for col in (den, *prod))
+            ws = list(map(operator.add, ws, repeat((a,))))
+            keys += zip(den, *prod)
+            words += ws
+            grown.append((a, [ws, den, *prod]))
+        sphere = grown
+    buckets = {}
+    for key, w in zip(keys, words):
+        buckets.setdefault(key, []).append(w)
 
-    def step(state, a):
-        mat, dg = pairs[a]
-        return _int_mat_mul(state[0], mat, d), state[1] * dg
-
-    def rank(w):  # preorder is lexicographic order of the letter ranks
-        return tuple(2 * abs(a) - (a > 0) for a in w)
-
-    buckets = {(ident, 1): [()]}
-    for word, (prod, den) in _walk(len(gens), (L + 1) // 2, (ident, 1), step):
-        g = math.gcd(den, *(x for row in prod for x in row))
-        key = (tuple(tuple(x // g for x in row) for row in prod), den // g)
-        buckets.setdefault(key, []).append(tuple(word))
-
-    def relations(words):  # the u v^-1 of one bucket that can come first
+    # a relation u v^-1 of a bucket starts with one of its nonempty words, so
+    # buckets go in order of their first such word until one passes the witness
+    witness = end = (len(letters),)  # after every word
+    for first, ws in sorted((min(filter(None, ws)), ws) for ws in buckets.values() if len(ws) > 1):
+        if witness <= first:
+            break
         top = {}  # per length, the first two v^-1 that start with different letters
-        for vi in sorted((tuple(-a for a in reversed(v)) for v in words), key=rank):
+        for vi in sorted(tuple(r ^ 1 for r in reversed(v)) for v in ws):
             kept = top.setdefault(len(vi), [])
             if not kept or (len(kept) == 1 and kept[0][0] != vi[0]):
                 kept.append(vi)
-        return (
-            u + vi for u in words if u
-            for vi in top[len(u)] + top.get(len(u) - 1, [])
-            if len(u) + len(vi) <= L and vi[:1] != (-u[-1],)
-        )
-
-    found = (w for ws in buckets.values() if len(ws) > 1 for w in relations(ws))
-    witness = min(found, key=rank, default=None)
-    return witness is None, witness
+        witness = min([witness, *(
+            u + vi for u in ws if u for vi in top[len(u)] + top.get(len(u) - 1, [])
+            if len(u) + len(vi) <= L and vi[:1] != (u[-1] ^ 1,)
+        )])
+    if witness == end:
+        return True, None
+    return False, tuple(-(r // 2 + 1) if r & 1 else r // 2 + 1 for r in witness)
 
 
 def _adjoint_matrices(g: RationalMatrix) -> RationalMatrix:

@@ -270,6 +270,25 @@ def test_freeness_lmax_range(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_freeness_loads_no_numpy(tmp_path):
+    # importing numpy would more than triple a fresh freeness process's
+    # start-up, so parsing a file, the word search and the JSON report
+    # must all run without it
+    gens = write(tmp_path, "g.txt", GOOD_FILE)
+    code = ("import sys; from expanderlab.cli import main; rc = main(sys.argv[1:]); "
+            "sys.exit('numpy loaded' if 'numpy' in sys.modules else rc)")
+    runs = [(["--gens", gens, "--lmax", "8"], EXIT_OK),
+            (["--builtin", "sl2-elementary", "--lmax", "6"], EXIT_ASSERTION)]
+    for i, (argv, rc) in enumerate(runs):
+        out = tmp_path / f"r{i}.json"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "freeness", *argv, "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == rc, proc.stderr
+        assert "command=freeness" in json.loads(out.read_text())["config"]
+
+
 def test_walk_lmax_range(capsys):
     # --lmax 0 reports no steps; a negative length is an error, not an
     # empty report or a verdict on a walk that never ran

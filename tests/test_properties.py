@@ -98,6 +98,14 @@ GENERATOR_POOL = [
     RationalMatrix([[2, 0], [0, "1/2"]]),
 ]
 
+GENERATOR_POOL_3 = [
+    RationalMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+    RationalMatrix([[1, 0, 0], [0, 1, 2], [0, 0, 1]]),
+    RationalMatrix([[1, 0, 0], [0, 1, 0], ["1/2", 0, 1]]),
+    RationalMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),  # order 3
+    RationalMatrix([[2, 1, 0], [1, 1, 0], [0, 0, 1]]),
+]
+
 
 @FEW
 @given(
@@ -133,7 +141,7 @@ def first_identity_word(gens, L):
     by_letter = {}
     for i, g in enumerate(gens, start=1):
         by_letter[i], by_letter[-i] = g, g.inverse()
-    ident = RationalMatrix.identity(2)
+    ident = RationalMatrix.identity(gens[0].dim)
 
     def scan(word, prod):
         for a in letters(len(gens)):
@@ -152,14 +160,17 @@ def first_identity_word(gens, L):
 
 
 @FEW
-@given(
-    picks=st.lists(st.integers(0, len(GENERATOR_POOL) - 1), min_size=1, max_size=3, unique=True),
-    L=st.integers(1, 8),
-)
-def test_certify_free_agrees_with_a_preorder_scan(picks, L):
-    gens = [GENERATOR_POOL[i] for i in picks]
+@given(data=st.data())
+def test_certify_free_agrees_with_a_preorder_scan(data):
+    # 2x2 or 3x3 sets of one to three generators; three 3x3 generators
+    # stop at length 5, where a free set already costs the scan 4,686 products
+    pool = data.draw(st.sampled_from([GENERATOR_POOL, GENERATOR_POOL_3]))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=3, unique=True))
+    gens = [pool[i] for i in picks]
+    L = data.draw(st.integers(1, 5 if gens[0].dim == 3 and len(gens) == 3 else 8))
     expected = first_identity_word(gens, L)
     assert certify_free(gens, L) == (expected is None, expected)
+    assert certify_free(gens, 0) == (True, None)
 
 
 def test_certify_free_finds_torsion():

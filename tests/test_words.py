@@ -207,6 +207,15 @@ def test_certify_free_word_cap():
             certify_free(lubotzky_pair(3), L)
 
 
+def test_certify_free_rejects_mixed_dimensions():
+    # a 3x3 generator beside a 2x2 one must not be read through its
+    # top-left block, in either order
+    pair = [RationalMatrix([[1, 2], [0, 1]]), RationalMatrix.identity(3)]
+    for gens in (pair, pair[::-1]):
+        with pytest.raises(ValueError, match=r"^generators of mixed dimension \[2, 3\]$"):
+            certify_free(gens, 4)
+
+
 def test_certify_free_at_length_0_checks_no_word():
     # only the empty word has length 0, so even the identity as a
     # generator proves no relation there
