@@ -7,15 +7,15 @@ multiplication and inversion callbacks acting on digit rows.  Element
 ids are assigned in BFS order from the identity, ties broken by the
 mixed-radix encoding of the digit row, so tables are deterministic.
 
-The BFS builds the table's one id lookup as it assigns ids, and the same
-structure serves as its seen-set.  A code space of at most ID_INDEX_CAP =
-2^25 codes gets a dense int32 code-to-id array, 4 bytes per code (71 MB
-for SL2 mod 65); a larger one (SL2 mod 77 or 97) gets the sorted codes
-with their ids alongside, searched with searchsorted.  It multiplies on
-the left: level l, the sphere of word length l, is the same from either
-side, and the ids of the products g x seed left_perm(g).  It keeps only
-product codes, decoding each new level's rows from them, and gives the
-table its level_ends: the first level_ends[l] ids are the ball B_l.
+One BFS routine builds every table kind and its one id lookup, which is also
+its seen-set: a dense int32 code-to-id array for a code space of at most
+ID_INDEX_CAP = 2^25 codes (71 MB for SL2 mod 65), else sorted codes with
+their ids alongside (SL2 mod 77 or 97).  It multiplies on the left: the
+sphere of word length l is the same from either side, and the ids of the
+products g x seed left_perm(g); the first level_ends[l] ids are the ball B_l.
+As g x acts on each column of x apart, a matrix table is first mapped to the
+orbit of the identity's columns (24 vectors mod 5, 9,408 mod 97), and its BFS
+runs on rows of column ids: each product one gather, each code a sum of lookups.
 
 A table of at most PRODUCT_TABLE_CAP = 4096 elements answers mul_vec
 from an int16 product table, 2 bytes per pair, built on first use from
@@ -90,39 +90,47 @@ class _IdIndex:
     int32 array (-1 for codes without an id) when the code space has at
     most ID_INDEX_CAP codes, else sorted codes with their ids alongside."""
 
-    def __init__(self, space: int, start_code: int):
-        self.order = 1
+    def __init__(self, space: int, start_codes: np.ndarray):
+        self.order = len(start_codes)  # sorted and distinct, given ids 0, 1, ...
         if space <= ID_INDEX_CAP:
             self.codes = None
             self.ids = np.full(space, -1, dtype=np.int32)
-            self.ids[start_code] = 0
+            self.ids[start_codes] = np.arange(self.order)
         else:
-            self.codes = np.array([start_code], dtype=np.int64)
-            self.ids = np.zeros(1, dtype=np.int64)
+            self.codes = np.array(start_codes, dtype=np.int64)
+            self.ids = np.arange(self.order, dtype=np.int64)
 
     def lookup(self, codes: np.ndarray) -> np.ndarray:
         """Ids of codes inside the code space, -1 for codes without one."""
         if self.codes is None:
             return self.ids[codes].astype(np.int64)
-        pos = np.searchsorted(self.codes, codes).clip(0, self.order - 1)
+        pos = np.minimum(self.codes.searchsorted(codes), self.order - 1)
         return np.where(self.codes[pos] == codes, self.ids[pos], -1)
 
     def add(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Give the next ids, in code order, to the codes without one among
-        the sorted distinct codes; returns the mask of those codes and the
-        ids of all the codes."""
-        ids = self.lookup(codes)
-        fresh = ids < 0
-        new = codes[fresh]
-        ids[fresh] = np.arange(self.order, self.order + len(new))
-        if self.codes is None:
-            self.ids[new] = ids[fresh]
+        """Ids of the codes, the next ids going in code order to codes without
+        one (the only ones sorted), and a position of each new code, in order."""
+        dense = self.codes is None
+        ids = self.ids[codes] if dense else np.empty(len(codes), dtype=np.int32)
+        pos = (ids < 0).nonzero()[0] if dense else codes.argsort()
+        if dense:  # the misses, by code
+            pos = pos[codes[pos].argsort()]
+        by_code = codes[pos]
+        head = np.ones(len(pos), dtype=bool)
+        np.not_equal(by_code[1:], by_code[:-1], out=head[1:])
+        new, first = by_code[head], pos[head]
+        found = np.full(len(new), -1) if dense else self.lookup(new)
+        fresh = found < 0
+        new, first = new[fresh], first[fresh]
+        found[fresh] = np.arange(self.order, self.order + len(new))
+        ids[pos] = found[np.cumsum(head) - 1]
+        if dense:
+            self.ids[new] = found[fresh]
         else:
-            pos = np.searchsorted(self.codes, new)
-            self.codes = np.insert(self.codes, pos, new)
-            self.ids = np.insert(self.ids, pos, ids[fresh])
+            at = self.codes.searchsorted(new)
+            self.codes, self.ids = np.insert(self.codes, at, new), np.insert(self.ids, at, found[fresh])
         self.order += len(new)
-        return fresh, ids
+        return ids, first
 
 
 class GroupTable:
@@ -406,45 +414,60 @@ def _heisenberg_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 # BFS construction
 
 
-def _bfs_table(
-    start_row: np.ndarray,
-    gen_rows: np.ndarray,
-    radices: np.ndarray,
-    mul_rows,
-    inv_rows,
-    kind: str,
-    meta: dict,
-) -> GroupTable:
+def _bfs(start: np.ndarray, index: _IdIndex, k: int, step, image_codes, cap: int):
+    """Orbit of the start rows (codes in index) under k generators, ids in level
+    then code order: image_codes(x) gives the (k, len(x)) codes of the products
+    of rows x by each generator, step(j, x) the products by generator j[i] of
+    x[i].  Returns the rows by id, the level ends and, per generator, g x ids."""
+    levels, frontier, moves = [start], start, [[] for _ in range(k)]
+    while len(frontier):
+        n = len(frontier)
+        ids, first = index.add(image_codes(frontier).ravel())
+        if index.order > cap * len(start):
+            raise SizeCapExceeded(f"group closure exceeded cap of {cap} elements")
+        for moves_j, ids_j in zip(moves, ids.reshape(k, n)):
+            moves_j.append(ids_j.copy())  # so that each list frees its own
+        levels.append(frontier := step(first // n, frontier[first % n]))
+    return np.concatenate(levels), np.cumsum([len(lv) for lv in levels[:-1]]), moves
+
+
+def _column_bfs(gen_rows: np.ndarray, meta: dict, weights: np.ndarray, cap: int):
+    """Start, step, image codes and digit map of a matrix table's BFS on ids in
+    the orbit O of the identity's columns, closed first as vectors mod q under
+    the generators and their 2^i-th powers (2^i < q: 7 levels, not 5,004, for a
+    unipotent mod 10,007): g x is L_g[x], with the code sum_c E_c[L_g[x_c]]."""
+    q, primes, d, k = meta["q"], meta["primes"], meta["dim"], len(gen_rows)
+    blocks = gen_rows.reshape(k, len(primes), d, d)  # by the CRT, one (d, d) block mod q each
+    mats = sum((q // p) * pow(q // p, -1, p) * blocks[:, b] for b, p in enumerate(primes)) % q
+    for _ in range(q.bit_length() - 1):
+        mats = np.concatenate([mats, _block_mul(mats[-k:], mats[-k:], q)])
+    col_weights = q ** np.arange(d)  # also the codes of e_1..e_d
+    cols, _, moves = _bfs(np.eye(d, dtype=np.int64), _IdIndex(q**d, col_weights), len(mats),
+                          lambda j, v: _block_mul(mats[j], v[:, :, None], q)[:, :, 0],
+                          lambda v: _block_mul(mats[:, None], v[:, :, None], q)[..., 0] @ col_weights, cap)
+    L = np.array([np.concatenate(m) for m in moves[:k]])
+    col_digits = cols[:, None, :] % np.array(primes)[:, None]  # (|O|, prime, row)
+    E_L = (col_digits.reshape(len(cols), -1) @ weights.reshape(-1, d))[L].transpose(2, 0, 1).copy()
+    return (np.arange(d, dtype=np.int32)[None], lambda j, x: L[j, x.T].T,
+            lambda x: functools.reduce(np.add, (E_L[c][:, x[:, c]] for c in range(d))),
+            lambda x: col_digits[x].transpose(0, 2, 3, 1).reshape(len(x), -1))
+
+
+def _bfs_table(start_row, gen_rows, radices, mul_rows, inv_rows, kind: str, meta: dict) -> GroupTable:
     cap = int(os.environ.get("EXPANDERLAB_CAP_ELEMS") or DEFAULT_ELEMENT_CAP)
     weights = _radix_weights(radices)
-    index = _IdIndex(int(weights[-1]) * int(radices[-1]), int(start_row @ weights))
-    levels = [start_row.reshape(1, -1)]
-    frontier = levels[0]
-    moves: list[list[np.ndarray]] = [[] for _ in gen_rows]  # id(g x), level by level
-    while frontier.shape[0]:
-        n = frontier.shape[0]
-        g_x = (mul_rows(np.broadcast_to(g, frontier.shape), frontier) for g in gen_rows)
-        codes, inverse = np.unique(np.concatenate([r @ weights for r in g_x]), return_inverse=True)
-        fresh, ids = index.add(codes)
-        if index.order > cap:
-            raise SizeCapExceeded(f"group closure exceeded cap of {cap} elements")
-        for j, ids_j in enumerate(moves):
-            ids_j.append(ids[inverse[j * n : (j + 1) * n]])
-        frontier = codes[fresh][:, None] // weights % radices
-        levels.append(frontier)
-    table = GroupTable(
-        digits=np.concatenate(levels, axis=0),
-        radices=radices,
-        mul_rows=mul_rows,
-        inv_rows=inv_rows,
-        generator_ids=index.lookup(gen_rows @ weights),
-        kind=kind,
-        meta=meta,
-        index=index,
-        level_ends=np.cumsum([len(lv) for lv in levels[:-1]]),
-    )
+    if kind == "matrix":
+        start, step, image_codes, digits = _column_bfs(gen_rows, meta, weights, cap)
+    else:
+        start, digits = start_row[None], lambda x: x
+        step = lambda j, x: mul_rows(np.broadcast_to(gen_rows[j], x.shape), x)
+        image_codes = lambda x: np.stack([step(j, x) @ weights for j in range(len(gen_rows))])
+    index = _IdIndex(int(weights[-1]) * int(radices[-1]), start_row[None] @ weights)
+    rows, level_ends, moves = _bfs(start, index, len(gen_rows), step, image_codes, cap)
+    table = GroupTable(digits(rows), radices, mul_rows, inv_rows, index.lookup(gen_rows @ weights),
+                       kind, meta, index, level_ends)
     for j, gid in enumerate(table.generator_ids.tolist()):
-        table._perm_cache["L", gid] = np.concatenate(moves[j])
+        table._perm_cache["L", gid] = np.concatenate(moves[j], dtype=np.int64)
         moves[j] = []
     return table
 

@@ -163,22 +163,25 @@ def _walk(table: GroupTable, ids: list[int], l_max: int, exact: bool):
     """Yield (l, chi_S^(l)) for l = 0..l_max from the identity; exact mode
     yields the Python-int word counts k^l chi_S^(l).
 
-    Step l is supported on S^-l; when S^-1 is among the BFS generators
-    that is inside the ball B_l, the first level_ends[l] ids, and only
-    that prefix is gathered.  Entries past it stay +0.0, as in walk_step.
+    Step l is supported on S^-l; when S^-1 is among the BFS generators (s t
+    is the identity for a generator t) that is inside the ball B_l, the first
+    level_ends[l] ids, the only ones gathered.  The rest stay +0.0, as in walk_step.
     """
     if l_max < 0:
         raise ValueError(f"walk length must be >= 0, got {l_max}")
     perms = [table.left_perm(s) for s in ids]
-    ends = table.level_ends if np.isin(table.inv_vec(ids), table.generator_ids).all() else []
+    ends = table.level_ends if all(table.identity_id in p[table.generator_ids] for p in perms) else []
     w = np.zeros(table.order, dtype=object if exact else float)
     w[table.identity_id] = 1
     yield 0, w
     for l in range(1, l_max + 1):
         end = ends[l] if l < len(ends) else table.order
-        acc = sum(w[p[:end]] for p in perms)  # as walk_step adds
-        w = np.zeros(table.order, dtype=w.dtype)
-        w[:end] = acc if exact else acc / len(ids)
+        acc = w[perms[0][:end]]
+        for p in perms[1:]:
+            acc += w[p[:end]]
+        if not exact:
+            acc /= len(ids)
+        w = acc if end == table.order else np.concatenate([acc, np.zeros(table.order - end, dtype=w.dtype)])
         yield l, w
 
 
@@ -288,11 +291,10 @@ class CayleyGraph:
         self.table = table
         ids = table.generator_ids if s_ids is None else np.asarray(s_ids, dtype=np.int64)
         self.s_ids = np.asarray([int(x) for x in ids], dtype=np.int64)
-        inv = set(int(x) for x in table.inv_vec(self.s_ids))
-        if inv != set(int(x) for x in self.s_ids):
+        self.perms = [table.left_perm(int(s)) for s in self.s_ids]
+        if not all(table.identity_id in p[self.s_ids] for p in self.perms):
             raise ValueError("generator multiset must be symmetric")
         self.degree = len(self.s_ids)
-        self.perms = [table.left_perm(int(s)) for s in self.s_ids]
 
     @property
     def order(self) -> int:

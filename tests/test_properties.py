@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 import expanderlab
 from expanderlab import quotient
 from expanderlab.cli import builtin_generators
-from expanderlab.errors import NotInGroup, SingularMatrix
-from expanderlab.exact import ModMatrix, RationalMatrix, mod_inv, mod_mul, row_reduce_mod_p
+from expanderlab.errors import NotInGroup, SingularMatrix, SizeCapExceeded
+from expanderlab.exact import ModMatrix, RationalMatrix, crt_tuple, mod_inv, mod_mul, row_reduce_mod_p
 from expanderlab.growth import ModuleAction, ProductFrame, orbit_sum_subspace
 from expanderlab.quotient import (
     ID_INDEX_CAP,
@@ -347,6 +347,8 @@ BFS_ORDER_DIGESTS = [
     ("lubotzky3", 7, "ecea5e746080d3deebb0771eed536469b7b1f34ed53fa763b795d602711763ee"),
     ("lubotzky3", 35, "d25fe0011431c9590cdf2c8b2f94f51090719a56f1013ee1f9eec9cd9e0806d1"),
     ("unitriangular", 7, "fff82ceb7977aa5c6089da66e2f3ee91bd5ca2010b8e5dc78862532dc30213f5"),
+    # the sorted code index
+    ("sanov2", 77, "05dd48c317937862a597f53f9efa60ec70162b822af050589588a8bf21b049e4"),
 ]
 
 
@@ -357,6 +359,96 @@ def test_bfs_element_order_is_pinned(name, q, digest):
     else:
         G = generate_group(builtin_generators(name), q)
     assert hashlib.sha256(G.digits.tobytes()).hexdigest() == digest
+
+
+def oracle_bfs(G, gen_rows):
+    """A plain BFS of G's identity under the generator rows, one level at
+    a time, with a dict from codes to ids: ids go in level order, then in
+    code order within a level.  Returns the digit rows, the level ends and,
+    per generator g, the ids of the products g x."""
+    code = lambda row: int(row @ G._weights)
+    rows, ends = [G.digits[0]], []
+    ids, frontier, to = {code(rows[0]): 0}, [0], [{} for _ in gen_rows]
+    while frontier:
+        ends.append(len(rows))
+        xs, found = np.array([rows[x] for x in frontier]), {}
+        for g, to_g in zip(gen_rows, to):
+            for x, y in zip(frontier, G._mul_rows(np.tile(g, (len(xs), 1)), xs)):
+                to_g[x] = code(y)
+                if to_g[x] not in ids:
+                    found[to_g[x]] = y
+        frontier = list(range(len(rows), len(rows) + len(found)))
+        for c in sorted(found):
+            ids[c] = len(rows)
+            rows.append(found[c])
+    return np.array(rows), np.array(ends), [[ids[to_g[x]] for x in range(len(rows))] for to_g in to]
+
+
+def units(q):
+    return [u for u in range(1, q) if math.gcd(u, q) == 1]
+
+
+@st.composite
+def small_generated_groups(draw):
+    """(generators, q) from families of groups with at most 2,200 elements:
+    GL2 mod 5 or 7, the affine group (1 a; 0 u) mod 35 or 55, the 3x3
+    unitriangular group mod 5 or 7 and the translations (1 a b; 0 1 0;
+    0 0 1) mod 35; the identity and repeats among them."""
+    family = draw(st.sampled_from(["gl2", "affine", "unitriangular", "translations"]))
+    entry = lambda q: st.integers(0, q - 1)
+    if family == "gl2":
+        q = draw(st.sampled_from([5, 7]))
+        mat = st.lists(entry(q), min_size=4, max_size=4).filter(lambda e: (e[0] * e[3] - e[1] * e[2]) % q)
+        mat = mat.map(lambda e: [e[:2], e[2:]])
+    elif family == "affine":
+        q = draw(st.sampled_from([35, 55]))
+        mat = st.tuples(entry(q), st.sampled_from(units(q))).map(lambda t: [[1, t[0]], [0, t[1]]])
+    else:
+        q = draw(st.sampled_from([5, 7] if family == "unitriangular" else [35]))
+        corner = entry(q) if family == "unitriangular" else st.just(0)
+        mat = st.tuples(entry(q), entry(q), corner).map(lambda t: [[1, t[0], t[1]], [0, 1, t[2]], [0, 0, 1]])
+    d = 3 if family in ("unitriangular", "translations") else 2
+    identity = [[int(i == j) for j in range(d)] for i in range(d)]
+    mats = draw(st.lists(st.one_of(mat, st.just(identity)), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        mats.append(mats[0])
+    return [RationalMatrix(m) for m in mats], q
+
+
+def assert_bfs_matches_the_oracle(gens, q):
+    G = generate_group(gens, q, symmetrize=False)
+    gen_rows = np.array([[x for m in crt_tuple(g, q) for r in m.rows for x in r] for g in gens])
+    rows, ends, perms = oracle_bfs(G, gen_rows)
+    assert np.array_equal(G.digits, rows)
+    assert np.array_equal(G.level_ends, ends)
+    assert G.generator_ids.tolist() == [int(G.id_of_rows(r)[0]) for r in gen_rows]
+    for s, perm in zip(G.generator_ids.tolist(), perms):
+        assert np.array_equal(G._perm_cache["L", s], perm)
+        assert np.array_equal(G._perm_cache["L", s], G.translation(s, right=False))
+
+
+@FEW
+@given(case=small_generated_groups())
+def test_bfs_matches_a_plain_dict_bfs(case):
+    assert_bfs_matches_the_oracle(*case)
+
+
+def test_bfs_matches_a_plain_dict_bfs_on_a_long_unipotent_orbit():
+    # one generator and its inverse mod 10,007: 5,004 levels, a column orbit
+    # of 10,008 vectors and both sorted code indexes
+    assert_bfs_matches_the_oracle([RationalMatrix([[1, 2], [0, 1]]), RationalMatrix([[1, -2], [0, 1]])], 10007)
+
+
+@pytest.mark.parametrize("cap", [60, 100])
+def test_element_cap_holds_for_the_column_orbit_and_the_group(cap, monkeypatch):
+    # SL2 mod 13 has 168 nonzero columns and 2,184 elements: at cap 60 the
+    # column orbit passes twice the cap, at 100 only the group passes it
+    monkeypatch.delenv("EXPANDERLAB_CAP_ELEMS", raising=False)
+    monkeypatch.setattr(quotient, "DEFAULT_ELEMENT_CAP", cap)
+    with pytest.raises(SizeCapExceeded, match=rf"^group closure exceeded cap of {cap} elements$"):
+        generate_group(builtin_generators("lubotzky3"), 13)
+    monkeypatch.setattr(quotient, "DEFAULT_ELEMENT_CAP", 2184)
+    assert generate_group(builtin_generators("lubotzky3"), 13).order == 2184
 
 
 # ----- block spectrum -----
