@@ -28,8 +28,10 @@ from .exact import ModMatrix, mod_inv, row_reduce_mod_p
 from .quotient import (
     GroupTable,
     SubgroupRecord,
+    _element_cap,
     _first_rows,
     _radix_weights,
+    _vector_orbit,
     coset_labels,
     levi_mask,
     lower_central_series,
@@ -411,27 +413,11 @@ class ModuleAction:
         return len(row_reduce_mod_p(stacked.tolist(), self.p)[1]) < self.dim
 
     def orbit(self, v: np.ndarray) -> np.ndarray:
-        """All images of v under the generated group, as (n, m) coords."""
+        """All images of v under the generated group, as (n, m) coords, in BFS
+        level then code order."""
+        mats = np.array(self.generators, dtype=np.int64).reshape(-1, self.dim, self.dim)
         v = np.asarray(v, dtype=np.int64).reshape(1, -1) % self.p
-        weights = _radix_weights(np.full(self.dim, self.p))
-        seen = {int(v[0] @ weights)}
-        frontier = v
-        rows = [v]
-        while len(frontier):
-            batch = []
-            for g in self.generators:
-                batch.append(frontier @ g.T % self.p)
-            batch = np.concatenate(batch, axis=0)
-            codes = batch @ weights
-            fresh_idx = []
-            for i, c in enumerate(codes.tolist()):
-                if c not in seen:
-                    seen.add(c)
-                    fresh_idx.append(i)
-            frontier = batch[fresh_idx]
-            if len(frontier):
-                rows.append(frontier)
-        return np.concatenate(rows, axis=0)
+        return _vector_orbit(mats, v, self.p, _element_cap())[0]
 
     def submodule_spanned_by(self, v: np.ndarray) -> np.ndarray:
         """All p^r vectors of the H-submodule generated by v."""
@@ -532,11 +518,8 @@ def _reject_one_dim_module(action: ModuleAction) -> None:
 def _derived_cosets(U: GroupTable) -> tuple[np.ndarray, int]:
     """Coset labels of the derived subgroup [U, U] of the p-group U, and
     the number of cosets; the labels are cached on U."""
-    if ("D", 0) not in U._perm_cache:
-        chain = lower_central_series(U)
-        gamma2 = chain[1] if len(chain) > 1 else chain[0][:1]
-        U._perm_cache["D", 0] = coset_labels(U, gamma2)
-    labels = U._perm_cache["D", 0]
+    # gamma_2 of the series, or gamma_1 when U is trivial
+    labels = U._cached(("D", 0), lambda: coset_labels(U, lower_central_series(U)[:2][-1]))
     return labels, int(labels.max()) + 1
 
 

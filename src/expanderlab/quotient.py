@@ -107,9 +107,10 @@ class _IdIndex:
         pos = np.minimum(self.codes.searchsorted(codes), self.order - 1)
         return np.where(self.codes[pos] == codes, self.ids[pos], -1)
 
-    def add(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def add(self, codes: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray] | None:
         """Ids of the codes, the next ids going in code order to codes without
-        one (the only ones sorted), and a position of each new code, in order."""
+        one (the only ones sorted), and a position of each new code, in order;
+        None, with nothing added, if the new codes would take the order past limit."""
         dense = self.codes is None
         ids = self.ids[codes] if dense else np.empty(len(codes), dtype=np.int32)
         pos = (ids < 0).nonzero()[0] if dense else codes.argsort()
@@ -122,6 +123,8 @@ class _IdIndex:
         found = np.full(len(new), -1) if dense else self.lookup(new)
         fresh = found < 0
         new, first = new[fresh], first[fresh]
+        if self.order + len(new) > limit:
+            return None
         found[fresh] = np.arange(self.order, self.order + len(new))
         ids[pos] = found[np.cumsum(head) - 1]
         if dense:
@@ -422,13 +425,29 @@ def _bfs(start: np.ndarray, index: _IdIndex, k: int, step, image_codes, cap: int
     levels, frontier, moves = [start], start, [[] for _ in range(k)]
     while len(frontier):
         n = len(frontier)
-        ids, first = index.add(image_codes(frontier).ravel())
-        if index.order > cap * len(start):
+        if (added := index.add(image_codes(frontier).ravel(), cap * len(start))) is None:
             raise SizeCapExceeded(f"group closure exceeded cap of {cap} elements")
+        ids, first = added
         for moves_j, ids_j in zip(moves, ids.reshape(k, n)):
             moves_j.append(ids_j.copy())  # so that each list frees its own
         levels.append(frontier := step(first // n, frontier[first % n]))
     return np.concatenate(levels), np.cumsum([len(lv) for lv in levels[:-1]]), moves
+
+
+def _element_cap() -> int:
+    """DEFAULT_ELEMENT_CAP, or EXPANDERLAB_CAP_ELEMS when that is set."""
+    return int(os.environ.get("EXPANDERLAB_CAP_ELEMS") or DEFAULT_ELEMENT_CAP)
+
+
+def _vector_orbit(mats: np.ndarray, start: np.ndarray, q: int, cap: int):
+    """Orbit mod q of the start vectors (distinct, in code order) under the
+    (k, d, d) matrices, at most cap vectors per start vector, in level then
+    code order, and per matrix the ids of its images of each level."""
+    weights = _radix_weights(np.full(start.shape[1], q))
+    orbit, _, moves = _bfs(start, _IdIndex(int(weights[-1]) * q, start @ weights), len(mats),
+                           lambda j, v: _block_mul(mats[j], v[:, :, None], q)[:, :, 0],
+                           lambda v: _block_mul(mats[:, None], v[:, :, None], q)[..., 0] @ weights, cap)
+    return orbit, moves
 
 
 def _column_bfs(gen_rows: np.ndarray, meta: dict, weights: np.ndarray, cap: int):
@@ -441,10 +460,7 @@ def _column_bfs(gen_rows: np.ndarray, meta: dict, weights: np.ndarray, cap: int)
     mats = sum((q // p) * pow(q // p, -1, p) * blocks[:, b] for b, p in enumerate(primes)) % q
     for _ in range(q.bit_length() - 1):
         mats = np.concatenate([mats, _block_mul(mats[-k:], mats[-k:], q)])
-    col_weights = q ** np.arange(d)  # also the codes of e_1..e_d
-    cols, _, moves = _bfs(np.eye(d, dtype=np.int64), _IdIndex(q**d, col_weights), len(mats),
-                          lambda j, v: _block_mul(mats[j], v[:, :, None], q)[:, :, 0],
-                          lambda v: _block_mul(mats[:, None], v[:, :, None], q)[..., 0] @ col_weights, cap)
+    cols, moves = _vector_orbit(mats, np.eye(d, dtype=np.int64), q, cap)
     L = np.array([np.concatenate(m) for m in moves[:k]])
     col_digits = cols[:, None, :] % np.array(primes)[:, None]  # (|O|, prime, row)
     E_L = (col_digits.reshape(len(cols), -1) @ weights.reshape(-1, d))[L].transpose(2, 0, 1).copy()
@@ -454,7 +470,7 @@ def _column_bfs(gen_rows: np.ndarray, meta: dict, weights: np.ndarray, cap: int)
 
 
 def _bfs_table(start_row, gen_rows, radices, mul_rows, inv_rows, kind: str, meta: dict) -> GroupTable:
-    cap = int(os.environ.get("EXPANDERLAB_CAP_ELEMS") or DEFAULT_ELEMENT_CAP)
+    cap = _element_cap()
     weights = _radix_weights(radices)
     if kind == "matrix":
         start, step, image_codes, digits = _column_bfs(gen_rows, meta, weights, cap)
@@ -697,12 +713,7 @@ def direct_product(t1: GroupTable, t2: GroupTable) -> GroupTable:
         gens.append(np.concatenate([id1, t2.digits[g]]))
     rows = np.array(gens, dtype=np.int64)
     ident = np.concatenate([id1, id2])
-    meta = {
-        "factor_primes": list(t1.meta.get("primes", [t1.meta.get("p")]))
-        + list(t2.meta.get("primes", [t2.meta.get("p")])),
-        "factors": (t1, t2),
-    }
-    return _bfs_table(ident, rows, radices, mul, inv, "product", meta)
+    return _bfs_table(ident, rows, radices, mul, inv, "product", {"factors": (t1, t2)})
 
 
 # ---------------------------------------------------------------------------
@@ -798,6 +809,11 @@ def _is_perfect(G: GroupTable, gen_ids: np.ndarray, order: int) -> bool:
     return len(_closure_ids(G, G.comm_vec(gen_ids[:, None], gen_ids), gen_ids)) == order
 
 
+def _centre(G: GroupTable) -> np.ndarray:
+    """Mask of the central elements: the x with s x = x s for every generator s."""
+    return np.logical_and.reduce([G.left_perm(s) == G.right_perm(s) for s in G.generator_ids.tolist()])
+
+
 def normal_closure(G: GroupTable, seed_ids: Sequence[int]) -> np.ndarray:
     """Element ids of the smallest normal subgroup containing the seeds."""
     return _closure_ids(G, seed_ids, G.generator_ids)
@@ -883,7 +899,8 @@ def product_decompose(G: GroupTable) -> tuple[list[GroupTable], dict]:
 
 def index_product_check(G: GroupTable, H: SubgroupRecord, delta: float = 0.25) -> dict:
     """Compare prod_p [G_p : pi_p(H)] against [G:H]^delta."""
-    primes = G.meta.get("factor_primes", [])
+    # a matrix factor's primes, a Heisenberg or semidirect factor's p
+    primes = [p for F in G._factors for p in F.meta.get("primes", [F.meta.get("p")]) if p is not None]
     if len(set(primes)) != len(primes):
         raise HypothesisViolated("index product bound assumes pairwise distinct primes")
     if not G._factors:
@@ -982,19 +999,12 @@ def verify_product_form(G: GroupTable, H: SubgroupRecord) -> dict:
     splits = prod.size == H.size and bool(H.member[prod].all())
     # trivial action on U/(H cap U): commutators [h, u] must fall in H cap U
     u_ids = np.flatnonzero(umask)
-    hu_member = G.mask(hu)
-    acts_trivially = True
-    witness = None
-    for h in hl:
-        bad = ~hu_member[G.comm_vec(h, u_ids)]
-        if bad.any():
-            acts_trivially = False
-            witness = (int(h), int(u_ids[np.nonzero(bad)[0][0]]))
-            break
+    bad = np.argwhere(~G.mask(hu)[G.comm_vec(hl[:, None], u_ids)])  # in row-major order
+    witness = (int(hl[bad[0, 0]]), int(u_ids[bad[0, 1]])) if len(bad) else None
     return {
         "splits": splits,
-        "acts_trivially": acts_trivially,
-        "passed": splits and acts_trivially,
+        "acts_trivially": witness is None,
+        "passed": splits and witness is None,
         "witness": witness,
         "h_cap_l": len(hl),
         "h_cap_u": len(hu),
@@ -1065,9 +1075,6 @@ def verify_factor_product_form(G: GroupTable, H: SubgroupRecord) -> dict:
     if G.kind != "matrix" or len(G.meta["primes"]) < 2:
         raise NotComposite("product form over factors needs a composite matrix table")
     at_ident = G._factor_ids == 0
-    center = np.ones(G.order, dtype=bool)
-    for s in G.generator_ids:
-        center &= G.conj_perm(int(s)) == np.arange(G.order)
     inside = []
     core = np.array([G.identity_id], dtype=np.int64)
     for i in range(len(at_ident)):
@@ -1076,7 +1083,7 @@ def verify_factor_product_form(G: GroupTable, H: SubgroupRecord) -> dict:
         if H.member[f_ids].all():
             inside.append(i)
             core = np.unique(G.mul_vec(core[:, None], f_ids))
-    z_ids = np.flatnonzero(center & H.member)
+    z_ids = np.flatnonzero(_centre(G) & H.member)
     full = np.unique(G.mul_vec(core[:, None], z_ids))
     passed = full.size == H.size and bool(H.member[full].all())
     return {

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import SizeCapExceeded, TableMismatch
-from .quotient import GroupTable, SubgroupRecord, coset_labels
+from .quotient import GroupTable, SubgroupRecord, _centre, coset_labels
 
 EXACT_CAP = 10_000
 DENSE_EIG_CAP = 5000
@@ -355,7 +355,7 @@ def _split_element(graph: CayleyGraph) -> tuple[np.ndarray, int]:
     """
     G = graph.table
     gens = G.generator_ids.tolist()
-    centre = np.flatnonzero(np.logical_and.reduce([G.left_perm(s) == G.right_perm(s) for s in gens]))
+    centre = np.flatnonzero(_centre(G))
     E = math.lcm(*map(_cycle_length, map(G.right_perm, gens))) if len(centre) == G.order else len(centre)
     S = dict.fromkeys(graph.s_ids.tolist())
     bound, m = max(math.lcm(_cycle_length(G.right_perm(s)), E) for s in S), 0

@@ -15,7 +15,7 @@ import operator
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain, repeat
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence
 
 from .errors import ZeroVector
 from .exact import RationalMatrix
@@ -25,7 +25,6 @@ FREE_LENGTH_CAP = 16  # longest relation certify_free searches for
 _add = partial(map, operator.add)  # elementwise sum of two iterables
 
 Word = tuple[int, ...]
-State = TypeVar("State")
 
 
 def ball_size(M: int, l: int) -> int:
@@ -37,53 +36,24 @@ def ball_size(M: int, l: int) -> int:
     return 2 * M * (2 * M - 1) ** (l - 1)
 
 
-def _walk(
-    M: int, L: int, start: State, step: Callable[[State, int], State]
-) -> Iterator[tuple[list[int], State]]:
-    """Depth-first preorder over the reduced words of length 1..L on M
-    generators, letters ordered 1, -1, 2, -2, ..., M, -M.
-
-    Yields (word, state) per word, where state = step(state of the word
-    without its last letter, last letter) and the empty word has start.
-    word is one live list, changed by the walk after the consumer
-    resumes it; copy it to keep it.
-    """
-    letters = [a for i in range(1, M + 1) for a in (i, -i)]
-    word: list[int] = []
-    states = [start]
-    pending = [iter(letters)] if L >= 1 else []
-    while pending:
-        for a in pending[-1]:
-            if word and word[-1] == -a:
-                continue
-            state = step(states[-1], a)
-            word.append(a)
-            yield word, state
-            if len(word) < L:
-                states.append(state)
-                pending.append(iter(letters))
-                break
-            word.pop()
-        else:
-            pending.pop()
-            states.pop()
-            if word:
-                word.pop()
-
-
 def reduced_words(M: int, l: int) -> Iterator[Word]:
     """An iterator over the words of B_l, in lexicographic order of the
     letter sequence under the ordering 1 < -1 < 2 < -2 < ... < M < -M."""
     if M < 2:
         raise ValueError("need at least two free generators")
+    if l < 0:
+        raise ValueError("length must be nonnegative")
     # a word is a head from a materialised sphere and a suffix of length
-    # tail that does not start with the inverse of the head's last letter
+    # tail that does not start with the inverse of the head's last letter;
+    # extending each word of a sphere by every letter but the inverse of
+    # its last, in letter order, keeps the next sphere in lexicographic order
+    letters = [a for i in range(1, M + 1) for a in (i, -i)]
     tail = min(l, 4)
     heads, suffixes = (
-        [tuple(w) for w, _ in _walk(M, k, None, lambda state, a: None) if len(w) == k] if k else [()]
+        reduce(lambda ws, _: [w + (a,) for w in ws for a in letters if w[-1:] != (-a,)], range(k), [()])
         for k in (l - tail, tail)
     )
-    after = {a: [s for s in suffixes if s[:1] != (-a,)] for a in range(-M, M + 1) if a}
+    after = {a: [s for s in suffixes if s[:1] != (-a,)] for a in letters}
     return chain.from_iterable(map(h.__add__, after[h[-1]] if h else suffixes) for h in heads)
 
 
@@ -292,7 +262,8 @@ def fixed_line_fraction(
     else:
         raise ValueError(f"unknown representation {rep!r}")
     return _count_fixing_words(
-        mats, l, w, lambda vec: _collinear(vec, w)
+        {a: m.rows for i, g in enumerate(mats, start=1) for a, m in ((i, g), (-i, g.inverse()))},
+        l, w, lambda vec: _collinear(vec, w),
     )
 
 
@@ -302,57 +273,43 @@ def fixed_point_fraction(
     w: Sequence,
     l: int,
 ) -> dict:
-    """Count words g in B_l whose affine action x -> rho(g)x + v(g) fixes w."""
-    w = [Fraction(x) for x in w]
+    """Count words g in B_l whose affine action x -> rho(g)x + v(g) fixes w.
+
+    The action is linear in homogeneous coordinates (x, 1): the letter g
+    acts by rows [[A, v], [0, 1]], its inverse by [[A^-1, -A^-1 v], [0, 1]].
+    """
+    w = [Fraction(x) for x in w] + [1]
     if l > BALL_SCAN_CAP:
         raise ValueError(f"ball scan cap is l <= {BALL_SCAN_CAP}")
     if len(translations) != len(gens):
         raise ValueError("one translation part per generator required")
-    return _count_fixing_words(
-        list(gens),
-        l,
-        w,
-        lambda vec: vec == w,
-        translations=[[Fraction(x) for x in t] for t in translations],
-    )
+    action = {}
+    for i, (g, v) in enumerate(zip(gens, translations), start=1):
+        gi, v = g.inverse(), [Fraction(x) for x in v]
+        vi = [-sum(map(operator.mul, row, v)) for row in gi.rows]
+        for a, m, t in ((i, g, v), (-i, gi, vi)):
+            action[a] = [[*row, x] for row, x in zip(m.rows, t)] + [[0] * g.dim + [1]]
+    return _count_fixing_words(action, l, w, lambda vec: vec == w)
 
 
 def _count_fixing_words(
-    mats: Sequence[RationalMatrix],
+    action: dict[int, Sequence[Sequence[Fraction]]],
     l: int,
     w: Sequence[Fraction],
     hit: Callable[[list[Fraction]], bool],
-    translations: Sequence[Sequence[Fraction]] | None = None,
 ) -> dict:
-    """Shared DFS over B_l tracking the image of w under the word action."""
-    d = mats[0].dim
-    action = {}
-    for i, m in enumerate(mats, start=1):
-        mi = m.inverse()
-        if translations is None:
-            action[i] = (m.rows, None)
-            action[-i] = (mi.rows, None)
-        else:
-            v = list(translations[i - 1])
-            action[i] = (m.rows, v)
-            vi = [-sum(mi.rows[r][c] * v[c] for c in range(d)) for r in range(d)]
-            action[-i] = (mi.rows, vi)
+    """Count the words of B_l that take w to a vector hit accepts, by
+    depth-first recursion over (vector, last letter, depth); action maps
+    each letter to the rows of its matrix."""
+    total = ball_size(len(action) // 2, l)
 
-    def step(vec: list[Fraction], a: int) -> list[Fraction]:
-        rows, trans = action[a]
-        new = [sum(rows[r][c] * vec[c] for c in range(d)) for r in range(d)]
-        if trans is not None:
-            new = [x + t for x, t in zip(new, trans)]
-        return new
+    def fixing(vec: list[Fraction], last: int, depth: int) -> int:
+        if not depth:
+            return int(hit(vec))
+        return sum(fixing([sum(map(operator.mul, row, vec)) for row in rows], a, depth - 1)
+                   for a, rows in action.items() if a != -last)
 
-    if l == 0:
-        count = 1 if hit(list(w)) else 0
-    else:
-        count = sum(
-            1 for word, vec in _walk(len(mats), l, list(w), step)
-            if len(word) == l and hit(vec)
-        )
-    total = ball_size(len(mats), l)
+    count = fixing(list(w), 0, l)
     exponent = math.log(count) / math.log(total) if count > 1 and total > 1 else 0.0
     return {
         "count": count,

@@ -1,4 +1,5 @@
-"""Property tests for the reduced-word walker, the mod-p row reducer,
+"""Property tests for the reduced-word walker and the fixed-line and
+fixed-point counts over it, the module orbits, the centre, the mod-p row reducer,
 the coset labeller, the table id lookup, the block spectrum, the
 translations and ball radii the BFS records and the walks that use them,
 the products through the per-prime factors of composite tables, the
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import expanderlab
 from expanderlab import quotient
@@ -57,7 +58,7 @@ from expanderlab.spectral import (
     walk_step,
     walk_trace_side,
 )
-from expanderlab.words import ball_size, certify_free, reduced_words
+from expanderlab.words import ball_size, certify_free, fixed_line_fraction, fixed_point_fraction, reduced_words
 
 FEW = settings(max_examples=25, deadline=None)
 
@@ -133,6 +134,50 @@ def test_certify_free_witness_is_the_first_identity_word(picks, L):
             expected = w
             break
     assert certify_free(gens, L) == (expected is None, expected)
+
+
+def proportional(u, v):
+    """Whether u = c v for some c, v nonzero: c from v's first nonzero entry."""
+    i = next(i for i, x in enumerate(v) if x)
+    return all(x == Fraction(u[i]) / v[i] * y for x, y in zip(u, v))
+
+
+def apply(m, v):
+    return [sum(x * y for x, y in zip(row, v)) for row in m.rows]
+
+
+@FEW
+@given(
+    picks=st.lists(st.integers(0, len(GENERATOR_POOL) - 1), min_size=2, max_size=2, unique=True),
+    line=st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any),
+    trace_zero=st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)).filter(any),
+    point=st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    shifts=st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)), min_size=2, max_size=2),
+    l=st.integers(0, 5),
+)
+def test_fixed_word_counts_match_the_multiplied_out_words(picks, line, trace_zero, point, shifts, l):
+    gens = [GENERATOR_POOL[i] for i in picks]
+    ident = RationalMatrix.identity(2)
+    # each letter as an affine map (A, v): x -> A x + v, and its inverse
+    affine = {}
+    for i, (g, v) in enumerate(zip(gens, shifts), start=1):
+        gi = g.inverse()
+        affine[i], affine[-i] = (g, list(v)), (gi, [-x for x in apply(gi, v)])
+    natural = adjoint = fixed = 0
+    for word in reduced_words(2, l):
+        A, v = ident, [0, 0]
+        for a in word:  # (A, v) after (B, u) is (A B, A u + v)
+            B, u = affine[a]
+            A, v = A * B, [x + y for x, y in zip(apply(A, u), v)]
+        natural += proportional(apply(A, line), line)
+        # a E + b H + c F is [[b, a], [c, -b]]
+        a, b, c = trace_zero
+        X = RationalMatrix([[b, a], [c, -b]])
+        adjoint += proportional(sum((A * X * A.inverse()).rows, ()), sum(X.rows, ()))
+        fixed += [x + y for x, y in zip(apply(A, point), v)] == list(point)
+    assert fixed_line_fraction(gens, "natural", line, l)["count"] == natural
+    assert fixed_line_fraction(gens, "adjoint", trace_zero, l)["count"] == adjoint
+    assert fixed_point_fraction(gens, shifts, point, l)["count"] == fixed
 
 
 def first_identity_word(gens, L):
@@ -498,6 +543,14 @@ def test_spectrum_with_the_identity_matches_the_dense_solve():
     # S = {e}: the split element is -I, so T = I is solved in two blocks
     assert_spectrum_matches_the_dense_solve(G, [G.identity_id])
     assert_spectrum_matches_the_dense_solve(G, [G.identity_id, *G.generator_ids])
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRUM_TABLES))
+def test_centre_is_the_elements_that_commute_with_every_element(name):
+    G = SPECTRUM_TABLES[name]
+    every = np.arange(G.order)
+    brute = [(G.mul_vec(x, every) == G.mul_vec(every, x)).all() for x in range(G.order)]
+    assert np.array_equal(quotient._centre(G), brute)
 
 
 def assert_split_element(graph, order):
@@ -1051,6 +1104,24 @@ def test_normal_subgroups_are_the_unions_of_classes_closed_under_products(G):
 
 
 # ----- orbit sums -----
+
+
+@FEW
+@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]), dim=st.integers(1, 3), k=st.integers(1, 3))
+def test_module_orbit_is_the_plain_bfs_orbit(data, p, dim, k):
+    entries = st.lists(st.integers(0, p - 1), min_size=dim * dim, max_size=dim * dim)
+    gens = [np.array(data.draw(entries)).reshape(dim, dim) for _ in range(k)]
+    assume(all(len(row_reduce_mod_p(g.tolist(), p)[1]) == dim for g in gens))
+    v = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=dim, max_size=dim)))
+    seen, queue = {v: None}, [v]
+    for u in queue:
+        for g in gens:
+            image = tuple(int(x) for x in g @ np.array(u) % p)
+            if image not in seen:
+                seen[image] = None
+                queue.append(image)
+    orbit = ModuleAction(p, dim, gens).orbit(np.array(v))
+    assert len(orbit) == len(seen) and set(map(tuple, orbit.tolist())) == set(seen)
 
 
 def test_orbit_sum_subspace_is_an_invariant_line():

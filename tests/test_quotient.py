@@ -402,6 +402,19 @@ def test_index_product_check_duplicate_primes():
         index_product_check(GG, H)
 
 
+def test_index_product_check_reads_the_primes_of_the_factors():
+    # cyclic factors have no prime, so Z/4 x Z/9 raises no objection; H = Z/4 x 1
+    # projects onto Z/4 and onto the identity of Z/9, so both sides are 9
+    G = direct_product(cyclic_group(4), cyclic_group(9))
+    H = subgroup_closure(G, [int(G.generator_ids[0])], flags=False)
+    rep = index_product_check(G, H)
+    assert rep["lhs"] == rep["rhs"] == 9
+    # a Heisenberg factor's p is a prime of the product
+    GG = direct_product(heisenberg_group(5), generate_group(lubotzky_gens(), 5))
+    with pytest.raises(HypothesisViolated, match="pairwise distinct primes"):
+        index_product_check(GG, subgroup_closure(GG, [int(GG.generator_ids[0])], flags=False))
+
+
 @pytest.mark.parametrize("table", ["sl2 mod 5", "cyclic 7"])
 def test_index_product_check_needs_a_composite_table(table, sl2_5):
     G = sl2_5 if table == "sl2 mod 5" else cyclic_group(7)
