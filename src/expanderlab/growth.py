@@ -409,7 +409,7 @@ class ModuleAction:
     def has_fixed_vector(self) -> bool:
         """Nonzero v with gv = v for all generators, by exact rank."""
         eye = np.eye(self.dim, dtype=np.int64)
-        stacked = np.concatenate([(g - eye) % self.p for g in self.generators], axis=0)
+        stacked = np.array([(g - eye) % self.p for g in self.generators]).reshape(-1, self.dim)  # (0, m) for none
         return len(row_reduce_mod_p(stacked.tolist(), self.p)[1]) < self.dim
 
     def orbit(self, v: np.ndarray) -> np.ndarray:

@@ -8,24 +8,30 @@ ids are assigned in BFS order from the identity, ties broken by the
 mixed-radix encoding of the digit row, so tables are deterministic.
 
 One BFS routine builds every table kind and its one id lookup, which is also
-its seen-set: a dense int32 code-to-id array for a code space of at most
-ID_INDEX_CAP = 2^25 codes (71 MB for SL2 mod 65), else sorted codes with
-their ids alongside (SL2 mod 77 or 97).  It multiplies on the left: the
-sphere of word length l is the same from either side, and the ids of the
-products g x seed left_perm(g); the first level_ends[l] ids are the ball B_l.
-As g x acts on each column of x apart, a matrix table is first mapped to the
-orbit of the identity's columns (24 vectors mod 5, 9,408 mod 97), and its BFS
-runs on rows of column ids: each product one gather, each code a sum of lookups.
+its seen-set: a dense int32 key-to-id array for a key space of at most
+ID_INDEX_CAP = 2^25 keys, else sorted keys with their ids alongside (SL2 mod
+97).  A key is the mixed-radix code of the digit row; in a table with factors
+(mod a composite q, inside the product of its per-prime images by the CRT, or
+a direct product), built first, it is the ranks of the factor blocks' codes
+in mixed radix over the factor orders, which sorts as the code does (262,080
+keys for SL2 mod 65, not 65^4).  The BFS multiplies on the left: the sphere
+of word length l is the same from either side, and the ids of the products
+g x seed left_perm(g); the first level_ends[l] ids are the ball B_l.
+As g x acts on each column of x apart, a matrix table mod a prime is first
+mapped to the orbit of the identity's columns (24 vectors mod 5, 9,408 mod 97),
+and its BFS runs on rows of column ids: each product one gather, each code a
+sum of lookups; a table with factors runs it on rows of factor ids, in the
+factors' recorded translations.  Digit rows are built from the BFS rows on
+first read, which a walk never does.
 
 A table of at most PRODUCT_TABLE_CAP = 4096 elements answers mul_vec
 from an int16 product table, 2 bytes per pair, built on first use from
 the recorded generator translations (the row of g x is L_g applied to
 the row of x), and inv_vec from a cached inverse permutation.
 
-A larger table mod a composite q (inside the product of its per-prime images,
-by the CRT) or direct product has factor tables and factor ids, built on first
-use; when each factor fits PRODUCT_TABLE_CAP, mul_vec and inv_vec gather in
-those tables and map back by a dense pair index (<= ID_INDEX_CAP).
+A larger table with factors answers mul_vec and inv_vec, when each factor
+fits PRODUCT_TABLE_CAP, by gathers in the factor tables at its factor ids,
+mapping the factor ids of the results back by their ranks.
 
 Subgroups, normal closures and commutator subgroups come from one BFS
 from the identity that multiplies by the generators and conjugates by a
@@ -86,9 +92,9 @@ def _modpow_vec(base: np.ndarray, exp: int, p: int) -> np.ndarray:
 
 
 class _IdIndex:
-    """Code-to-id lookup, filled by the BFS one level at a time: a dense
-    int32 array (-1 for codes without an id) when the code space has at
-    most ID_INDEX_CAP codes, else sorted codes with their ids alongside."""
+    """Key-to-id lookup, filled by the BFS one level at a time: a dense
+    int32 array (-1 for keys without an id) when the key space has at
+    most ID_INDEX_CAP keys, else sorted keys ("codes") with their ids alongside."""
 
     def __init__(self, space: int, start_codes: np.ndarray):
         self.order = len(start_codes)  # sorted and distinct, given ids 0, 1, ...
@@ -116,17 +122,18 @@ class _IdIndex:
         pos = (ids < 0).nonzero()[0] if dense else codes.argsort()
         if dense:  # the misses, by code
             pos = pos[codes[pos].argsort()]
-        by_code = codes[pos]
-        head = np.ones(len(pos), dtype=bool)
-        np.not_equal(by_code[1:], by_code[:-1], out=head[1:])
-        new, first = by_code[head], pos[head]
+        new, head = codes[pos], np.ones(len(pos), dtype=bool)
+        np.not_equal(new[1:], new[:-1], out=head[1:])
+        new, first = new[head], pos[head]  # which frees the level's sorted codes
         found = np.full(len(new), -1) if dense else self.lookup(new)
         fresh = found < 0
         new, first = new[fresh], first[fresh]
         if self.order + len(new) > limit:
             return None
         found[fresh] = np.arange(self.order, self.order + len(new))
-        ids[pos] = found[np.cumsum(head) - 1]
+        rank = np.cumsum(head)
+        rank -= 1  # in place: a level's worth of int64
+        ids[pos] = found[rank]
         if dense:
             self.ids[new] = found[fresh]
         else:
@@ -141,7 +148,7 @@ class GroupTable:
 
     def __init__(
         self,
-        digits: np.ndarray,
+        digits: np.ndarray | Callable[[], np.ndarray],
         radices: np.ndarray,
         mul_rows: Callable[[np.ndarray, np.ndarray], np.ndarray],
         inv_rows: Callable[[np.ndarray], np.ndarray],
@@ -151,7 +158,7 @@ class GroupTable:
         index: _IdIndex,
         level_ends: np.ndarray,
     ):
-        self.digits = digits
+        self._digit_rows = digits  # the rows, or a builder of them run on first read
         self.radices = radices
         self._mul_rows = mul_rows
         self._inv_rows = inv_rows
@@ -163,10 +170,17 @@ class GroupTable:
         self.level_ends = level_ends
         self._digit_bounds = radices.astype(np.uint64)
         self._perm_cache: dict[tuple[str, int], np.ndarray] = {}
+        self._factors, self._factor_ids = [], None  # the factor tables and (r, order) ids, set by _bfs_table
+
+    @functools.cached_property
+    def digits(self) -> np.ndarray:
+        """The digit rows by id, built on first read when given as a builder."""
+        rows, self._digit_rows = self._digit_rows, None
+        return rows() if callable(rows) else rows
 
     @property
     def order(self) -> int:
-        return self.digits.shape[0]
+        return int(self.level_ends[-1])
 
     identity_id = 0
 
@@ -178,7 +192,7 @@ class GroupTable:
         # index (where numpy wraps a negative code without an error)
         if (rows.view(np.uint64) >= self._digit_bounds).any():
             raise NotInGroup("element not in group table")
-        ids = self._index.lookup(rows @ self._weights)
+        ids = self._index.lookup(_row_keys(self._factors, self._weights, rows))
         if (ids < 0).any():
             raise NotInGroup("element not in group table")
         return ids
@@ -269,42 +283,17 @@ class GroupTable:
         return self._cached(("P", 0), build)
 
     @functools.cached_property
-    def _factors(self) -> list[GroupTable]:
-        """The factor tables of a composite table: the per-prime images of a
-        matrix table mod two or more primes, each closed mod its prime, or
-        the factors of a direct product; none for any other table."""
-        if self.kind == "product":
-            return list(self.meta["factors"])
-        if self.kind != "matrix" or len(self.meta["primes"]) < 2:
-            return []
-        d, rows = self.meta["dim"], self.digits[self.generator_ids]
-        gens = [(p, [ModMatrix(r.reshape(d, d).tolist(), p) for r in rows[:, c]]) for p, c in _prime_blocks(self)]
-        return [generate_group(mats, p) for p, mats in gens]
-
-    @functools.cached_property
-    def _factor_ids(self) -> np.ndarray:
-        """The (r, n) ids of the elements' images in the r factors: row i
-        reads factor i's digit columns, which follow those of factors < i."""
-        widths = [F.digits.shape[1] for F in self._factors]
-        blocks = np.split(self.digits, np.cumsum(widths)[:-1], axis=1)
-        return np.stack([F.id_of_rows(b) for F, b in zip(self._factors, blocks)])
-
-    @functools.cached_property
-    def _pair_index(self) -> np.ndarray:
-        """Element id of each factor-id tuple's radix code, -1 off the table."""
-        orders = [F.order for F in self._factors]
-        pairs = np.full(math.prod(orders), -1, np.int32)
-        pairs[_radix_weights(orders) @ self._factor_ids] = np.arange(self.order)
-        return pairs
+    def _rank(self) -> np.ndarray:
+        """Each id's position in key order, which is digit code order."""
+        ids = self._index.ids  # in key order, -1 in a dense index's holes
+        return np.argsort(ids if self._index.codes is not None else ids[ids >= 0])
 
     def _via_factors(self, method: str, *ids: np.ndarray) -> np.ndarray | None:
         """mul_vec or inv_vec through the factor tables; None off that path."""
-        orders = np.array([F.order for F in self._factors])
-        if not orders.size or orders.max() > PRODUCT_TABLE_CAP or orders.prod() > ID_INDEX_CAP:
+        if not self._factors or max(F.order for F in self._factors) > PRODUCT_TABLE_CAP:
             return None
-        fids, weights = self._factor_ids, _radix_weights(orders)
-        codes = sum(w * getattr(F, method)(*(f[x] for x in ids)) for F, f, w in zip(self._factors, fids, weights))
-        return np.asarray(self._pair_index[codes], dtype=np.int64)
+        fids = [getattr(F, method)(*(f[x] for x in ids)) for F, f in zip(self._factors, self._factor_ids)]
+        return np.asarray(self._index.lookup(_rank_keys(self._factors, fids)))
 
     def left_perm(self, gid: int) -> np.ndarray:
         """Array mapping x to id(g x), cached."""
@@ -339,6 +328,21 @@ def _prime_blocks(G: GroupTable) -> list[tuple[int, slice]]:
     a matrix table."""
     dd = G.meta["dim"] ** 2
     return [(p, slice(i * dd, (i + 1) * dd)) for i, p in enumerate(G.meta["primes"])]
+
+
+def _rank_keys(factors: list[GroupTable], ids: list[np.ndarray]) -> np.ndarray:
+    """Index keys of a table with factors from its elements' factor ids: their
+    ranks in their factors' key order, in mixed radix over the factor orders."""
+    return np.ravel_multi_index([F._rank[i] for F, i in zip(factors, ids)], [F.order for F in factors], order="F")
+
+
+def _row_keys(factors: list[GroupTable], weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Index keys of digit rows: their codes, or the rank keys of the factors' ids
+    of their digit blocks, which raise NotInGroup for a block off its factor."""
+    if not factors:
+        return rows @ weights
+    blocks = np.split(rows, np.cumsum([len(F.radices) for F in factors])[:-1], axis=1)
+    return _rank_keys(factors, [F.id_of_rows(b) for F, b in zip(factors, blocks)])
 
 
 def _radix_weights(radices: np.ndarray) -> np.ndarray:
@@ -446,45 +450,67 @@ def _vector_orbit(mats: np.ndarray, start: np.ndarray, q: int, cap: int):
     weights = _radix_weights(np.full(start.shape[1], q))
     orbit, _, moves = _bfs(start, _IdIndex(int(weights[-1]) * q, start @ weights), len(mats),
                            lambda j, v: _block_mul(mats[j], v[:, :, None], q)[:, :, 0],
-                           lambda v: _block_mul(mats[:, None], v[:, :, None], q)[..., 0] @ weights, cap)
+                           lambda v: np.stack([weights @ _block_mul(m, v.T, q) for m in mats]), cap)
     return orbit, moves
 
 
 def _column_bfs(gen_rows: np.ndarray, meta: dict, weights: np.ndarray, cap: int):
-    """Start, step, image codes and digit map of a matrix table's BFS on ids in
-    the orbit O of the identity's columns, closed first as vectors mod q under
-    the generators and their 2^i-th powers (2^i < q: 7 levels, not 5,004, for a
+    """Start, step, image codes and digit map of a mod-p matrix table's BFS on ids
+    in the orbit O of the identity's columns, closed first as vectors mod p under
+    the generators and their 2^i-th powers (2^i < p: 7 levels, not 5,004, for a
     unipotent mod 10,007): g x is L_g[x], with the code sum_c E_c[L_g[x_c]]."""
-    q, primes, d, k = meta["q"], meta["primes"], meta["dim"], len(gen_rows)
-    blocks = gen_rows.reshape(k, len(primes), d, d)  # by the CRT, one (d, d) block mod q each
-    mats = sum((q // p) * pow(q // p, -1, p) * blocks[:, b] for b, p in enumerate(primes)) % q
-    for _ in range(q.bit_length() - 1):
-        mats = np.concatenate([mats, _block_mul(mats[-k:], mats[-k:], q)])
-    cols, moves = _vector_orbit(mats, np.eye(d, dtype=np.int64), q, cap)
+    p, d, k = meta["q"], meta["dim"], len(gen_rows)
+    mats = gen_rows.reshape(k, d, d)
+    for _ in range(p.bit_length() - 1):
+        mats = np.concatenate([mats, _block_mul(mats[-k:], mats[-k:], p)])
+    cols, moves = _vector_orbit(mats, np.eye(d, dtype=np.int64), p, cap)
     L = np.array([np.concatenate(m) for m in moves[:k]])
-    col_digits = cols[:, None, :] % np.array(primes)[:, None]  # (|O|, prime, row)
-    E_L = (col_digits.reshape(len(cols), -1) @ weights.reshape(-1, d))[L].transpose(2, 0, 1).copy()
+    E_L = (cols @ weights.reshape(d, d))[L].transpose(2, 0, 1).copy()
     return (np.arange(d, dtype=np.int32)[None], lambda j, x: L[j, x.T].T,
             lambda x: functools.reduce(np.add, (E_L[c][:, x[:, c]] for c in range(d))),
-            lambda x: col_digits[x].transpose(0, 2, 3, 1).reshape(len(x), -1))
+            lambda x: cols[x].transpose(0, 2, 1).reshape(len(x), -1))
+
+
+def _factor_bfs(gen_rows: np.ndarray, factors: list[GroupTable]):
+    """Start, step, image keys and digit map of a BFS on rows of factor ids: g x
+    has the ids L_gi[x_i], L_gi the left translation by g's block in factor i,
+    and the key sum_i w_i R_i[L_gi[x_i]], R_i the ranks of factor i's ids."""
+    blocks = np.split(gen_rows, np.cumsum([len(F.radices) for F in factors])[:-1], axis=1)
+    L = [np.array([F.left_perm(g) for g in F.id_of_rows(b)], dtype=np.int32) for F, b in zip(factors, blocks)]
+    K = [w * F._rank[L_i] for F, L_i, w in zip(factors, L, _radix_weights([F.order for F in factors]))]
+    return (np.zeros((1, len(factors)), dtype=np.int32),
+            lambda j, x: np.stack([L_i[j, x[:, i]] for i, L_i in enumerate(L)], axis=1),
+            lambda x: functools.reduce(np.add, (K_i[:, x[:, i]] for i, K_i in enumerate(K))),
+            lambda x: np.concatenate([F.digits[x[:, i]] for i, F in enumerate(factors)], axis=1))
 
 
 def _bfs_table(start_row, gen_rows, radices, mul_rows, inv_rows, kind: str, meta: dict) -> GroupTable:
     cap = _element_cap()
     weights = _radix_weights(radices)
-    if kind == "matrix":
+    factors = list(meta.get("factors", ()))  # a direct product's
+    if kind == "matrix" and len(meta["primes"]) > 1:  # the images mod each prime, each closed mod it
+        primes, d = meta["primes"], meta["dim"]
+        blocks = gen_rows.reshape(len(gen_rows), len(primes), d, d)
+        factors = [generate_group([ModMatrix(m.tolist(), p) for m in blocks[:, i]], p)
+                   for i, p in enumerate(primes)]
+    if factors:
+        start, step, image_codes, digits = _factor_bfs(gen_rows, factors)
+    elif kind == "matrix":
         start, step, image_codes, digits = _column_bfs(gen_rows, meta, weights, cap)
     else:
         start, digits = start_row[None], lambda x: x
         step = lambda j, x: mul_rows(np.broadcast_to(gen_rows[j], x.shape), x)
         image_codes = lambda x: np.stack([step(j, x) @ weights for j in range(len(gen_rows))])
-    index = _IdIndex(int(weights[-1]) * int(radices[-1]), start_row[None] @ weights)
+    space = math.prod(F.order for F in factors) if factors else int(weights[-1]) * int(radices[-1])
+    index = _IdIndex(space, _row_keys(factors, weights, start_row[None]))
     rows, level_ends, moves = _bfs(start, index, len(gen_rows), step, image_codes, cap)
-    table = GroupTable(digits(rows), radices, mul_rows, inv_rows, index.lookup(gen_rows @ weights),
-                       kind, meta, index, level_ends)
+    table = GroupTable(lambda: digits(rows), radices, mul_rows, inv_rows,
+                       index.lookup(_row_keys(factors, weights, gen_rows)), kind, meta, index, level_ends)
     for j, gid in enumerate(table.generator_ids.tolist()):
         table._perm_cache["L", gid] = np.concatenate(moves[j], dtype=np.int64)
         moves[j] = []
+    if factors:  # the BFS rows are the elements' factor ids
+        table._factors, table._factor_ids = factors, np.ascontiguousarray(rows.T)
     return table
 
 

@@ -356,6 +356,10 @@ def test_orbit_sum_subspace_errors():
     fixed = ModuleAction(7, 2, [np.array([[1, 1], [0, 1]])])
     with pytest.raises(FixedVectorExists):
         orbit_sum_subspace(fixed, [1, 0])
+    # with no generators every vector is fixed
+    assert ModuleAction(7, 2, []).has_fixed_vector()
+    with pytest.raises(FixedVectorExists):
+        orbit_sum_subspace(ModuleAction(7, 2, []), [1, 0])
 
 
 def test_orbit_sum_span_sl2():

@@ -2,10 +2,11 @@
 fixed-point counts over it, the module orbits, the centre, the mod-p row reducer,
 the coset labeller, the table id lookup, the block spectrum, the
 translations and ball radii the BFS records and the walks that use them,
-the products through the per-prime factors of composite tables, the
-measure constructors, the subgroup and normal closures and the lower
-central series, each against a brute-force oracle, plus guards on the
-BFS element order and the package's public names and signatures."""
+the products through the per-prime factors of composite tables and their
+factor-rank id index, the measure constructors, the subgroup and normal
+closures and the lower central series, each against a brute-force oracle,
+plus guards on the BFS element order and the package's public names and
+signatures."""
 import hashlib
 import inspect
 import itertools
@@ -808,6 +809,16 @@ def test_walks_with_repeats_and_non_generators_equal_full_walk_steps(exact):
     check_walks_against_full_steps(A, None, 12, exact, borel_subgroup(A))
 
 
+def test_a_walk_leaves_the_digit_rows_unbuilt():
+    G = generate_group(builtin_generators("lubotzky3"), 29)
+    walk_powers(G, 20)
+    assert "digits" not in vars(G) and callable(G._digit_rows)
+    every = np.arange(G.order)
+    assert G.digits.shape == (G.order, 4) and "digits" in vars(G)
+    assert np.array_equal(G.id_of_rows(G.rows_of(every)), every)
+    assert np.array_equal(G.rows_of(G.id_of_rows(G.digits)), G.digits)
+
+
 # ----- the product table of small groups -----
 
 PRODUCT_TABLES = {
@@ -940,8 +951,9 @@ def test_the_factored_path_answers_as_the_kernels_on_every_element(name):
     every = np.arange(G.order)
     assert_factored_path_is_the_kernel_path(G, "inv_vec", every)
     assert_factored_path_is_the_kernel_path(G, "mul_vec", every[:, None], every)
-    # off the table the pair index holds -1
-    assert (G._pair_index >= 0).sum() == G.order
+    # keyed by factor ranks, the dense index holds -1 off the table
+    assert G._index.codes is None and len(G._index.ids) == math.prod(orders)
+    assert (G._index.ids >= 0).sum() == G.order
 
 
 @FEW
@@ -966,6 +978,36 @@ def test_the_factored_path_answers_as_the_kernels_on_random_ids(name, data):
         ("inv_vec", g),
     ]:
         assert_factored_path_is_the_kernel_path(G, method, *args, cap=cap)
+
+
+# ----- the id index of composite tables, keyed by factor ranks -----
+
+COMPOSITE_SL2 = {(name, q): generate_group(builtin_generators(name), q)
+                 for name in ("lubotzky3", "sanov2") for q in (35, 55)}
+
+
+@pytest.mark.parametrize("name,q", sorted(COMPOSITE_SL2))
+def test_the_factor_rank_index_keeps_the_digit_code_order(name, q):
+    G = COMPOSITE_SL2[name, q]
+    assert G._index.codes is None and len(G._index.ids) == G.order
+    # within each BFS level, ids go in increasing digit code order
+    codes = G.digits @ G._weights
+    for lo, hi in zip([0, *G.level_ends[:-1]], G.level_ends):
+        assert (np.diff(codes[lo:hi]) > 0).all()
+    assert np.array_equal(G.id_of_rows(G.digits), np.arange(G.order))
+    # each element's factor ids are the ids of its mod-p blocks
+    blocks = np.split(G.digits, len(G._factors), axis=1)
+    assert np.array_equal(G._factor_ids, [F.id_of_rows(b) for F, b in zip(G._factors, blocks)])
+
+
+def test_a_row_in_a_hole_of_the_factor_rank_index_is_not_in_the_table():
+    # <-I> mod 35 has order 2 inside the product of its images, of order 4
+    G = generate_group(rational([[-1, 0], [0, -1]]), 35)
+    assert G.order == 2 and [F.order for F in G._factors] == [2, 2]
+    assert G.id_of_rows([[1, 0, 0, 1, 1, 0, 0, 1], [4, 0, 0, 4, 6, 0, 0, 6]]).tolist() == [0, 1]
+    for row in ([1, 0, 0, 1, 6, 0, 0, 6], [4, 0, 0, 4, 1, 0, 0, 1]):
+        with pytest.raises(NotInGroup):
+            G.id_of_rows([row])
 
 
 # ----- subgroup and normal closures -----

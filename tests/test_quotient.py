@@ -324,8 +324,8 @@ def test_composite_tables_have_one_factor_path(monkeypatch, capsys):
     assert report == {
         "orders": [120, 336], "product_of_orders": 40320, "group_order": 40320, "bijective": True,
     }
-    # the factor ids and the pair index wait for the first product
-    assert "_factor_ids" not in vars(G) and "_pair_index" not in vars(G)
+    # the BFS built the factor tables, and its rows are the elements' factor ids
+    assert G._factor_ids.shape == (2, G.order)
 
     def no_table(*args, **kwargs):
         raise AssertionError("a factor table was built again")
@@ -340,13 +340,12 @@ def test_composite_tables_have_one_factor_path(monkeypatch, capsys):
     assert index_product_check(G, H)["lhs"] == 1
     monkeypatch.undo()
 
-    # the quotient report never multiplies, so it builds no factor ids and
-    # no pair index
+    # the quotient report never multiplies and never builds the digit rows
     def no_pairs(self, *args):
-        raise AssertionError("the factor ids or the pair index were built")
+        raise AssertionError("a product was taken or the digit rows were built")
 
     monkeypatch.setattr(quotient.GroupTable, "_via_factors", no_pairs)
-    monkeypatch.setattr(quotient.GroupTable, "_factor_ids", property(no_pairs))
+    monkeypatch.setattr(quotient.GroupTable, "digits", property(no_pairs))
     assert main(["quotient", "--builtin", "lubotzky3", "--q", "35"]) == 0
     assert capsys.readouterr().out.splitlines()[-3:] == ["5,120,", "7,336,", "35,40320,true"]
 
