@@ -2,8 +2,8 @@
 
 A GroupTable stores one row of small nonnegative "digits" per element
 (matrix entries mod p, concatenated over the prime factors of q, or the
-coordinates of a nilpotent/semidirect element) together with vectorized
-multiplication and inversion callbacks acting on digit rows.  Element
+coordinates of a nilpotent/semidirect element) and, unless it has factors,
+vectorized multiplication and inversion callbacks on digit rows.  Element
 ids are assigned in BFS order from the identity, ties broken by the
 mixed-radix encoding of the digit row, so tables are deterministic.
 
@@ -29,9 +29,9 @@ from an int16 product table, 2 bytes per pair, built on first use from
 the recorded generator translations (the row of g x is L_g applied to
 the row of x), and inv_vec from a cached inverse permutation.
 
-A larger table with factors answers mul_vec and inv_vec, when each factor
-fits PRODUCT_TABLE_CAP, by gathers in the factor tables at its factor ids,
-mapping the factor ids of the results back by their ranks.
+Other products and inverses, the inverse permutation and every translation
+come, in a table with factors, from the same operation in each factor at its
+factor ids, mapped back by rank; in any other table, from its callbacks.
 
 Subgroups, normal closures and commutator subgroups come from one BFS
 from the identity that multiplies by the generators and conjugates by a
@@ -160,12 +160,11 @@ class GroupTable:
     ):
         self._digit_rows = digits  # the rows, or a builder of them run on first read
         self.radices = radices
-        self._mul_rows = mul_rows
+        self._mul_rows = mul_rows  # the row kernels, None in a table with factors
         self._inv_rows = inv_rows
         self.generator_ids = np.asarray(generator_ids, dtype=np.int64)
         self.kind = kind
         self.meta = meta
-        self._weights = _radix_weights(radices)
         self._index = index
         self.level_ends = level_ends
         self._digit_bounds = radices.astype(np.uint64)
@@ -177,6 +176,11 @@ class GroupTable:
         """The digit rows by id, built on first read when given as a builder."""
         rows, self._digit_rows = self._digit_rows, None
         return rows() if callable(rows) else rows
+
+    @functools.cached_property
+    def _weights(self) -> np.ndarray:
+        """The weights of the digit code, read by a table without factors."""
+        return _radix_weights(self.radices)
 
     @property
     def order(self) -> int:
@@ -192,7 +196,7 @@ class GroupTable:
         # index (where numpy wraps a negative code without an error)
         if (rows.view(np.uint64) >= self._digit_bounds).any():
             raise NotInGroup("element not in group table")
-        ids = self._index.lookup(_row_keys(self._factors, self._weights, rows))
+        ids = self._index.lookup(_row_keys(self._factors, rows) if self._factors else rows @ self._weights)
         if (ids < 0).any():
             raise NotInGroup("element not in group table")
         return ids
@@ -214,13 +218,9 @@ class GroupTable:
         translate of it."""
         a = np.asarray(a_ids, dtype=np.int64)
         b = np.asarray(b_ids, dtype=np.int64)
-        a, b = np.broadcast_arrays(a, b)
         if self.order <= PRODUCT_TABLE_CAP:
             return np.asarray(self._products()[a, b], dtype=np.int64)
-        if (ab := self._via_factors("mul_vec", a, b)) is not None:
-            return ab
-        rows = self._mul_rows(self.digits[a.ravel()], self.digits[b.ravel()])
-        return self.id_of_rows(rows).reshape(a.shape)
+        return self._apply("mul_vec", a, b)
 
     def mul(self, i: int, j: int) -> int:
         return int(self.mul_vec(np.array([i]), np.array([j]))[0])
@@ -228,12 +228,8 @@ class GroupTable:
     def inv_vec(self, ids) -> np.ndarray:
         ids = np.asarray(ids, dtype=np.int64)
         if self.order <= PRODUCT_TABLE_CAP:
-            inverse = self._cached(("I", 0), lambda: self.id_of_rows(self._inv_rows(self.digits)))
-            return np.asarray(inverse[ids])
-        if (inverse := self._via_factors("inv_vec", ids)) is not None:
-            return inverse
-        rows = self._inv_rows(self.digits[ids.ravel()])
-        return self.id_of_rows(rows).reshape(ids.shape)
+            return np.asarray(self._cached(("I", 0), lambda: self._apply("inv_vec", slice(None)))[ids])
+        return self._apply("inv_vec", ids)
 
     def inv(self, i: int) -> int:
         return int(self.inv_vec(np.array([i]))[0])
@@ -248,9 +244,21 @@ class GroupTable:
     def translation(self, gid: int, right: bool) -> np.ndarray:
         """Array mapping x to id(x g) if right, else to id(g x); built
         afresh on every call."""
-        g = np.broadcast_to(self.digits[gid], self.digits.shape)
-        rows = self._mul_rows(self.digits, g) if right else self._mul_rows(g, self.digits)
-        return self.id_of_rows(rows)
+        return self._apply("mul_vec", *((slice(None), gid) if right else (gid, slice(None))))
+
+    def _apply(self, method: str, *ids) -> np.ndarray:
+        """The ids of mul_vec or inv_vec at ids (id arrays that broadcast, or
+        slice(None) for every element) without the product table: in a table
+        with factors, the same method in each factor at the factor ids, mapped
+        back by rank; else the row kernels on digit rows."""
+        if self._factors:
+            fids = [getattr(F, method)(*(f[x] for x in ids)) for F, f in zip(self._factors, self._factor_ids)]
+            return np.asarray(self._index.lookup(_rank_keys(self._factors, fids)))
+        rows = [self.digits[x] for x in ids]
+        shape = np.broadcast_shapes(*(r.shape for r in rows))
+        kernel = self._mul_rows if method == "mul_vec" else self._inv_rows
+        out = kernel(*(np.broadcast_to(r, shape).reshape(-1, shape[-1]) for r in rows))
+        return self.id_of_rows(out).reshape(shape[:-1])
 
     def _cached(self, key: tuple[str, int], build: Callable[[], np.ndarray]) -> np.ndarray:
         if key not in self._perm_cache:
@@ -287,13 +295,6 @@ class GroupTable:
         """Each id's position in key order, which is digit code order."""
         ids = self._index.ids  # in key order, -1 in a dense index's holes
         return np.argsort(ids if self._index.codes is not None else ids[ids >= 0])
-
-    def _via_factors(self, method: str, *ids: np.ndarray) -> np.ndarray | None:
-        """mul_vec or inv_vec through the factor tables; None off that path."""
-        if not self._factors or max(F.order for F in self._factors) > PRODUCT_TABLE_CAP:
-            return None
-        fids = [getattr(F, method)(*(f[x] for x in ids)) for F, f in zip(self._factors, self._factor_ids)]
-        return np.asarray(self._index.lookup(_rank_keys(self._factors, fids)))
 
     def left_perm(self, gid: int) -> np.ndarray:
         """Array mapping x to id(g x), cached."""
@@ -336,11 +337,9 @@ def _rank_keys(factors: list[GroupTable], ids: list[np.ndarray]) -> np.ndarray:
     return np.ravel_multi_index([F._rank[i] for F, i in zip(factors, ids)], [F.order for F in factors], order="F")
 
 
-def _row_keys(factors: list[GroupTable], weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Index keys of digit rows: their codes, or the rank keys of the factors' ids
-    of their digit blocks, which raise NotInGroup for a block off its factor."""
-    if not factors:
-        return rows @ weights
+def _row_keys(factors: list[GroupTable], rows: np.ndarray) -> np.ndarray:
+    """Index keys of digit rows of a table with factors: the rank keys of the factors'
+    ids of their digit blocks, which raise NotInGroup for a block off its factor."""
     blocks = np.split(rows, np.cumsum([len(F.radices) for F in factors])[:-1], axis=1)
     return _rank_keys(factors, [F.id_of_rows(b) for F, b in zip(factors, blocks)])
 
@@ -360,23 +359,14 @@ def _radix_weights(radices: np.ndarray) -> np.ndarray:
 # digit backends
 
 
-def _matrix_mul_factory(primes: Sequence[int], d: int):
-    blocks = [(i * d * d, p) for i, p in enumerate(primes)]
+def _matrix_mul_factory(p: int, d: int):
+    """The row kernels of d x d matrices mod the prime p."""
 
     def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = np.empty_like(a)
-        for off, p in blocks:
-            x = a[:, off : off + d * d].reshape(-1, d, d)
-            y = b[:, off : off + d * d].reshape(-1, d, d)
-            out[:, off : off + d * d] = _block_mul(x, y, p).reshape(-1, d * d)
-        return out
+        return _block_mul(a.reshape(-1, d, d), b.reshape(-1, d, d), p).reshape(-1, d * d)
 
     def inv(a: np.ndarray) -> np.ndarray:
-        out = np.empty_like(a)
-        for off, p in blocks:
-            x = a[:, off : off + d * d].reshape(-1, d, d)
-            out[:, off : off + d * d] = _inv_block(x, p).reshape(-1, d * d)
-        return out
+        return _inv_block(a.reshape(-1, d, d), p).reshape(-1, d * d)
 
     return mul, inv
 
@@ -486,7 +476,6 @@ def _factor_bfs(gen_rows: np.ndarray, factors: list[GroupTable]):
 
 def _bfs_table(start_row, gen_rows, radices, mul_rows, inv_rows, kind: str, meta: dict) -> GroupTable:
     cap = _element_cap()
-    weights = _radix_weights(radices)
     factors = list(meta.get("factors", ()))  # a direct product's
     if kind == "matrix" and len(meta["primes"]) > 1:  # the images mod each prime, each closed mod it
         primes, d = meta["primes"], meta["dim"]
@@ -495,17 +484,20 @@ def _bfs_table(start_row, gen_rows, radices, mul_rows, inv_rows, kind: str, meta
                    for i, p in enumerate(primes)]
     if factors:
         start, step, image_codes, digits = _factor_bfs(gen_rows, factors)
-    elif kind == "matrix":
-        start, step, image_codes, digits = _column_bfs(gen_rows, meta, weights, cap)
+        space, keys = math.prod(F.order for F in factors), functools.partial(_row_keys, factors)
     else:
-        start, digits = start_row[None], lambda x: x
-        step = lambda j, x: mul_rows(np.broadcast_to(gen_rows[j], x.shape), x)
-        image_codes = lambda x: np.stack([step(j, x) @ weights for j in range(len(gen_rows))])
-    space = math.prod(F.order for F in factors) if factors else int(weights[-1]) * int(radices[-1])
-    index = _IdIndex(space, _row_keys(factors, weights, start_row[None]))
+        weights = _radix_weights(radices)
+        space, keys = int(weights[-1]) * int(radices[-1]), lambda rows: rows @ weights
+        if kind == "matrix":
+            start, step, image_codes, digits = _column_bfs(gen_rows, meta, weights, cap)
+        else:
+            start, digits = start_row[None], lambda x: x
+            step = lambda j, x: mul_rows(np.broadcast_to(gen_rows[j], x.shape), x)
+            image_codes = lambda x: np.stack([step(j, x) @ weights for j in range(len(gen_rows))])
+    index = _IdIndex(space, keys(start_row[None]))
     rows, level_ends, moves = _bfs(start, index, len(gen_rows), step, image_codes, cap)
     table = GroupTable(lambda: digits(rows), radices, mul_rows, inv_rows,
-                       index.lookup(_row_keys(factors, weights, gen_rows)), kind, meta, index, level_ends)
+                       index.lookup(keys(gen_rows)), kind, meta, index, level_ends)
     for j, gid in enumerate(table.generator_ids.tolist()):
         table._perm_cache["L", gid] = np.concatenate(moves[j], dtype=np.int64)
         moves[j] = []
@@ -520,9 +512,10 @@ def _first_rows(rows: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return rows[np.sort(first)]
 
 
-def _symmetrize_rows(rows: np.ndarray, inv_rows, weights) -> np.ndarray:
-    both = np.concatenate([rows, inv_rows(rows)], axis=0)
-    return _first_rows(both, both @ weights)
+def _symmetrize_rows(rows: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """The rows, then their inverses, each distinct row once, in first-appearance order."""
+    both = np.concatenate([rows, inverse], axis=0)
+    return both[np.sort(np.unique(both, axis=0, return_index=True)[1])]
 
 
 def generate_group(gens: Sequence, q: int | None = None, *, symmetrize: bool = True) -> GroupTable:
@@ -566,10 +559,11 @@ def generate_group(gens: Sequence, q: int | None = None, *, symmetrize: bool = T
         dtype=np.int64,
     )
     radices = np.array([p for p in primes for _ in range(d * d)], dtype=np.int64)
-    mul_rows, inv_rows = _matrix_mul_factory(primes, d)
-    inv_rows(rows)  # raises SingularMatrix on a generator singular mod a prime of q
+    kernels = [_matrix_mul_factory(p, d) for p in primes]
+    # raises SingularMatrix on a generator singular mod a prime of q
+    inverse = np.concatenate([inv(b) for (_, inv), b in zip(kernels, np.split(rows, len(primes), axis=1))], axis=1)
     if symmetrize:
-        rows = _symmetrize_rows(rows, inv_rows, _radix_weights(radices))
+        rows = _symmetrize_rows(rows, inverse)
     ident = np.array(
         [int(i == j) for _ in primes for i in range(d) for j in range(d)],
         dtype=np.int64,
@@ -580,6 +574,8 @@ def generate_group(gens: Sequence, q: int | None = None, *, symmetrize: bool = T
         "dim": d,
         "denominator_primes": sorted(denom_primes),
     }
+    # a table mod a composite q multiplies in its factors
+    mul_rows, inv_rows = kernels[0] if len(primes) == 1 else (None, None)
     return _bfs_table(ident, rows, radices, mul_rows, inv_rows, "matrix", meta)
 
 
@@ -704,7 +700,7 @@ def semidirect_group(spec: SemidirectSpec) -> GroupTable:
         u[i] = 1
         gen_rows.append(ident_l + u)
     rows = np.array(gen_rows, dtype=np.int64)
-    rows = _symmetrize_rows(rows, inv, _radix_weights(radices))
+    rows = _symmetrize_rows(rows, inv(rows))
     ident = np.array(ident_l + [0] * u_len, dtype=np.int64)
     meta = {
         "p": p,
@@ -719,16 +715,6 @@ def semidirect_group(spec: SemidirectSpec) -> GroupTable:
 
 def direct_product(t1: GroupTable, t2: GroupTable) -> GroupTable:
     """Explicit direct product table (for modest factor sizes)."""
-    k1 = t1.digits.shape[1]
-
-    def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        left = t1._mul_rows(a[:, :k1], b[:, :k1])
-        right = t2._mul_rows(a[:, k1:], b[:, k1:])
-        return np.concatenate([left, right], axis=1)
-
-    def inv(a: np.ndarray) -> np.ndarray:
-        return np.concatenate([t1._inv_rows(a[:, :k1]), t2._inv_rows(a[:, k1:])], axis=1)
-
     radices = np.concatenate([t1.radices, t2.radices])
     gens = []
     id1 = t1.digits[0]
@@ -739,7 +725,7 @@ def direct_product(t1: GroupTable, t2: GroupTable) -> GroupTable:
         gens.append(np.concatenate([id1, t2.digits[g]]))
     rows = np.array(gens, dtype=np.int64)
     ident = np.concatenate([id1, id2])
-    return _bfs_table(ident, rows, radices, mul, inv, "product", {"factors": (t1, t2)})
+    return _bfs_table(ident, rows, radices, None, None, "product", {"factors": (t1, t2)})
 
 
 # ---------------------------------------------------------------------------

@@ -407,6 +407,24 @@ def test_bfs_element_order_is_pinned(name, q, digest):
     assert hashlib.sha256(G.digits.tobytes()).hexdigest() == digest
 
 
+def kernel_rows(G, method, *rows):
+    """Digit rows of G.method (mul_vec on two row arrays, inv_vec on one) by
+    row kernels alone: G's own, or in a table with factors each factor's on
+    its digit block, through nested products."""
+    if not G._factors:
+        return (G._mul_rows if method == "mul_vec" else G._inv_rows)(*rows)
+    cut = np.cumsum([len(F.radices) for F in G._factors])[:-1]
+    blocks = zip(*(np.split(r, cut, axis=1) for r in rows))
+    return np.concatenate([kernel_rows(F, method, *b) for F, b in zip(G._factors, blocks)], axis=1)
+
+
+def kernel_ids(G, method, *ids):
+    """G.method(*ids) by kernel_rows on the digit rows, read back with G.id_of_rows."""
+    ids = np.broadcast_arrays(*(np.asarray(x, dtype=np.int64) for x in ids))
+    rows = kernel_rows(G, method, *(G.digits[x.ravel()] for x in ids))
+    return G.id_of_rows(rows).reshape(ids[0].shape)
+
+
 def oracle_bfs(G, gen_rows):
     """A plain BFS of G's identity under the generator rows, one level at
     a time, with a dict from codes to ids: ids go in level order, then in
@@ -419,7 +437,7 @@ def oracle_bfs(G, gen_rows):
         ends.append(len(rows))
         xs, found = np.array([rows[x] for x in frontier]), {}
         for g, to_g in zip(gen_rows, to):
-            for x, y in zip(frontier, G._mul_rows(np.tile(g, (len(xs), 1)), xs)):
+            for x, y in zip(frontier, kernel_rows(G, "mul_vec", np.tile(g, (len(xs), 1)), xs)):
                 to_g[x] = code(y)
                 if to_g[x] not in ids:
                     found[to_g[x]] = y
@@ -477,6 +495,11 @@ def assert_bfs_matches_the_oracle(gens, q):
 @given(case=small_generated_groups())
 def test_bfs_matches_a_plain_dict_bfs(case):
     assert_bfs_matches_the_oracle(*case)
+    # symmetrized, the generators are the given ones, then their inverses,
+    # each distinct element once, in that order
+    G, sym = (generate_group(*case, symmetrize=flag) for flag in (False, True))
+    firsts = dict.fromkeys(G.generator_ids.tolist() + kernel_ids(G, "inv_vec", G.generator_ids).tolist())
+    assert np.array_equal(sym.rows_of(sym.generator_ids), G.rows_of(list(firsts)))
 
 
 def test_bfs_matches_a_plain_dict_bfs_on_a_long_unipotent_orbit():
@@ -831,7 +854,8 @@ PRODUCT_TABLES = {
 
 def assert_table_path_is_the_kernel_path(G, method, *args):
     """G.method(*args) from the product table and inverse permutation
-    against the digit kernels, which every table uses with the cap at 0."""
+    against the path past the cap, which every table takes with the cap at
+    0: the digit kernels, or in a table with factors its factors' kernels."""
     got = getattr(G, method)(*args)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quotient, "PRODUCT_TABLE_CAP", 0)
@@ -917,23 +941,18 @@ FACTORED_TABLES = {
 }
 # above the default cap, with factors of orders 120 and 336 below it
 SL2_35 = generate_group(builtin_generators("lubotzky3"), 35)
+# above the default cap, with a factor of order 4,913 above it too
+HEISENBERG_17_X_2 = direct_product(heisenberg_group(17), cyclic_group(2))
 
 
 def assert_factored_path_is_the_kernel_path(G, method, *args, cap=FACTORED_CAP):
     """G.method(*args) with the product-table cap at cap, through the
-    factors and with G's own digit kernels switched off, against the
-    kernels, which every table uses with the cap at 0."""
-    def no_kernel(*rows):
-        raise AssertionError("the factored path used the digit kernels")
-
+    factors, as G holds no row kernels, against the factors' row kernels."""
+    assert G._mul_rows is None and G._inv_rows is None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quotient, "PRODUCT_TABLE_CAP", cap)
-        mp.setattr(G, "_mul_rows", no_kernel)
-        mp.setattr(G, "_inv_rows", no_kernel)
         got = getattr(G, method)(*args)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quotient, "PRODUCT_TABLE_CAP", 0)
-        want = getattr(G, method)(*args)
+    want = kernel_ids(G, method, *args)
     assert isinstance(got, np.ndarray) and got.dtype == want.dtype == np.int64
     assert got.shape == want.shape and np.array_equal(got, want)
 
@@ -957,10 +976,12 @@ def test_the_factored_path_answers_as_the_kernels_on_every_element(name):
 
 
 @FEW
-@given(name=st.sampled_from(sorted(FACTORED_TABLES) + ["sl2 mod 35"]), data=st.data())
+@given(name=st.sampled_from(sorted(FACTORED_TABLES) + ["sl2 mod 35", "heisenberg 17 x cyclic 2"]), data=st.data())
 def test_the_factored_path_answers_as_the_kernels_on_random_ids(name, data):
     if name == "sl2 mod 35":
         G, cap = SL2_35, quotient.PRODUCT_TABLE_CAP
+    elif name == "heisenberg 17 x cyclic 2":
+        G, cap = HEISENBERG_17_X_2, quotient.PRODUCT_TABLE_CAP
     else:
         G, cap = FACTORED_TABLES[name], FACTORED_CAP
     # -1 wraps to the last id on both paths
@@ -978,6 +999,23 @@ def test_the_factored_path_answers_as_the_kernels_on_random_ids(name, data):
         ("inv_vec", g),
     ]:
         assert_factored_path_is_the_kernel_path(G, method, *args, cap=cap)
+
+
+def test_a_table_with_factors_multiplies_without_its_digit_rows():
+    G = direct_product(heisenberg_group(17), cyclic_group(2))
+    assert G.order == 9826 and G._factors[0].order > quotient.PRODUCT_TABLE_CAP
+    every, g = np.arange(G.order), 4913
+    got = [G.mul_vec(every, every[::-1]), G.inv_vec(every), G.right_perm(g), G.conj_perm(g)]
+    assert "digits" not in G.__dict__
+    g_x_g_inv = kernel_ids(G, "mul_vec", kernel_ids(G, "mul_vec", g, every), kernel_ids(G, "inv_vec", g))
+    want = [kernel_ids(G, "mul_vec", every, every[::-1]), kernel_ids(G, "inv_vec", every),
+            kernel_ids(G, "mul_vec", every, g), g_x_g_inv]
+    assert all(np.array_equal(x, y) for x, y in zip(got, want))
+    # the centre of SL2 mod 35 reads the right translations of its generators
+    S = generate_group(builtin_generators("lubotzky3"), 35)
+    centre = np.flatnonzero(quotient._centre(S))
+    assert "digits" not in S.__dict__
+    assert sorted(S.rows_of(centre).tolist()) == [[a, 0, 0, a, b, 0, 0, b] for a in (1, 4) for b in (1, 6)]
 
 
 # ----- the id index of composite tables, keyed by factor ranks -----

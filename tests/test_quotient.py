@@ -344,10 +344,23 @@ def test_composite_tables_have_one_factor_path(monkeypatch, capsys):
     def no_pairs(self, *args):
         raise AssertionError("a product was taken or the digit rows were built")
 
-    monkeypatch.setattr(quotient.GroupTable, "_via_factors", no_pairs)
+    monkeypatch.setattr(quotient.GroupTable, "_apply", no_pairs)
     monkeypatch.setattr(quotient.GroupTable, "digits", property(no_pairs))
     assert main(["quotient", "--builtin", "lubotzky3", "--q", "35"]) == 0
     assert capsys.readouterr().out.splitlines()[-3:] == ["5,120,", "7,336,", "35,40320,true"]
+
+
+def test_a_4x4_table_mod_35_needs_no_code_over_its_digits(capsys):
+    from pathlib import Path
+
+    from expanderlab.cli import main, parse_generators
+
+    # -I_4 and I_4 + E_12: a cyclic group of order 70, though 35^16 > 2^62
+    path = str(Path(__file__).parents[1] / "tools" / "cyclic_70_4x4.txt")
+    G = generate_group(parse_generators(path)[0], 35)
+    assert G.order == 70 and [F.order for F in G._factors] == [10, 14]
+    assert main(["quotient", "--gens", path, "--q", "35"]) == 0
+    assert capsys.readouterr().out.splitlines()[-3:] == ["5,10,", "7,14,", "35,70,false"]
 
 
 def test_index_product_check(sl2_35):
