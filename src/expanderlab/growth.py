@@ -28,6 +28,7 @@ from .exact import ModMatrix, mod_inv, row_reduce_mod_p
 from .quotient import (
     GroupTable,
     SubgroupRecord,
+    _distinct,
     _element_cap,
     _first_rows,
     _radix_weights,
@@ -55,7 +56,7 @@ class ElementSet:
 
     @classmethod
     def from_ids(cls, table: GroupTable, ids: Sequence[int]) -> "ElementSet":
-        arr = np.unique(np.asarray(list(ids), dtype=np.int64))
+        arr = _distinct(np.asarray(list(ids), dtype=np.int64))
         member = table.mask(arr)
         symmetric = bool(member[table.inv_vec(arr)].all())
         return cls(parent=table, ids=arr, member=member, symmetric=symmetric)
@@ -251,7 +252,7 @@ class ProductFrame:
         return sum(w * c[r] for c, w, r in zip(self._levi_codes, self.weights, rows.T))
 
     def projection_onto_levi(self, rows: np.ndarray) -> bool:
-        return len(np.unique(self.levi_code(rows))) == math.prod(self.levi_sizes)
+        return len(_distinct(self.levi_code(rows))) == math.prod(self.levi_sizes)
 
     def product_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         pairs = len(a) * len(b)
@@ -342,7 +343,7 @@ def _product_normal_closure_codes(frame: ProductFrame, g_row: np.ndarray) -> np.
             per_factor.append(normal_closure(t, [gid]))
     grids = np.meshgrid(*per_factor, indexing="ij")
     rows = np.stack([g.ravel() for g in grids], axis=1)
-    return np.unique(frame.codes(rows))
+    return _distinct(frame.codes(rows))
 
 
 def _check_no_one_dim_factor(t: GroupTable) -> None:
@@ -489,7 +490,7 @@ def orbit_sum_span(action: ModuleAction, v) -> dict:
         return {"c": 0, "holds": True, "submodule_size": 1}
     p = action.p
     target = action.submodule_spanned_by(v)
-    target_codes = np.unique(_vector_codes(target, p))
+    target_codes = _distinct(_vector_codes(target, p))
     orbit = action.orbit(v)
     current = np.zeros((1, action.dim), dtype=np.int64)
     for c in range(1, PRODUCT_DEPTH_CAP + 1):
@@ -532,7 +533,7 @@ def nilpotent_recover(U: GroupTable, A: ElementSet) -> dict:
     if A.parent is not U:
         raise TableMismatch("set lives on a different table")
     labels, n_cosets = _derived_cosets(U)
-    covered = np.unique(labels[A.ids])
+    covered = _distinct(labels[A.ids])
     if len(covered) != n_cosets:
         raise HypothesisViolated(
             f"set covers {len(covered)} of {n_cosets} cosets of the derived subgroup"

@@ -7,22 +7,22 @@ vectorized multiplication and inversion callbacks on digit rows.  Element
 ids are assigned in BFS order from the identity, ties broken by the
 mixed-radix encoding of the digit row, so tables are deterministic.
 
-One BFS routine builds every table kind and its one id lookup, which is also
-its seen-set: a dense int32 key-to-id array for a key space of at most
-ID_INDEX_CAP = 2^25 keys, else sorted keys with their ids alongside (SL2 mod
-97).  A key is the mixed-radix code of the digit row; in a table with factors
-(mod a composite q, inside the product of its per-prime images by the CRT, or
-a direct product), built first, it is the ranks of the factor blocks' codes
-in mixed radix over the factor orders, which sorts as the code does (262,080
-keys for SL2 mod 65, not 65^4).  The BFS multiplies on the left: the sphere
-of word length l is the same from either side, and the ids of the products
-g x seed left_perm(g); the first level_ends[l] ids are the ball B_l.
-As g x acts on each column of x apart, a matrix table mod a prime is first
-mapped to the orbit of the identity's columns (24 vectors mod 5, 9,408 mod 97),
-and its BFS runs on rows of column ids: each product one gather, each code a
-sum of lookups; a table with factors runs it on rows of factor ids, in the
-factors' recorded translations.  Digit rows are built from the BFS rows on
-first read, which a walk never does.
+One BFS routine builds every table kind and its one id lookup, also its
+seen-set: a dense int32 key-to-id array for a key space of at most
+ID_INDEX_CAP = 2^25 keys, else int32 ids beside sorted keys, int32 below 2^31
+(SL2 mod 97), which a level costs one sort and one search.  A key is the
+mixed-radix code of the digit row; in a table with factors (mod a composite q,
+inside the product of its per-prime images by the CRT, or a direct product),
+built first, the ranks of the factor blocks' codes in mixed radix over the
+factor orders, which sort as the codes do (262,080 keys for SL2 mod 65).  The
+BFS multiplies on the left (a sphere is the same from either side), and the
+products g x seed left_perm(g); the first level_ends[l] ids are the ball B_l.
+As g x acts on each column of x apart, a matrix table mod a prime first maps
+to the orbit of the identity's columns (9,408 vectors mod 97), and its BFS
+runs on rows of column ids: each product one gather, each code a sum of
+lookups; a table with factors runs it on rows of factor ids, in the factors'
+recorded translations, and keeps them; other tables decode digit rows from
+their keys on first read, which a walk never does (SL2 mod 97 holds 36.5 MB).
 
 A table of at most PRODUCT_TABLE_CAP = 4096 elements answers mul_vec
 from an int16 product table, 2 bytes per pair, built on first use from
@@ -92,52 +92,57 @@ def _modpow_vec(base: np.ndarray, exp: int, p: int) -> np.ndarray:
 
 
 class _IdIndex:
-    """Key-to-id lookup, filled by the BFS one level at a time: a dense
-    int32 array (-1 for keys without an id) when the key space has at
-    most ID_INDEX_CAP keys, else sorted keys ("codes") with their ids alongside."""
+    """Key-to-id lookup, filled by the BFS one level at a time: a dense int32 array over the
+    key space (-1 for keys without an id), or sorted keys ("codes"), int32 below 2^31 and else
+    int64, with int32 ids alongside; a query takes their dtype, or searchsorted widens a copy."""
 
-    def __init__(self, space: int, start_codes: np.ndarray):
+    def __init__(self, space: int, start_codes: np.ndarray, dense: bool):
         self.order = len(start_codes)  # sorted and distinct, given ids 0, 1, ...
-        if space <= ID_INDEX_CAP:
-            self.codes = None
-            self.ids = np.full(space, -1, dtype=np.int32)
+        self.dtype = np.dtype(np.int32 if not dense and space <= 1 << 31 else np.int64)  # of the keys
+        self.codes = None if dense else np.array(start_codes, dtype=self.dtype)
+        self.ids = np.full(space, -1, dtype=np.int32) if dense else np.arange(self.order, dtype=np.int32)
+        if dense:
             self.ids[start_codes] = np.arange(self.order)
-        else:
-            self.codes = np.array(start_codes, dtype=np.int64)
-            self.ids = np.arange(self.order, dtype=np.int64)
 
     def lookup(self, codes: np.ndarray) -> np.ndarray:
         """Ids of codes inside the code space, -1 for codes without one."""
         if self.codes is None:
             return self.ids[codes].astype(np.int64)
-        pos = np.minimum(self.codes.searchsorted(codes), self.order - 1)
-        return np.where(self.codes[pos] == codes, self.ids[pos], -1)
+        pos = np.minimum(self.codes.searchsorted(codes.astype(self.dtype)), self.order - 1)
+        return np.where(self.codes[pos] == codes, self.ids[pos].astype(np.int64), -1)
+
+    def keys(self) -> np.ndarray:
+        """The key of each id."""
+        keys = (self.ids >= 0).nonzero()[0] if self.codes is None else self.codes
+        by_id = np.empty(self.order, dtype=np.int64)
+        by_id[self.ids[keys] if self.codes is None else self.ids] = keys
+        return by_id
 
     def add(self, codes: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """Ids of the codes, the next ids going in code order to codes without
-        one (the only ones sorted), and a position of each new code, in order;
-        None, with nothing added, if the new codes would take the order past limit."""
+        """Ids of the codes, the next ids going in code order to codes without one, and a position of each
+        new code, in order; None, with nothing added, if they would take the order past limit.  A sorted
+        index writes the ids over the codes, after one sort of them and one search of their distinct values."""
         dense = self.codes is None
-        ids = self.ids[codes] if dense else np.empty(len(codes), dtype=np.int32)
+        codes = codes if dense else codes.astype(self.dtype, copy=False)
+        ids = self.ids[codes] if dense else codes
         pos = (ids < 0).nonzero()[0] if dense else codes.argsort()
         if dense:  # the misses, by code
             pos = pos[codes[pos].argsort()]
-        new, head = codes[pos], np.ones(len(pos), dtype=bool)
-        np.not_equal(new[1:], new[:-1], out=head[1:])
-        new, first = new[head], pos[head]  # which frees the level's sorted codes
-        found = np.full(len(new), -1) if dense else self.lookup(new)
-        fresh = found < 0
-        new, first = new[fresh], first[fresh]
-        if self.order + len(new) > limit:
+        new, head = codes[pos], np.ones(len(pos) + 1, dtype=bool)  # and one past the end
+        np.not_equal(new[1:], new[:-1], out=head[1:-1])
+        bounds = head.nonzero()[0]  # of the runs of equal codes
+        new = new[bounds[:-1]]
+        at = new if dense else self.codes.searchsorted(new)  # where the id of a held code is, and a new one goes
+        found = np.where(dense or self.codes.take(at, mode="clip") == new, self.ids.take(at, mode="clip"), -1)
+        fresh = (found < 0).nonzero()[0]
+        if self.order + len(fresh) > limit:
             return None
+        new, first, at = new[fresh], pos[bounds[fresh]], at[fresh]
         found[fresh] = np.arange(self.order, self.order + len(new))
-        rank = np.cumsum(head)
-        rank -= 1  # in place: a level's worth of int64
-        ids[pos] = found[rank]
+        ids[pos] = np.repeat(found, bounds[1:] - bounds[:-1])
         if dense:
             self.ids[new] = found[fresh]
         else:
-            at = self.codes.searchsorted(new)
             self.codes, self.ids = np.insert(self.codes, at, new), np.insert(self.ids, at, found[fresh])
         self.order += len(new)
         return ids, first
@@ -242,8 +247,10 @@ class GroupTable:
 
     # ----- permutation actions -----
     def translation(self, gid: int, right: bool) -> np.ndarray:
-        """Array mapping x to id(x g) if right, else to id(g x); built
-        afresh on every call."""
+        """Array mapping x to id(x g) if right, else to id(g x); built afresh on every call."""
+        if self._factors:  # each factor's own translation by g's factor id, at the factor ids
+            fids = [F.translation(int(f[gid]), right)[f] for F, f in zip(self._factors, self._factor_ids)]
+            return self._index.lookup(_rank_keys(self._factors, fids))
         return self._apply("mul_vec", *((slice(None), gid) if right else (gid, slice(None))))
 
     def _apply(self, method: str, *ids) -> np.ndarray:
@@ -293,8 +300,7 @@ class GroupTable:
     @functools.cached_property
     def _rank(self) -> np.ndarray:
         """Each id's position in key order, which is digit code order."""
-        ids = self._index.ids  # in key order, -1 in a dense index's holes
-        return np.argsort(ids if self._index.codes is not None else ids[ids >= 0])
+        return np.argsort(np.argsort(self._index.keys()))  # the inverse of the ids in key order
 
     def left_perm(self, gid: int) -> np.ndarray:
         """Array mapping x to id(g x), cached."""
@@ -423,7 +429,7 @@ def _bfs(start: np.ndarray, index: _IdIndex, k: int, step, image_codes, cap: int
             raise SizeCapExceeded(f"group closure exceeded cap of {cap} elements")
         ids, first = added
         for moves_j, ids_j in zip(moves, ids.reshape(k, n)):
-            moves_j.append(ids_j.copy())  # so that each list frees its own
+            moves_j.append(ids_j.astype(np.int32))  # a copy, so that each list frees its own
         levels.append(frontier := step(first // n, frontier[first % n]))
     return np.concatenate(levels), np.cumsum([len(lv) for lv in levels[:-1]]), moves
 
@@ -438,14 +444,16 @@ def _vector_orbit(mats: np.ndarray, start: np.ndarray, q: int, cap: int):
     (k, d, d) matrices, at most cap vectors per start vector, in level then
     code order, and per matrix the ids of its images of each level."""
     weights = _radix_weights(np.full(start.shape[1], q))
-    orbit, _, moves = _bfs(start, _IdIndex(int(weights[-1]) * q, start @ weights), len(mats),
+    space = int(weights[-1]) * q  # a dense index only as large as the orbit may be
+    index = _IdIndex(space, start @ weights, space <= min(ID_INDEX_CAP, cap * len(start)))
+    orbit, _, moves = _bfs(start, index, len(mats),
                            lambda j, v: _block_mul(mats[j], v[:, :, None], q)[:, :, 0],
                            lambda v: np.stack([weights @ _block_mul(m, v.T, q) for m in mats]), cap)
     return orbit, moves
 
 
-def _column_bfs(gen_rows: np.ndarray, meta: dict, weights: np.ndarray, cap: int):
-    """Start, step, image codes and digit map of a mod-p matrix table's BFS on ids
+def _column_bfs(gen_rows: np.ndarray, meta: dict, weights: np.ndarray, cap: int, dtype: np.dtype):
+    """Start, step and image codes (of the dtype) of a mod-p matrix table's BFS on ids
     in the orbit O of the identity's columns, closed first as vectors mod p under
     the generators and their 2^i-th powers (2^i < p: 7 levels, not 5,004, for a
     unipotent mod 10,007): g x is L_g[x], with the code sum_c E_c[L_g[x_c]]."""
@@ -455,10 +463,9 @@ def _column_bfs(gen_rows: np.ndarray, meta: dict, weights: np.ndarray, cap: int)
         mats = np.concatenate([mats, _block_mul(mats[-k:], mats[-k:], p)])
     cols, moves = _vector_orbit(mats, np.eye(d, dtype=np.int64), p, cap)
     L = np.array([np.concatenate(m) for m in moves[:k]])
-    E_L = (cols @ weights.reshape(d, d))[L].transpose(2, 0, 1).copy()
+    E_L = (cols @ weights.reshape(d, d))[L].transpose(2, 0, 1).astype(dtype)
     return (np.arange(d, dtype=np.int32)[None], lambda j, x: L[j, x.T].T,
-            lambda x: functools.reduce(np.add, (E_L[c][:, x[:, c]] for c in range(d))),
-            lambda x: cols[x].transpose(0, 2, 1).reshape(len(x), -1))
+            lambda x: functools.reduce(np.add, (E_L[c][:, x[:, c]] for c in range(d))))
 
 
 def _factor_bfs(gen_rows: np.ndarray, factors: list[GroupTable]):
@@ -471,7 +478,7 @@ def _factor_bfs(gen_rows: np.ndarray, factors: list[GroupTable]):
     return (np.zeros((1, len(factors)), dtype=np.int32),
             lambda j, x: np.stack([L_i[j, x[:, i]] for i, L_i in enumerate(L)], axis=1),
             lambda x: functools.reduce(np.add, (K_i[:, x[:, i]] for i, K_i in enumerate(K))),
-            lambda x: np.concatenate([F.digits[x[:, i]] for i, F in enumerate(factors)], axis=1))
+            lambda f: np.concatenate([F.digits[f_i] for F, f_i in zip(factors, f)], axis=1))
 
 
 def _bfs_table(start_row, gen_rows, radices, mul_rows, inv_rows, kind: str, meta: dict) -> GroupTable:
@@ -488,22 +495,29 @@ def _bfs_table(start_row, gen_rows, radices, mul_rows, inv_rows, kind: str, meta
     else:
         weights = _radix_weights(radices)
         space, keys = int(weights[-1]) * int(radices[-1]), lambda rows: rows @ weights
-        if kind == "matrix":
-            start, step, image_codes, digits = _column_bfs(gen_rows, meta, weights, cap)
-        else:
-            start, digits = start_row[None], lambda x: x
-            step = lambda j, x: mul_rows(np.broadcast_to(gen_rows[j], x.shape), x)
-            image_codes = lambda x: np.stack([step(j, x) @ weights for j in range(len(gen_rows))])
-    index = _IdIndex(space, keys(start_row[None]))
+    index = _IdIndex(space, keys(start_row[None]), space <= ID_INDEX_CAP)
+    if kind == "matrix" and not factors:  # its image codes take the index's dtype
+        start, step, image_codes = _column_bfs(gen_rows, meta, weights, cap, index.dtype)
+    elif not factors:
+        start = start_row[None]
+        step = lambda j, x: mul_rows(np.broadcast_to(gen_rows[j], x.shape), x)
+        image_codes = lambda x: np.stack([step(j, x) @ weights for j in range(len(gen_rows))])
     rows, level_ends, moves = _bfs(start, index, len(gen_rows), step, image_codes, cap)
-    table = GroupTable(lambda: digits(rows), radices, mul_rows, inv_rows,
-                       index.lookup(keys(gen_rows)), kind, meta, index, level_ends)
+    rows = np.ascontiguousarray(rows.T) if factors else None  # else the keys are the digit codes
+    table = GroupTable(lambda: digits(rows) if factors else index.keys()[:, None] // weights % radices,
+                       radices, mul_rows, inv_rows, index.lookup(keys(gen_rows)), kind, meta, index, level_ends)
     for j, gid in enumerate(table.generator_ids.tolist()):
         table._perm_cache["L", gid] = np.concatenate(moves[j], dtype=np.int64)
         moves[j] = []
     if factors:  # the BFS rows are the elements' factor ids
-        table._factors, table._factor_ids = factors, np.ascontiguousarray(rows.T)
+        table._factors, table._factor_ids = factors, rows
     return table
+
+
+def _distinct(ids: np.ndarray) -> np.ndarray:
+    """np.unique(ids), flattened, by one sort: numpy 2.4's unique is 10-50x slower on ids."""
+    ids = np.sort(ids, axis=None)
+    return ids[np.diff(ids, prepend=ids[:1] - 1) != 0]
 
 
 def _first_rows(rows: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -761,9 +775,9 @@ def _closure_ids(G: GroupTable, gen_ids, conj_ids=()) -> np.ndarray:
     The walk stops once it covers more than half the group: subgroup
     orders divide the group order, so such a subgroup is the whole group.
     """
-    gens = np.unique(np.asarray(gen_ids, dtype=np.int64))
-    gens = np.unique(np.concatenate([gens, G.inv_vec(gens)]))
-    conj = [G.conj_perm(int(c)) for c in np.unique(np.asarray(conj_ids, dtype=np.int64))]
+    gens = _distinct(np.asarray(gen_ids, dtype=np.int64))
+    gens = _distinct(np.concatenate([gens, G.inv_vec(gens)]))
+    conj = [G.conj_perm(int(c)) for c in _distinct(np.asarray(conj_ids, dtype=np.int64))]
     member = G.mask(G.identity_id)
     frontier = np.array([G.identity_id], dtype=np.int64)
     while frontier.size:
@@ -1007,7 +1021,7 @@ def verify_product_form(G: GroupTable, H: SubgroupRecord) -> dict:
     hl = H.element_ids[lmask[H.element_ids]]
     hu = H.element_ids[umask[H.element_ids]]
     # product set (H cap L)(H cap U)
-    prod = np.unique(G.mul_vec(hl[:, None], hu))
+    prod = _distinct(G.mul_vec(hl[:, None], hu))
     splits = prod.size == H.size and bool(H.member[prod].all())
     # trivial action on U/(H cap U): commutators [h, u] must fall in H cap U
     u_ids = np.flatnonzero(umask)
@@ -1094,9 +1108,9 @@ def verify_factor_product_form(G: GroupTable, H: SubgroupRecord) -> dict:
         f_ids = np.flatnonzero(np.delete(at_ident, i, axis=0).all(axis=0))
         if H.member[f_ids].all():
             inside.append(i)
-            core = np.unique(G.mul_vec(core[:, None], f_ids))
+            core = _distinct(G.mul_vec(core[:, None], f_ids))
     z_ids = np.flatnonzero(_centre(G) & H.member)
-    full = np.unique(G.mul_vec(core[:, None], z_ids))
+    full = _distinct(G.mul_vec(core[:, None], z_ids))
     passed = full.size == H.size and bool(H.member[full].all())
     return {
         "passed": passed,

@@ -176,12 +176,12 @@ def _walk(table: GroupTable, ids: list[int], l_max: int, exact: bool):
     yield 0, w
     for l in range(1, l_max + 1):
         end = ends[l] if l < len(ends) else table.order
-        acc = w[perms[0][:end]]
+        w, prev = np.zeros_like(w), w
+        np.take(prev, perms[0][:end], out=w[:end])  # in place: the rest of w stays 0
         for p in perms[1:]:
-            acc += w[p[:end]]
+            w[:end] += prev[p[:end]]
         if not exact:
-            acc /= len(ids)
-        w = acc if end == table.order else np.concatenate([acc, np.zeros(table.order - end, dtype=w.dtype)])
+            w[:end] /= len(ids)
         yield l, w
 
 

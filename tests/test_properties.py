@@ -528,20 +528,21 @@ def rational(*rows):
 
 
 # one table from every constructor, all small enough for the dense oracle
-SPECTRUM_TABLES = {
-    "cyclic 2": cyclic_group(2),
-    "cyclic 97": cyclic_group(97),  # generator 1: a single coset of size 97
-    "heisenberg 5": heisenberg_group(5),
-    "semidirect borel 5": semidirect_group(
+SPECTRUM_BUILDS = {
+    "cyclic 2": lambda: cyclic_group(2),
+    "cyclic 97": lambda: cyclic_group(97),  # generator 1: a single coset of size 97
+    "heisenberg 5": lambda: heisenberg_group(5),
+    "semidirect borel 5": lambda: semidirect_group(
         SemidirectSpec(p=5, l_gens=[ModMatrix([[1, 1], [0, 1]], 5), ModMatrix([[2, 0], [0, 3]], 5)])
     ),
-    "direct product": direct_product(heisenberg_group(3), cyclic_group(4)),
-    "sl2 mod 7": sl2_7(),
-    "borel mod 35": generate_group(rational([[2, 0], [0, 18]], [[1, 1], [0, 1]]), 35),
-    "involutions mod 7": generate_group(
+    "direct product": lambda: direct_product(heisenberg_group(3), cyclic_group(4)),
+    "sl2 mod 7": sl2_7,
+    "borel mod 35": lambda: generate_group(rational([[2, 0], [0, 18]], [[1, 1], [0, 1]]), 35),
+    "involutions mod 7": lambda: generate_group(
         rational([[0, 1], [1, 0]], [[-1, 1], [0, 1]], [[1, 0], [2, -1]]), 7
     ),
 }
+SPECTRUM_TABLES = {name: build() for name, build in SPECTRUM_BUILDS.items()}
 
 
 def assert_spectrum_matches_the_dense_solve(G, s_ids):
@@ -842,6 +843,77 @@ def test_a_walk_leaves_the_digit_rows_unbuilt():
     assert np.array_equal(G.rows_of(G.id_of_rows(G.digits)), G.digits)
 
 
+# ----- the sorted id index: int32 keys below 2^31 -----
+
+UNITRIANGULAR_13 = generate_group(UNITRIANGULAR, 13)
+
+# sha256 of G.digits.tobytes(): a table without factors decodes its digit
+# rows from its index keys, and these are the rows of its BFS
+DIGIT_DIGESTS = {
+    "borel mod 35": "1b392eefe8f9d2294cd5bbf00d15c264319f4f405095a4f8d562fac161d40c19",
+    "cyclic 2": "9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db",
+    "cyclic 97": "2f97dc1bbb86e6bf5a52f8b1f23842846f83e0a1d3fc05c2bd9c36756eb7e0b9",
+    "direct product": "696df82cbe44c33b0614df5ce0214768659875412ef9e9c8a657af5f32f8a8d9",
+    "heisenberg 5": "55017aec79caa7a6a886442cc1b41eff243f48d9e7e36c7dd08abee31b316d2b",
+    "involutions mod 7": "d4bb8a02338dea210861d1f18eb7fa7b0c3b14cddfc795a4dd4b2eb2408ebb4f",
+    "semidirect borel 5": "de9b68c33b83a29b4bc5b12a0c4d2bd113ca3b4ba2a7823d4c3ef614b77c300c",
+    "sl2 mod 7": "c5d6171cff370f8e3bedddbbf1c1fcc178d6398e02af0d825d5d2eea4df057eb",
+    "unitriangular mod 13": "c1e469e95865cbb992dee3748983fa32c4f7aad012e394fc8752d1f61bf20e33",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGIT_DIGESTS))
+def test_the_digit_rows_are_pinned(name):
+    G = UNITRIANGULAR_13 if name == "unitriangular mod 13" else SPECTRUM_TABLES[name]
+    assert hashlib.sha256(G.digits.tobytes()).hexdigest() == DIGIT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRUM_BUILDS))
+def test_the_sorted_index_builds_the_dense_index_table(name, monkeypatch):
+    dense = SPECTRUM_TABLES[name]
+    monkeypatch.setattr(quotient, "ID_INDEX_CAP", 0)
+    G = SPECTRUM_BUILDS[name]()
+    assert dense._index.codes is None and G._index.codes.dtype == G._index.ids.dtype == np.int32
+    assert np.array_equal(G.level_ends, dense.level_ends)
+    assert np.array_equal(G.generator_ids, dense.generator_ids)
+    for s in G.generator_ids.tolist():
+        assert np.array_equal(G._perm_cache["L", s], dense._perm_cache["L", s])
+    assert np.array_equal(G.digits, dense.digits)
+    # every key of the space, the ones without an id as well
+    keys = np.arange(len(dense._index.ids))
+    assert G._index.lookup(keys).dtype == np.int64
+    assert np.array_equal(G._index.lookup(keys), dense._index.lookup(keys))
+
+
+@pytest.mark.parametrize("p,dtype", [(7, np.int32), (13, np.int64)])
+def test_the_sorted_index_keys_are_int32_below_2_to_the_31(p, dtype):
+    assert ID_INDEX_CAP < 7**9 < 2**31 < 13**9
+    G = LOOKUP_TABLES[7] if p == 7 else UNITRIANGULAR_13
+    assert G._index.codes.dtype == dtype and G._index.ids.dtype == np.int32
+    assert_bfs_matches_the_oracle(UNITRIANGULAR, p)
+    codes = G.digits @ G._weights
+    held = dict(zip(codes.tolist(), range(G.order)))
+    probe = np.concatenate([codes, codes + 1, [0, p**9 - 1]])
+    ids = G._index.lookup(probe)
+    assert ids.dtype == np.int64 and ids.tolist() == [held.get(c, -1) for c in probe.tolist()]
+
+
+@pytest.mark.parametrize("space,dense", [(1000, True), (1000, False), (1 << 40, False)])
+def test_a_level_past_the_limit_leaves_the_index_unchanged(space, dense):
+    index = quotient._IdIndex(space, np.array([3, 10, space - 1]), dense)
+    assert index.dtype == (np.int32 if space < 2**31 and not dense else np.int64)
+    codes = np.array([7, 10, 2, 7, space - 2])
+    state = {k: np.copy(v) if isinstance(v, np.ndarray) else v for k, v in vars(index).items()}
+    # the new codes 2, 7 and space - 2 take three held ids to six, past a limit of five
+    assert index.add(codes.copy(), 5) is None
+    assert vars(index).keys() == state.keys()
+    assert all(np.array_equal(v, state[k]) for k, v in vars(index).items())
+    ids, first = index.add(codes.copy(), 6)
+    assert ids.tolist() == [4, 1, 3, 4, 5] and codes[first].tolist() == [2, 7, space - 2]
+    found = index.lookup(np.array([2, 3, 4, 7, 10, space - 2, space - 1]))
+    assert found.dtype == np.int64 and found.tolist() == [3, 0, -1, 4, 1, 5, 2]
+
+
 # ----- the product table of small groups -----
 
 PRODUCT_TABLES = {
@@ -1016,6 +1088,17 @@ def test_a_table_with_factors_multiplies_without_its_digit_rows():
     centre = np.flatnonzero(quotient._centre(S))
     assert "digits" not in S.__dict__
     assert sorted(S.rows_of(centre).tolist()) == [[a, 0, 0, a, b, 0, 0, b] for a in (1, 4) for b in (1, 6)]
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRUM_TABLES) + ["sl2 mod 85"])
+def test_a_translation_is_mul_vec_on_every_element(name):
+    # a table with factors gathers each factor's translation at the factor ids,
+    # where _apply runs mul_vec in each factor on one id per element
+    G = generate_group(builtin_generators("lubotzky3"), 85) if name == "sl2 mod 85" else SPECTRUM_TABLES[name]
+    every = np.arange(G.order)
+    for g in [*G.generator_ids.tolist(), G.order - 1]:
+        assert np.array_equal(G.translation(g, right=True), G._apply("mul_vec", every, g))
+        assert np.array_equal(G.translation(g, right=False), G._apply("mul_vec", g, every))
 
 
 # ----- the id index of composite tables, keyed by factor ranks -----
