@@ -5,6 +5,10 @@ generator multiset S.  One step sends mu to the average of its left
 translates by S, so step l of the walk is the l-fold convolution power
 chi_S^(l).  Exact walks count words as Python ints and divide once by
 k^l per reported value; everything else runs in float64.
+
+The walk and block-spectrum kernels read only permutations of a vertex
+set (the left translations by S on a table, or moves on any set they
+act on); a walk starts at vertex 0, the identity of a table.
 """
 from __future__ import annotations
 
@@ -44,6 +48,8 @@ class Measure:
 
     @classmethod
     def uniform_on(cls, table: GroupTable, ids: Sequence[int], exact: bool = False) -> "Measure":
+        if not len(ids):
+            raise ValueError("a uniform measure needs at least one id")
         w = _zeros(table.order, exact)
         # a multiset is allowed: repeated ids accumulate weight
         share = Fraction(1, len(ids)) if exact else 1.0 / len(ids)
@@ -80,18 +86,12 @@ def convolve(mu: Measure, nu: Measure) -> Measure:
     if mu.exact != nu.exact:
         raise TableMismatch("cannot mix exact and float measures")
     out = _zeros(G.order, mu.exact)
-    supp_mu = np.nonzero(mu.weights)[0]
-    supp_nu = np.nonzero(nu.weights)[0]
-    if len(supp_nu) <= len(supp_mu):
-        # loop over h: add nu(h) * (right translate of mu by h)
-        hinv = G.inv_vec(supp_nu)
-        for h, hi in zip(supp_nu.tolist(), hinv.tolist()):
-            out = out + nu.weights[h] * mu.weights[G.translation(hi, right=True)]
-    else:
-        # same sum rearranged: sum_x mu(x) nu(x^-1 g)
-        xinv = G.inv_vec(supp_mu)
-        for x, xi in zip(supp_mu.tolist(), xinv.tolist()):
-            out = out + mu.weights[x] * nu.weights[G.translation(xi, right=False)]
+    # sum_h nu(h) mu(g h^-1) over supp nu, or the same sum as sum_x mu(x) nu(x^-1 g)
+    right = np.count_nonzero(nu.weights) <= np.count_nonzero(mu.weights)
+    a, b = (nu, mu) if right else (mu, nu)
+    supp = np.flatnonzero(a.weights)
+    for h, hi in zip(supp.tolist(), G.inv_vec(supp).tolist()):
+        out = out + a.weights[h] * b.weights[G.translation(hi, right)]
     return Measure(G, out, mu.exact)
 
 
@@ -143,11 +143,9 @@ def walk_powers(
     """
     if exact and table.order > EXACT_CAP:
         raise SizeCapExceeded(f"exact walks capped at {EXACT_CAP} elements")
-    ids = [int(x) for x in (table.generator_ids if gen_ids is None else gen_ids)]
-    if H is not None and H.parent is not table:
-        raise TableMismatch("subgroup belongs to a different table")
+    ids, perms, ends = _walk_inputs(table, gen_ids, H)
     rows = []
-    for l, w in _walk(table, ids, l_max, exact):
+    for l, w in _walk(perms, ends, l_max, exact):
         # exact weights are word counts: one division by k^l rounds correctly
         scale = len(ids) ** l if exact else 1
         if l:
@@ -159,29 +157,43 @@ def walk_powers(
     return WalkSeries(rows=rows, final=Measure(table, w, exact), gen_ids=ids)
 
 
-def _walk(table: GroupTable, ids: list[int], l_max: int, exact: bool):
-    """Yield (l, chi_S^(l)) for l = 0..l_max from the identity; exact mode
-    yields the Python-int word counts k^l chi_S^(l).
-
-    Step l is supported on S^-l; when S^-1 is among the BFS generators (s t
-    is the identity for a generator t) that is inside the ball B_l, the first
-    level_ends[l] ids, the only ones gathered.  The rest stay +0.0, as in walk_step.
-    """
-    if l_max < 0:
-        raise ValueError(f"walk length must be >= 0, got {l_max}")
+def _walk_inputs(table: GroupTable, gen_ids, H: SubgroupRecord | None = None):
+    """Ids of S (default: the table generators), their left perms, and the table's level_ends
+    if S^-1 is among the BFS generators (s t is the identity for a generator t), else []."""
+    if H is not None and H.parent is not table:
+        raise TableMismatch("subgroup belongs to a different table")
+    ids = [int(x) for x in (table.generator_ids if gen_ids is None else gen_ids)]
+    if not ids:
+        raise ValueError("the generator multiset is empty")
     perms = [table.left_perm(s) for s in ids]
     ends = table.level_ends if all(table.identity_id in p[table.generator_ids] for p in perms) else []
-    w = np.zeros(table.order, dtype=object if exact else float)
-    w[table.identity_id] = 1
+    return ids, perms, ends
+
+
+def _step(prev: np.ndarray, perms: list[np.ndarray], out: np.ndarray, end: int, divide: bool) -> np.ndarray:
+    """out[:end] = sum of prev[p[:end]] over the perms in order, over their number if divide;
+    the first perm gathers in place, so out past end keeps its values."""
+    np.take(prev, perms[0][:end], axis=0, out=out[:end])
+    for p in perms[1:]:
+        out[:end] += prev[p[:end]]
+    if divide:
+        out[:end] /= len(perms)
+    return out
+
+
+def _walk(perms: list[np.ndarray], ends, l_max: int, exact: bool):
+    """Yield (l, chi_S^(l)) for l = 0..l_max from vertex 0; exact mode yields the
+    Python-int word counts k^l chi_S^(l).  Step l is supported on S^-l; when that lies
+    in the first ends[l] vertices (the ball B_l of a table), only those are gathered
+    and the rest stay +0.0, as in walk_step."""
+    if l_max < 0:
+        raise ValueError(f"walk length must be >= 0, got {l_max}")
+    w = np.zeros(len(perms[0]), dtype=object if exact else float)
+    w[0] = 1
     yield 0, w
     for l in range(1, l_max + 1):
-        end = ends[l] if l < len(ends) else table.order
-        w, prev = np.zeros_like(w), w
-        np.take(prev, perms[0][:end], out=w[:end])  # in place: the rest of w stays 0
-        for p in perms[1:]:
-            w[:end] += prev[p[:end]]
-        if not exact:
-            w[:end] /= len(ids)
+        end = ends[l] if l < len(ends) else len(w)
+        w = _step(w, perms, np.zeros_like(w), end, not exact)
         yield l, w
 
 
@@ -200,16 +212,14 @@ def flatten_check(mu: Measure, nu: Measure) -> FlattenReport:
     ||mu||_2 = 1 and carries no flattening information; the exponent is
     reported as 0.0 in that degenerate case.
     """
-    prod = convolve(mu, nu)
-    lhs = prod.l2()
     m2 = mu.l2()
-    n2 = nu.l2()
-    rhs = math.sqrt(m2) * math.sqrt(n2)
+    return _flatten_report(convolve(mu, nu).l2(), math.sqrt(m2) * math.sqrt(nu.l2()), m2)
+
+
+def _flatten_report(lhs: float, rhs: float, m2: float) -> FlattenReport:
+    """delta_hat solves lhs = m2^delta rhs; 0.0 when |log m2| <= 1e-12."""
     log_m = math.log(m2) if m2 > 0 else 0.0
-    if abs(log_m) < 1e-12:
-        delta = 0.0
-    else:
-        delta = math.log(lhs / rhs) / log_m
+    delta = math.log(lhs / rhs) / log_m if abs(log_m) > 1e-12 else 0.0
     return FlattenReport(lhs=lhs, rhs=rhs, delta_hat=delta)
 
 
@@ -219,14 +229,10 @@ def walk_flatten_exponent(series: WalkSeries, l: int) -> FlattenReport:
     chi^(l) * chi^(l) = chi^(2l), so both sides of the inequality come
     from the recorded norms; the series must reach step 2l.
     """
-    if 2 * l > len(series.rows):
-        raise ValueError(f"series must reach step {2 * l}")
+    if not 1 <= l <= len(series.rows) // 2:
+        raise ValueError(f"l must be in 1..{len(series.rows) // 2} for {len(series.rows)} steps, got {l}")
     m2 = series.rows[l - 1].l2_norm
-    lhs = series.rows[2 * l - 1].l2_norm
-    rhs = m2  # sqrt(m2) * sqrt(m2)
-    log_m = math.log(m2)
-    delta = math.log(lhs / rhs) / log_m if abs(log_m) > 1e-12 else 0.0
-    return FlattenReport(lhs=lhs, rhs=rhs, delta_hat=delta)
+    return _flatten_report(series.rows[2 * l - 1].l2_norm, m2, m2)  # rhs = sqrt(m2) * sqrt(m2)
 
 
 @dataclass
@@ -259,22 +265,14 @@ def escape_profile(
     The walk has escaped once the heaviest coset carries no more than
     2/[G:H] + ESCAPE_EPSILON, the stationary share with room to spare.
     """
-    ids = [int(x) for x in (G.generator_ids if gen_ids is None else gen_ids)]
+    _, perms, ends = _walk_inputs(G, gen_ids, H)
     labels = coset_labels(G, H.element_ids)
     rows = []
-    for l, w in _walk(G, ids, l_max, False):
-        if not l:
-            continue
-        coset_mass = np.bincount(labels, weights=w, minlength=H.index)
-        rows.append(
-            EscapeRow(
-                l=l,
-                l2_norm=math.sqrt((w * w).sum()),
-                linf=float(w.max()),
-                mass_on_H=float(coset_mass[labels[G.identity_id]]),
-                max_coset_mass=float(coset_mass.max()),
-            )
-        )
+    for l, w in _walk(perms, ends, l_max, False):
+        if l:
+            mass = np.bincount(labels, weights=w, minlength=H.index)
+            rows.append(EscapeRow(l, math.sqrt((w * w).sum()), float(w.max()),
+                                  float(mass[labels[G.identity_id]]), float(mass.max())))
     target = 2.0 / H.index + ESCAPE_EPSILON
     settled = bool(rows and rows[-1].max_coset_mass <= target)
     return EscapeReport(rows=rows, index=H.index, settled=settled)
@@ -289,9 +287,8 @@ class CayleyGraph:
 
     def __init__(self, table: GroupTable, s_ids: Sequence[int] | None = None):
         self.table = table
-        ids = table.generator_ids if s_ids is None else np.asarray(s_ids, dtype=np.int64)
-        self.s_ids = np.asarray([int(x) for x in ids], dtype=np.int64)
-        self.perms = [table.left_perm(int(s)) for s in self.s_ids]
+        ids, self.perms, _ = _walk_inputs(table, s_ids)
+        self.s_ids = np.asarray(ids, dtype=np.int64)
         if not all(table.identity_id in p[self.s_ids] for p in self.perms):
             raise ValueError("generator multiset must be symmetric")
         self.degree = len(self.s_ids)
@@ -301,11 +298,8 @@ class CayleyGraph:
         return self.table.order
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """T v, with T the degree-normalized adjacency operator."""
-        acc = np.zeros_like(vec, dtype=np.float64)
-        for p in self.perms:
-            acc += vec[p]
-        return acc / self.degree
+        """T v, with T the degree-normalized adjacency operator: one walk step."""
+        return _step(vec, self.perms, np.empty_like(vec, dtype=np.float64), len(vec), True)
 
     def dense_operator(self) -> np.ndarray:
         n = self.order
@@ -329,14 +323,9 @@ class SpectrumReport:
 
 
 def _cluster(values: np.ndarray) -> list[tuple[float, int]]:
-    clusters = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i - 1] - values[i] > CLUSTER_TOL:
-            block = values[start:i]
-            clusters.append((float(block.mean()), len(block)))
-            start = i
-    return clusters
+    """(mean, size) of the runs of descending values split at gaps above CLUSTER_TOL."""
+    blocks = np.split(values, np.flatnonzero(values[:-1] - values[1:] > CLUSTER_TOL) + 1)
+    return [(float(block.mean()), len(block)) for block in blocks]
 
 
 def _cycle_length(perm: np.ndarray) -> int:
@@ -370,24 +359,22 @@ def _split_element(graph: CayleyGraph) -> tuple[np.ndarray, int]:
     return best, m
 
 
-def _block_eigenvalues(graph: CayleyGraph) -> np.ndarray:
-    """Full spectrum of T, descending, from Hermitian blocks of size n/m.
-
-    T sums left translations, so it commutes with x -> xg for the g of
-    order m that _split_element picks.  On the f with f(x g^a) = w^(ka) f(x),
-    w = exp(2 pi i/m), T is B_k[i, j] = (1/|S|) sum of w^(kb) over the s
-    with s r_i = r_j g^b; r_i is the least id in its coset r_i<g>.
+def _block_eigenvalues(perms: list[np.ndarray], right: np.ndarray, m: int, degree: int) -> np.ndarray:
+    """Full spectrum of T = (1/degree) sum of the perms, descending, from Hermitian
+    blocks of size n/m.  right, x -> x g, commutes with every perm and has orbits of
+    size m (on a table, the right translation by the g of _split_element).  On the f
+    with f(x g^a) = w^(ka) f(x), w = exp(2 pi i/m), T is B_k[i, j] = (1/degree) sum of
+    w^(kb) over the s with s r_i = r_j g^b; r_i is the least vertex of its orbit.
     B_(m-k) is the conjugate of B_k, so only k <= m/2 is solved.
     """
-    n = graph.order
-    right, m = _split_element(graph)
+    n = len(right)
     rep, exp, cur = np.arange(n), np.zeros(n, dtype=np.int64), np.arange(n)
     for a in range(1, m):
         cur = right[cur]  # x g^a
         less = cur < rep
         rep[less], exp[less] = cur[less], m - a  # x = rep g^(m-a)
     reps = np.flatnonzero(rep == np.arange(n))
-    hit = np.stack(graph.perms)[:, reps]  # s r_i, one row per generator
+    hit = np.stack(perms)[:, reps]  # s r_i, one row per generator
     rows = np.broadcast_to(np.arange(len(reps)), hit.shape)
     cols, b = np.searchsorted(reps, rep[hit]), exp[hit]
     vals = []
@@ -396,7 +383,7 @@ def _block_eigenvalues(graph: CayleyGraph) -> np.ndarray:
         real = 2 * k % m == 0
         B = np.zeros((len(reps), len(reps)), dtype=np.float64 if real else np.complex128)
         np.add.at(B, (rows, cols), w.real if real else w)
-        vals += [np.linalg.eigvalsh(B / graph.degree)] * (1 if real else 2)
+        vals += [np.linalg.eigvalsh(B / degree)] * (1 if real else 2)
     return np.sort(np.concatenate(vals))[::-1]
 
 
@@ -411,7 +398,8 @@ def spectrum(graph: CayleyGraph) -> SpectrumReport:
     """
     n = graph.order
     if n <= DENSE_EIG_CAP:
-        report = SpectrumReport(eigenvalues=_block_eigenvalues(graph))
+        vals = _block_eigenvalues(graph.perms, *_split_element(graph), graph.degree)
+        report = SpectrumReport(eigenvalues=vals)
     else:
         from scipy.sparse.linalg import LinearOperator, eigsh
 
@@ -434,6 +422,8 @@ def spectrum(graph: CayleyGraph) -> SpectrumReport:
 
 def trace_moment(graph: CayleyGraph, l: int, report: SpectrumReport | None = None) -> float:
     """Tr(T^{2l}) = sum_i lambda_i^{2l}, from the full spectrum."""
+    if l < 0:
+        raise ValueError(f"trace moment needs l >= 0, got {l}")
     if report is None:
         report = spectrum(graph)
     if report.partial:

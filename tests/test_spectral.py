@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from expanderlab import spectral
-from expanderlab.errors import SizeCapExceeded
+from expanderlab.cli import builtin_generators
+from expanderlab.errors import SizeCapExceeded, TableMismatch
 from expanderlab.exact import RationalMatrix
 from expanderlab.quotient import (
+    _vector_orbit,
     borel_subgroup,
     cyclic_group,
     generate_group,
@@ -15,6 +17,8 @@ from expanderlab.quotient import (
 from expanderlab.spectral import (
     CayleyGraph,
     Measure,
+    _block_eigenvalues,
+    _walk,
     cheeger_bracket,
     convolve,
     coset_labels,
@@ -189,6 +193,38 @@ def test_walk_flatten_exponent_needs_long_series(sl2_5):
         walk_flatten_exponent(series, 4)
 
 
+@pytest.mark.parametrize("l", [-1, 0])
+def test_walk_flatten_exponent_needs_a_positive_step(sl2_7, l):
+    # l = -1 and 0 would read rows -3/-2 and -1/-1 from the end of the series
+    with pytest.raises(ValueError, match="must be in 1..10"):
+        walk_flatten_exponent(walk_powers(sl2_7, 20), l)
+
+
+# ----- empty multisets and subgroups of another table -----
+
+
+def test_an_empty_multiset_is_refused(sl2_5):
+    with pytest.raises(ValueError, match="generator multiset is empty"):
+        walk_powers(sl2_5, 5, gen_ids=[])
+    with pytest.raises(ValueError, match="generator multiset is empty"):
+        escape_profile(sl2_5, borel_subgroup(sl2_5), 5, gen_ids=[])
+    with pytest.raises(ValueError, match="generator multiset is empty"):
+        spectrum(CayleyGraph(sl2_5, []))
+    with pytest.raises(ValueError, match="at least one id"):
+        Measure.uniform_on(sl2_5, [])
+
+
+@pytest.mark.parametrize("other", [("sanov2", 7), ("lubotzky3", 11)])
+def test_walks_refuse_a_subgroup_of_another_table(other):
+    # the same group SL2(F_7) numbered another way, and a subgroup mod 11
+    G = generate_group(builtin_generators("lubotzky3"), 7)
+    H = borel_subgroup(generate_group(builtin_generators(other[0]), other[1]))
+    with pytest.raises(TableMismatch):
+        escape_profile(G, H, 5)
+    with pytest.raises(TableMismatch):
+        walk_powers(G, 5, H=H)
+
+
 # ----- escape -----
 
 
@@ -251,6 +287,14 @@ def test_spectrum_lam_star(sl2_5):
     assert rep.lam_star >= rep.lam2 - 1e-12
 
 
+def test_apply_is_the_dense_operator_on_vectors_and_columns(sl2_5):
+    graph = CayleyGraph(sl2_5)
+    v = np.random.default_rng(0).standard_normal(graph.order)
+    Tv = graph.dense_operator() @ v
+    assert np.abs(graph.apply(v) - Tv).max() <= 1e-15
+    assert np.array_equal(graph.apply(v[:, None]), graph.apply(v)[:, None])
+
+
 def test_trace_identity(sl2_7):
     graph = CayleyGraph(sl2_7)
     rep = spectrum(graph)
@@ -264,6 +308,14 @@ def test_trace_moment_small_cyclic():
     graph = CayleyGraph(cyclic_group(5))
     rep = spectrum(graph)
     assert trace_moment(graph, 1, rep) == pytest.approx(2.5)
+
+
+def test_trace_moment_needs_a_nonnegative_l(sl2_7):
+    graph = CayleyGraph(sl2_7)
+    with pytest.raises(ValueError, match="l >= 0"):
+        trace_moment(graph, -1)
+    with pytest.raises(ValueError):
+        walk_trace_side(graph, -1)
 
 
 def test_trace_moment_partial_raises(monkeypatch):
@@ -294,6 +346,52 @@ def test_cluster_tolerance_is_read_per_call(monkeypatch):
     assert [m for _, m in spectrum(graph).clusters] == [1, 2, 2]
     monkeypatch.setattr(spectral, "CLUSTER_TOL", 2.0)
     assert [m for _, m in spectrum(graph).clusters] == [5]
+
+
+# ----- the kernels on a vertex set that is not a group -----
+
+
+def schreier_graph(name, p):
+    """The table generators of a builtin as moves on F_p^2 minus 0 (the orbit of
+    e_1, vertex 0), their level ends, and v -> c v for a primitive root c."""
+    G = generate_group(builtin_generators(name), p)
+    orbit, moves = _vector_orbit(G.digits[G.generator_ids].reshape(-1, 2, 2), np.array([[1, 0]]), p, p * p)
+    assert len(orbit) == p * p - 1
+    c = next(c for c in range(2, p) if len({pow(c, a, p) for a in range(p - 1)}) == p - 1)
+    codes = orbit @ [p, 1]
+    order = np.argsort(codes)
+    right = order[np.searchsorted(codes, (c * orbit % p) @ [p, 1], sorter=order)]
+    return G, [np.concatenate(m) for m in moves], np.cumsum([len(m) for m in moves[0]]), right
+
+
+@pytest.mark.parametrize("name", ["lubotzky3", "sanov2"])
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_block_eigenvalues_of_a_schreier_graph(name, p):
+    G, perms, _, right = schreier_graph(name, p)
+    n, k = len(right), len(perms)
+    vals = _block_eigenvalues(perms, right, p - 1, k)
+    A = np.zeros((n, n))
+    for q in perms:
+        np.add.at(A, (np.arange(n), q), 1.0)
+    assert np.abs(vals - np.linalg.eigvalsh(A / k)[::-1]).max() <= 1e-12
+    # the Schreier spectrum is a sub-multiset of the Cayley spectrum
+    cayley = spectrum(CayleyGraph(G)).eigenvalues
+    assert np.abs(vals[:, None] - cayley[None, :]).min(axis=1).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["lubotzky3", "sanov2"])
+def test_walk_on_a_schreier_graph_is_a_matrix_power(name):
+    _, perms, ends, right = schreier_graph(name, 7)
+    n, k = len(right), len(perms)
+    A = np.zeros((n, n), dtype=np.int64)
+    for q in perms:
+        np.add.at(A, (np.arange(n), q), 1)
+    counts = np.eye(n, dtype=np.int64)[0]
+    walks = zip(_walk(perms, ends, 12, True), _walk(perms, [], 12, True), _walk(perms, ends, 12, False))
+    for (l, exact), (_, whole), (_, floats) in walks:
+        assert exact.tolist() == whole.tolist() == counts.tolist()
+        assert np.abs(floats - counts / k**l).max() <= 1e-15
+        counts = A @ counts
 
 
 # ----- expansion -----
