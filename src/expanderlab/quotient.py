@@ -33,12 +33,12 @@ Other products and inverses, the inverse permutation and every translation
 come, in a table with factors, from the same operation in each factor at its
 factor ids, mapped back by rank; in any other table, from its callbacks.
 
-Subgroups, normal closures and commutator subgroups come from one BFS
-from the identity that multiplies by the generators and conjugates by a
-second id set in each step, deduplicated by a mask, until past half the group.
-Conjugacy classes come from one labelling that lowers each element's label
-to its class's least element; normal subgroups are the normal closures of
-one element per class, joined in pairs unless a found one is the join.
+Subgroups and a subgroup's commutator subgroup come from one BFS from the identity
+that multiplies by the generators and conjugates by a second id set in each step,
+deduplicated by a mask, until past half the group.  Conjugacy classes come from one
+labelling that lowers each element's label to its class's least element, kept on the
+table; a normal closure is a BFS over classes, and normal subgroups are the normal
+closures of one element per class, joined in pairs unless a found one is the join.
 """
 from __future__ import annotations
 
@@ -301,6 +301,23 @@ class GroupTable:
     def _rank(self) -> np.ndarray:
         """Each id's position in key order, which is digit code order."""
         return np.argsort(np.argsort(self._index.keys()))  # the inverse of the ids in key order
+
+    @functools.cached_property
+    def _classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each id's conjugacy class, numbered by least element, the ids by class, and each class's
+        start in them and size.  Each round lowers every label to its conjugates' labels under the
+        generators, then to its label's label: labels only fall and stay in their class, so
+        once a round changes nothing, each is its class's least element."""
+        conj_perms = [self.conj_perm(s) for s in self.generator_ids.tolist()]
+        label, prev = np.arange(self.order, dtype=np.int64), None
+        while not np.array_equal(label, prev):
+            prev = label
+            for cp in conj_perms:
+                label = np.minimum(label, label[cp])
+            label = label[label]
+        label = (np.cumsum(label == np.arange(self.order)) - 1)[label]
+        sizes = np.bincount(label)
+        return label, np.argsort(label, kind="stable"), np.cumsum(sizes) - sizes, sizes
 
     def left_perm(self, gid: int) -> np.ndarray:
         """Array mapping x to id(g x), cached."""
@@ -765,16 +782,11 @@ class SubgroupRecord:
 
 
 def _closure_ids(G: GroupTable, gen_ids, conj_ids=()) -> np.ndarray:
-    """Element ids of the smallest subgroup holding gen_ids and closed under
-    conjugation by conj_ids, by one BFS from the identity.
-
-    Each step takes the union of right multiplication by the symmetrized
-    generators and conjugation by each conj_ids element.  A set holding e
-    and closed under both holds y (c s c^-1) = c ((c^-1 y c) s) c^-1, as
-    conjugation by c^-1 is a power of conjugation by c, so it is a group.
-    The walk stops once it covers more than half the group: subgroup
-    orders divide the group order, so such a subgroup is the whole group.
-    """
+    """Element ids of the smallest subgroup holding gen_ids and closed under conjugation by
+    conj_ids, by one BFS from the identity: each step multiplies on the right by the symmetrized
+    generators and conjugates by each conj_ids element.  A set holding e and closed under both
+    holds y (c s c^-1) = c ((c^-1 y c) s) c^-1, as conjugation by c^-1 is a power of conjugation
+    by c, so it is a group.  The walk stops past half the group, which is then the whole group."""
     gens = _distinct(np.asarray(gen_ids, dtype=np.int64))
     gens = _distinct(np.concatenate([gens, G.inv_vec(gens)]))
     conj = [G.conj_perm(int(c)) for c in _distinct(np.asarray(conj_ids, dtype=np.int64))]
@@ -840,67 +852,73 @@ def _centre(G: GroupTable) -> np.ndarray:
     return np.logical_and.reduce([G.left_perm(s) == G.right_perm(s) for s in G.generator_ids.tolist()])
 
 
+def _class_closure(G: GroupTable, seed_ids) -> np.ndarray:
+    """Mask over the conjugacy classes of G of the normal closure of the seeds: the union of the
+    products C_1 ... C_n of their classes.  K C is the union of the classes of K c0 for one c0 in C,
+    as k (g c0 g^-1) = g ((g^-1 k g) c0) g^-1, so also of C k0, as k c is conjugate to c k.  A BFS
+    level is one mul_vec: the members of the smaller class of each (new class, seed class) pair times
+    the larger one's least element; it stops past half the group, which is then the whole group."""
+    label, by_class, starts, sizes = G._classes
+    frontier = seeds = _distinct(label[np.asarray(seed_ids, dtype=np.int64)])
+    inside = np.bincount(np.append(0, seeds), minlength=len(sizes)) > 0  # 0 is the identity's class
+    while frontier.size and 2 * sizes[inside].sum() <= G.order:
+        K, C = np.repeat(frontier, len(seeds)), np.tile(seeds, len(frontier))
+        small, large = np.where(sizes[K] <= sizes[C], [K, C], [C, K])
+        n = sizes[small]
+        at = np.arange(n.sum()) + np.repeat(starts[small] - np.cumsum(n) + n, n)  # the members of each small
+        products = G.mul_vec(by_class[at], np.repeat(by_class[starts[large]], n))
+        reached = np.bincount(label[products], minlength=len(sizes)) > 0
+        frontier = np.flatnonzero(reached > inside)
+        inside |= reached
+    return inside | (2 * sizes[inside].sum() > G.order)
+
+
 def normal_closure(G: GroupTable, seed_ids: Sequence[int]) -> np.ndarray:
     """Element ids of the smallest normal subgroup containing the seeds."""
-    return _closure_ids(G, seed_ids, G.generator_ids)
+    return np.flatnonzero(_class_closure(G, seed_ids)[G._classes[0]])
 
 
 def is_perfect(G: GroupTable) -> bool:
-    """Whether G equals its commutator subgroup."""
-    return _is_perfect(G, G.generator_ids, G.order)
+    """Whether G equals its commutator subgroup, the normal closure of its generators' commutators."""
+    S = G.generator_ids
+    return len(normal_closure(G, G.comm_vec(S[:, None], S))) == G.order
 
 
 def conjugacy_classes(G: GroupTable) -> list[np.ndarray]:
-    """Conjugation orbits, ordered by least element, each sorted.
-
-    Each round lowers every label to its conjugates' labels under the
-    generators, then to its label's label.  A label only falls and never
-    leaves its class; once a round changes nothing, labels are constant
-    on classes, so each is its class's least element.
-    """
-    conj_perms = [G.conj_perm(int(s)) for s in G.generator_ids]
-    label, prev = np.arange(G.order, dtype=np.int64), None
-    while not np.array_equal(label, prev):
-        prev = label
-        for cp in conj_perms:
-            label = np.minimum(label, label[cp])
-        label = label[label]
-    by_class = np.argsort(label, kind="stable")
-    return np.split(by_class, np.flatnonzero(np.diff(label[by_class])) + 1)
+    """Conjugation orbits, ordered by least element, each sorted."""
+    _, by_class, starts, _ = G._classes
+    return np.split(by_class.copy(), starts[1:])  # a copy, as the table keeps by_class
 
 
 def normal_subgroups(G: GroupTable) -> list[SubgroupRecord]:
-    """All normal subgroups, as joins of normal closures of conjugacy classes.
-
-    Each sweep joins the pairs whose later side is new since the last one.
-    A pair runs no closure when a found subgroup holds both sides and has
-    their join's order |N_i||N_j| / |N_i & N_j|: that subgroup is the join.
-    """
+    """All normal subgroups, as joins of normal closures of conjugacy classes, kept as masks over
+    the classes.  Each sweep joins the pairs whose later side is new since the last one.  A pair
+    runs no closure when a found subgroup holds both sides and has their join's order
+    |N_i||N_j| / |N_i & N_j|: that subgroup is the join."""
     if G.order > NORMAL_SUBGROUP_CAP:
         raise SizeCapExceeded(f"normal subgroup enumeration capped at {NORMAL_SUBGROUP_CAP}")
-    found: dict[bytes, tuple[list[int], np.ndarray, np.ndarray]] = {}
+    label, by_class, starts, sizes = G._classes
+    found: dict[bytes, tuple[list[int], np.ndarray, int]] = {}
 
     def register(seeds: list[int]) -> None:
-        ids = _closure_ids(G, seeds, G.generator_ids)
-        found.setdefault(ids.tobytes(), (seeds, ids, G.mask(ids)))
+        inside = _class_closure(G, seeds)
+        found.setdefault(inside.tobytes(), (seeds, inside, int(sizes[inside].sum())))
 
     register([])
-    for cls in conjugacy_classes(G):
-        register([int(cls[0])])
+    for least in by_class[starts].tolist():
+        register([least])
     done = 0
     while done < len(found):
         items = list(found.values())
-        for i, (si, ids_i, mi) in enumerate(items):
-            for sj, ids_j, _ in items[max(i + 1, done):]:
+        for i, (si, mi, ni) in enumerate(items):
+            for sj, mj, nj in items[max(i + 1, done):]:
                 seeds = sorted(set(si + sj))
-                order = ids_i.size * ids_j.size // int(mi[ids_j].sum())
-                if not any(ids.size == order and m[seeds].all() for _, ids, m in found.values()):
+                order = ni * nj // int(sizes[mi & mj].sum())
+                if not any(n == order and m[label[seeds]].all() for _, m, n in found.values()):
                     register(seeds)
         done = len(items)
-    records = [
-        SubgroupRecord(G, np.array(seeds, dtype=np.int64), ids, member, G.order // ids.size, normal=True)
-        for seeds, ids, member in found.values()
-    ]
+    records = [SubgroupRecord(G, np.array(seeds, dtype=np.int64), np.flatnonzero(inside[label]), inside[label],
+                              G.order // n, normal=True) for seeds, inside, n in found.values()]
     return sorted(records, key=lambda r: (r.size, r.element_ids.tobytes()))
 
 
@@ -986,7 +1004,7 @@ def lower_central_series(U: GroupTable) -> list[np.ndarray]:
     chain = [np.arange(U.order, dtype=np.int64)]
     S = U.generator_ids
     while len(chain[-1]) > 1:
-        nxt = _closure_ids(U, U.comm_vec(S[:, None], chain[-1]), S)
+        nxt = normal_closure(U, U.comm_vec(S[:, None], chain[-1]))
         if len(nxt) == len(chain[-1]):
             raise NotPGroup("series did not descend; group is not nilpotent")
         chain.append(nxt)

@@ -103,6 +103,8 @@ def generator_measure(table: GroupTable, gen_ids: Sequence[int] | None = None, e
 
 def walk_step(mu: Measure, gen_ids: Sequence[int]) -> Measure:
     """One convolution by chi_S, via cached left-translation permutations."""
+    if not len(gen_ids):
+        raise ValueError("the generator multiset is empty")
     G = mu.table
     # 0 + t0 is t0, so the sum adds the terms in the order of gen_ids; an
     # exact sum of Fractions over an int stays a Fraction

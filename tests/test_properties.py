@@ -1177,6 +1177,31 @@ def test_normal_closure_is_the_subgroup_of_all_conjugates(name, data):
     assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
+LEMMAS_SL2_35 = generate_group(builtin_generators("lubotzky3"), 35)
+
+# the two tables whose normal subgroups the lemmas subcommand lists at p = 5,
+# each with a pool of ids whose normal closures are proper: the elements
+# trivial in one prime factor, and the unipotent part
+NORMAL_CLOSURE_POOLS = {
+    "sl2 mod 35": (LEMMAS_SL2_35, np.flatnonzero((LEMMAS_SL2_35._factor_ids == 0).any(axis=0))),
+    "lemmas semidirect 5": (CLOSURE_TABLES["lemmas semidirect 5"],
+                            np.flatnonzero(quotient.unipotent_mask(CLOSURE_TABLES["lemmas semidirect 5"]))),
+}
+
+
+@FEW
+@given(name=st.sampled_from(sorted(NORMAL_CLOSURE_POOLS)), proper=st.booleans(), data=st.data())
+def test_normal_closure_over_classes_is_the_conjugation_closure(name, proper, data):
+    G, pool = NORMAL_CLOSURE_POOLS[name]
+    picks = st.sampled_from(pool.tolist()) if proper else st.integers(0, G.order - 1)
+    seeds = np.array(data.draw(st.lists(picks, max_size=3)), dtype=np.int64)
+    got = normal_closure(G, seeds)
+    assert got.dtype == np.int64 and (np.diff(got) > 0).all()
+    assert np.array_equal(got, quotient._closure_ids(G, seeds, G.generator_ids))
+    member = G.mask(got)
+    assert all(member[c].all() or not member[c].any() for c in conjugacy_classes(G))
+
+
 @FEW
 @given(name=st.sampled_from(sorted(CLOSURE_TABLES)), data=st.data())
 def test_subgroup_flags_match_their_definitions(name, data):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -289,6 +291,29 @@ def test_normal_subgroup_records_are_pinned(make, records):
     assert [(H.size, H.generator_ids.tolist()) for H in normal_subgroups(make())] == records
 
 
+def ids_digest(ids):
+    """The ids of a subgroup of at most 4 elements, else a sha256 prefix of their int64 bytes."""
+    return ids.tolist() if len(ids) <= 4 else hashlib.sha256(ids.astype(np.int64).tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("builtin,elements", [
+    ("lubotzky3", [[0], [0, 40201], [0, 40212], [0, 40319], [0, 40201, 40212, 40319],
+                   "61c2a3c9b62dd3a9", "66068b284b462dc5", "16b9b69d1a9d00de", "7879c915a545e387",
+                   "1e0d1f589129993e"]),
+    ("sanov2", [[0], [0, 40269], [0, 611], [0, 21186], [0, 611, 21186, 40269],
+                "aea34d20d273574b", "d77b2176d2151fba", "734f23078328f730", "f62c46cab5b2d5a7",
+                "1e0d1f589129993e"]),
+])
+def test_normal_subgroup_elements_mod35_are_pinned(builtin, elements):
+    G = generate_group(builtin_generators(builtin), 35)
+    records = normal_subgroups(G)
+    assert [H.size for H in records] == [1, 2, 2, 2, 4, 120, 240, 336, 672, 40320]
+    assert [ids_digest(H.element_ids) for H in records] == elements
+    for H in records:
+        assert H.element_ids.dtype == np.int64 and np.array_equal(H.member, G.mask(H.element_ids))
+        assert H.index * H.size == G.order and H.normal
+
+
 def test_factor_product_form(sl2_35):
     for H in normal_subgroups(sl2_35):
         rep = verify_factor_product_form(sl2_35, H)
@@ -474,6 +499,16 @@ def test_lower_central_series_heisenberg():
     U = heisenberg_group(5)
     chain = lower_central_series(U)
     assert [len(c) for c in chain] == [125, 5, 1]
+    # the centre, pinned by id
+    assert chain[1].tolist() == [0, 69, 82, 123, 124] and chain[2].tolist() == [0]
+    assert all(c.dtype == np.int64 for c in chain)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_is_perfect_on_the_lemmas_semidirect_tables(p):
+    lmats = [ModMatrix([[1, 3], [0, 1]], p), ModMatrix([[1, 0], [3, 1]], p)]
+    assert is_perfect(semidirect_group(SemidirectSpec(p=p, l_gens=lmats)))
+    assert not is_perfect(semidirect_group(SemidirectSpec(p=p, l_gens=lmats, action="trivial")))
 
 
 def test_lower_central_series_cap(monkeypatch):

@@ -214,6 +214,11 @@ def test_an_empty_multiset_is_refused(sl2_5):
         Measure.uniform_on(sl2_5, [])
 
 
+def test_walk_step_refuses_an_empty_multiset():
+    with pytest.raises(ValueError, match="generator multiset is empty"):
+        walk_step(Measure.point(cyclic_group(6)), [])
+
+
 @pytest.mark.parametrize("other", [("sanov2", 7), ("lubotzky3", 11)])
 def test_walks_refuse_a_subgroup_of_another_table(other):
     # the same group SL2(F_7) numbered another way, and a subgroup mod 11
