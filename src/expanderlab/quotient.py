@@ -10,7 +10,9 @@ mixed-radix encoding of the digit row, so tables are deterministic.
 One BFS routine builds every table kind and its one id lookup, also its
 seen-set: a dense int32 key-to-id array for a key space of at most
 ID_INDEX_CAP = 2^25 keys, else int32 ids beside sorted keys, int32 below 2^31
-(SL2 mod 97), which a level costs one sort and one search.  A key is the
+(SL2 mod 97), which a level costs one search and one in-place sort of int64
+values key << b | position (b bits for a position), or an argsort of the keys
+where those could pass 62 bits (int64 keys: a 4x4 table mod 13).  A key is the
 mixed-radix code of the digit row; in a table with factors (mod a composite q,
 inside the product of its per-prime images by the CRT, or a direct product),
 built first, the ranks of the factor blocks' codes in mixed radix over the
@@ -98,6 +100,7 @@ class _IdIndex:
 
     def __init__(self, space: int, start_codes: np.ndarray, dense: bool):
         self.order = len(start_codes)  # sorted and distinct, given ids 0, 1, ...
+        self.bits = (space - 1).bit_length()  # of a key
         self.dtype = np.dtype(np.int32 if not dense and space <= 1 << 31 else np.int64)  # of the keys
         self.codes = None if dense else np.array(start_codes, dtype=self.dtype)
         self.ids = np.full(space, -1, dtype=np.int32) if dense else np.arange(self.order, dtype=np.int32)
@@ -119,19 +122,31 @@ class _IdIndex:
         return by_id
 
     def add(self, codes: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """Ids of the codes, the next ids going in code order to codes without one, and a position of each
-        new code, in order; None, with nothing added, if they would take the order past limit.  A sorted
-        index writes the ids over the codes, after one sort of them and one search of their distinct values."""
+        """Ids of the codes, the next ids going in code order to codes without one, and the first position
+        of each new code, in order; None, with nothing added, if they would take the order past limit.  The
+        codes to place (a dense index's misses, else all, whose ids a sorted index writes over them) cost one
+        in-place sort of the int64 values code << b | position, b the bits of a position, or an argsort where
+        those would pass 62 bits (int64 keys), and a sorted index one search of their distinct codes."""
         dense = self.codes is None
         codes = codes if dense else codes.astype(self.dtype, copy=False)
         ids = self.ids[codes] if dense else codes
-        pos = (ids < 0).nonzero()[0] if dense else codes.argsort()
-        if dense:  # the misses, by code
-            pos = pos[codes[pos].argsort()]
-        new, head = codes[pos], np.ones(len(pos) + 1, dtype=bool)  # and one past the end
+        pos = (ids < 0).nonzero()[0] if dense else None  # the misses
+        todo = codes[pos] if dense else codes
+        if self.bits + (b := len(codes).bit_length()) < 63:
+            packed = todo.astype(np.int64, copy=not dense)  # a sorted index's codes are its ids
+            packed <<= b
+            packed |= pos if dense else np.arange(len(codes))
+            packed.sort()
+            # a sorted index reads its codes no more, so the sorted ones go over them
+            new = packed >> b if dense else np.right_shift(packed, b, out=codes, casting="unsafe")
+            pos = np.bitwise_and(packed, (1 << b) - 1, out=packed)
+        else:
+            order = todo.argsort(kind="stable")  # ties at their first position, as in the packed sort
+            new, pos = todo[order], pos[order] if dense else order
+        head = np.ones(len(pos) + 1, dtype=bool)  # and one past the end
         np.not_equal(new[1:], new[:-1], out=head[1:-1])
         bounds = head.nonzero()[0]  # of the runs of equal codes
-        new = new[bounds[:-1]]
+        new = new[bounds[:-1]].astype(self.dtype, copy=False)
         at = new if dense else self.codes.searchsorted(new)  # where the id of a held code is, and a new one goes
         found = np.where(dense or self.codes.take(at, mode="clip") == new, self.ids.take(at, mode="clip"), -1)
         fresh = (found < 0).nonzero()[0]
@@ -482,7 +497,7 @@ def _column_bfs(gen_rows: np.ndarray, meta: dict, weights: np.ndarray, cap: int,
     L = np.array([np.concatenate(m) for m in moves[:k]])
     E_L = (cols @ weights.reshape(d, d))[L].transpose(2, 0, 1).astype(dtype)
     return (np.arange(d, dtype=np.int32)[None], lambda j, x: L[j, x.T].T,
-            lambda x: functools.reduce(np.add, (E_L[c][:, x[:, c]] for c in range(d))))
+            lambda x: functools.reduce(np.add, (np.take(E_L[c], x[:, c], axis=1, mode="clip") for c in range(d))))
 
 
 def _factor_bfs(gen_rows: np.ndarray, factors: list[GroupTable]):

@@ -174,10 +174,14 @@ def _walk_inputs(table: GroupTable, gen_ids, H: SubgroupRecord | None = None):
 
 def _step(prev: np.ndarray, perms: list[np.ndarray], out: np.ndarray, end: int, divide: bool) -> np.ndarray:
     """out[:end] = sum of prev[p[:end]] over the perms in order, over their number if divide;
-    the first perm gathers in place, so out past end keeps its values."""
-    np.take(prev, perms[0][:end], axis=0, out=out[:end])
+    out past end keeps its values.  The perms are permutations of range(len(prev)), so the
+    gathers clip no index: mode="clip" only spares np.take a buffered copy of its output, and
+    one scratch vector takes the gathers of the perms after the first."""
+    np.take(prev, perms[0][:end], axis=0, out=out[:end], mode="clip")
+    scratch = None
     for p in perms[1:]:
-        out[:end] += prev[p[:end]]
+        scratch = np.take(prev, p[:end], axis=0, out=scratch, mode="clip")
+        out[:end] += scratch
     if divide:
         out[:end] /= len(perms)
     return out
@@ -187,15 +191,18 @@ def _walk(perms: list[np.ndarray], ends, l_max: int, exact: bool):
     """Yield (l, chi_S^(l)) for l = 0..l_max from vertex 0; exact mode yields the
     Python-int word counts k^l chi_S^(l).  Step l is supported on S^-l; when that lies
     in the first ends[l] vertices (the ball B_l of a table), only those are gathered
-    and the rest stay +0.0, as in walk_step."""
+    and the rest stay +0.0, as in walk_step.  Two buffers alternate: step l is written
+    over step l - 2, whose support B_(l-2) lies in B_l, so a yielded array is rewritten
+    two steps later, and a caller that keeps one copies it."""
     if l_max < 0:
         raise ValueError(f"walk length must be >= 0, got {l_max}")
     w = np.zeros(len(perms[0]), dtype=object if exact else float)
     w[0] = 1
     yield 0, w
+    spare = np.zeros_like(w)
     for l in range(1, l_max + 1):
         end = ends[l] if l < len(ends) else len(w)
-        w = _step(w, perms, np.zeros_like(w), end, not exact)
+        w, spare = _step(w, perms, spare, end, not exact), w
         yield l, w
 
 

@@ -898,7 +898,7 @@ def test_the_sorted_index_keys_are_int32_below_2_to_the_31(p, dtype):
     assert ids.dtype == np.int64 and ids.tolist() == [held.get(c, -1) for c in probe.tolist()]
 
 
-@pytest.mark.parametrize("space,dense", [(1000, True), (1000, False), (1 << 40, False)])
+@pytest.mark.parametrize("space,dense", [(1000, True), (1000, False), (1 << 40, False), (1 << 62, False)])
 def test_a_level_past_the_limit_leaves_the_index_unchanged(space, dense):
     index = quotient._IdIndex(space, np.array([3, 10, space - 1]), dense)
     assert index.dtype == (np.int32 if space < 2**31 and not dense else np.int64)
@@ -912,6 +912,30 @@ def test_a_level_past_the_limit_leaves_the_index_unchanged(space, dense):
     assert ids.tolist() == [4, 1, 3, 4, 5] and codes[first].tolist() == [2, 7, space - 2]
     found = index.lookup(np.array([2, 3, 4, 7, 10, space - 2, space - 1]))
     assert found.dtype == np.int64 and found.tolist() == [3, 0, -1, 4, 1, 5, 2]
+
+
+@FEW
+@given(start=st.sets(st.integers(0, 999), min_size=1, max_size=20),
+       level=st.lists(st.integers(0, 999), min_size=1, max_size=60))
+def test_the_packed_sort_and_the_argsort_place_a_level_alike(start, level):
+    """One level into a sorted index of space 2^40, which sorts packed values code << b | position,
+    one of space 2^62, whose packed values would pass 62 bits, and a dense one, which packs its misses."""
+    start, level = np.array(sorted(start)), np.array(level)
+    b = len(level).bit_length()
+    indexes = [quotient._IdIndex(1 << 40, start, False), quotient._IdIndex(1 << 62, start, False),
+               quotient._IdIndex(1000, start, True)]
+    assert indexes[0].bits + b < 63 <= indexes[1].bits + b
+    held = dict(zip(start.tolist(), itertools.count()))
+    new = sorted(set(level.tolist()) - held.keys())
+    held.update(zip(new, itertools.count(len(held))))
+    for ids, first in [index.add(level.copy(), 2000) for index in indexes]:
+        assert ids.tolist() == [held[c] for c in level.tolist()]
+        # a new code's first position is its lowest, whichever sort placed it
+        assert first.tolist() == [level.tolist().index(c) for c in new]
+    packed, by_argsort, dense = indexes
+    assert np.array_equal(packed.codes, by_argsort.codes) and np.array_equal(packed.ids, by_argsort.ids)
+    for index in indexes:
+        assert index.order == len(held) and index.keys().tolist() == list(held)
 
 
 # ----- the product table of small groups -----

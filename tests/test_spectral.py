@@ -1,8 +1,10 @@
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expanderlab import spectral
 from expanderlab.cli import builtin_generators
@@ -397,6 +399,37 @@ def test_walk_on_a_schreier_graph_is_a_matrix_power(name):
         assert exact.tolist() == whole.tolist() == counts.tolist()
         assert np.abs(floats - counts / k**l).max() <= 1e-15
         counts = A @ counts
+
+
+@functools.cache
+def schreier_moves(name, p):
+    return schreier_graph(name, p)[1:3]
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(["lubotzky3", "sanov2"]), p=st.sampled_from([5, 7, 11]), exact=st.booleans(),
+       data=st.data())
+def test_the_walk_is_a_plain_loop_of_gathers(name, p, exact, data):
+    """_walk on the Schreier moves, with their level ends, or on a multiset of them, without, against
+    sum(prev[q] for q in perms) / k compared with ==; a yielded array stays intact while the next
+    step is yielded, and the step after that is written over it."""
+    moves, ends = schreier_moves(name, p)
+    picks = data.draw(st.none() | st.lists(st.integers(0, len(moves) - 1), min_size=1, max_size=5))
+    perms, ends = (moves, ends) if picks is None else ([moves[i] for i in picks], [])
+    want = np.zeros(len(moves[0]), dtype=object if exact else float)
+    want[0] = 1
+    yielded = []
+    for l, w in _walk(perms, ends, data.draw(st.integers(0, 12)), exact):
+        if l:
+            want = sum(want[q] for q in perms)
+            if not exact:
+                want /= len(perms)
+            assert yielded[-1][0].tolist() == yielded[-1][1]
+        assert w.dtype == want.dtype and w.tolist() == want.tolist()
+        assert {type(x) for x in w.tolist()} == {int if exact else float}
+        if l >= 2:
+            assert w is yielded[-2][0]
+        yielded.append((w, w.tolist()))
 
 
 # ----- expansion -----
