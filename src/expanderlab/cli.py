@@ -20,11 +20,9 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_ASSERTION = 2
 
-BUILTIN_GENS = {
-    "lubotzky3": ("2", 3),
-    "sanov2": ("2", 2),
-    "sl2-elementary": ("2", 1),
-}
+LEMMAS_TRIAL_CAP = 100  # most nilpotent-recovery trials a lemmas run takes
+
+BUILTIN_GENS = {"lubotzky3": 3, "sanov2": 2, "sl2-elementary": 1}  # name: the t of builtin_generators
 
 
 def builtin_generators(name: str):
@@ -33,7 +31,7 @@ def builtin_generators(name: str):
 
     if name not in BUILTIN_GENS:
         raise ValueError(f"unknown builtin '{name}', have {sorted(BUILTIN_GENS)}")
-    _, t = BUILTIN_GENS[name]
+    t = BUILTIN_GENS[name]
     f = Fraction
     mats = [
         [[f(1), f(t)], [f(0), f(1)]],
@@ -341,8 +339,8 @@ def cmd_lemmas(cfg: argparse.Namespace) -> int:
         raise BadPrime(f"--p must be a prime >= {Q.MIN_PRIME}, got {p}")
     if cfg.samples < 1:
         raise ValueError(f"lemmas needs --samples >= 1, got {cfg.samples}")
-    if cfg.samples > 100:
-        raise ValueError(f"lemmas runs at most 100 trials, got --samples {cfg.samples}")
+    if cfg.samples > LEMMAS_TRIAL_CAP:
+        raise ValueError(f"lemmas runs at most {LEMMAS_TRIAL_CAP} trials, got --samples {cfg.samples}")
     gens = load_generators(cfg)
     checks: list[tuple[str, bool]] = []
 

@@ -30,7 +30,6 @@ from .quotient import (
     SubgroupRecord,
     _distinct,
     _element_cap,
-    _first_rows,
     _radix_weights,
     _vector_orbit,
     coset_labels,
@@ -237,7 +236,8 @@ class ProductFrame:
         return rows @ self.weights
 
     def dedup(self, rows: np.ndarray) -> np.ndarray:
-        return _first_rows(rows, self.codes(rows))
+        """Each distinct row once, in code order."""
+        return np.stack(np.unravel_index(_distinct(self.codes(rows)), self.orders, order="F"), axis=1)
 
     def in_kernel(self, rows: np.ndarray) -> np.ndarray:
         """Mask of rows with trivial Levi part in every factor."""
@@ -440,11 +440,10 @@ def _vector_codes(rows: np.ndarray, p: int) -> np.ndarray:
 
 
 def _add_orbit(current: np.ndarray, orbit: np.ndarray, p: int) -> np.ndarray:
-    """The sumset current + (orbit and 0): current first, then the new
-    sums in order of first appearance."""
+    """The sumset current + (orbit and 0), each vector once, in code order."""
     sums = (current[:, None, :] + orbit[None, :, :]) % p
     both = np.concatenate([current, sums.reshape(-1, current.shape[1])], axis=0)
-    return _first_rows(both, _vector_codes(both, p))
+    return np.stack(np.unravel_index(_distinct(_vector_codes(both, p)), (p,) * both.shape[1], order="F"), axis=1)
 
 
 def orbit_sum_subspace(action: ModuleAction, v) -> dict:

@@ -168,7 +168,7 @@ class GroupTable:
 
     def __init__(
         self,
-        digits: np.ndarray | Callable[[], np.ndarray],
+        digits: Callable[[], np.ndarray],
         radices: np.ndarray,
         mul_rows: Callable[[np.ndarray, np.ndarray], np.ndarray],
         inv_rows: Callable[[np.ndarray], np.ndarray],
@@ -178,7 +178,7 @@ class GroupTable:
         index: _IdIndex,
         level_ends: np.ndarray,
     ):
-        self._digit_rows = digits  # the rows, or a builder of them run on first read
+        self._digit_rows = digits  # a builder of the digit rows, run on first read
         self.radices = radices
         self._mul_rows = mul_rows  # the row kernels, None in a table with factors
         self._inv_rows = inv_rows
@@ -193,9 +193,9 @@ class GroupTable:
 
     @functools.cached_property
     def digits(self) -> np.ndarray:
-        """The digit rows by id, built on first read when given as a builder."""
-        rows, self._digit_rows = self._digit_rows, None
-        return rows() if callable(rows) else rows
+        """The digit rows by id, built on first read."""
+        build, self._digit_rows = self._digit_rows, None
+        return build()
 
     @functools.cached_property
     def _weights(self) -> np.ndarray:
@@ -303,8 +303,8 @@ class GroupTable:
                 for perm, perm16 in moves:
                     kids = perm[frontier]
                     new = ~done[kids]
-                    kids, first = np.unique(kids[new], return_index=True)
-                    table[kids] = perm16[table[frontier[new][first]]]
+                    kids = kids[new]  # distinct: perm is one-to-one and the frontier distinct
+                    table[kids] = perm16[table[frontier[new]]]
                     done[kids] = True
                     found.append(kids)
                 frontier = np.concatenate(found)
@@ -547,19 +547,15 @@ def _bfs_table(start_row, gen_rows, radices, mul_rows, inv_rows, kind: str, meta
 
 
 def _distinct(ids: np.ndarray) -> np.ndarray:
-    """np.unique(ids), flattened, by one sort: numpy 2.4's unique is 10-50x slower on ids."""
+    """The distinct ids, flattened and ascending, by one sort (numpy 2.4's unique is 10-50x
+    slower on ids): the one dedup of ids and codes."""
     ids = np.sort(ids, axis=None)
     return ids[np.diff(ids, prepend=ids[:1] - 1) != 0]
 
 
-def _first_rows(rows: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """The first row with each code, in row order."""
-    _, first = np.unique(codes, return_index=True)
-    return rows[np.sort(first)]
-
-
 def _symmetrize_rows(rows: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-    """The rows, then their inverses, each distinct row once, in first-appearance order."""
+    """The rows, then their inverses, each distinct row once, in first-appearance order: the
+    generators' order fixes the order in which a walk sums its gathers, so a report's bytes."""
     both = np.concatenate([rows, inverse], axis=0)
     return both[np.sort(np.unique(both, axis=0, return_index=True)[1])]
 
@@ -593,9 +589,6 @@ def generate_group(gens: Sequence, q: int | None = None, *, symmetrize: bool = T
             if moduli != primes:
                 raise ValueError(f"generator moduli {moduli} differ from the primes {primes} of q")
             mats.append(tup)
-    bad = denom_primes & set(primes)
-    if bad:
-        raise BadPrime(f"q shares prime factors {sorted(bad)} with generator denominators")
     dims = {m.dim for tup in mats for m in tup}
     if len(dims) != 1:
         raise ValueError(f"generators of mixed dimension {sorted(dims)}")
@@ -818,7 +811,7 @@ def _closure_ids(G: GroupTable, gen_ids, conj_ids=()) -> np.ndarray:
 
 
 def subgroup_closure(G: GroupTable, gen_ids: Sequence[int], *, flags: bool = True) -> SubgroupRecord:
-    gen_ids = np.asarray(sorted(set(int(g) for g in gen_ids)), dtype=np.int64)
+    gen_ids = _distinct(np.asarray(gen_ids, dtype=np.int64))
     ids = _closure_ids(G, gen_ids)
     member = G.mask(ids)
     return SubgroupRecord(
@@ -1116,10 +1109,10 @@ def verify_normal_perfect(G: GroupTable) -> dict:
         return {"applicable": False, "passed": False, "reason": "group is not perfect"}
     l_count = int(levi_mask(G).sum())
     dd = G.meta["l_digits"]
+    levi_codes = G.digits[:, :dd] @ _radix_weights(G.radices[:dd])
     failures = []
     for H in normal_subgroups(G):
-        levi_parts = np.unique(G.digits[H.element_ids, :dd], axis=0)
-        if len(levi_parts) == l_count and H.size < G.order:
+        if len(_distinct(levi_codes[H.element_ids])) == l_count and H.size < G.order:
             failures.append(H.size)
     return {"applicable": True, "passed": not failures, "failures": failures}
 

@@ -13,7 +13,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from expanderlab import quotient
+from expanderlab import cli, quotient
 from expanderlab.cli import (
     EXIT_ASSERTION,
     EXIT_ERROR,
@@ -450,6 +450,12 @@ def test_lemmas_rejects_more_samples_than_it_runs(samples, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error[ValueError]: lemmas runs at most 100 trials, got --samples {samples}\n"
+
+
+def test_lemmas_reads_its_trial_cap_when_it_runs(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "LEMMAS_TRIAL_CAP", 3)
+    assert main(["lemmas", "--samples", "4"]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error[ValueError]: lemmas runs at most 3 trials, got --samples 4\n"
 
 
 @pytest.mark.parametrize("argv,message", [

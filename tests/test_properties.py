@@ -1000,6 +1000,26 @@ def test_frame_products_are_the_pairs_written_out_in_order(data):
     assert np.array_equal(frame.product_rows(a, b), frame.dedup(pairs))
 
 
+@FEW
+@given(data=st.data())
+def test_frame_rows_are_the_sets_of_tuples_in_code_order(data):
+    borel = SPECTRUM_TABLES["semidirect borel 5"]
+    frame = ProductFrame([borel] * data.draw(st.integers(1, 3)))
+    k, n = frame.num_factors, borel.order
+    rows = st.lists(st.tuples(*(st.integers(0, n - 1) for _ in range(k))), max_size=12)
+    a, b = data.draw(rows), data.draw(rows)
+    as_rows = lambda tuples: np.array(tuples, dtype=np.int64).reshape(-1, k)
+    in_code_order = lambda tuples: sorted(tuples, key=lambda t: sum(x * n**i for i, x in enumerate(t)))
+
+    got = [tuple(r) for r in frame.dedup(as_rows(a + a[::-1])).tolist()]
+    assert got == in_code_order(set(a))
+    pairs = set()
+    for x in a:
+        for y in b:
+            pairs.add(tuple(frame.mul(as_rows([x]), as_rows([y]))[0].tolist()))
+    assert [tuple(r) for r in frame.product_rows(as_rows(a), as_rows(b)).tolist()] == in_code_order(pairs)
+
+
 def test_the_product_table_is_built_only_by_mul_vec_and_only_up_to_the_cap():
     G = generate_group(builtin_generators("lubotzky3"), 13)
     spectrum(CayleyGraph(G))

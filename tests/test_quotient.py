@@ -88,6 +88,9 @@ def test_generate_group_rejects_denominator_overlap():
     g = RationalMatrix([[1, Fraction(1, 5)], [0, 1]])
     with pytest.raises(BadPrime):
         generate_group([g], 5)
+    # the reduction mod 5 rejects it inside a composite q as well
+    with pytest.raises(BadPrime, match="5 divides a denominator of 1/5"):
+        generate_group([g], 35)
 
 
 from fractions import Fraction  # noqa: E402
