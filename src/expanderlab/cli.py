@@ -186,7 +186,7 @@ def resolve_subgroup(G, spec: str | None):
     if spec.startswith("file:"):
         mats, _ = parse_generators(spec[5:])
         ids = Q.ids_of_matrices(G, mats)
-        return Q.subgroup_closure(G, [int(i) for i in ids], flags=False)
+        return Q.subgroup_closure(G, [int(i) for i in ids])
     raise ValueError(f"unknown subgroup spec {spec!r}")
 
 

@@ -9,6 +9,7 @@ linear algebra mod p on small coordinate arrays.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -46,19 +47,14 @@ CHUNK = 1 << 20
 
 @dataclass
 class ElementSet:
-    """Subset of a group table: sorted ids plus a membership mask."""
+    """Subset of a group table as its sorted ids; membership and symmetry are worked out on first read."""
 
     parent: GroupTable
     ids: np.ndarray
-    member: np.ndarray
-    symmetric: bool
 
     @classmethod
     def from_ids(cls, table: GroupTable, ids: Sequence[int]) -> "ElementSet":
-        arr = _distinct(np.asarray(list(ids), dtype=np.int64))
-        member = table.mask(arr)
-        symmetric = bool(member[table.inv_vec(arr)].all())
-        return cls(parent=table, ids=arr, member=member, symmetric=symmetric)
+        return cls(table, _distinct(np.asarray(list(ids), dtype=np.int64)))
 
     @classmethod
     def whole_group(cls, table: GroupTable) -> "ElementSet":
@@ -68,19 +64,24 @@ class ElementSet:
     def size(self) -> int:
         return len(self.ids)
 
+    @functools.cached_property
+    def member(self) -> np.ndarray:
+        return self.parent.mask(self.ids)
+
+    @functools.cached_property
+    def symmetric(self) -> bool:
+        return bool(self.member[self.parent.inv_vec(self.ids)].all())
+
     def symmetrized(self) -> "ElementSet":
-        return ElementSet.from_ids(
-            self.parent, np.concatenate([self.ids, self.parent.inv_vec(self.ids)])
-        )
+        return ElementSet.from_ids(self.parent, np.concatenate([self.ids, self.parent.inv_vec(self.ids)]))
 
     def with_identity(self) -> "ElementSet":
-        if self.member[self.parent.identity_id]:
-            return self
-        return ElementSet.from_ids(
-            self.parent, np.concatenate([self.ids, [self.parent.identity_id]])
-        )
+        G = self.parent
+        return self if self.member[G.identity_id] else ElementSet.from_ids(G, np.append(self.ids, G.identity_id))
 
     def __eq__(self, other) -> bool:
+        if not isinstance(other, ElementSet):
+            return NotImplemented
         return self.parent is other.parent and np.array_equal(self.ids, other.ids)
 
 
@@ -112,9 +113,7 @@ def product_set(A: ElementSet, B: ElementSet) -> ElementSet:
     step = max(1, CHUNK // max(B.size, 1))
     for lo in range(0, A.size, step):
         member[G.mul_vec(A.ids[lo : lo + step, None], B.ids)] = True
-    ids = np.flatnonzero(member)
-    sym = bool(member[G.inv_vec(ids)].all())
-    return ElementSet(parent=G, ids=ids, member=member, symmetric=sym)
+    return ElementSet(G, np.flatnonzero(member))
 
 
 def product_power(A: ElementSet, n: int) -> ElementSet:

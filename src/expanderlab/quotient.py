@@ -47,7 +47,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -263,9 +263,9 @@ class GroupTable:
     # ----- permutation actions -----
     def translation(self, gid: int, right: bool) -> np.ndarray:
         """Array mapping x to id(x g) if right, else to id(g x); built afresh on every call."""
-        if self._factors:  # each factor's own translation by g's factor id, at the factor ids
-            fids = [F.translation(int(f[gid]), right)[f] for F, f in zip(self._factors, self._factor_ids)]
-            return self._index.lookup(_rank_keys(self._factors, fids))
+        if self._factors:  # the ranks of each factor's own translation by g's factor id, at the factor ids
+            ranks = [F._rank[F.translation(int(f[gid]), right)][f] for F, f in zip(self._factors, self._factor_ids)]
+            return self._index.lookup(np.ravel_multi_index(ranks, [F.order for F in self._factors], order="F"))
         return self._apply("mul_vec", *((slice(None), gid) if right else (gid, slice(None))))
 
     def _apply(self, method: str, *ids) -> np.ndarray:
@@ -773,17 +773,41 @@ def direct_product(t1: GroupTable, t2: GroupTable) -> GroupTable:
 
 @dataclass
 class SubgroupRecord:
+    """A subgroup of a table as its sorted element ids and the ids that generate it: as a
+    subgroup from subgroup_closure, as a normal subgroup from normal_subgroups.  Membership,
+    index, normality and perfection are worked out from these on first read."""
+
     parent: GroupTable
     generator_ids: np.ndarray
     element_ids: np.ndarray
-    member: np.ndarray
-    index: int
-    normal: bool
-    perfect: bool = field(default=False)
 
     @property
     def size(self) -> int:
         return len(self.element_ids)
+
+    @property
+    def index(self) -> int:
+        return self.parent.order // self.size
+
+    @functools.cached_property
+    def member(self) -> np.ndarray:
+        return self.parent.mask(self.element_ids)
+
+    @functools.cached_property
+    def normal(self) -> bool:
+        """Whether the generators' conjugates by the group's generators, which reach all of G, stay in H."""
+        G = self.parent
+        return all(self.member[G.conj_perm(s)[self.generator_ids]].all() for s in G.generator_ids.tolist())
+
+    @functools.cached_property
+    def perfect(self) -> bool:
+        """Whether H = [H, H].  For a normal H, [H, H] is normal in G, and modulo the normal closure of the
+        [s, h], s a generator and h in H, the conjugates of s, which generate H, commute with H: so [H, H]
+        is that closure.  Otherwise [H, H] is the closure of [S, S] under conjugation by S."""
+        G, S = self.parent, self.generator_ids
+        if self.normal:
+            return len(normal_closure(G, G.comm_vec(S[:, None], self.element_ids))) == self.size
+        return len(_closure_ids(G, G.comm_vec(S[:, None], S), S)) == self.size
 
     def __contains__(self, i: int) -> bool:
         return bool(self.member[i])
@@ -810,19 +834,9 @@ def _closure_ids(G: GroupTable, gen_ids, conj_ids=()) -> np.ndarray:
     return np.flatnonzero(member).astype(np.int64)
 
 
-def subgroup_closure(G: GroupTable, gen_ids: Sequence[int], *, flags: bool = True) -> SubgroupRecord:
+def subgroup_closure(G: GroupTable, gen_ids: Sequence[int]) -> SubgroupRecord:
     gen_ids = _distinct(np.asarray(gen_ids, dtype=np.int64))
-    ids = _closure_ids(G, gen_ids)
-    member = G.mask(ids)
-    return SubgroupRecord(
-        parent=G,
-        generator_ids=gen_ids,
-        element_ids=ids,
-        member=member,
-        index=G.order // len(ids),
-        normal=flags and _is_normal_set(G, gen_ids, member),
-        perfect=flags and _is_perfect(G, gen_ids, len(ids)),
-    )
+    return SubgroupRecord(G, gen_ids, _closure_ids(G, gen_ids))
 
 
 def coset_labels(G: GroupTable, h_ids: np.ndarray) -> np.ndarray:
@@ -837,22 +851,6 @@ def coset_labels(G: GroupTable, h_ids: np.ndarray) -> np.ndarray:
         labels[G.mul_vec(g, h_ids)] = nxt
         nxt += 1
     return labels
-
-
-def _is_normal_set(G: GroupTable, gen_ids: np.ndarray, member: np.ndarray) -> bool:
-    """H is normal iff conjugating its generators by the group generators
-    stays inside H (conjugation by a generating set reaches all of G)."""
-    for s in G.generator_ids:
-        if not member[G.conj_perm(int(s))[gen_ids]].all():
-            return False
-    return True
-
-
-def _is_perfect(G: GroupTable, gen_ids: np.ndarray, order: int) -> bool:
-    """Whether the subgroup of the given order generated by gen_ids is its
-    own commutator subgroup: the closure of [gens, gens] under conjugation
-    by gens has that order."""
-    return len(_closure_ids(G, G.comm_vec(gen_ids[:, None], gen_ids), gen_ids)) == order
 
 
 def _centre(G: GroupTable) -> np.ndarray:
@@ -902,7 +900,8 @@ def normal_subgroups(G: GroupTable) -> list[SubgroupRecord]:
     """All normal subgroups, as joins of normal closures of conjugacy classes, kept as masks over
     the classes.  Each sweep joins the pairs whose later side is new since the last one.  A pair
     runs no closure when a found subgroup holds both sides and has their join's order
-    |N_i||N_j| / |N_i & N_j|: that subgroup is the join."""
+    |N_i||N_j| / |N_i & N_j|: that subgroup is the join.  A record's generator_ids are the seeds
+    of its closure, which generate it as a normal subgroup."""
     if G.order > NORMAL_SUBGROUP_CAP:
         raise SizeCapExceeded(f"normal subgroup enumeration capped at {NORMAL_SUBGROUP_CAP}")
     label, by_class, starts, sizes = G._classes
@@ -925,8 +924,8 @@ def normal_subgroups(G: GroupTable) -> list[SubgroupRecord]:
                 if not any(n == order and m[label[seeds]].all() for _, m, n in found.values()):
                     register(seeds)
         done = len(items)
-    records = [SubgroupRecord(G, np.array(seeds, dtype=np.int64), np.flatnonzero(inside[label]), inside[label],
-                              G.order // n, normal=True) for seeds, inside, n in found.values()]
+    records = [SubgroupRecord(G, np.array(seeds, dtype=np.int64), np.flatnonzero(inside[label]))
+               for seeds, inside, _ in found.values()]
     return sorted(records, key=lambda r: (r.size, r.element_ids.tobytes()))
 
 
@@ -1085,7 +1084,7 @@ def _named_subgroup(G: GroupTable, name: str, rows: list[list[int]]) -> Subgroup
             f"the {name} subgroup is not inside this group of order {G.order}; "
             "name a subgroup with --subgroup file:PATH"
         ) from None
-    return subgroup_closure(G, ids, flags=False)
+    return subgroup_closure(G, ids)
 
 
 def borel_subgroup(G: GroupTable) -> SubgroupRecord:

@@ -404,6 +404,13 @@ def test_subgroup_file_outside_group_exits_1(tmp_path, capsys):
     assert err.startswith("error[NotInGroup]: element not in group table")
 
 
+def test_subgroup_file_reads_its_normality(tmp_path):
+    # the centre {I, -I} of SL2(F_13)
+    G = quotient.generate_group(builtin_generators("lubotzky3"), 13)
+    H = cli.resolve_subgroup(G, "file:" + write(tmp_path, "centre.txt", "dim 2\nprimes\n12 0 0 12\n"))
+    assert H.size == 2 and H.index == 1092 and H.normal and not H.perfect
+
+
 def test_escape_trivial_subgroup_exits_1(capsys):
     rc = main(["escape", "--builtin", "lubotzky3", "--q", "7", "--subgroup", "trivial", "--lmax", "5"])
     err = capsys.readouterr().err

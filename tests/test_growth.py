@@ -80,6 +80,13 @@ def test_element_set_roundtrip(sl2_5):
     assert B.member[0]
 
 
+def test_element_set_equality(sl2_5):
+    A = ElementSet.from_ids(sl2_5, [0, 3, 5])
+    assert A == ElementSet.from_ids(sl2_5, [5, 3, 0, 3])
+    assert A != ElementSet.from_ids(sl2_5, [0, 3])
+    assert A != 3 and A != [0, 3, 5]
+
+
 def test_symmetrized(sl2_5):
     s = int(sl2_5.generator_ids[0])
     A = ElementSet.from_ids(sl2_5, [s])

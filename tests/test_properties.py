@@ -816,7 +816,7 @@ def test_walks_equal_full_walk_steps(name, exact, data):
         st.lists(st.sampled_from(gens), min_size=1, max_size=5),
         st.lists(st.integers(0, G.order - 1), min_size=1, max_size=4),
     ))
-    H = subgroup_closure(G, [data.draw(st.integers(0, G.order - 1))], flags=False)
+    H = subgroup_closure(G, [data.draw(st.integers(0, G.order - 1))])
     check_walks_against_full_steps(G, gen_ids, data.draw(st.integers(0, 10)), exact, H)
 
 
@@ -1215,7 +1215,7 @@ def test_normal_closure_is_the_subgroup_of_all_conjugates(name, data):
     G = CLOSURE_TABLES[name]
     seeds = closure_seeds(G, data)
     conjugates = all_conjugates(G, seeds).ravel()
-    want = subgroup_closure(G, conjugates, flags=False).element_ids
+    want = subgroup_closure(G, conjugates).element_ids
     assert np.array_equal(want, brute_subgroup(G, conjugates))
     got = normal_closure(G, seeds)
     assert got.dtype == np.int64 and np.array_equal(got, want)
@@ -1256,6 +1256,17 @@ def test_subgroup_flags_match_their_definitions(name, data):
     assert H.normal == bool(H.member[all_conjugates(G, H.element_ids)].all())
     derived = brute_subgroup(G, G.comm_vec(H.element_ids[:, None], H.element_ids).ravel())
     assert H.perfect == (len(derived) == H.size)
+
+
+@pytest.mark.parametrize("name", ["sl2 mod 5", "lemmas semidirect 5"])
+def test_normal_subgroup_records_read_their_perfection(name):
+    # a record's seeds generate it only as a normal subgroup
+    G = CLOSURE_TABLES[name]
+    records = normal_subgroups(G)
+    for H in records:
+        derived = brute_subgroup(G, G.comm_vec(H.element_ids[:, None], H.element_ids).ravel())
+        assert H.perfect == (len(derived) == H.size), H.size
+    assert records[-1].size == G.order and records[-1].perfect
 
 
 @pytest.mark.parametrize("name,perfect", [
@@ -1418,8 +1429,8 @@ SIGNATURES = {
     "SemidirectSpec": "(p, l_gens, u_kind='vector', u_dim=2, action='natural')",
     "semidirect_group": "(spec)",
     "direct_product": "(t1, t2)",
-    "SubgroupRecord": "(parent, generator_ids, element_ids, member, index, normal, perfect=False)",
-    "subgroup_closure": "(G, gen_ids, *, flags=True)",
+    "SubgroupRecord": "(parent, generator_ids, element_ids)",
+    "subgroup_closure": "(G, gen_ids)",
     "normal_closure": "(G, seed_ids)",
     "normal_subgroups": "(G)",
     "conjugacy_classes": "(G)",
@@ -1445,7 +1456,7 @@ SIGNATURES = {
     "walk_trace_side": "(graph, l)",
     "edge_expansion_exact": "(graph)",
     "cheeger_bracket": "(lam2, degree)",
-    "ElementSet": "(parent, ids, member, symmetric)",
+    "ElementSet": "(parent, ids)",
     "random_symmetric_set": "(table, size, rng)",
     "product_set": "(A, B)",
     "tripling_report": "(A)",

@@ -242,6 +242,7 @@ def test_subgroup_closure_flags(sl2_5):
     assert not H.normal
     T = torus_subgroup(G)
     assert T.size == 4 and T.index == 30
+    assert not H.perfect and not T.normal and not T.perfect
     whole = subgroup_closure(G, [int(i) for i in G.generator_ids])
     assert whole.size == 120 and whole.normal and whole.perfect
 
@@ -402,7 +403,7 @@ def test_index_product_check(sl2_35):
     ker_ids = np.nonzero(
         (G.digits[:, :4] == [1, 0, 0, 1]).all(axis=1)
     )[0]
-    K = subgroup_closure(G, [int(i) for i in ker_ids[:6]], flags=False)
+    K = subgroup_closure(G, [int(i) for i in ker_ids[:6]])
     rep = index_product_check(G, K)
     assert rep["holds"] == (rep["lhs"] >= rep["rhs"] ** rep["delta"])
     assert rep["lhs"] >= 1
@@ -425,7 +426,7 @@ def test_index_product_check_on_a_product_table():
         (borel, (20, 42), 4, [u_id], 24),
     ]
     for T, orders, k1, ids, index in cases:
-        H = subgroup_closure(T, ids, flags=False)
+        H = subgroup_closure(T, ids)
         rows = T.digits[H.element_ids].tolist()
         # [G_p : pi_p(H)] from the distinct projections, one element at a time
         images = len({tuple(r[:k1]) for r in rows}), len({tuple(r[k1:]) for r in rows})
@@ -437,7 +438,7 @@ def test_index_product_check_on_a_product_table():
 def test_index_product_check_duplicate_primes():
     t = generate_group(lubotzky_gens(), 5)
     GG = direct_product(t, t)
-    H = subgroup_closure(GG, [int(i) for i in GG.generator_ids], flags=False)
+    H = subgroup_closure(GG, [int(i) for i in GG.generator_ids])
     with pytest.raises(HypothesisViolated):
         index_product_check(GG, H)
 
@@ -446,19 +447,19 @@ def test_index_product_check_reads_the_primes_of_the_factors():
     # cyclic factors have no prime, so Z/4 x Z/9 raises no objection; H = Z/4 x 1
     # projects onto Z/4 and onto the identity of Z/9, so both sides are 9
     G = direct_product(cyclic_group(4), cyclic_group(9))
-    H = subgroup_closure(G, [int(G.generator_ids[0])], flags=False)
+    H = subgroup_closure(G, [int(G.generator_ids[0])])
     rep = index_product_check(G, H)
     assert rep["lhs"] == rep["rhs"] == 9
     # a Heisenberg factor's p is a prime of the product
     GG = direct_product(heisenberg_group(5), generate_group(lubotzky_gens(), 5))
     with pytest.raises(HypothesisViolated, match="pairwise distinct primes"):
-        index_product_check(GG, subgroup_closure(GG, [int(GG.generator_ids[0])], flags=False))
+        index_product_check(GG, subgroup_closure(GG, [int(GG.generator_ids[0])]))
 
 
 @pytest.mark.parametrize("table", ["sl2 mod 5", "cyclic 7"])
 def test_index_product_check_needs_a_composite_table(table, sl2_5):
     G = sl2_5 if table == "sl2 mod 5" else cyclic_group(7)
-    H = subgroup_closure(G, [int(i) for i in G.generator_ids], flags=False)
+    H = subgroup_closure(G, [int(i) for i in G.generator_ids])
     with pytest.raises(NotComposite) as err:
         index_product_check(G, H)
     assert str(err.value) == "index_product_check needs a matrix table with composite q or a direct product"
@@ -535,6 +536,10 @@ def test_verify_product_form_semidirect():
     for H in normal_subgroups(G):
         rep = verify_product_form(G, H)
         assert rep["passed"], (H.size, rep)
+    # the unipotent part as a plain closure reads its normality as well
+    U = subgroup_closure(G, np.flatnonzero(unipotent_mask(G)))
+    assert U.size == 25 and U.normal and not U.perfect
+    assert verify_product_form(G, U)["passed"]
 
 
 def test_verify_product_form_requires_normal(sl2_5):
