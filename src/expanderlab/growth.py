@@ -257,9 +257,9 @@ class ProductFrame:
         pairs = len(a) * len(b)
         if pairs > PAIR_WORK_CAP:
             raise SizeCapExceeded(f"frame product needs {pairs} pair lookups")
-        # row i len(b) + j is a_i b_j, factor by factor
-        out = [t.mul_vec(a[:, i, None], b[:, i]).ravel() for i, t in enumerate(self.factors)]
-        return self.dedup(np.stack(out, axis=1))
+        # code i len(b) + j is that of a_i b_j, summed factor by factor
+        codes = sum(w * t.mul_vec(x[:, None], y).ravel() for t, w, x, y in zip(self.factors, self.weights, a.T, b.T))
+        return np.stack(np.unravel_index(_distinct(codes), self.orders, order="F"), axis=1)
 
     def section_rows(self) -> np.ndarray:
         """The homomorphism-section subgroup: all rows with trivial

@@ -812,6 +812,11 @@ class SubgroupRecord:
     def __contains__(self, i: int) -> bool:
         return bool(self.member[i])
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SubgroupRecord):
+            return NotImplemented
+        return self.parent is other.parent and np.array_equal(self.element_ids, other.element_ids)
+
 
 def _closure_ids(G: GroupTable, gen_ids, conj_ids=()) -> np.ndarray:
     """Element ids of the smallest subgroup holding gen_ids and closed under conjugation by

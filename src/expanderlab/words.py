@@ -4,14 +4,15 @@ Letters of the alphabet on M symbols are the nonzero integers
 -M..-1, 1..M, with -i the formal inverse of i.  A word is a tuple of
 letters with no adjacent cancelling pair.  B_l denotes the set of
 reduced words of length exactly l.  Words are ordered letter by letter
-under 1 < -1 < 2 < -2 < ...; inside certify_free a letter is its rank
-in that order (0, 1, 2, 3, ...), so r ^ 1 is the inverse of r and rank
-tuples compare as the words do.
+under 1 < -1 < 2 < -2 < ...; inside _spheres and certify_free a letter
+is its rank in that order (0, 1, 2, 3, ...), so r ^ 1 is the inverse of
+r and rank tuples compare as the words do.
 """
 from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain, repeat
@@ -132,6 +133,37 @@ def kesten_upper_bound(M: int, k: int) -> Fraction:
     return Fraction(2 * M - 1, M * M) ** k
 
 
+def _spheres(letters: Sequence[Sequence[Sequence]], start: Sequence[Sequence], radius: int) -> Iterator[list]:
+    """The spheres 0..radius of reduced words in letters (matrices as rows, by rank: r ^ 1 is the
+    inverse of r), each as blocks (last rank, [words, dens, *entries]) by last letter, -1 for the
+    empty word.  A word's entries over its denominator, in lowest terms, are those of start times
+    its letters in order.  The extension by a joins every block but that of a^-1: it multiplies
+    them by a's integer coefficients and cancels factors."""
+    d = len(start[0])
+    coeffs = []  # per rank: the columns of the matrix with cleared denominators, and those
+    for mat in letters:
+        den = math.lcm(*(x.denominator for row in mat for x in row))
+        coeffs.append(([[int(row[j] * den) for row in mat] for j in range(d)], den))
+    den = math.lcm(*(x.denominator for row in start for x in row))
+    sphere = [(-1, [[()], [den], *([int(x * den)] for row in start for x in row)])]
+    yield sphere
+    for _ in range(radius):
+        grown = []
+        for a, (cs, dg) in enumerate(coeffs):
+            parts = zip(*(block for last, block in sphere if last != a ^ 1))
+            ws, den, *cols = (list(chain.from_iterable(part)) for part in parts)
+            prod = [list(reduce(_add, (col if c == 1 else map(c.__mul__, col)
+                                       for col, c in zip(cols[i:i + d], cs[j]) if c)))
+                    for i in range(0, len(cols), d) for j in range(d)]
+            den = den if dg == 1 else list(map(dg.__mul__, den))
+            g = list(map(math.gcd, den, *prod))
+            if g.count(1) != len(g):
+                den, *prod = (list(map(operator.floordiv, col, g)) for col in (den, *prod))
+            grown.append((a, [list(map(operator.add, ws, repeat((a,)))), den, *prod]))
+        sphere = grown
+        yield sphere
+
+
 def certify_free(gens: Sequence[RationalMatrix], L: int) -> tuple[bool, Word | None]:
     """Check that no nonempty reduced word of length <= L in the given
     generators evaluates to the identity.
@@ -144,15 +176,11 @@ def certify_free(gens: Sequence[RationalMatrix], L: int) -> tuple[bool, Word | N
     u v^-1 with u = w[:ceil(n/2)] and v the inverse of the rest: reduced
     words with one matrix, |u| - |v| in {0, 1}, not ending in the same
     letter; conversely such a pair joins to a relation.  So the ball of
-    radius ceil(L/2) is hashed once by exact matrix, whatever the answer,
-    and the witness is the lexicographically first u v^-1 over colliding
-    pairs (letters 1 < -1 < 2 < -2 < ..., a prefix first; the first
-    identity word in preorder, not always the shortest).
-
-    The ball is built a sphere at a time, in blocks by last letter: the
-    extension by a joins every block but that of a^-1.  A block holds its
-    words of letter ranks, denominators and one list per matrix entry; a
-    step multiplies them by a's integer coefficients and cancels factors.
+    radius ceil(L/2), built by _spheres from the identity, is hashed once
+    by exact matrix, whatever the answer, and the witness is the
+    lexicographically first u v^-1 over colliding pairs (letters
+    1 < -1 < 2 < -2 < ..., a prefix first; the first identity word in
+    preorder, not always the shortest).
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -161,34 +189,12 @@ def certify_free(gens: Sequence[RationalMatrix], L: int) -> tuple[bool, Word | N
     dims = sorted({g.dim for g in gens})
     if len(dims) > 1:
         raise ValueError(f"generators of mixed dimension {dims}")
-    d = dims[0]
-    letters = []  # per rank: the columns of the matrix with cleared denominators, and those
-    for mat in (m for g in gens for m in (g, g.inverse())):
-        den = math.lcm(*(x.denominator for row in mat.rows for x in row))
-        letters.append(([[int(mat.rows[k][j] * den) for k in range(d)] for j in range(d)], den))
-    ident = [int(i == j) for i in range(d) for j in range(d)]
-    sphere = [(-1, [[()], [1], *([x] for x in ident)])]  # (last, [words, dens, *entries])
-    keys, words = [(1, *ident)], [()]  # per word: (denominator, *entries) in lowest terms
-    for _ in range((L + 1) // 2):
-        grown = []
-        for a, (coeffs, dg) in enumerate(letters):
-            parts = zip(*(block for last, block in sphere if last != a ^ 1))
-            ws, den, *cols = (list(chain.from_iterable(part)) for part in parts)
-            prod = [list(reduce(_add, (col if c == 1 else map(c.__mul__, col)
-                                       for col, c in zip(cols[i * d:i * d + d], coeffs[j]) if c)))
-                    for i in range(d) for j in range(d)]
-            den = den if dg == 1 else list(map(dg.__mul__, den))
-            g = list(map(math.gcd, den, *prod))
-            if g.count(1) != len(g):
-                den, *prod = (list(map(operator.floordiv, col, g)) for col in (den, *prod))
-            ws = list(map(operator.add, ws, repeat((a,))))
-            keys += zip(den, *prod)
-            words += ws
-            grown.append((a, [ws, den, *prod]))
-        sphere = grown
-    buckets = {}
-    for key, w in zip(keys, words):
-        buckets.setdefault(key, []).append(w)
+    letters = [m.rows for g in gens for m in (g, g.inverse())]
+    buckets = {}  # per (denominator, *entries) in lowest terms: the words
+    for sphere in _spheres(letters, RationalMatrix.identity(dims[0]).rows, (L + 1) // 2):
+        for _, (ws, *cols) in sphere:
+            for key, w in zip(zip(*cols), ws):
+                buckets.setdefault(key, []).append(w)
 
     # a relation u v^-1 of a bucket starts with one of its nonempty words, so
     # buckets go in order of their first such word until one passes the witness
@@ -229,15 +235,6 @@ def _adjoint_matrices(g: RationalMatrix) -> RationalMatrix:
     return RationalMatrix([[cols[j][i] for j in range(3)] for i in range(3)])
 
 
-def _collinear(v: Sequence[Fraction], w: Sequence[Fraction]) -> bool:
-    n = len(v)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if v[i] * w[j] != v[j] * w[i]:
-                return False
-    return True
-
-
 def fixed_line_fraction(
     gens: Sequence[RationalMatrix],
     rep: str,
@@ -247,24 +244,21 @@ def fixed_line_fraction(
     """Count words g in B_l whose representation image fixes the line [w].
 
     rep is "natural" (the matrices themselves) or "adjoint" (conjugation on
-    trace-zero matrices, dim 2 generators only).  The projective test is
-    exact: all 2x2 minors of the pair (rho(g) w, w) must vanish.
+    trace-zero matrices, dim 2 generators only).  The test is exact: two
+    vectors span one line iff their entries over their first nonzero entry
+    agree.
     """
     w = [Fraction(x) for x in w]
     if all(x == 0 for x in w):
         raise ZeroVector("fixed-line test needs a nonzero vector")
-    if l > BALL_SCAN_CAP:
-        raise ValueError(f"ball scan cap is l <= {BALL_SCAN_CAP}")
     if rep == "natural":
         mats = list(gens)
     elif rep == "adjoint":
         mats = [_adjoint_matrices(g) for g in gens]
     else:
         raise ValueError(f"unknown representation {rep!r}")
-    return _count_fixing_words(
-        {a: m.rows for i, g in enumerate(mats, start=1) for a, m in ((i, g), (-i, g.inverse()))},
-        l, w, lambda vec: _collinear(vec, w),
-    )
+    return _fixing_count([m.rows for g in mats for m in (g, g.inverse())], w, l,
+                         lambda e: tuple(Fraction(x, next(filter(None, e[1:]))) for x in e[1:]))
 
 
 def fixed_point_fraction(
@@ -277,39 +271,37 @@ def fixed_point_fraction(
 
     The action is linear in homogeneous coordinates (x, 1): the letter g
     acts by rows [[A, v], [0, 1]], its inverse by [[A^-1, -A^-1 v], [0, 1]].
+    Two points are equal iff their (denominator, *entries) in lowest terms are.
     """
     w = [Fraction(x) for x in w] + [1]
-    if l > BALL_SCAN_CAP:
-        raise ValueError(f"ball scan cap is l <= {BALL_SCAN_CAP}")
     if len(translations) != len(gens):
         raise ValueError("one translation part per generator required")
-    action = {}
-    for i, (g, v) in enumerate(zip(gens, translations), start=1):
+    action = []
+    for g, v in zip(gens, translations):
         gi, v = g.inverse(), [Fraction(x) for x in v]
         vi = [-sum(map(operator.mul, row, v)) for row in gi.rows]
-        for a, m, t in ((i, g, v), (-i, gi, vi)):
-            action[a] = [[*row, x] for row, x in zip(m.rows, t)] + [[0] * g.dim + [1]]
-    return _count_fixing_words(action, l, w, lambda vec: vec == w)
+        for m, t in ((g, v), (gi, vi)):
+            action.append([[*row, x] for row, x in zip(m.rows, t)] + [[0] * g.dim + [1]])
+    return _fixing_count(action, w, l, tuple)
 
 
-def _count_fixing_words(
-    action: dict[int, Sequence[Sequence[Fraction]]],
-    l: int,
-    w: Sequence[Fraction],
-    hit: Callable[[list[Fraction]], bool],
-) -> dict:
-    """Count the words of B_l that take w to a vector hit accepts, by
-    depth-first recursion over (vector, last letter, depth); action maps
-    each letter to the rows of its matrix."""
+def _fixing_count(action: Sequence[Sequence[Sequence]], w: Sequence, l: int, key: Callable[[tuple], tuple]) -> dict:
+    """Count the words g = g_1 ... g_l of B_l with key(A_g_l ... A_g_1 w) = key(w); action holds
+    each letter's matrix A by rank.  The search meets in the middle: g = u v with |u| = l // 2
+    counts iff u and v^-1 take w to vectors of one key, and is reduced iff they end in different
+    letters.  _spheres builds both, started at the row w^T under the transposed letters, and its
+    (denominator, *entries) in lowest terms goes to key."""
     total = ball_size(len(action) // 2, l)
-
-    def fixing(vec: list[Fraction], last: int, depth: int) -> int:
-        if not depth:
-            return int(hit(vec))
-        return sum(fixing([sum(map(operator.mul, row, vec)) for row in rows], a, depth - 1)
-                   for a, rows in action.items() if a != -last)
-
-    count = fixing(list(w), 0, l)
+    if l > BALL_SCAN_CAP:
+        raise ValueError(f"ball scan cap is l <= {BALL_SCAN_CAP}")
+    if any(len(rows) != len(w) for rows in action):
+        raise ValueError("the vector and the matrices differ in size")
+    h = l // 2
+    spheres = list(_spheres([list(zip(*rows)) for rows in action], [w], l - h))
+    near, far = ([(key(e), last) for last, (_, *cols) in spheres[k] for e in zip(*cols)] for k in (h, l - h))
+    per_key, per_end = Counter(k for k, _ in far), Counter(far)
+    # a pair of one key counts unless both words end in one letter; the empty word ends in -1
+    count = sum(per_key[k] - (per_end[k, last] if last >= 0 else 0) for k, last in near)
     exponent = math.log(count) / math.log(total) if count > 1 and total > 1 else 0.0
     return {
         "count": count,

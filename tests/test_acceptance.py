@@ -28,11 +28,12 @@ Runtime for the whole module is a couple of minutes; the heavy fixtures
 import math
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
 from expanderlab import spectral
-from expanderlab.cli import builtin_generators, main
+from expanderlab.cli import builtin_generators, main, parse_generators
 from expanderlab.exact import RationalMatrix
 from expanderlab.growth import chain_inequality, gowers_cover, random_symmetric_set
 from expanderlab.quotient import (
@@ -40,6 +41,7 @@ from expanderlab.quotient import (
     cyclic_group,
     direct_product,
     generate_group,
+    is_perfect,
     product_decompose,
 )
 from expanderlab.spectral import (
@@ -211,6 +213,27 @@ def test_c04a_schreier_crosscheck():
     record("04a-schreier", worst <= 1e-9,
            f"lam2 equals the dense Schreier lam2 on F_p^2 minus 0 for p in "
            f"{GAP_PRIMES}: worst difference {worst:.2e}")
+
+
+def test_c04f_solvable_gap_closes():
+    # Gamma_B = <(1 1; 0 1), diag(2, 1/2)> mod p is B_p = {(a b; 0 1/a) : a in <2>}, which maps onto
+    # the cyclic <2> of order m = ord_p(2); the lift of that quotient's walk keeps lam2(B_p) above
+    # (1 + cos(2pi/m))/2, so the gap closes as m grows
+    gens, _ = parse_generators(str(Path(__file__).parents[1] / "tools" / "borel_half.txt"))
+    lam2, floor, perfect = {}, {}, []
+    for p in GAP_PRIMES:
+        G = generate_group(gens, p)
+        m = next(k for k in range(1, p) if pow(2, k, p) == 1)
+        lam2[p], floor[p] = spectrum(CayleyGraph(G)).lam2, (1 + math.cos(2 * math.pi / m)) / 2
+        if is_perfect(G):
+            perfect.append(p)
+    short = [p for p in GAP_PRIMES if lam2[p] < floor[p] - 1e-12]
+    sl2_lam2, sl2_perfect = lam2_sweep()[37], is_perfect(sl2(37))
+    ok = not short and not perfect and lam2[37] > 0.99 and sl2_lam2 <= 0.99 and sl2_perfect
+    record("04f", ok,
+           f"B_p = <(1 1; 0 1), diag(2, 1/2)> mod p keeps lam2 >= (1 + cos(2pi/ord_p(2)))/2 for p in "
+           f"{GAP_PRIMES}{' except ' + str(short) if short else ''}; lam2(B_37) = {lam2[37]:.6f} > 0.99 "
+           f"against SL2 {sl2_lam2:.6f}; B_p perfect at {perfect}, SL2(F_37) perfect {sl2_perfect}")
 
 
 def test_c04b_abelian_control():

@@ -149,14 +149,17 @@ def apply(m, v):
 
 @FEW
 @given(
-    picks=st.lists(st.integers(0, len(GENERATOR_POOL) - 1), min_size=2, max_size=2, unique=True),
+    data=st.data(),
     line=st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any),
     trace_zero=st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)).filter(any),
     point=st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
-    shifts=st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)), min_size=2, max_size=2),
-    l=st.integers(0, 5),
 )
-def test_fixed_word_counts_match_the_multiplied_out_words(picks, line, trace_zero, point, shifts, l):
+def test_fixed_word_counts_match_the_multiplied_out_words(data, line, trace_zero, point):
+    # two generators up to length 5, three up to length 4 (750 words)
+    M = data.draw(st.sampled_from([2, 3]))
+    picks = data.draw(st.lists(st.integers(0, len(GENERATOR_POOL) - 1), min_size=M, max_size=M, unique=True))
+    shifts = data.draw(st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)), min_size=M, max_size=M))
+    l = data.draw(st.integers(0, 7 - M))
     gens = [GENERATOR_POOL[i] for i in picks]
     ident = RationalMatrix.identity(2)
     # each letter as an affine map (A, v): x -> A x + v, and its inverse
@@ -165,7 +168,7 @@ def test_fixed_word_counts_match_the_multiplied_out_words(picks, line, trace_zer
         gi = g.inverse()
         affine[i], affine[-i] = (g, list(v)), (gi, [-x for x in apply(gi, v)])
     natural = adjoint = fixed = 0
-    for word in reduced_words(2, l):
+    for word in reduced_words(M, l):
         A, v = ident, [0, 0]
         for a in word:  # (A, v) after (B, u) is (A B, A u + v)
             B, u = affine[a]

@@ -247,6 +247,18 @@ def test_subgroup_closure_flags(sl2_5):
     assert whole.size == 120 and whole.normal and whole.perfect
 
 
+def test_subgroup_records_compare_by_table_and_elements(sl2_5):
+    G = sl2_5
+    assert subgroup_closure(G, [1, 2]) == subgroup_closure(G, [1, 2])
+    # other generators of the same subgroup give an equal record
+    whole = subgroup_closure(G, [int(i) for i in G.generator_ids])
+    assert whole == subgroup_closure(G, range(G.order))
+    assert borel_subgroup(G) != torus_subgroup(G)
+    # equal ids on another table are another subgroup
+    assert whole != subgroup_closure(generate_group(lubotzky_gens(), 5), [int(i) for i in G.generator_ids])
+    assert whole != whole.element_ids.tolist()
+
+
 def test_normal_closure_of_noncentral_element(sl2_5):
     G = sl2_5
     s = int(G.generator_ids[0])

@@ -255,6 +255,31 @@ def test_ball_scan_cap(monkeypatch):
         fixed_point_fraction(gens, [[0, 0], [0, 0]], [0, 0], 3)
 
 
+def test_fixed_word_counts_at_lengths_11_and_12():
+    # (natural [1, 0], adjoint H, affine at the origin) counts, recorded from a depth-first
+    # count in Fractions over all of B_l; the order-4 rotation and (1 1; 0 1) generate SL2(Z)
+    sl2z = [RationalMatrix([[0, -1], [1, 0]]), RationalMatrix([[1, 1], [0, 1]])]
+    pinned = [
+        (lubotzky_pair(3), 11, (2, 0, 0)),
+        (lubotzky_pair(3), 12, (2, 0, 0)),
+        (sl2z, 11, (22714, 7426, 2038)),
+        (sl2z, 12, (62340, 19894, 14074)),
+    ]
+    for gens, l, counts in pinned:
+        assert (
+            fixed_line_fraction(gens, "natural", [1, 0], l)["count"],
+            fixed_line_fraction(gens, "adjoint", [0, 1, 0], l)["count"],
+            fixed_point_fraction(gens, [[1, 0], [0, 1]], [0, 0], l)["count"],
+        ) == counts
+
+
+def test_fixed_word_counts_reject_a_vector_of_another_length():
+    with pytest.raises(ValueError, match="^the vector and the matrices differ in size$"):
+        fixed_line_fraction(lubotzky_pair(3), "natural", [1, 0, 0], 2)
+    with pytest.raises(ValueError, match="^the vector and the matrices differ in size$"):
+        fixed_point_fraction(lubotzky_pair(3), [[0, 0], [0, 0]], [0, 0, 0], 2)
+
+
 def test_fixed_point_affine():
     gens = lubotzky_pair(3)
     # translations zero: fixing the origin is automatic for every word
