@@ -27,9 +27,10 @@ recorded translations, and keeps them; other tables decode digit rows from
 their keys on first read, which a walk never does (SL2 mod 97 holds 36.5 MB).
 
 A table of at most PRODUCT_TABLE_CAP = 4096 elements answers mul_vec
-from an int16 product table, 2 bytes per pair, built on first use from
-the recorded generator translations (the row of g x is L_g applied to
-the row of x), and inv_vec from a cached inverse permutation.
+from an int16 product table, 2 bytes per pair, whose row b is x -> x b (a
+product set A B reads |B| rows), built on first use outward from the
+identity's row, the row of g y as the row of y at the ids x g, and inv_vec
+from a cached inverse permutation.
 
 Other products and inverses, the inverse permutation and every translation
 come, in a table with factors, from the same operation in each factor at its
@@ -238,9 +239,14 @@ class GroupTable:
         translate of it."""
         a = np.asarray(a_ids, dtype=np.int64)
         b = np.asarray(b_ids, dtype=np.int64)
-        if self.order <= PRODUCT_TABLE_CAP:
-            return np.asarray(self._products()[a, b], dtype=np.int64)
-        return self._apply("mul_vec", a, b)
+        if self.order > PRODUCT_TABLE_CAP:
+            return self._apply("mul_vec", a, b)
+        P = self._products()  # row b is x -> x b
+        # an outer product copies b's rows and reads a's ids in them, unless b is the longer
+        # side: then (a few ids times a subgroup) the copy would be most of the table
+        if a.ndim == 2 and a.shape[1] == 1 and b.ndim == 1 and len(b) <= len(a):
+            return np.asarray(P[b][:, a[:, 0]].T, dtype=np.int64)
+        return np.asarray(P[b, a], dtype=np.int64)
 
     def mul(self, i: int, j: int) -> int:
         return int(self.mul_vec(np.array([i]), np.array([j]))[0])
@@ -288,23 +294,23 @@ class GroupTable:
         return self._perm_cache[key]
 
     def _products(self) -> np.ndarray:
-        """The (order, order) int16 array of the ids x y, cached; rows are
-        filled outward from the identity's, the row of g x as L_g[row x]."""
+        """The (order, order) int16 array whose row y is the right translation
+        x -> x y, cached; rows are filled outward from the identity's, the row
+        of g y, which is x -> x g y, as row y read at the ids of R_g."""
 
         def build() -> np.ndarray:
             table = np.empty((self.order, self.order), dtype=np.int16)
             table[0] = np.arange(self.order)
             done = self.mask(self.identity_id)
             frontier = np.array([self.identity_id])
-            perms = map(self.left_perm, self.generator_ids.tolist())
-            moves = [(perm, perm.astype(np.int16)) for perm in perms]
+            moves = [(self.left_perm(g), self.right_perm(g)) for g in self.generator_ids.tolist()]
             while len(frontier):
                 found = []
-                for perm, perm16 in moves:
-                    kids = perm[frontier]
+                for left, right in moves:
+                    kids = left[frontier]
                     new = ~done[kids]
-                    kids = kids[new]  # distinct: perm is one-to-one and the frontier distinct
-                    table[kids] = perm16[table[frontier[new]]]
+                    kids = kids[new]  # distinct: left is one-to-one and the frontier distinct
+                    table[kids] = table[frontier[new]].take(right, axis=1)
                     done[kids] = True
                     found.append(kids)
                 frontier = np.concatenate(found)
@@ -849,12 +855,14 @@ def coset_labels(G: GroupTable, h_ids: np.ndarray) -> np.ndarray:
     element ids h_ids; cosets are numbered by their least id, so the
     identity coset is 0."""
     labels = np.full(G.order, -1, dtype=np.int64)
-    nxt = 0
-    for g in range(G.order):
-        if labels[g] >= 0:
-            continue
-        labels[G.mul_vec(g, h_ids)] = nxt
-        nxt += 1
+    g = label = 0
+    while g < G.order:
+        labels[G.mul_vec(g, h_ids)] = label
+        label += 1
+        g, width = g + 1, len(h_ids)  # then on to the least unlabelled id, in doubling windows
+        while g < G.order and labels[g] >= 0:
+            free = np.flatnonzero(labels[g : g + width] < 0)
+            g, width = (g + int(free[0]), width) if len(free) else (g + width, 2 * width)
     return labels
 
 

@@ -274,8 +274,8 @@ def fixed_point_fraction(
     Two points are equal iff their (denominator, *entries) in lowest terms are.
     """
     w = [Fraction(x) for x in w] + [1]
-    if len(translations) != len(gens):
-        raise ValueError("one translation part per generator required")
+    if [len(v) for v in translations] != [g.dim for g in gens]:
+        raise ValueError("one translation part per generator, of its matrix's size, required")
     action = []
     for g, v in zip(gens, translations):
         gi, v = g.inverse(), [Fraction(x) for x in v]
@@ -291,6 +291,8 @@ def _fixing_count(action: Sequence[Sequence[Sequence]], w: Sequence, l: int, key
     counts iff u and v^-1 take w to vectors of one key, and is reduced iff they end in different
     letters.  _spheres builds both, started at the row w^T under the transposed letters, and its
     (denominator, *entries) in lowest terms goes to key."""
+    if not action:
+        raise ValueError("need at least one generator")
     total = ball_size(len(action) // 2, l)
     if l > BALL_SCAN_CAP:
         raise ValueError(f"ball scan cap is l <= {BALL_SCAN_CAP}")

@@ -22,7 +22,7 @@ from expanderlab import quotient
 from expanderlab.cli import builtin_generators
 from expanderlab.errors import NotInGroup, SingularMatrix, SizeCapExceeded
 from expanderlab.exact import ModMatrix, RationalMatrix, crt_tuple, mod_inv, mod_mul, row_reduce_mod_p
-from expanderlab.growth import ModuleAction, ProductFrame, orbit_sum_subspace
+from expanderlab.growth import ElementSet, ModuleAction, ProductFrame, orbit_sum_subspace, product_set
 from expanderlab.quotient import (
     ID_INDEX_CAP,
     SemidirectSpec,
@@ -318,6 +318,28 @@ def test_coset_classes_have_subgroup_size(case):
     counts = np.bincount(coset_labels(G, h_ids))
     assert len(counts) == G.order // len(h_ids)
     assert (counts == len(h_ids)).all()
+
+
+def labels_by_every_element(G, h_ids):
+    """The coset labeller's definition: each element in id order that is
+    still unlabelled labels its translate g h_ids with the next label."""
+    labels = np.full(G.order, -1, dtype=np.int64)
+    nxt = 0
+    for g in range(G.order):
+        if labels[g] < 0:
+            labels[G.mul_vec(g, h_ids)] = nxt
+            nxt += 1
+    return labels
+
+
+@FEW
+@given(case=st.integers(0, len(CASES) - 1), data=st.data(), subgroup=st.booleans())
+def test_coset_labels_follow_their_definition(case, data, subgroup):
+    G = CASES[case][0]
+    ids = data.draw(st.lists(st.integers(0, G.order - 1), max_size=4))
+    # a subgroup, or any set of ids, whose translates may leave ids unlabelled
+    h_ids = subgroup_closure(G, ids).element_ids if subgroup else np.array(ids, dtype=np.int64)
+    assert np.array_equal(coset_labels(G, h_ids), labels_by_every_element(G, h_ids))
 
 
 @FEW
@@ -948,6 +970,11 @@ PRODUCT_TABLES = {
     "unsymmetrized mod 7": generate_group(
         rational([[1, 1], [0, 1]], [[1, 0], [1, 1]]), 7, symmetrize=False
     ),
+    "sl2 mod 5": generate_group(builtin_generators("lubotzky3"), 5),
+    # the semidirect group of the lemmas subcommand at p = 5, of order 3,000
+    "lemmas semidirect 5": semidirect_group(
+        SemidirectSpec(p=5, l_gens=[ModMatrix([[1, 3], [0, 1]], 5), ModMatrix([[1, 0], [3, 1]], 5)])
+    ),
 }
 
 
@@ -982,7 +1009,9 @@ def test_the_product_table_answers_as_the_kernels_on_random_ids(name, data):
     a, b = (np.array(data.draw(ids), dtype=np.int64) for _ in range(2))
     g = data.draw(st.integers(-1, G.order - 1))
     check = assert_table_path_is_the_kernel_path
+    # an outer product reads the table's rows when its row side is the shorter one
     check(G, "mul_vec", a[:, None], b)
+    check(G, "mul_vec", b[:, None], a)
     check(G, "mul_vec", a[: len(b)], b[: len(a)])
     check(G, "mul_vec", g, b)
     check(G, "mul_vec", a, g)
@@ -1021,6 +1050,24 @@ def test_frame_rows_are_the_sets_of_tuples_in_code_order(data):
         for y in b:
             pairs.add(tuple(frame.mul(as_rows([x]), as_rows([y]))[0].tolist()))
     assert [tuple(r) for r in frame.product_rows(as_rows(a), as_rows(b)).tolist()] == in_code_order(pairs)
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_TABLES))
+def test_the_product_table_rows_are_the_right_translations(name):
+    G = PRODUCT_TABLES[name]
+    P = G._products()
+    for b in [*range(0, G.order, max(1, G.order // 64)), G.order - 1]:
+        assert np.array_equal(P[b], G.translation(b, right=True))
+
+
+@FEW
+@given(name=st.sampled_from(sorted(PRODUCT_TABLES)), data=st.data())
+def test_product_sets_are_the_kernel_products(name, data):
+    G = PRODUCT_TABLES[name]
+    ids = st.lists(st.integers(0, G.order - 1), min_size=1, max_size=80)
+    A, B = (ElementSet.from_ids(G, data.draw(ids)) for _ in range(2))
+    want = np.unique(G._apply("mul_vec", A.ids[:, None], B.ids))
+    assert np.array_equal(product_set(A, B).ids, want)
 
 
 def test_the_product_table_is_built_only_by_mul_vec_and_only_up_to_the_cap():
@@ -1181,12 +1228,9 @@ def test_a_row_in_a_hole_of_the_factor_rank_index_is_not_in_the_table():
 # ----- subgroup and normal closures -----
 
 CLOSURE_TABLES = {
-    "sl2 mod 5": generate_group(builtin_generators("lubotzky3"), 5),
+    "sl2 mod 5": PRODUCT_TABLES["sl2 mod 5"],
     "heisenberg 5": SPECTRUM_TABLES["heisenberg 5"],
-    # the semidirect group of the lemmas subcommand at p = 5
-    "lemmas semidirect 5": semidirect_group(
-        SemidirectSpec(p=5, l_gens=[ModMatrix([[1, 3], [0, 1]], 5), ModMatrix([[1, 0], [3, 1]], 5)])
-    ),
+    "lemmas semidirect 5": PRODUCT_TABLES["lemmas semidirect 5"],
     "cyclic 4 x cyclic 6": direct_product(cyclic_group(4), cyclic_group(6)),
 }
 

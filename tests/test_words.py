@@ -280,6 +280,25 @@ def test_fixed_word_counts_reject_a_vector_of_another_length():
         fixed_point_fraction(lubotzky_pair(3), [[0, 0], [0, 0]], [0, 0, 0], 2)
 
 
+def test_fixed_point_count_rejects_a_translation_of_another_length():
+    # a long translation's extra entries were dropped: these counted all 36 words of B_3
+    for shifts in ([[0, 0, 5], [0, 0, 7]], [[0, 0], [1]], [[0, 0]]):
+        with pytest.raises(ValueError, match="^one translation part per generator, of its matrix's size, required$"):
+            fixed_point_fraction(lubotzky_pair(3), shifts, [0, 0], 3)
+
+
+@pytest.mark.parametrize("l", [0, 2])
+def test_fixed_line_count_needs_a_generator(l):
+    with pytest.raises(ValueError, match="^need at least one generator$"):
+        fixed_line_fraction([], "natural", [1, 0], l)
+
+
+@pytest.mark.parametrize("l", [0, 2])
+def test_fixed_point_count_needs_a_generator(l):
+    with pytest.raises(ValueError, match="^need at least one generator$"):
+        fixed_point_fraction([], [], [0, 0], l)
+
+
 def test_fixed_point_affine():
     gens = lubotzky_pair(3)
     # translations zero: fixing the origin is automatic for every word
