@@ -4,6 +4,9 @@ Sets of group elements are dense boolean masks over a GroupTable.
 Product sets are computed by exact table lookups over all pairs, in
 chunks, so the cost is the literal pair count, which PAIR_WORK_CAP
 bounds; searches for the least power c or t stop at PRODUCT_DEPTH_CAP.
+A product frame reads the Levi projection beta: L x U -> L of each
+semidirect factor, and its kernel U, from quotient's one reader of the
+Levi block, as Levi codes.
 The module-action operations (orbit sums, fixed vectors) run exact
 linear algebra mod p on small coordinate arrays.
 """
@@ -31,13 +34,13 @@ from .quotient import (
     SubgroupRecord,
     _distinct,
     _element_cap,
+    _levi,
     _radix_weights,
     _vector_orbit,
     coset_labels,
     levi_mask,
     lower_central_series,
     normal_closure,
-    unipotent_mask,
 )
 
 PAIR_WORK_CAP = 100_000_000
@@ -198,25 +201,17 @@ def gowers_cover(B1: ElementSet, B2: ElementSet, B3: ElementSet, d_min: int) -> 
 
 class ProductFrame:
     """Rows of per-factor element ids standing for elements of a direct
-    product of semidirect tables, with the Levi projection beta."""
+    product of semidirect tables, with the Levi projection beta, read per
+    factor as Levi codes: the kernel of beta is where each factor's code is
+    the identity's, and |L| = |G| / |Ker beta|, as |G| = |L||U|."""
 
     def __init__(self, factors: Sequence[GroupTable]):
         self.factors = list(factors)
         self.orders = np.array([t.order for t in self.factors], dtype=np.int64)
         self.weights = _radix_weights(self.orders)
-        self._levi_trivial = []
-        self._levi_codes = []
-        self.kernel_sizes = []
-        self.levi_sizes = []
-        for t in self.factors:
-            lm = levi_mask(t)  # raises TableMismatch for non-semidirect factors
-            um = unipotent_mask(t)
-            dd = t.meta["l_digits"]
-            codes = t.digits[:, :dd] @ _radix_weights(t.radices[:dd])
-            self._levi_trivial.append(um)
-            self._levi_codes.append(codes)
-            self.kernel_sizes.append(int(um.sum()))
-            self.levi_sizes.append(int(lm.sum()))
+        self._levi_codes = [_levi(t)[0] for t in self.factors]  # raises TableMismatch for non-semidirect factors
+        self.kernel_sizes = [int((c == c[t.identity_id]).sum()) for t, c in zip(self.factors, self._levi_codes)]
+        self.levi_sizes = [t.order // k for t, k in zip(self.factors, self.kernel_sizes)]
 
     @property
     def num_factors(self) -> int:
@@ -241,8 +236,8 @@ class ProductFrame:
     def in_kernel(self, rows: np.ndarray) -> np.ndarray:
         """Mask of rows with trivial Levi part in every factor."""
         mask = np.ones(len(rows), dtype=bool)
-        for i in range(self.num_factors):
-            mask &= self._levi_trivial[i][rows[:, i]]
+        for t, c, r in zip(self.factors, self._levi_codes, rows.T):
+            mask &= c[r] == c[t.identity_id]
         return mask
 
     def levi_code(self, rows: np.ndarray) -> np.ndarray:
@@ -319,30 +314,15 @@ def normal_closure_product(frame: ProductFrame, rows: np.ndarray, g_row: Sequenc
     g_rep = np.repeat(g_row, n, axis=0)
     conj = frame.mul(frame.mul(rows, g_rep), frame.inv(rows))
     conj = frame.dedup(conj)
-    # oracle: normal closure per factor, combined as a full product
-    closure_codes = _product_normal_closure_codes(frame, g_row[0])
+    # the product of g's per-factor normal closures holds every product of conjugates of g,
+    # so a power covers it exactly when it has as many rows
+    closure_size = math.prod(len(normal_closure(t, [gi])) for t, gi in zip(frame.factors, g_row[0].tolist()))
     power = conj
     for c in range(1, PRODUCT_DEPTH_CAP + 1):
-        covered = np.isin(closure_codes, frame.codes(power)).all()
-        if covered:
-            return {"c": int(c), "conjugates": len(conj), "closure_size": len(closure_codes)}
+        if len(power) == closure_size:
+            return {"c": c, "conjugates": len(conj), "closure_size": closure_size}
         power = frame.product_rows(power, conj)
-    return {"c": None, "conjugates": len(conj), "closure_size": len(closure_codes)}
-
-
-def _product_normal_closure_codes(frame: ProductFrame, g_row: np.ndarray) -> np.ndarray:
-    """Codes of the normal closure of g inside the direct product: the
-    product of the per-factor normal closures."""
-    per_factor = []
-    for i, t in enumerate(frame.factors):
-        gid = int(g_row[i])
-        if gid == t.identity_id:
-            per_factor.append(np.array([t.identity_id], dtype=np.int64))
-        else:
-            per_factor.append(normal_closure(t, [gid]))
-    grids = np.meshgrid(*per_factor, indexing="ij")
-    rows = np.stack([g.ravel() for g in grids], axis=1)
-    return _distinct(frame.codes(rows))
+    return {"c": None, "conjugates": len(conj), "closure_size": closure_size}
 
 
 def _check_no_one_dim_factor(t: GroupTable) -> None:
@@ -350,9 +330,7 @@ def _check_no_one_dim_factor(t: GroupTable) -> None:
     part with a one-dimensional composition factor."""
     if t.meta.get("action") == "trivial":
         raise HypothesisViolated("trivial action has one-dimensional factors")
-    d = t.meta["dim"]
-    levi = [t.digits[gid][: d * d].reshape(d, d) for gid in t.generator_ids]
-    _reject_one_dim_module(ModuleAction(t.meta["p"], d, levi))
+    _reject_one_dim_module(ModuleAction(t.meta["p"], t.meta["dim"], list(_levi(t)[1])))
 
 
 def _transpose_inv_mod(m: np.ndarray, p: int) -> np.ndarray:

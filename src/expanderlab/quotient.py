@@ -687,6 +687,16 @@ class SemidirectSpec:
             raise ValueError("u_kind must be vector or heisenberg")
         if self.action not in ("natural", "trivial"):
             raise ValueError("action must be natural or trivial")
+        if not self.l_gens:
+            raise ValueError("need at least one generator")
+        dims = {m.dim for m in self.l_gens}
+        if len(dims) != 1:
+            raise ValueError(f"generators of mixed dimension {sorted(dims)}")
+        if moduli := sorted({m.p for m in self.l_gens} - {self.p}):
+            raise ValueError(f"generator moduli {moduli} differ from p = {self.p}")
+        d, acted = dims.pop(), 2 if self.u_kind == "heisenberg" else self.u_dim
+        if self.action == "natural" and acted != d:
+            raise HypothesisViolated(f"the natural action of {d}x{d} Levi generators on {acted} coordinates")
         if self.u_kind == "heisenberg" and self.action == "natural":
             # the twist must preserve the symplectic form
             for m in self.l_gens:
@@ -845,8 +855,16 @@ def _closure_ids(G: GroupTable, gen_ids, conj_ids=()) -> np.ndarray:
     return np.flatnonzero(member).astype(np.int64)
 
 
+def _ids_in(G: GroupTable, ids) -> np.ndarray:
+    """The ids as an int64 array; NotInGroup for one outside 0..order-1, which an index would wrap or refuse."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ((ids < 0) | (ids >= G.order)).any():
+        raise NotInGroup(f"element ids must lie in 0..{G.order - 1}")
+    return ids
+
+
 def subgroup_closure(G: GroupTable, gen_ids: Sequence[int]) -> SubgroupRecord:
-    gen_ids = _distinct(np.asarray(gen_ids, dtype=np.int64))
+    gen_ids = _distinct(_ids_in(G, gen_ids))
     return SubgroupRecord(G, gen_ids, _closure_ids(G, gen_ids))
 
 
@@ -894,7 +912,7 @@ def _class_closure(G: GroupTable, seed_ids) -> np.ndarray:
 
 def normal_closure(G: GroupTable, seed_ids: Sequence[int]) -> np.ndarray:
     """Element ids of the smallest normal subgroup containing the seeds."""
-    return np.flatnonzero(_class_closure(G, seed_ids)[G._classes[0]])
+    return np.flatnonzero(_class_closure(G, _ids_in(G, seed_ids))[G._classes[0]])
 
 
 def is_perfect(G: GroupTable) -> bool:
@@ -1042,12 +1060,21 @@ def levi_mask(G: GroupTable) -> np.ndarray:
     return (G.digits[:, dd:] == 0).all(axis=1)
 
 
-def unipotent_mask(G: GroupTable) -> np.ndarray:
-    """Mask of elements with identity Levi part."""
+def _levi(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
+    """The Levi projection beta: L x U -> L of a semidirect table, as each element's Levi digit
+    code, and the Levi part of each generator as a (dim, dim) matrix: a semidirect row holds its
+    Levi part in its first l_digits digits.  TableMismatch for any other table."""
     if G.kind != "semidirect":
         raise TableMismatch("levi/unipotent split needs a semidirect table")
-    dd = G.meta["l_digits"]
-    return (G.digits[:, :dd] == G.digits[G.identity_id, :dd]).all(axis=1)
+    d, dd = G.meta["dim"], G.meta["l_digits"]
+    levi = G.digits[:, :dd]
+    return levi @ _radix_weights(G.radices[:dd]), levi[G.generator_ids].reshape(-1, d, d)
+
+
+def unipotent_mask(G: GroupTable) -> np.ndarray:
+    """Mask of elements with identity Levi part: the kernel of beta."""
+    beta = _levi(G)[0]
+    return beta == beta[G.identity_id]
 
 
 def verify_product_form(G: GroupTable, H: SubgroupRecord) -> dict:
@@ -1119,13 +1146,10 @@ def verify_normal_perfect(G: GroupTable) -> dict:
     surjecting onto the Levi part is the whole group."""
     if not is_perfect(G):
         return {"applicable": False, "passed": False, "reason": "group is not perfect"}
-    l_count = int(levi_mask(G).sum())
-    dd = G.meta["l_digits"]
-    levi_codes = G.digits[:, :dd] @ _radix_weights(G.radices[:dd])
-    failures = []
-    for H in normal_subgroups(G):
-        if len(_distinct(levi_codes[H.element_ids])) == l_count and H.size < G.order:
-            failures.append(H.size)
+    beta = _levi(G)[0]
+    l_count = len(_distinct(beta))
+    failures = [H.size for H in normal_subgroups(G)
+                if H.size < G.order and len(_distinct(beta[H.element_ids])) == l_count]
     return {"applicable": True, "passed": not failures, "failures": failures}
 
 

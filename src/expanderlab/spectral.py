@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import SizeCapExceeded, TableMismatch
-from .quotient import GroupTable, SubgroupRecord, _centre, coset_labels
+from .quotient import GroupTable, SubgroupRecord, _centre, _ids_in, coset_labels
 
 EXACT_CAP = 10_000
 DENSE_EIG_CAP = 5000
@@ -160,11 +160,12 @@ def walk_powers(
 
 
 def _walk_inputs(table: GroupTable, gen_ids, H: SubgroupRecord | None = None):
-    """Ids of S (default: the table generators), their left perms, and the table's level_ends
-    if S^-1 is among the BFS generators (s t is the identity for a generator t), else []."""
+    """Ids of S (default: the table generators; NotInGroup for one outside the table), their left
+    perms, and the table's level_ends if S^-1 is among the BFS generators (s t is the identity for
+    a generator t), else []."""
     if H is not None and H.parent is not table:
         raise TableMismatch("subgroup belongs to a different table")
-    ids = [int(x) for x in (table.generator_ids if gen_ids is None else gen_ids)]
+    ids = _ids_in(table, table.generator_ids if gen_ids is None else gen_ids).tolist()
     if not ids:
         raise ValueError("the generator multiset is empty")
     perms = [table.left_perm(s) for s in ids]
@@ -245,11 +246,7 @@ def walk_flatten_exponent(series: WalkSeries, l: int) -> FlattenReport:
 
 
 @dataclass
-class EscapeRow:
-    l: int
-    l2_norm: float
-    linf: float
-    mass_on_H: float
+class EscapeRow(WalkRow):
     max_coset_mass: float
 
 

@@ -4,7 +4,8 @@ the coset labeller, the table id lookup, the block spectrum, the
 translations and ball radii the BFS records and the walks that use them,
 the products through the per-prime factors of composite tables and their
 factor-rank id index, the measure constructors, the subgroup and normal
-closures and the lower central series, each against a brute-force oracle,
+closures and the lower central series, the Levi projection of product
+frames and their normal-closure powers, each against a brute-force oracle,
 plus guards on the BFS element order and the package's public names and
 signatures."""
 import hashlib
@@ -18,11 +19,18 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import expanderlab
-from expanderlab import quotient
+from expanderlab import growth, quotient
 from expanderlab.cli import builtin_generators
 from expanderlab.errors import NotInGroup, SingularMatrix, SizeCapExceeded
 from expanderlab.exact import ModMatrix, RationalMatrix, crt_tuple, mod_inv, mod_mul, row_reduce_mod_p
-from expanderlab.growth import ElementSet, ModuleAction, ProductFrame, orbit_sum_subspace, product_set
+from expanderlab.growth import (
+    ElementSet,
+    ModuleAction,
+    ProductFrame,
+    normal_closure_product,
+    orbit_sum_subspace,
+    product_set,
+)
 from expanderlab.quotient import (
     ID_INDEX_CAP,
     SemidirectSpec,
@@ -35,6 +43,7 @@ from expanderlab.quotient import (
     heisenberg_group,
     ids_of_matrices,
     is_perfect,
+    levi_mask,
     lower_central_series,
     normal_closure,
     normal_subgroups,
@@ -42,6 +51,7 @@ from expanderlab.quotient import (
     semidirect_group,
     subgroup_closure,
     torus_subgroup,
+    unipotent_mask,
 )
 from expanderlab.spectral import (
     CayleyGraph,
@@ -1050,6 +1060,67 @@ def test_frame_rows_are_the_sets_of_tuples_in_code_order(data):
         for y in b:
             pairs.add(tuple(frame.mul(as_rows([x]), as_rows([y]))[0].tolist()))
     assert [tuple(r) for r in frame.product_rows(as_rows(a), as_rows(b)).tolist()] == in_code_order(pairs)
+
+
+def closure_power_by_the_meshgrid(frame, rows, g_row):
+    """normal_closure_product by its definition: the product of g's per-factor normal
+    closures written out as rows, and the least power of the conjugates of g by the
+    rows that holds each of them."""
+    rows = frame.dedup(np.asarray(rows, dtype=np.int64))
+    g = np.asarray(g_row, dtype=np.int64).reshape(1, -1)
+    conj = frame.dedup(frame.mul(frame.mul(rows, np.repeat(g, len(rows), axis=0)), frame.inv(rows)))
+    per_factor = [np.array([gi]) if gi == t.identity_id else normal_closure(t, [gi])
+                  for t, gi in zip(frame.factors, g[0].tolist())]
+    grids = np.meshgrid(*per_factor, indexing="ij")
+    closure = np.unique(frame.codes(np.stack([x.ravel() for x in grids], axis=1)))
+    power = conj
+    for c in range(1, growth.PRODUCT_DEPTH_CAP + 1):
+        if np.isin(closure, frame.codes(power)).all():
+            return {"c": c, "conjugates": len(conj), "closure_size": len(closure)}
+        power = frame.product_rows(power, conj)
+    return {"c": None, "conjugates": len(conj), "closure_size": len(closure)}
+
+
+@FEW
+@given(factors=st.integers(1, 2), data=st.data())
+def test_normal_closure_products_stop_at_the_size_of_the_closure_product(factors, data):
+    borel = SPECTRUM_TABLES["semidirect borel 5"]
+    frame = ProductFrame([borel] * factors)
+    g = [data.draw(st.sampled_from(np.flatnonzero(unipotent_mask(borel)).tolist())) for _ in range(factors)]
+    extra = data.draw(st.lists(st.tuples(*[st.integers(0, borel.order - 1)] * factors), max_size=8))
+    rows = np.concatenate([frame.section_rows(), np.array(extra, dtype=np.int64).reshape(-1, factors)])
+    # the count rule needs only g in the kernel; the Borel's invariant line, which the
+    # hypothesis check refuses, gives normal closures of g that are proper in U
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(growth, "_check_no_one_dim_factor", lambda t: None)
+        assert normal_closure_product(frame, rows, g) == closure_power_by_the_meshgrid(frame, rows, g)
+
+
+LEMMAS_LEVI_5 = [ModMatrix([[1, 3], [0, 1]], 5), ModMatrix([[1, 0], [3, 1]], 5)]
+SEMIDIRECT_TABLES = {
+    "semidirect borel 5": SPECTRUM_TABLES["semidirect borel 5"],
+    "lemmas semidirect 5": PRODUCT_TABLES["lemmas semidirect 5"],
+    "lemmas semidirect 5, trivial action": semidirect_group(
+        SemidirectSpec(p=5, l_gens=LEMMAS_LEVI_5, action="trivial")),
+    "sl2 mod 3 on heisenberg 3": semidirect_group(SemidirectSpec(
+        p=3, l_gens=[ModMatrix([[1, 1], [0, 1]], 3), ModMatrix([[1, 0], [1, 1]], 3)], u_kind="heisenberg")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEMIDIRECT_TABLES))
+def test_the_frame_reads_its_kernel_and_levi_sizes_off_beta(name):
+    t = SEMIDIRECT_TABLES[name]
+    d, p, u_len = t.meta["dim"], t.meta["p"], t.meta["u_len"]
+    # the kernel of beta written out: the rows (identity, u) for every u
+    u = np.indices((p,) * u_len).reshape(u_len, -1).T
+    kernel = t.mask(t.id_of_rows(np.hstack([np.tile(np.eye(d, dtype=np.int64).ravel(), (len(u), 1)), u])))
+    assert np.array_equal(unipotent_mask(t), kernel)
+    frame = ProductFrame([t, t])
+    assert frame.kernel_sizes == [int(kernel.sum())] * 2
+    assert frame.levi_sizes == [int(levi_mask(t).sum())] * 2
+    every = np.arange(t.order)
+    for other in (every[::-1], np.resize(np.flatnonzero(kernel), t.order)):
+        assert np.array_equal(frame.in_kernel(np.stack([every, other], axis=1)), kernel & kernel[other])
 
 
 @pytest.mark.parametrize("name", sorted(PRODUCT_TABLES))

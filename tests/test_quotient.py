@@ -221,6 +221,42 @@ def test_semidirect_spec_validation():
         SemidirectSpec(p=p, l_gens=lmats, action="sideways")
 
 
+def test_semidirect_spec_refuses_no_levi_generators():
+    with pytest.raises(ValueError, match="^need at least one generator$"):
+        SemidirectSpec(p=5, l_gens=[])
+
+
+def test_semidirect_spec_refuses_levi_generators_of_mixed_dimension():
+    lmats = [ModMatrix([[1, 1], [0, 1]], 5), ModMatrix.identity(3, 5)]
+    with pytest.raises(ValueError, match=r"^generators of mixed dimension \[2, 3\]$"):
+        SemidirectSpec(p=5, l_gens=lmats, action="trivial")
+
+
+def test_semidirect_spec_refuses_a_natural_action_off_the_levi_dimension():
+    lmats = [ModMatrix([[1, 1], [0, 1]], 5)]
+    with pytest.raises(HypothesisViolated):
+        SemidirectSpec(p=5, l_gens=lmats, u_dim=3)
+    with pytest.raises(HypothesisViolated):
+        SemidirectSpec(p=5, l_gens=[ModMatrix.identity(3, 5)], u_kind="heisenberg")
+    # the trivial action reads no dimension
+    assert semidirect_group(SemidirectSpec(p=5, l_gens=lmats, u_dim=3, action="trivial")).order == 5 * 125
+
+
+def test_semidirect_spec_refuses_levi_generators_mod_another_prime():
+    lmats = [ModMatrix([[1, 6], [0, 1]], 7)]
+    with pytest.raises(ValueError, match=r"^generator moduli \[7\] differ from p = 5$"):
+        SemidirectSpec(p=5, l_gens=lmats)
+
+
+@pytest.mark.parametrize("bad", [-1, 120])
+def test_closures_refuse_ids_outside_the_table(sl2_5, bad):
+    # -1 would wrap to the last element, and the order is past it
+    with pytest.raises(NotInGroup):
+        subgroup_closure(sl2_5, [bad])
+    with pytest.raises(NotInGroup):
+        normal_closure(sl2_5, [0, bad])
+
+
 def test_direct_product():
     G = direct_product(cyclic_group(4), cyclic_group(9))
     assert G.order == 36

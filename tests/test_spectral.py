@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from expanderlab import spectral
 from expanderlab.cli import builtin_generators
-from expanderlab.errors import SizeCapExceeded, TableMismatch
+from expanderlab.errors import NotInGroup, SizeCapExceeded, TableMismatch
 from expanderlab.exact import RationalMatrix
 from expanderlab.quotient import (
     _vector_orbit,
@@ -18,7 +18,9 @@ from expanderlab.quotient import (
 )
 from expanderlab.spectral import (
     CayleyGraph,
+    EscapeRow,
     Measure,
+    WalkRow,
     _block_eigenvalues,
     _walk,
     cheeger_bracket,
@@ -262,6 +264,25 @@ def test_escape_epsilon_is_read_per_call(sl2_5, monkeypatch):
     assert not escape_profile(sl2_5, H, 2).settled
     monkeypatch.setattr(spectral, "ESCAPE_EPSILON", 0.05)
     assert escape_profile(sl2_5, H, 2).settled
+
+
+@pytest.mark.parametrize("bad", [-1, 120])
+def test_walks_refuse_generator_ids_outside_the_table(sl2_5, bad):
+    # -1 would wrap to the last element, and the order is past it
+    s = [int(sl2_5.generator_ids[0]), bad]
+    with pytest.raises(NotInGroup):
+        walk_powers(sl2_5, 3, gen_ids=s)
+    with pytest.raises(NotInGroup):
+        escape_profile(sl2_5, borel_subgroup(sl2_5), 3, gen_ids=s)
+    with pytest.raises(NotInGroup):
+        CayleyGraph(sl2_5, [bad])
+
+
+def test_an_escape_row_is_a_walk_row_with_its_heaviest_coset():
+    row = EscapeRow(3, 0.5, 0.25, 0.125, 0.375)
+    assert isinstance(row, WalkRow) and (row.l, row.mass_on_H, row.max_coset_mass) == (3, 0.125, 0.375)
+    assert repr(row) == "EscapeRow(l=3, l2_norm=0.5, linf=0.25, mass_on_H=0.125, max_coset_mass=0.375)"
+    assert row == EscapeRow(3, 0.5, 0.25, 0.125, 0.375) and row != WalkRow(3, 0.5, 0.25, 0.125)
 
 
 # ----- spectra -----
