@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    BadPrime,
     FixedVectorExists,
     HypothesisViolated,
     NotPGroup,
@@ -28,12 +29,14 @@ from .errors import (
     TableMismatch,
     ZeroVector,
 )
-from .exact import ModMatrix, mod_inv, row_reduce_mod_p
+from .exact import prime_factors, row_reduce_mod_p
 from .quotient import (
     GroupTable,
     SubgroupRecord,
     _distinct,
     _element_cap,
+    _ids_in,
+    _inv_block,
     _levi,
     _radix_weights,
     _vector_orbit,
@@ -57,7 +60,7 @@ class ElementSet:
 
     @classmethod
     def from_ids(cls, table: GroupTable, ids: Sequence[int]) -> "ElementSet":
-        return cls(table, _distinct(np.asarray(list(ids), dtype=np.int64)))
+        return cls(table, _distinct(_ids_in(table, list(ids))))
 
     @classmethod
     def whole_group(cls, table: GroupTable) -> "ElementSet":
@@ -330,12 +333,7 @@ def _check_no_one_dim_factor(t: GroupTable) -> None:
     part with a one-dimensional composition factor."""
     if t.meta.get("action") == "trivial":
         raise HypothesisViolated("trivial action has one-dimensional factors")
-    _reject_one_dim_module(ModuleAction(t.meta["p"], t.meta["dim"], list(_levi(t)[1])))
-
-
-def _transpose_inv_mod(m: np.ndarray, p: int) -> np.ndarray:
-    inv = mod_inv(ModMatrix(m.tolist(), p))
-    return np.array(inv.rows, dtype=np.int64).T
+    _reject_one_dim_module(ModuleAction(t.meta["p"], t.meta["dim"], list(_levi(t)[2])))
 
 
 def _invariant_line(mats: list[np.ndarray], p: int, d: int) -> tuple | None:
@@ -374,6 +372,8 @@ class ModuleAction:
     generators: list[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self):
+        if prime_factors(self.p) != [self.p]:
+            raise BadPrime(f"a module over F_p needs a prime p, got {self.p}")
         mats = []
         for g in self.generators:
             m = np.asarray(g, dtype=np.int64) % self.p
@@ -480,7 +480,8 @@ def _reject_one_dim_module(action: ModuleAction) -> None:
     """Reject a module with a one-dimensional composition factor,
     witnessed by an invariant line of the action or of its dual."""
     p, gens = action.p, action.generators
-    for mats in (gens, [_transpose_inv_mod(g, p) for g in gens]):
+    dual = _inv_block(np.array(gens, dtype=np.int64).reshape(-1, action.dim, action.dim), p).transpose(0, 2, 1)
+    for mats in (gens, list(dual)):
         line = _invariant_line(mats, p, action.dim)
         if line is not None:
             raise HypothesisViolated(
@@ -524,12 +525,10 @@ def nilpotent_recover(U: GroupTable, A: ElementSet) -> dict:
 
 def random_transversal(U: GroupTable, rng: np.random.Generator) -> ElementSet:
     """One random representative from each coset of [U, U]."""
-    labels, n_cosets = _derived_cosets(U)
-    picks = []
-    for c in range(n_cosets):
-        members = np.nonzero(labels == c)[0]
-        picks.append(int(members[rng.integers(0, len(members))]))
-    return ElementSet.from_ids(U, picks)
+    labels = _derived_cosets(U)[0]
+    by_coset, sizes = np.argsort(labels, kind="stable"), np.bincount(labels).tolist()  # each coset's ids ascending
+    starts = np.cumsum([0, *sizes]).tolist()
+    return ElementSet.from_ids(U, [by_coset[s + rng.integers(0, n)] for s, n in zip(starts, sizes)])
 
 
 def commutator_identities_check(G: GroupTable, trials: int, seed: int = 0) -> bool:

@@ -683,6 +683,8 @@ class SemidirectSpec:
     action: str = "natural"  # "natural" | "trivial"
 
     def __post_init__(self):
+        if prime_factors(self.p) != [self.p]:  # the Levi inverse is by Fermat
+            raise BadPrime(f"a semidirect group over F_p needs a prime p, got {self.p}")
         if self.u_kind not in ("vector", "heisenberg"):
             raise ValueError("u_kind must be vector or heisenberg")
         if self.action not in ("natural", "trivial"):
@@ -1054,21 +1056,18 @@ def lower_central_series(U: GroupTable) -> list[np.ndarray]:
 
 def levi_mask(G: GroupTable) -> np.ndarray:
     """Mask of elements with trivial unipotent part."""
-    if G.kind != "semidirect":
-        raise TableMismatch("levi/unipotent split needs a semidirect table")
-    dd = G.meta["l_digits"]
-    return (G.digits[:, dd:] == 0).all(axis=1)
+    return _levi(G)[1] == 0
 
 
-def _levi(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
-    """The Levi projection beta: L x U -> L of a semidirect table, as each element's Levi digit
-    code, and the Levi part of each generator as a (dim, dim) matrix: a semidirect row holds its
-    Levi part in its first l_digits digits.  TableMismatch for any other table."""
+def _levi(G: GroupTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Levi projection beta: L x U -> L of a semidirect table as each element's Levi digit code, its U
+    digit code (a row holds its Levi part in its first l_digits digits, so its code is beta + p^l_digits U),
+    and each generator's Levi part as a (dim, dim) matrix.  TableMismatch for any other table."""
     if G.kind != "semidirect":
         raise TableMismatch("levi/unipotent split needs a semidirect table")
     d, dd = G.meta["dim"], G.meta["l_digits"]
-    levi = G.digits[:, :dd]
-    return levi @ _radix_weights(G.radices[:dd]), levi[G.generator_ids].reshape(-1, d, d)
+    u_code, beta = np.divmod(G.digits @ G._weights, G._weights[dd])
+    return beta, u_code, G.digits[G.generator_ids, :dd].reshape(-1, d, d)
 
 
 def unipotent_mask(G: GroupTable) -> np.ndarray:
@@ -1078,16 +1077,15 @@ def unipotent_mask(G: GroupTable) -> np.ndarray:
 
 
 def verify_product_form(G: GroupTable, H: SubgroupRecord) -> dict:
-    """Check H = (H cap L)(H cap U) with H cap L acting trivially on U/(H cap U)."""
+    """Check H = (H cap L)(H cap U) with H cap L acting trivially on U/(H cap U).  As L cap U = {e},
+    (l, u) -> l u is one-to-one, so H, which holds every such product, splits when |H cap L||H cap U| = |H|."""
     if not H.normal:
         raise NotNormal("product form is asserted for normal subgroups")
     lmask = levi_mask(G)
     umask = unipotent_mask(G)
     hl = H.element_ids[lmask[H.element_ids]]
     hu = H.element_ids[umask[H.element_ids]]
-    # product set (H cap L)(H cap U)
-    prod = _distinct(G.mul_vec(hl[:, None], hu))
-    splits = prod.size == H.size and bool(H.member[prod].all())
+    splits = len(hl) * len(hu) == H.size
     # trivial action on U/(H cap U): commutators [h, u] must fall in H cap U
     u_ids = np.flatnonzero(umask)
     bad = np.argwhere(~G.mask(hu)[G.comm_vec(hl[:, None], u_ids)])  # in row-major order
@@ -1158,25 +1156,26 @@ def verify_factor_product_form(G: GroupTable, H: SubgroupRecord) -> dict:
     times a central subgroup.
 
     That is the only shape a normal subgroup of a product of quasi-simple
-    factors can take; the factor index set may be empty.
+    factors can take; the factor index set may be empty.  The copies commute and
+    meet in e: their product, the core, is the x with factor ids in the copies inside
+    H and e elsewhere, and H holds core Z_H, of order |core||Z_H| / |core & Z_H|.
     """
     if G.kind != "matrix" or len(G.meta["primes"]) < 2:
         raise NotComposite("product form over factors needs a composite matrix table")
-    at_ident = G._factor_ids == 0
-    inside = []
-    core = np.array([G.identity_id], dtype=np.int64)
-    for i in range(len(at_ident)):
+    inside, core = [], np.ones(G.order, dtype=bool)
+    for i, (F, f) in enumerate(zip(G._factors, G._factor_ids)):
         # embedded copy of factor i: identity in every other factor
-        f_ids = np.flatnonzero(np.delete(at_ident, i, axis=0).all(axis=0))
-        if H.member[f_ids].all():
+        copy = (np.delete(G._factor_ids, i, axis=0) == 0).all(axis=0)
+        if H.member[copy].all():
             inside.append(i)
-            core = _distinct(G.mul_vec(core[:, None], f_ids))
-    z_ids = np.flatnonzero(_centre(G) & H.member)
-    full = _distinct(G.mul_vec(core[:, None], z_ids))
-    passed = full.size == H.size and bool(H.member[full].all())
+            core &= F.mask(f[copy])[f]
+        else:
+            core &= f == 0
+    z = _centre(G) & H.member
+    rebuilt = int(core.sum()) * int(z.sum()) // int((core & z).sum())
     return {
-        "passed": passed,
+        "passed": rebuilt == H.size,
         "factors_inside": inside,
-        "central_size": len(z_ids),
-        "rebuilt_size": int(full.size),
+        "central_size": int(z.sum()),
+        "rebuilt_size": rebuilt,
     }

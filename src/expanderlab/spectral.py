@@ -53,7 +53,7 @@ class Measure:
         w = _zeros(table.order, exact)
         # a multiset is allowed: repeated ids accumulate weight
         share = Fraction(1, len(ids)) if exact else 1.0 / len(ids)
-        np.add.at(w, np.asarray(ids, dtype=np.int64), share)
+        np.add.at(w, _ids_in(table, ids), share)
         return cls(table, w, exact)
 
     @classmethod

@@ -7,9 +7,11 @@ import pytest
 from expanderlab import growth
 from expanderlab.cli import builtin_generators
 from expanderlab.errors import (
+    BadPrime,
     FixedVectorExists,
     HypothesisViolated,
     ProjectionNotOnto,
+    NotInGroup,
     SizeCapExceeded,
     TableMismatch,
     ZeroVector,
@@ -342,6 +344,26 @@ def test_module_action_rejects_singular():
         ModuleAction(7, 2, [np.array([[1, 1], [2, 2]])])
 
 
+def test_module_action_refuses_a_modulus_that_is_not_prime():
+    # mod 9 the orbit of (1, 0) spans 27 vectors, though a row reduction mod 9 gives all 81
+    with pytest.raises(BadPrime, match="^a module over F_p needs a prime p, got 9$"):
+        ModuleAction(9, 2, [np.array([[1, 3], [0, 1]]), np.array([[1, 0], [3, 1]])])
+
+
+def test_a_module_with_no_generators_has_invariant_lines():
+    with pytest.raises(HypothesisViolated):
+        orbit_sum_span(ModuleAction(7, 2, []), [1, 0])
+
+
+def test_orbit_sum_span_rejects_a_line_of_the_dual():
+    # F_7^3 = W + <e_3>, W = <e_1, e_2> turned by a rotation of order 4 that fixes no line mod 7,
+    # and a shear moving e_3 into W: no line is invariant, but W is, so the dual fixes the line e_3
+    rot = np.array([[0, 6, 0], [1, 0, 0], [0, 0, 1]])
+    shear = np.array([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(HypothesisViolated, match=r"line \(0, 0, 1\)$"):
+        orbit_sum_span(ModuleAction(7, 3, [rot, shear]), [1, 0, 0])
+
+
 def test_orbit_sum_subspace_sl2():
     rep = orbit_sum_subspace(sl2_f7_action(), [1, 0])
     assert rep["c"] == 1
@@ -413,6 +435,13 @@ def test_nilpotent_recover():
         rep = nilpotent_recover(U, tr)
         assert rep["covered"]
         assert rep["t"] is not None and rep["t"] <= 24
+
+
+@pytest.mark.parametrize("ids", [[6, -1], [7]])
+def test_element_sets_refuse_ids_outside_the_table(ids):
+    # -1 would wrap to the last element, and the order is past it
+    with pytest.raises(NotInGroup):
+        ElementSet.from_ids(cyclic_group(7), ids)
 
 
 def test_nilpotent_recover_requires_cover():

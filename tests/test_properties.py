@@ -5,7 +5,8 @@ translations and ball radii the BFS records and the walks that use them,
 the products through the per-prime factors of composite tables and their
 factor-rank id index, the measure constructors, the subgroup and normal
 closures and the lower central series, the Levi projection of product
-frames and their normal-closure powers, each against a brute-force oracle,
+frames and their normal-closure powers, the splitting and factor product-form
+checks, each against a brute-force oracle,
 plus guards on the BFS element order and the package's public names and
 signatures."""
 import hashlib
@@ -13,6 +14,7 @@ import inspect
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +22,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import expanderlab
 from expanderlab import growth, quotient
-from expanderlab.cli import builtin_generators
-from expanderlab.errors import NotInGroup, SingularMatrix, SizeCapExceeded
+from expanderlab.cli import builtin_generators, parse_generators
+from expanderlab.errors import NotInGroup, NotNormal, SingularMatrix, SizeCapExceeded
 from expanderlab.exact import ModMatrix, RationalMatrix, crt_tuple, mod_inv, mod_mul, row_reduce_mod_p
 from expanderlab.growth import (
     ElementSet,
@@ -34,6 +36,7 @@ from expanderlab.growth import (
 from expanderlab.quotient import (
     ID_INDEX_CAP,
     SemidirectSpec,
+    SubgroupRecord,
     borel_subgroup,
     conjugacy_classes,
     coset_labels,
@@ -52,6 +55,8 @@ from expanderlab.quotient import (
     subgroup_closure,
     torus_subgroup,
     unipotent_mask,
+    verify_factor_product_form,
+    verify_product_form,
 )
 from expanderlab.spectral import (
     CayleyGraph,
@@ -1413,6 +1418,129 @@ def test_lower_central_series_is_the_chain_of_all_commutator_subgroups(U):
     got = lower_central_series(U)
     assert [len(c) for c in got] == [len(c) for c in want]
     assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+# ----- the structure checks, decided by count -----
+
+TOOLS = Path(__file__).parents[1] / "tools"
+
+# the mod-35 tables whose normal subgroups the lemmas subcommand checks for product form: SL2
+# from both builtins, the solvable Borel pair, a parabolic pair, and a cyclic group of order 70
+# inside factors of orders 10 and 14, whose embedded copies are smaller than the factors
+FACTOR_FORM_TABLES = {
+    "lubotzky3": LEMMAS_SL2_35,
+    "sanov2": generate_group(builtin_generators("sanov2"), 35),
+    **{name: generate_group(parse_generators(str(TOOLS / f"{name}.txt"))[0], 35)
+       for name in ("borel_half", "parabolic_2_3", "cyclic_70_4x4")},
+}
+
+
+# with a unipotent Levi part, some normal subgroups do not split: the diagonals of Z/5 x Z/5, and
+# four subgroups of order 25 of the group of order 125 in which (1 1; 0 1) moves F_5^2
+UNIPOTENT_5 = [ModMatrix([[1, 1], [0, 1]], 5)]
+SPLITTING_TABLES = {
+    **SEMIDIRECT_TABLES,
+    "unipotent 5 on F_5, trivial action": semidirect_group(
+        SemidirectSpec(p=5, l_gens=UNIPOTENT_5, u_dim=1, action="trivial")),
+    "unipotent 5 on F_5^2": semidirect_group(SemidirectSpec(p=5, l_gens=UNIPOTENT_5)),
+}
+
+
+def digit_slice_masks(G):
+    """The Levi subgroup and the unipotent part of a semidirect table read off its digit rows:
+    the rows whose U digits are 0, and those whose Levi digits are the identity's."""
+    dd = G.meta["l_digits"]
+    return (G.digits[:, dd:] == 0).all(axis=1), (G.digits[:, :dd] == G.digits[G.identity_id, :dd]).all(axis=1)
+
+
+def product_form_by_the_product_set(G, H):
+    """verify_product_form with H rebuilt as the product set (H cap L)(H cap U) of the
+    digit-slice masks, beside the same commutator scan."""
+    if not H.normal:
+        raise NotNormal("product form is asserted for normal subgroups")
+    lmask, umask = digit_slice_masks(G)
+    hl, hu = H.element_ids[lmask[H.element_ids]], H.element_ids[umask[H.element_ids]]
+    prod = np.unique(G.mul_vec(hl[:, None], hu))
+    splits = prod.size == H.size and bool(H.member[prod].all())
+    u_ids = np.flatnonzero(umask)
+    bad = np.argwhere(~G.mask(hu)[G.comm_vec(hl[:, None], u_ids)])
+    witness = (int(hl[bad[0, 0]]), int(u_ids[bad[0, 1]])) if len(bad) else None
+    return {"splits": splits, "acts_trivially": witness is None, "passed": splits and witness is None,
+            "witness": witness, "h_cap_l": len(hl), "h_cap_u": len(hu)}
+
+
+def factor_form_by_the_product_set(G, H):
+    """verify_factor_product_form with H rebuilt as the product set of the embedded factor
+    copies inside H times the central elements of H."""
+    at_ident = G._factor_ids == 0
+    inside, core = [], np.array([G.identity_id])
+    for i in range(len(at_ident)):
+        f_ids = np.flatnonzero(np.delete(at_ident, i, axis=0).all(axis=0))
+        if H.member[f_ids].all():
+            inside.append(i)
+            core = np.unique(G.mul_vec(core[:, None], f_ids))
+    z_ids = np.flatnonzero(quotient._centre(G) & H.member)
+    full = np.unique(G.mul_vec(core[:, None], z_ids))
+    return {"passed": full.size == H.size and bool(H.member[full].all()), "factors_inside": inside,
+            "central_size": len(z_ids), "rebuilt_size": int(full.size)}
+
+
+def check_or_refusal(check, G, H):
+    try:
+        return check(G, H)
+    except NotNormal:
+        return "not normal"
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_FORM_TABLES))
+def test_the_factor_form_count_is_the_product_set_on_every_normal_subgroup(name):
+    G = FACTOR_FORM_TABLES[name]
+    for H in normal_subgroups(G):
+        assert verify_factor_product_form(G, H) == factor_form_by_the_product_set(G, H), H.size
+
+
+@pytest.mark.parametrize("name", sorted(SPLITTING_TABLES))
+def test_the_splitting_count_is_the_product_set_on_every_normal_subgroup(name):
+    G = SPLITTING_TABLES[name]
+    for H in normal_subgroups(G):
+        assert verify_product_form(G, H) == product_form_by_the_product_set(G, H), H.size
+
+
+@FEW
+@given(name=st.sampled_from(sorted(FACTOR_FORM_TABLES) + sorted(SPLITTING_TABLES)), normal=st.booleans(),
+       data=st.data())
+def test_the_structure_counts_are_the_product_sets_on_drawn_closures(name, normal, data):
+    # seeds trivial in a factor, or in the Levi part, give proper closures more often
+    if name in FACTOR_FORM_TABLES:
+        G, check, oracle = FACTOR_FORM_TABLES[name], verify_factor_product_form, factor_form_by_the_product_set
+        pool = np.flatnonzero((G._factor_ids == 0).any(axis=0))
+    else:
+        G, check, oracle = SPLITTING_TABLES[name], verify_product_form, product_form_by_the_product_set
+        pool = np.flatnonzero(digit_slice_masks(G)[1])
+    picks = st.sampled_from(pool.tolist()) | st.integers(0, G.order - 1)
+    seeds = np.array(data.draw(st.lists(picks, max_size=3)), dtype=np.int64)
+    H = SubgroupRecord(G, seeds, normal_closure(G, seeds)) if normal else subgroup_closure(G, seeds)
+    assert check_or_refusal(check, G, H) == check_or_refusal(oracle, G, H)
+
+
+@pytest.mark.parametrize("name", sorted(SPLITTING_TABLES))
+def test_the_levi_and_unipotent_masks_are_the_digit_slices(name):
+    G = SPLITTING_TABLES[name]
+    levi, unipotent = digit_slice_masks(G)
+    assert np.array_equal(levi_mask(G), levi) and np.array_equal(unipotent_mask(G), unipotent)
+
+
+@pytest.mark.parametrize("name", ["lubotzky3", "cyclic_70_4x4"])
+def test_the_factor_form_check_multiplies_no_elements(name, monkeypatch):
+    G = FACTOR_FORM_TABLES[name]
+    cases = [(H, factor_form_by_the_product_set(G, H)) for H in normal_subgroups(G)]
+
+    def refuse(self, a_ids, b_ids):
+        raise AssertionError("mul_vec called")
+
+    monkeypatch.setattr(quotient.GroupTable, "mul_vec", refuse)
+    for H, want in cases:
+        assert verify_factor_product_form(G, H) == want
 
 
 # ----- conjugacy classes and normal subgroups -----

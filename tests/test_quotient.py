@@ -248,6 +248,15 @@ def test_semidirect_spec_refuses_levi_generators_mod_another_prime():
         SemidirectSpec(p=5, l_gens=lmats)
 
 
+def test_semidirect_spec_refuses_a_modulus_that_is_not_prime():
+    # mod 9 the Fermat inverse of diag(2, 1) would be diag(2, 4)
+    with pytest.raises(BadPrime, match="^a semidirect group over F_p needs a prime p, got 9$"):
+        SemidirectSpec(p=9, l_gens=[ModMatrix([[2, 0], [0, 1]], 9)], action="trivial")
+    # p = 3 stays: SL2 mod 3 acting on the Heisenberg group mod 3
+    lmats = [ModMatrix([[1, 1], [0, 1]], 3), ModMatrix([[1, 0], [1, 1]], 3)]
+    assert semidirect_group(SemidirectSpec(p=3, l_gens=lmats, u_kind="heisenberg")).order == 24 * 27
+
+
 @pytest.mark.parametrize("bad", [-1, 120])
 def test_closures_refuse_ids_outside_the_table(sl2_5, bad):
     # -1 would wrap to the last element, and the order is past it

@@ -266,6 +266,18 @@ def test_escape_epsilon_is_read_per_call(sl2_5, monkeypatch):
     assert escape_profile(sl2_5, H, 2).settled
 
 
+@pytest.mark.parametrize("bad", [-1, 7])
+def test_measures_refuse_ids_outside_the_table(bad):
+    # -1 would put its mass on element 6, and the order is past the last element
+    G = cyclic_group(7)
+    with pytest.raises(NotInGroup):
+        Measure.uniform_on(G, [0, bad])
+    with pytest.raises(NotInGroup):
+        Measure.point(G, bad)
+    with pytest.raises(NotInGroup):
+        generator_measure(G, [bad], exact=True)
+
+
 @pytest.mark.parametrize("bad", [-1, 120])
 def test_walks_refuse_generator_ids_outside_the_table(sl2_5, bad):
     # -1 would wrap to the last element, and the order is past it
