@@ -216,15 +216,8 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
     G = load_group(cfg)
     graph = S.CayleyGraph(G)
     report = S.spectrum(graph)
-    mult_of = {}
-    pos = 0
-    for value, m in report.clusters:
-        for _ in range(m):
-            mult_of[pos] = m
-            pos += 1
-    rows = [
-        (i, float(v), mult_of[i]) for i, v in enumerate(report.eigenvalues)
-    ]
+    mults = [m for _, m in report.clusters for _ in range(m)]  # the clusters cover the values in order
+    rows = [(i, float(v), m) for i, (v, m) in enumerate(zip(report.eigenvalues, mults))]
     lo, hi = S.cheeger_bracket(report.lam2, graph.degree)
     notes = [
         f"lam2 = {report.lam2:.12g}",

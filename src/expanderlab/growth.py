@@ -337,26 +337,25 @@ def _check_no_one_dim_factor(t: GroupTable) -> None:
 
 
 def _invariant_line(mats: list[np.ndarray], p: int, d: int) -> tuple | None:
-    """Projective point fixed by every matrix, or None."""
-    for v in _projective_points(p, d):
-        vec = np.array(v, dtype=np.int64)
-        # m v is parallel to v iff the two rows have rank 1
-        if all(len(row_reduce_mod_p([(m @ vec % p).tolist(), v], p)[1]) == 1 for m in mats):
-            return v
-    return None
+    """The first projective point fixed by every matrix, or None: m v is parallel
+    to v iff every 2x2 minor of [m v, v] vanishes mod p."""
+    v = _projective_points(p, d)
+    fixed = np.ones(len(v), dtype=bool)
+    for m in mats:
+        mv = v @ np.asarray(m, dtype=np.int64).T % p
+        fixed &= ((mv[:, :, None] * v[:, None] - v[:, :, None] * mv[:, None]) % p == 0).all(axis=(1, 2))
+    hits = np.flatnonzero(fixed)
+    return tuple(v[hits[0]].tolist()) if len(hits) else None
 
 
-def _projective_points(p: int, d: int):
-    """One representative per line of F_p^d (first nonzero coord = 1)."""
-    for lead in range(d):
-        tail = d - lead - 1
-        for rest in range(p**tail):
-            coords = [0] * lead + [1]
-            x = rest
-            for _ in range(tail):
-                coords.append(x % p)
-                x //= p
-            yield tuple(coords)
+def _projective_points(p: int, d: int) -> np.ndarray:
+    """One representative per line of F_p^d (first nonzero coord = 1), as rows
+    ordered by the lead coordinate, then by the rest read little-endian."""
+    return np.concatenate([
+        np.hstack([np.zeros((p**tail, d - tail - 1), dtype=np.int64), np.ones((p**tail, 1), dtype=np.int64),
+                   np.arange(p**tail)[:, None] // p ** np.arange(tail) % p])
+        for tail in range(d - 1, -1, -1)
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -871,19 +871,22 @@ def subgroup_closure(G: GroupTable, gen_ids: Sequence[int]) -> SubgroupRecord:
 
 
 def coset_labels(G: GroupTable, h_ids: np.ndarray) -> np.ndarray:
-    """labels[g] = index of the left coset gH, for the subgroup H with
-    element ids h_ids; cosets are numbered by their least id, so the
-    identity coset is 0."""
-    labels = np.full(G.order, -1, dtype=np.int64)
-    g = label = 0
-    while g < G.order:
-        labels[G.mul_vec(g, h_ids)] = label
-        label += 1
-        g, width = g + 1, len(h_ids)  # then on to the least unlabelled id, in doubling windows
-        while g < G.order and labels[g] >= 0:
-            free = np.flatnonzero(labels[g : g + width] < 0)
-            g, width = (g + int(free[0]), width) if len(free) else (g + width, 2 * width)
-    return labels
+    """labels[g] = index of the left coset gH, for the subgroup H with element ids h_ids; cosets
+    are numbered by their least id, so the identity coset is 0.  As s(gH) = (sg)H, a BFS from H
+    along the generators' recorded left translations reaches every coset, one row of ids each; a
+    generator takes distinct cosets to distinct cosets, so a row is new when its first id is."""
+    least = np.full(G.order, -1, dtype=np.int64)
+    frontier = np.asarray(h_ids, dtype=np.int64)[None]
+    least[frontier] = frontier.min()
+    while frontier.size:
+        level = []
+        for s in G.generator_ids.tolist():
+            rows = G.left_perm(s)[frontier]
+            rows = rows[least[rows[:, 0]] < 0]
+            least[rows] = rows.min(axis=1, keepdims=True)
+            level.append(rows)
+        frontier = np.concatenate(level)
+    return (np.cumsum(least == np.arange(G.order)) - 1)[least]
 
 
 def _centre(G: GroupTable) -> np.ndarray:
@@ -1078,23 +1081,19 @@ def unipotent_mask(G: GroupTable) -> np.ndarray:
 
 def verify_product_form(G: GroupTable, H: SubgroupRecord) -> dict:
     """Check H = (H cap L)(H cap U) with H cap L acting trivially on U/(H cap U).  As L cap U = {e},
-    (l, u) -> l u is one-to-one, so H, which holds every such product, splits when |H cap L||H cap U| = |H|."""
+    (l, u) -> l u is one-to-one, so H, which holds every such product, splits when |H cap L||H cap U| = |H|.
+    The action is trivial for every normal H, so acts_trivially is True and witness None: for h in H
+    and u in U, [h, u] = h^-1 (u^-1 h u) lies in H and (h^-1 u^-1 h) u in U, so in H cap U."""
     if not H.normal:
         raise NotNormal("product form is asserted for normal subgroups")
-    lmask = levi_mask(G)
-    umask = unipotent_mask(G)
-    hl = H.element_ids[lmask[H.element_ids]]
-    hu = H.element_ids[umask[H.element_ids]]
+    hl = H.element_ids[levi_mask(G)[H.element_ids]]
+    hu = H.element_ids[unipotent_mask(G)[H.element_ids]]
     splits = len(hl) * len(hu) == H.size
-    # trivial action on U/(H cap U): commutators [h, u] must fall in H cap U
-    u_ids = np.flatnonzero(umask)
-    bad = np.argwhere(~G.mask(hu)[G.comm_vec(hl[:, None], u_ids)])  # in row-major order
-    witness = (int(hl[bad[0, 0]]), int(u_ids[bad[0, 1]])) if len(bad) else None
     return {
         "splits": splits,
-        "acts_trivially": witness is None,
-        "passed": splits and witness is None,
-        "witness": witness,
+        "acts_trivially": True,
+        "passed": splits,
+        "witness": None,
         "h_cap_l": len(hl),
         "h_cap_u": len(hu),
     }

@@ -348,13 +348,46 @@ def labels_by_every_element(G, h_ids):
 
 
 @FEW
-@given(case=st.integers(0, len(CASES) - 1), data=st.data(), subgroup=st.booleans())
-def test_coset_labels_follow_their_definition(case, data, subgroup):
+@given(case=st.integers(0, len(CASES) - 1), data=st.data())
+def test_coset_labels_follow_their_definition(case, data):
     G = CASES[case][0]
     ids = data.draw(st.lists(st.integers(0, G.order - 1), max_size=4))
-    # a subgroup, or any set of ids, whose translates may leave ids unlabelled
-    h_ids = subgroup_closure(G, ids).element_ids if subgroup else np.array(ids, dtype=np.int64)
+    h_ids = subgroup_closure(G, ids).element_ids
     assert np.array_equal(coset_labels(G, h_ids), labels_by_every_element(G, h_ids))
+
+
+def labels_coset_by_coset(G, h_ids):
+    """The labeller that multiplies out one translate g h_ids per coset, g the least
+    unlabelled id, found by scanning in doubling windows."""
+    labels = np.full(G.order, -1, dtype=np.int64)
+    g = label = 0
+    while g < G.order:
+        labels[G.mul_vec(g, h_ids)] = label
+        label += 1
+        g, width = g + 1, len(h_ids)
+        while g < G.order and labels[g] >= 0:
+            free = np.flatnonzero(labels[g : g + width] < 0)
+            g, width = (g + int(free[0]), width) if len(free) else (g + width, 2 * width)
+    return labels
+
+
+@pytest.mark.parametrize("name", ["lubotzky3", "sanov2"])
+def test_coset_labels_are_the_translates_on_the_named_subgroups_mod_61(name):
+    # past the product-table cap, with 62 cosets of the Borel and 3,782 of the torus
+    G = generate_group(builtin_generators(name), 61)
+    for H in (borel_subgroup(G), torus_subgroup(G)):
+        assert np.array_equal(coset_labels(G, H.element_ids), labels_coset_by_coset(G, H.element_ids))
+
+
+def test_coset_labels_multiply_nothing(monkeypatch):
+    G, U = generate_group(builtin_generators("lubotzky3"), 13), heisenberg_group(5)
+    cases = [(G, borel_subgroup(G).element_ids), (G, torus_subgroup(G).element_ids),
+             (U, lower_central_series(U)[1]), (U, np.array([0]))]
+    expected = [labels_by_every_element(T, h_ids) for T, h_ids in cases]
+    for method in ("mul_vec", "_apply"):
+        monkeypatch.setattr(quotient.GroupTable, method, lambda *a: pytest.fail("a product was multiplied out"))
+    for (T, h_ids), labels in zip(cases, expected):
+        assert np.array_equal(coset_labels(T, h_ids), labels)
 
 
 @FEW
@@ -1504,6 +1537,32 @@ def test_the_splitting_count_is_the_product_set_on_every_normal_subgroup(name):
     G = SPLITTING_TABLES[name]
     for H in normal_subgroups(G):
         assert verify_product_form(G, H) == product_form_by_the_product_set(G, H), H.size
+
+
+def product_form_with_the_commutator_scan(G, H):
+    """verify_product_form with its action check written out: the splitting count beside a scan
+    of every commutator [h, u], h in H cap L and u in U, for the first one outside H cap U."""
+    if not H.normal:
+        raise NotNormal("product form is asserted for normal subgroups")
+    hl = H.element_ids[levi_mask(G)[H.element_ids]]
+    hu = H.element_ids[unipotent_mask(G)[H.element_ids]]
+    splits = len(hl) * len(hu) == H.size
+    u_ids = np.flatnonzero(unipotent_mask(G))
+    bad = np.argwhere(~G.mask(hu)[G.comm_vec(hl[:, None], u_ids)])  # in row-major order
+    witness = (int(hl[bad[0, 0]]), int(u_ids[bad[0, 1]])) if len(bad) else None
+    return {"splits": splits, "acts_trivially": witness is None, "passed": splits and witness is None,
+            "witness": witness, "h_cap_l": len(hl), "h_cap_u": len(hu)}
+
+
+@pytest.mark.parametrize("name", sorted(SEMIDIRECT_TABLES) + ["lemmas semidirect 7"])
+def test_the_splitting_check_is_the_commutator_scan_on_every_normal_subgroup(name, monkeypatch):
+    lemmas_levi_7 = [ModMatrix([[1, 3], [0, 1]], 7), ModMatrix([[1, 0], [3, 1]], 7)]
+    G = (SEMIDIRECT_TABLES[name] if name in SEMIDIRECT_TABLES
+         else semidirect_group(SemidirectSpec(p=7, l_gens=lemmas_levi_7)))
+    normals = normal_subgroups(G)
+    expected = [product_form_with_the_commutator_scan(G, H) for H in normals]
+    monkeypatch.setattr(quotient.GroupTable, "comm_vec", lambda *a: pytest.fail("a commutator was formed"))
+    assert [verify_product_form(G, H) for H in normals] == expected
 
 
 @FEW
