@@ -36,7 +36,6 @@ from .quotient import (
     _distinct,
     _element_cap,
     _ids_in,
-    _inv_block,
     _levi,
     _radix_weights,
     _vector_orbit,
@@ -220,9 +219,6 @@ class ProductFrame:
     def num_factors(self) -> int:
         return len(self.factors)
 
-    def identity_row(self) -> np.ndarray:
-        return np.zeros(self.num_factors, dtype=np.int64)
-
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.stack([t.mul_vec(x, y) for t, x, y in zip(self.factors, a.T, b.T)], axis=1)
 
@@ -284,13 +280,11 @@ def kernel_displacement(frame: ProductFrame, rows: np.ndarray) -> dict:
     aa = frame.product_rows(rows, rows)
     aaa = frame.product_rows(aa, rows)
     kernel_rows = aaa[frame.in_kernel(aaa)]
-    log_kernel = sum(math.log(k) for k in frame.kernel_sizes)
-    ident = frame.identity_row()
-    eps = 0.0
-    for r in kernel_rows:
-        eps = max(eps, farah_distance(r, ident, frame.kernel_sizes) / log_kernel)
+    logs = [math.log(k) for k in frame.kernel_sizes]
+    log_kernel = sum(logs)
+    distances = np.where(kernel_rows != 0, logs, 0.0).sum(axis=1)  # d(1, g): the identity is id 0 in every factor
     return {
-        "eps_hat": eps,
+        "eps_hat": float(distances.max(initial=0.0)) / log_kernel,
         "kernel_hits": len(kernel_rows),
         "aaa_size": len(aaa),
         "log_kernel": log_kernel,
@@ -329,8 +323,8 @@ def normal_closure_product(frame: ProductFrame, rows: np.ndarray, g_row: Sequenc
 
 
 def _check_no_one_dim_factor(t: GroupTable) -> None:
-    """Reject semidirect tables whose Levi part acts on the unipotent
-    part with a one-dimensional composition factor."""
+    """Reject semidirect tables whose Levi part acts on the unipotent part
+    with a one-dimensional submodule or quotient (see _reject_one_dim_module)."""
     if t.meta.get("action") == "trivial":
         raise HypothesisViolated("trivial action has one-dimensional factors")
     _reject_one_dim_module(ModuleAction(t.meta["p"], t.meta["dim"], list(_levi(t)[2])))
@@ -436,22 +430,20 @@ def orbit_sum_subspace(action: ModuleAction, v) -> dict:
     current = np.zeros((1, action.dim), dtype=np.int64)  # empty sum
     for c in range(1, PRODUCT_DEPTH_CAP + 1):
         current = _add_orbit(current, orbit, p)
-        code_set = set(_vector_codes(current, p).tolist())
-        found = _contained_subspace(action, current, code_set)
+        found = _contained_subspace(action, current)
         if found is not None:
             return {"c": c, "subspace": found, "sumset_size": len(current)}
     return {"c": None, "subspace": None, "sumset_size": len(current)}
 
 
-def _contained_subspace(action: ModuleAction, vectors: np.ndarray, code_set: set) -> np.ndarray | None:
-    """A nonzero H-submodule inside the vector set, if one exists: the
-    submodule generated by any member must itself be inside the set."""
+def _contained_subspace(action: ModuleAction, vectors: np.ndarray) -> np.ndarray | None:
+    """A nonzero H-submodule inside a sumset of _add_orbit (code order, so 0 first), if one
+    exists: the submodule generated by any member must itself be inside the set."""
     p = action.p
-    for w in vectors:
-        if not w.any():
-            continue
+    codes = _vector_codes(vectors, p)
+    for w in vectors[1:]:
         sub = action.submodule_spanned_by(w)
-        if all(int(c) in code_set for c in _vector_codes(sub, p).tolist()):
+        if np.isin(_vector_codes(sub, p), codes).all():
             return sub
     return None
 
@@ -464,24 +456,24 @@ def orbit_sum_span(action: ModuleAction, v) -> dict:
     if not v.any():
         return {"c": 0, "holds": True, "submodule_size": 1}
     p = action.p
-    target = action.submodule_spanned_by(v)
-    target_codes = _distinct(_vector_codes(target, p))
+    size = len(action.submodule_spanned_by(v))  # the span of a row-reduced basis: p^rank distinct vectors
     orbit = action.orbit(v)
     current = np.zeros((1, action.dim), dtype=np.int64)
     for c in range(1, PRODUCT_DEPTH_CAP + 1):
         current = _add_orbit(current, orbit, p)
-        if len(current) == len(target_codes):
-            return {"c": c, "holds": True, "submodule_size": len(target_codes)}
-    return {"c": None, "holds": False, "submodule_size": len(target_codes)}
+        if len(current) == size:
+            return {"c": c, "holds": True, "submodule_size": size}
+    return {"c": None, "holds": False, "submodule_size": size}
 
 
 def _reject_one_dim_module(action: ModuleAction) -> None:
-    """Reject a module with a one-dimensional composition factor,
-    witnessed by an invariant line of the action or of its dual."""
-    p, gens = action.p, action.generators
-    dual = _inv_block(np.array(gens, dtype=np.int64).reshape(-1, action.dim, action.dim), p).transpose(0, 2, 1)
-    for mats in (gens, list(dual)):
-        line = _invariant_line(mats, p, action.dim)
+    """Reject a module with a one-dimensional submodule or quotient, witnessed by an invariant line of
+    the action or of its dual (the inverse transposes, which fix the lines the transposes fix).  That is
+    every one-dimensional composition factor only up to dimension 4: from dimension 5 a factor can lie
+    between invariant subspaces of dimensions 2 and 3, and the module passes."""
+    gens = action.generators
+    for mats in (gens, [g.T for g in gens]):
+        line = _invariant_line(mats, action.p, action.dim)
         if line is not None:
             raise HypothesisViolated(
                 f"one-dimensional composition factor witnessed by line {line}"
@@ -525,9 +517,8 @@ def nilpotent_recover(U: GroupTable, A: ElementSet) -> dict:
 def random_transversal(U: GroupTable, rng: np.random.Generator) -> ElementSet:
     """One random representative from each coset of [U, U]."""
     labels = _derived_cosets(U)[0]
-    by_coset, sizes = np.argsort(labels, kind="stable"), np.bincount(labels).tolist()  # each coset's ids ascending
-    starts = np.cumsum([0, *sizes]).tolist()
-    return ElementSet.from_ids(U, [by_coset[s + rng.integers(0, n)] for s, n in zip(starts, sizes)])
+    by_coset, sizes = np.argsort(labels, kind="stable"), np.bincount(labels)  # each coset's ids ascending
+    return ElementSet.from_ids(U, by_coset[np.cumsum(sizes) - sizes + rng.integers(0, sizes)])
 
 
 def commutator_identities_check(G: GroupTable, trials: int, seed: int = 0) -> bool:

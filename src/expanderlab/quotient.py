@@ -625,8 +625,10 @@ def generate_group(gens: Sequence, q: int | None = None, *, symmetrize: bool = T
 
 
 def ids_of_matrices(G: GroupTable, mats: Sequence[RationalMatrix]) -> np.ndarray:
-    """Ids in the matrix table G of the reductions of rational matrices
-    mod its q; raises NotInGroup for a matrix whose image is not in G."""
+    """Ids in the matrix table G of the reductions of rational matrices mod its q; raises
+    NotInGroup for a matrix whose image is not in G, TableMismatch for a G of another kind."""
+    if G.kind != "matrix":
+        raise TableMismatch("ids of matrices need a matrix table")
     q = G.meta["q"]
     rows = [[x for m in crt_tuple(mat, q) for r in m.rows for x in r] for mat in mats]
     return G.id_of_rows(np.array(rows, dtype=np.int64))
@@ -858,8 +860,12 @@ def _closure_ids(G: GroupTable, gen_ids, conj_ids=()) -> np.ndarray:
 
 
 def _ids_in(G: GroupTable, ids) -> np.ndarray:
-    """The ids as an int64 array; NotInGroup for one outside 0..order-1, which an index would wrap or refuse."""
-    ids = np.asarray(ids, dtype=np.int64)
+    """The ids as an int64 array; NotInGroup for ids not of integer kind, which a cast would truncate
+    (a float) or read as 0 and 1 (a bool), and for one outside 0..order-1, which an index would wrap."""
+    ids = np.asarray(ids)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise NotInGroup(f"element ids must be integers, got {ids.dtype}")
+    ids = ids.astype(np.int64, copy=False)
     if ((ids < 0) | (ids >= G.order)).any():
         raise NotInGroup(f"element ids must lie in 0..{G.order - 1}")
     return ids
@@ -942,10 +948,13 @@ def normal_subgroups(G: GroupTable) -> list[SubgroupRecord]:
         raise SizeCapExceeded(f"normal subgroup enumeration capped at {NORMAL_SUBGROUP_CAP}")
     label, by_class, starts, sizes = G._classes
     found: dict[bytes, tuple[list[int], np.ndarray, int]] = {}
+    by_order: dict[int, list[np.ndarray]] = {}  # the found class masks of each order
 
     def register(seeds: list[int]) -> None:
         inside = _class_closure(G, seeds)
-        found.setdefault(inside.tobytes(), (seeds, inside, int(sizes[inside].sum())))
+        n = int(sizes[inside].sum())
+        if found.setdefault(inside.tobytes(), (seeds, inside, n))[1] is inside:  # a new subgroup
+            by_order.setdefault(n, []).append(inside)
 
     register([])
     for least in by_class[starts].tolist():
@@ -957,7 +966,7 @@ def normal_subgroups(G: GroupTable) -> list[SubgroupRecord]:
             for sj, mj, nj in items[max(i + 1, done):]:
                 seeds = sorted(set(si + sj))
                 order = ni * nj // int(sizes[mi & mj].sum())
-                if not any(n == order and m[label[seeds]].all() for _, m, n in found.values()):
+                if not any(m[label[seeds]].all() for m in by_order.get(order, [])):
                     register(seeds)
         done = len(items)
     records = [SubgroupRecord(G, np.array(seeds, dtype=np.int64), np.flatnonzero(inside[label]))
@@ -1139,14 +1148,14 @@ def torus_subgroup(G: GroupTable) -> SubgroupRecord:
 
 
 def verify_normal_perfect(G: GroupTable) -> dict:
-    """For a perfect semidirect table, check that every normal subgroup
-    surjecting onto the Levi part is the whole group."""
+    """For a perfect semidirect table, check that every normal subgroup H surjecting onto the Levi
+    part L = G / Ker beta, so with |H| / |H cap Ker beta| = |G| / |Ker beta|, is the whole group."""
     if not is_perfect(G):
         return {"applicable": False, "passed": False, "reason": "group is not perfect"}
-    beta = _levi(G)[0]
-    l_count = len(_distinct(beta))
+    kernel = unipotent_mask(G)
+    k = int(kernel.sum())
     failures = [H.size for H in normal_subgroups(G)
-                if H.size < G.order and len(_distinct(beta[H.element_ids])) == l_count]
+                if H.size < G.order and H.size * k == G.order * int(kernel[H.element_ids].sum())]
     return {"applicable": True, "passed": not failures, "failures": failures}
 
 

@@ -97,8 +97,7 @@ def convolve(mu: Measure, nu: Measure) -> Measure:
 
 def generator_measure(table: GroupTable, gen_ids: Sequence[int] | None = None, exact: bool = False) -> Measure:
     """chi_S: the normalized counting measure on the generator multiset."""
-    ids = table.generator_ids if gen_ids is None else np.asarray(gen_ids, dtype=np.int64)
-    return Measure.uniform_on(table, ids, exact)
+    return Measure.uniform_on(table, table.generator_ids if gen_ids is None else gen_ids, exact)
 
 
 def walk_step(mu: Measure, gen_ids: Sequence[int]) -> Measure:

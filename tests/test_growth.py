@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from expanderlab import growth
+from expanderlab import growth, quotient
 from expanderlab.cli import builtin_generators
 from expanderlab.errors import (
     BadPrime,
@@ -291,6 +291,17 @@ def test_kernel_displacement_requires_surjection(frame5):
         kernel_displacement(frame5, rows)
 
 
+def test_the_lemma_checks_take_no_block_inverse(frame5, monkeypatch):
+    # the table's inverse permutation is built once by the kernels; the dual lines read transposes
+    t = frame5.factors[0]
+    t.inv_vec([0])
+    assert "_inv_block" not in vars(growth)
+    monkeypatch.setattr(quotient, "_inv_block", lambda *a: pytest.fail("a block inverse was taken"))
+    assert orbit_sum_span(sl2_f7_action(), [1, 0])["holds"]
+    g = [int(np.flatnonzero(unipotent_mask(t))[1])]
+    assert normal_closure_product(frame5, frame5.section_rows(), g)["c"] == 2
+
+
 def test_normal_closure_product_single(frame5):
     t = frame5.factors[0]
     uids = np.nonzero(unipotent_mask(t))[0]
@@ -362,6 +373,17 @@ def test_orbit_sum_span_rejects_a_line_of_the_dual():
     shear = np.array([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(HypothesisViolated, match=r"line \(0, 0, 1\)$"):
         orbit_sum_span(ModuleAction(7, 3, [rot, shear]), [1, 0, 0])
+
+
+def test_a_middle_one_dimensional_factor_passes_the_line_check():
+    # F_5^5 with invariant subspaces <e1, e2> < <e1, e2, e3>, so the composition factor <e3> in the
+    # middle; SL2(F_5) acts on the bottom and top planes, and neither the module nor its dual has an
+    # invariant line.  The check finds one-dimensional submodules and quotients only.
+    a = np.array([[1, 1, 2, 2, 3], [0, 1, 4, 0, 0], [0, 0, 1, 4, 4], [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]])
+    b = np.array([[1, 0, 1, 1, 4], [1, 1, 2, 1, 4], [0, 0, 1, 1, 2], [0, 0, 0, 1, 0], [0, 0, 0, 1, 1]])
+    for g in (a, b):
+        assert not g[2:, :2].any() and not g[3:, :3].any()
+    growth._reject_one_dim_module(ModuleAction(5, 5, [a, b]))
 
 
 def test_orbit_sum_subspace_sl2():
@@ -463,6 +485,14 @@ def test_random_transversal_covers():
     rng = np.random.default_rng(1)
     tr = random_transversal(U, rng)
     assert tr.size == 25  # one per coset of the derived subgroup
+
+
+def test_random_transversal_draws_one_member_of_every_coset():
+    U = heisenberg_group(5)
+    labels, n_cosets = _derived_cosets(U)
+    for seed in range(50):
+        tr = random_transversal(U, np.random.default_rng(seed))
+        assert sorted(labels[tr.ids].tolist()) == list(range(n_cosets))
 
 
 def test_derived_cosets_are_cached_on_the_table():

@@ -9,6 +9,7 @@ frames and their normal-closure powers, the splitting and factor product-form
 checks, each against a brute-force oracle,
 plus guards on the BFS element order and the package's public names and
 signatures."""
+import functools
 import hashlib
 import inspect
 import itertools
@@ -23,12 +24,22 @@ from hypothesis import assume, given, settings, strategies as st
 import expanderlab
 from expanderlab import growth, quotient
 from expanderlab.cli import builtin_generators, parse_generators
-from expanderlab.errors import NotInGroup, NotNormal, SingularMatrix, SizeCapExceeded
+from expanderlab.errors import (
+    FixedVectorExists,
+    HypothesisViolated,
+    NotInGroup,
+    NotNormal,
+    ProjectionNotOnto,
+    SingularMatrix,
+    SizeCapExceeded,
+)
 from expanderlab.exact import ModMatrix, RationalMatrix, crt_tuple, mod_inv, mod_mul, row_reduce_mod_p
 from expanderlab.growth import (
     ElementSet,
     ModuleAction,
     ProductFrame,
+    farah_distance,
+    kernel_displacement,
     normal_closure_product,
     orbit_sum_subspace,
     product_set,
@@ -56,6 +67,7 @@ from expanderlab.quotient import (
     torus_subgroup,
     unipotent_mask,
     verify_factor_product_form,
+    verify_normal_perfect,
     verify_product_form,
 )
 from expanderlab.spectral import (
@@ -1679,6 +1691,148 @@ def test_orbit_sum_subspace_is_an_invariant_line():
     sub = {tuple(int(x) for x in v) for v in orbit_sum_subspace(act, [1, 1])["subspace"]}
     axes = [{(k, 0) for k in range(7)}, {(0, k) for k in range(7)}]
     assert sub in axes
+
+
+# ----- the lemma checks against their sort, set, inverse and per-row forms -----
+
+
+def normal_perfect_by_the_distinct_levi_images(G):
+    """verify_normal_perfect with |beta(H)| and |L| counted as distinct Levi codes."""
+    if not is_perfect(G):
+        return {"applicable": False, "passed": False, "reason": "group is not perfect"}
+    beta = quotient._levi(G)[0]
+    l_count = len(np.unique(beta))
+    failures = [H.size for H in normal_subgroups(G)
+                if H.size < G.order and len(np.unique(beta[H.element_ids])) == l_count]
+    return {"applicable": True, "passed": not failures, "failures": failures}
+
+
+@functools.cache
+def lemmas_semidirect_7():
+    return semidirect_group(SemidirectSpec(p=7, l_gens=[ModMatrix([[1, 3], [0, 1]], 7), ModMatrix([[1, 0], [3, 1]], 7)]))
+
+
+@pytest.mark.parametrize("name", sorted(SEMIDIRECT_TABLES) + ["lemmas semidirect 7"])
+def test_the_surjection_count_is_the_distinct_levi_images(name):
+    G = SEMIDIRECT_TABLES[name] if name in SEMIDIRECT_TABLES else lemmas_semidirect_7()
+    assert verify_normal_perfect(G) == normal_perfect_by_the_distinct_levi_images(G)
+
+
+def one_dim_refusal_by_inverse_transposes(action):
+    """The message of _reject_one_dim_module with the dual as the inverse transposes, or None."""
+    gens, p, d = action.generators, action.p, action.dim
+    dual = quotient._inv_block(np.array(gens, dtype=np.int64).reshape(-1, d, d), p).transpose(0, 2, 1)
+    for mats in (gens, list(dual)):
+        line = growth._invariant_line(mats, p, d)
+        if line is not None:
+            return f"one-dimensional composition factor witnessed by line {line}"
+    return None
+
+
+def drawn_module(data, primes, max_dim):
+    """A ModuleAction of 1-3 invertible generators; half the time each leaves <e_1 .. e_s> invariant."""
+    p, d = data.draw(st.sampled_from(primes)), data.draw(st.integers(1, max_dim))
+    s = data.draw(st.integers(0, d - 1)) if data.draw(st.booleans()) else 0
+    gens = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        g = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=d * d, max_size=d * d))).reshape(d, d)
+        g[s:, :s] = 0
+        assume(len(row_reduce_mod_p(g.tolist(), p)[1]) == d)
+        gens.append(g)
+    return ModuleAction(p, d, gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dual_lines_from_transposes_are_those_of_the_inverse_transposes(data):
+    action = drawn_module(data, [5, 7, 11], 4)
+    try:
+        growth._reject_one_dim_module(action)
+        got = None
+    except HypothesisViolated as e:
+        got = str(e)
+    assert got == one_dim_refusal_by_inverse_transposes(action)
+
+
+def orbit_sum_subspace_by_code_sets(action, v):
+    """orbit_sum_subspace with the sumset held as a Python set of codes, zero skipped by value."""
+    p, v = action.p, np.asarray(v, dtype=np.int64) % action.p
+    orbit, current = action.orbit(v), np.zeros((1, action.dim), dtype=np.int64)
+    for c in range(1, growth.PRODUCT_DEPTH_CAP + 1):
+        current = growth._add_orbit(current, orbit, p)
+        code_set = set(growth._vector_codes(current, p).tolist())
+        for w in current:
+            if w.any():
+                sub = action.submodule_spanned_by(w)
+                if all(int(x) in code_set for x in growth._vector_codes(sub, p).tolist()):
+                    return {"c": c, "subspace": sub.tolist(), "sumset_size": len(current)}
+    return {"c": None, "subspace": None, "sumset_size": len(current)}
+
+
+@FEW
+@given(data=st.data())
+def test_orbit_sum_subspaces_found_by_code_are_those_of_the_code_sets(data):
+    action = drawn_module(data, [3, 5], 3)
+    v = np.array(data.draw(st.lists(st.integers(0, action.p - 1), min_size=action.dim, max_size=action.dim)))
+    assume(v.any() and not action.has_fixed_vector())
+    got = orbit_sum_subspace(action, v)
+    got["subspace"] = None if got["subspace"] is None else got["subspace"].tolist()
+    assert got == orbit_sum_subspace_by_code_sets(action, v)
+
+
+def kernel_displacement_row_by_row(frame, rows):
+    """kernel_displacement with farah_distance from the identity row taken per kernel row."""
+    rows = frame.dedup(np.asarray(rows, dtype=np.int64))
+    if not frame.projection_onto_levi(rows):
+        raise ProjectionNotOnto("the set does not project onto the Levi part")
+    aaa = frame.product_rows(frame.product_rows(rows, rows), rows)
+    kernel_rows = aaa[frame.in_kernel(aaa)]
+    log_kernel = sum(math.log(k) for k in frame.kernel_sizes)
+    ident = np.zeros(frame.num_factors, dtype=np.int64)
+    eps = 0.0
+    for r in kernel_rows:
+        eps = max(eps, farah_distance(r, ident, frame.kernel_sizes) / log_kernel)
+    return {"eps_hat": eps, "kernel_hits": len(kernel_rows), "aaa_size": len(aaa), "log_kernel": log_kernel}
+
+
+@FEW
+@given(factors=st.sampled_from([["borel"], ["borel", "borel"], ["borel", "heisenberg"]]), data=st.data())
+def test_kernel_distances_at_once_are_the_row_by_row_distances(factors, data):
+    tables = {"borel": SPECTRUM_TABLES["semidirect borel 5"],
+              "heisenberg": SEMIDIRECT_TABLES["sl2 mod 3 on heisenberg 3"]}
+    frame = ProductFrame([tables[f] for f in factors])
+    # a row with Levi coordinates where the others are not moves only some coordinates off the kernel
+    coords = [st.sampled_from(np.flatnonzero(levi_mask(t)).tolist()) | st.integers(0, t.order - 1) for t in frame.factors]
+    extra = data.draw(st.lists(st.tuples(*coords), max_size=6))
+    rows = np.array(extra, dtype=np.int64).reshape(-1, len(factors))
+    if data.draw(st.booleans()):
+        rows = np.concatenate([frame.section_rows(), rows])
+    try:
+        expected = kernel_displacement_row_by_row(frame, rows)
+    except ProjectionNotOnto:
+        with pytest.raises(ProjectionNotOnto):
+            kernel_displacement(frame, rows)
+        return
+    assert kernel_displacement(frame, rows) == expected
+
+
+def displacement_or_refusal(f, frame, rows):
+    try:
+        return f(frame, rows)
+    except (ProjectionNotOnto, SizeCapExceeded) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("p7", [False, True], ids=["lemmas 5", "lemmas 5 x lemmas 7"])
+def test_kernel_distances_at_once_on_the_lemmas_frames(p7, seed):
+    # with the p = 7 factor the section's products pass PAIR_WORK_CAP and random rows miss L: both refuse
+    frame = ProductFrame([PRODUCT_TABLES["lemmas semidirect 5"]] + [lemmas_semidirect_7()] * p7)
+    rng = np.random.default_rng(seed)
+    random_rows = np.stack([rng.integers(0, t.order, size=10 * (seed + 1)) for t in frame.factors], axis=1)
+    for rows in (frame.section_rows(), random_rows, np.concatenate([frame.section_rows(), random_rows])):
+        assert (displacement_or_refusal(kernel_displacement, frame, rows)
+                == displacement_or_refusal(kernel_displacement_row_by_row, frame, rows))
 
 
 # ----- public names -----

@@ -41,6 +41,8 @@ from expanderlab.quotient import (
     verify_normal_perfect,
     verify_product_form,
 )
+from expanderlab.growth import ElementSet
+from expanderlab.spectral import CayleyGraph, Measure, generator_measure, walk_powers
 from expanderlab.words import reduced_words
 
 
@@ -264,6 +266,34 @@ def test_closures_refuse_ids_outside_the_table(sl2_5, bad):
         subgroup_closure(sl2_5, [bad])
     with pytest.raises(NotInGroup):
         normal_closure(sl2_5, [0, bad])
+
+
+@pytest.mark.parametrize("bad", [[1.7], [0, 2.0], np.array([True, False, True]), np.array([0.0])],
+                         ids=["a float", "a float among ints", "a bool mask", "a float array"])
+def test_ids_not_of_integer_kind_are_refused(bad):
+    # a cast would close over id 1 for 1.7 and read the mask as the ids 0 and 1
+    G = cyclic_group(6)
+    calls = [subgroup_closure, normal_closure, Measure.uniform_on, generator_measure, ElementSet.from_ids,
+             CayleyGraph, lambda G, ids: walk_powers(G, 2, gen_ids=ids)]
+    for call in calls:
+        with pytest.raises(NotInGroup, match="element ids must be integers, got (float64|bool)"):
+            call(G, bad)
+
+
+def test_an_empty_id_list_is_still_taken():
+    G = cyclic_group(6)
+    assert subgroup_closure(G, []).size == 1
+    assert normal_closure(G, []).tolist() == [0]
+    assert ElementSet.from_ids(G, []).size == 0
+
+
+def test_ids_of_matrices_refuses_a_table_that_is_not_a_matrix_table():
+    # a cyclic table has no modulus q: a bare KeyError: 'q' escaped small_lifts, which catches NotInGroup
+    G, one = cyclic_group(5), RationalMatrix([[1, 0], [0, 1]])
+    with pytest.raises(TableMismatch, match="^ids of matrices need a matrix table$"):
+        ids_of_matrices(G, [one])
+    with pytest.raises(TableMismatch):
+        small_lifts([((), one)], G, subgroup_closure(G, []), 2.0)
 
 
 def test_direct_product():
