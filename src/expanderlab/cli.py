@@ -4,7 +4,7 @@ emit deterministic CSV or JSON reports.
 Exit codes: 0 success, 2 a measured property failed its assertion,
 1 bad input or an operational error.  Output is byte-identical for
 identical config and seed: no timestamps, floats at 12 significant
-digits, sorted config echo.
+digits (in JSON, Python's repr of the rounded value), sorted config echo.
 """
 from __future__ import annotations
 
@@ -118,6 +118,16 @@ def fmt_value(x) -> str:
     return str(x)
 
 
+def _json_cell(v) -> str:
+    """One JSON report cell; a float is Python's repr of it at 12 significant digits."""
+    if type(v) is int:
+        return str(v)
+    if isinstance(v, float):
+        t = f"{v:.12g}"  # with a point and no exponent, this text already is that repr
+        return t if "." in t and "e" not in t else json.dumps(float(t))
+    return json.dumps(v)
+
+
 def emit_report(
     columns: list[str],
     rows: list[tuple],
@@ -128,19 +138,17 @@ def emit_report(
     everything else CSV with a version stamp and config echo."""
     as_json = bool(config.out and config.out.endswith(".json"))
     if as_json:
-        dicts = [{c: (float(fmt_value(v)) if isinstance(v, float) else v) for c, v in zip(columns, row)}
-                 for row in rows]
+        # the indented encoding of each dict(zip(columns, row)), column by column
+        keep = sorted({c: j for j, c in enumerate(columns)}.items())
+        cells = [[_json_cell(row[j]) for row in rows] for _, j in keep]
+        fields = ",\n      ".join(json.dumps(c).replace("%", "%%") + ": %s" for c, _ in keep)
+        body = ",\n".join(map(("    {\n      " + fields + "\n    }").__mod__, zip(*cells)))
         payload = {"version": VERSION, "config": echo(config), "columns": columns, "rows": None}
         if extra_comments:
             payload["notes"] = extra_comments
-        # indent=2 runs the pure-Python encoder, so the C one writes the rows; it escapes
-        # newlines in strings, so "},\n" and '"rows": null' below are its own separators and key
-        body = json.dumps(dicts, sort_keys=True, separators=(",\n      ", ": "))
-        if dicts:
-            inner = body[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
-            body = "[\n    {\n      " + inner + "\n    }\n  ]"
+        # json escapes newlines in strings, so '"rows": null' is the payload's own key
         text = json.dumps(payload, sort_keys=True, indent=2)
-        text = text.replace('"rows": null', '"rows": ' + body, 1) + "\n"
+        text = text.replace('"rows": null', '"rows": ' + (f"[\n{body}\n  ]" if rows else "[]"), 1) + "\n"
     else:
         out = [f"# expanderlab {VERSION}", f"# config: {echo(config)}"]
         for c in extra_comments or []:
@@ -423,14 +431,16 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors; 2 is reserved for assertion
         # failures here, so remap
         return EXIT_OK if e.code in (0, None) else EXIT_ERROR
-    if ns.threads is not None:
-        # argparse loads no numpy, so the BLAS/OpenMP pools numpy starts
-        # later in this process respect the cap
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(ns.threads)
     from .errors import ExpanderLabError
 
     try:
+        if ns.threads is not None:
+            if ns.threads < 1:
+                raise ValueError(f"--threads must be at least 1, got {ns.threads}")
+            # argparse and errors load no numpy, so the BLAS/OpenMP pools
+            # numpy starts later in this process respect the cap
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+                os.environ[var] = str(ns.threads)
         return COMMANDS[ns.command](ns)
     except (ExpanderLabError, ValueError, OSError) as e:
         print(f"error[{type(e).__name__}]: {e}", file=sys.stderr)

@@ -236,6 +236,91 @@ def test_json_report_equals_the_indented_encoding(columns, notes, data):
     assert written == text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def dict_encoding(columns, rows, cfg, notes=None):
+    """A JSON report as one dict per row, floats parsed back from their
+    12-digit text, encoded by json.dumps with sorted keys and indent 2."""
+    payload = {
+        "version": VERSION,
+        "config": echo(cfg),
+        "columns": columns,
+        "rows": [
+            {c: (float(fmt_value(v)) if isinstance(v, float) else v) for c, v in zip(columns, row)}
+            for row in rows
+        ],
+    }
+    if notes:
+        payload["notes"] = notes
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("columns", [
+    ["a", "b", "a"],
+    ["", ""],
+    ["x", "x", "x"],
+    ["%", "%s", "100%", "%(a)s", "%%"],
+    ['"', 'say "hi"', "\\"],
+    ["λ", "λ ≥ √2", "é", "日本"],
+    ["z", "%s", "λ", "z", '"'],
+])
+def test_json_report_column_names_match_the_dict_encoding(columns, tmp_path):
+    # a repeated name keeps its last cell, as a dict does; % is not a template slot
+    rows = [tuple(range(i, i + len(columns))) for i in range(3)]
+    rows.append(tuple([0.5, "%s", True, None, "λ"][j % 5] for j in range(len(columns))))
+    cfg = argparse.Namespace(out=str(tmp_path / "r.json"), q=7)
+    assert emit_report(columns, rows, cfg, ["%s"]) == dict_encoding(columns, rows, cfg, ["%s"])
+
+
+# floats on both sides of the fast token (the 12-digit text with a point
+# and no exponent): integer values, signed zero, a 13th digit that rounds
+# away, the fixed/exponent edges of .12g and of repr, and non-finite values
+EDGE_FLOATS = [
+    0.0, -0.0, 1.0, -2.0, 3.0, 1e3, 123456789012.5, 123456789012.0, 12345678901.5,
+    1e11, -1e11, 1e12, 9.99999999999e11, 999999999999.5, 1e15, 1e16, 1e17, 1.5e16,
+    1e-5, 1e-4, 1.5e-5, 9.9999999999999e-5, 0.000123456789012345, -1e-4,
+    0.1 + 0.2, 1 / 3, 2 / 3, 0.84427, 1e-300, 1e300, 5e-324, 1.7976931348623157e308,
+    math.nan, math.inf, -math.inf,
+]
+
+
+@pytest.mark.parametrize("value", EDGE_FLOATS, ids=repr)
+def test_json_float_cells_match_the_dict_encoding(value, tmp_path):
+    rows = [(0, value, 1), (1, -value, value)]
+    cfg = argparse.Namespace(out=str(tmp_path / "r.json"), q=7)
+    text = emit_report(["index", "eigenvalue", "multiplicity"], rows, cfg)
+    assert text == dict_encoding(["index", "eigenvalue", "multiplicity"], rows, cfg)
+
+
+def test_json_cells_of_float_and_int_subclasses_match_the_dict_encoding(tmp_path):
+    import numpy as np
+
+    columns = ["f64", "flag", "big", "nothing"]
+    rows = [(np.float64(0.1) + np.float64(0.2), True, 2**70, None),
+            (np.float64(-0.0), False, -(2**63), None),
+            (np.float64(1e11), True, 0, "")]
+    cfg = argparse.Namespace(out=str(tmp_path / "r.json"), q=7)
+    assert emit_report(columns, rows, cfg) == dict_encoding(columns, rows, cfg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    columns=st.lists(st.text(max_size=6), min_size=1, max_size=4),
+    notes=st.none() | st.lists(st.text(max_size=8), max_size=2),
+    data=st.data(),
+)
+def test_csv_report_is_comments_header_and_fmt_value_rows(columns, notes, data):
+    rows = data.draw(st.lists(st.tuples(*[CELLS] * len(columns)), max_size=4))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = argparse.Namespace(out=os.path.join(tmp, "r.csv"), q=7, note="},\n")
+        text = emit_report(columns, rows, cfg, notes)
+        with open(cfg.out, newline="") as fh:
+            written = fh.read()
+    lines = [f"# expanderlab {VERSION}", f"# config: {echo(cfg)}"]
+    lines += [f"# {c}" for c in notes or []]
+    lines.append(",".join(columns))
+    lines += [",".join(fmt_value(v) for v in row) for row in rows]
+    assert written == text == "\n".join(lines) + "\n"
+
+
 def test_empty_csv_is_header_only(tmp_path):
     out = tmp_path / "empty.csv"
     rc = main(["growth", "--builtin", "lubotzky3", "--q", "7", "--samples", "0",
@@ -521,6 +606,18 @@ def test_threads_flag_sets_the_blas_variables(monkeypatch, capsys):
     assert main(args + ["--threads", "3"]) == EXIT_OK
     assert capsys.readouterr().out == report
     assert [os.environ.get(var) for var in names] == ["3", "3", "3"]
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exits_1_before_setting_a_variable(threads, monkeypatch, capsys):
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in names:
+        monkeypatch.delenv(var, raising=False)
+    assert main(["quotient", "--builtin", "lubotzky3", "--q", "5", "--threads", threads]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error[ValueError]: --threads must be at least 1, got {threads}\n"
+    assert [os.environ.get(var) for var in names] == [None, None, None]
 
 
 # Every CLI flag: adding or removing one is a deliberate edit here
