@@ -71,8 +71,6 @@ _EXPORTS = {
     "chain_inequality": "growth",
     "gowers_cover": "growth",
     "ProductFrame": "growth",
-    "farah_distance": "growth",
-    "kernel_displacement": "growth",
     "normal_closure_product": "growth",
     "ModuleAction": "growth",
     "orbit_sum_subspace": "growth",

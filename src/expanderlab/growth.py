@@ -23,6 +23,7 @@ from .errors import (
     BadPrime,
     FixedVectorExists,
     HypothesisViolated,
+    NotInGroup,
     NotPGroup,
     ProjectionNotOnto,
     SizeCapExceeded,
@@ -209,6 +210,8 @@ class ProductFrame:
 
     def __init__(self, factors: Sequence[GroupTable]):
         self.factors = list(factors)
+        if not self.factors:
+            raise TableMismatch("a product frame needs at least one factor")
         self.orders = np.array([t.order for t in self.factors], dtype=np.int64)
         self.weights = _radix_weights(self.orders)
         self._levi_codes = [_levi(t)[0] for t in self.factors]  # raises TableMismatch for non-semidirect factors
@@ -225,8 +228,16 @@ class ProductFrame:
     def inv(self, a: np.ndarray) -> np.ndarray:
         return np.stack([t.inv_vec(x) for t, x in zip(self.factors, a.T)], axis=1)
 
+    def _rows(self, rows) -> np.ndarray:
+        """The rows as int64, one column per factor; NotInGroup for another row width, whose
+        mixed-radix code would fold coordinates together, or for an id outside its factor."""
+        rows = np.asarray(rows)
+        if rows.ndim != 2 or rows.shape[1] != self.num_factors:
+            raise NotInGroup(f"frame rows must have {self.num_factors} coordinates, got shape {rows.shape}")
+        return np.stack([_ids_in(t, c) for t, c in zip(self.factors, rows.T)], axis=1)
+
     def codes(self, rows: np.ndarray) -> np.ndarray:
-        return rows @ self.weights
+        return self._rows(rows) @ self.weights
 
     def dedup(self, rows: np.ndarray) -> np.ndarray:
         """Each distinct row once, in code order."""
@@ -248,6 +259,7 @@ class ProductFrame:
         return len(_distinct(self.levi_code(rows))) == math.prod(self.levi_sizes)
 
     def product_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        a, b = self._rows(a), self._rows(b)
         pairs = len(a) * len(b)
         if pairs > PAIR_WORK_CAP:
             raise SizeCapExceeded(f"frame product needs {pairs} pair lookups")
@@ -263,41 +275,13 @@ class ProductFrame:
         return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def farah_distance(g1: Sequence[int], g2: Sequence[int], kernel_sizes: Sequence[int]) -> float:
-    """Sum of log|Ker beta_i| over the coordinates where g1 and g2 differ."""
-    if len(g1) != len(g2) or len(g1) != len(kernel_sizes):
-        raise ValueError("coordinate counts do not match")
-    return float(
-        sum(math.log(k) for a, b, k in zip(g1, g2, kernel_sizes) if a != b)
-    )
-
-
-def kernel_displacement(frame: ProductFrame, rows: np.ndarray) -> dict:
-    """eps_hat = max over g in AAA with beta(g) = 1 of d(1, g) / log|Ker beta|."""
-    rows = frame.dedup(np.asarray(rows, dtype=np.int64))
-    if not frame.projection_onto_levi(rows):
-        raise ProjectionNotOnto("the set does not project onto the Levi part")
-    aa = frame.product_rows(rows, rows)
-    aaa = frame.product_rows(aa, rows)
-    kernel_rows = aaa[frame.in_kernel(aaa)]
-    logs = [math.log(k) for k in frame.kernel_sizes]
-    log_kernel = sum(logs)
-    distances = np.where(kernel_rows != 0, logs, 0.0).sum(axis=1)  # d(1, g): the identity is id 0 in every factor
-    return {
-        "eps_hat": float(distances.max(initial=0.0)) / log_kernel,
-        "kernel_hits": len(kernel_rows),
-        "aaa_size": len(aaa),
-        "log_kernel": log_kernel,
-    }
-
-
 def normal_closure_product(frame: ProductFrame, rows: np.ndarray, g_row: Sequence[int]) -> dict:
     """Smallest c with prod_c {h g h^-1 : h in A} containing the normal
     closure of g.  Preconditions: beta(A) = L, beta(g) = 1, elementary
     abelian kernels acting without one-dimensional composition factors.
     """
-    rows = frame.dedup(np.asarray(rows, dtype=np.int64))
-    g_row = np.asarray(g_row, dtype=np.int64).reshape(1, -1)
+    rows = frame.dedup(rows)
+    g_row = frame._rows([g_row])
     if not frame.projection_onto_levi(rows):
         raise ProjectionNotOnto("the set does not project onto the Levi part")
     if not frame.in_kernel(g_row)[0]:

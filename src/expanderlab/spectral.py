@@ -100,17 +100,6 @@ def generator_measure(table: GroupTable, gen_ids: Sequence[int] | None = None, e
     return Measure.uniform_on(table, table.generator_ids if gen_ids is None else gen_ids, exact)
 
 
-def walk_step(mu: Measure, gen_ids: Sequence[int]) -> Measure:
-    """One convolution by chi_S, via cached left-translation permutations."""
-    if not len(gen_ids):
-        raise ValueError("the generator multiset is empty")
-    G = mu.table
-    # 0 + t0 is t0, so the sum adds the terms in the order of gen_ids; an
-    # exact sum of Fractions over an int stays a Fraction
-    acc = sum(mu.weights[G.left_perm(int(s))] for s in gen_ids)
-    return Measure(G, acc / len(gen_ids), mu.exact)
-
-
 @dataclass
 class WalkRow:
     l: int
@@ -190,10 +179,10 @@ def _step(prev: np.ndarray, perms: list[np.ndarray], out: np.ndarray, end: int, 
 def _walk(perms: list[np.ndarray], ends, l_max: int, exact: bool):
     """Yield (l, chi_S^(l)) for l = 0..l_max from vertex 0; exact mode yields the
     Python-int word counts k^l chi_S^(l).  Step l is supported on S^-l; when that lies
-    in the first ends[l] vertices (the ball B_l of a table), only those are gathered
-    and the rest stay +0.0, as in walk_step.  Two buffers alternate: step l is written
-    over step l - 2, whose support B_(l-2) lies in B_l, so a yielded array is rewritten
-    two steps later, and a caller that keeps one copies it."""
+    in the first ends[l] vertices (the ball B_l of a table), only those are gathered and the
+    rest stay +0.0, which a full gather gives there too: a sum of +0.0 weights, over k, is +0.0.
+    Two buffers alternate: step l is written over step l - 2, whose support B_(l-2) lies in
+    B_l, so a yielded array is rewritten two steps later, and a caller that keeps one copies it."""
     if l_max < 0:
         raise ValueError(f"walk length must be >= 0, got {l_max}")
     w = np.zeros(len(perms[0]), dtype=object if exact else float)

@@ -24,9 +24,7 @@ from expanderlab.growth import (
     ProductFrame,
     chain_inequality,
     commutator_identities_check,
-    farah_distance,
     gowers_cover,
-    kernel_displacement,
     nilpotent_recover,
     normal_closure_product,
     orbit_sum_span,
@@ -255,40 +253,45 @@ def test_frame_product_rows_work_cap(frame5, monkeypatch):
     monkeypatch.setattr(growth, "PAIR_WORK_CAP", 120 * 120 - 1)
     with pytest.raises(SizeCapExceeded, match="frame product needs 14400 pair lookups"):
         frame5.product_rows(sec, sec)
-    with pytest.raises(SizeCapExceeded):
-        kernel_displacement(frame5, sec)
     monkeypatch.setattr(growth, "PAIR_WORK_CAP", 120 * 120)
     assert len(frame5.product_rows(sec, sec)) == 120
 
 
-def test_farah_distance():
-    assert farah_distance([0, 0], [0, 0], [25, 49]) == 0.0
-    assert farah_distance([1, 0], [0, 0], [25, 49]) == pytest.approx(math.log(25))
-    assert farah_distance([1, 1], [0, 0], [25, 49]) == pytest.approx(
-        math.log(25) + math.log(49)
-    )
-    with pytest.raises(ValueError):
-        farah_distance([0], [0, 0], [25, 49])
+def test_an_empty_frame_is_refused():
+    with pytest.raises(TableMismatch, match="at least one factor"):
+        ProductFrame([])
 
 
-def test_kernel_displacement_section(frame5):
-    rep = kernel_displacement(frame5, frame5.section_rows())
-    assert rep["eps_hat"] == 0.0
-    assert rep["kernel_hits"] == 1
-
-
-def test_kernel_displacement_full_group(frame5):
+def test_frame_rows_are_checked_against_the_factors(frame5):
     t = frame5.factors[0]
-    rows = np.arange(t.order, dtype=np.int64).reshape(-1, 1)
-    rep = kernel_displacement(frame5, rows)
-    assert rep["eps_hat"] == 1.0
-    assert rep["kernel_hits"] == 25
+    frame = ProductFrame([t, t])
+    # an unchecked row's mixed-radix code wraps: the first rows encode as [2999, 0] and [0, 1]
+    for bad in ([[-1, 1], [3000, 0]], [[0, 3000]], [[0, -1]]):
+        with pytest.raises(NotInGroup, match="must lie in 0..2999"):
+            frame.dedup(bad)
+        with pytest.raises(NotInGroup, match="must lie in 0..2999"):
+            frame.product_rows(bad, [[0, 0]])
+    with pytest.raises(NotInGroup, match="must be integers"):
+        frame.dedup(np.zeros((1, 2)))
+    for width in ([[0]], [[0, 0, 0]], [0, 0]):
+        with pytest.raises(NotInGroup, match="must have 2 coordinates"):
+            frame.dedup(width)
+    sec = frame5.section_rows()
+    u = int(np.flatnonzero(unipotent_mask(t))[1])
+    assert normal_closure_product(frame5, sec, [u])["c"] == 2
+    # a coordinate past the frame's factors would be dropped by zip, giving the answer for [u]
+    with pytest.raises(NotInGroup, match="must have 1 coordinates"):
+        normal_closure_product(frame5, sec, [u, 7])
+    with pytest.raises(NotInGroup, match="must lie in 0..2999"):
+        normal_closure_product(frame5, sec, [3000])
+    with pytest.raises(NotInGroup, match="must lie in 0..2999"):
+        normal_closure_product(frame5, np.vstack([sec, [[-1]]]), [u])
 
 
-def test_kernel_displacement_requires_surjection(frame5):
-    rows = frame5.section_rows()[:5]
+def test_normal_closure_product_requires_surjection(frame5):
+    u = int(np.flatnonzero(unipotent_mask(frame5.factors[0]))[1])
     with pytest.raises(ProjectionNotOnto):
-        kernel_displacement(frame5, rows)
+        normal_closure_product(frame5, frame5.section_rows()[:5], [u])
 
 
 def test_the_lemma_checks_take_no_block_inverse(frame5, monkeypatch):

@@ -29,7 +29,6 @@ from expanderlab.errors import (
     HypothesisViolated,
     NotInGroup,
     NotNormal,
-    ProjectionNotOnto,
     SingularMatrix,
     SizeCapExceeded,
 )
@@ -38,8 +37,6 @@ from expanderlab.growth import (
     ElementSet,
     ModuleAction,
     ProductFrame,
-    farah_distance,
-    kernel_displacement,
     normal_closure_product,
     orbit_sum_subspace,
     product_set,
@@ -83,10 +80,10 @@ from expanderlab.spectral import (
     spectrum,
     trace_moment,
     walk_powers,
-    walk_step,
     walk_trace_side,
 )
 from expanderlab.words import ball_size, certify_free, fixed_line_fraction, fixed_point_fraction, reduced_words
+from oracles import walk_step
 
 FEW = settings(max_examples=25, deadline=None)
 
@@ -1780,61 +1777,6 @@ def test_orbit_sum_subspaces_found_by_code_are_those_of_the_code_sets(data):
     assert got == orbit_sum_subspace_by_code_sets(action, v)
 
 
-def kernel_displacement_row_by_row(frame, rows):
-    """kernel_displacement with farah_distance from the identity row taken per kernel row."""
-    rows = frame.dedup(np.asarray(rows, dtype=np.int64))
-    if not frame.projection_onto_levi(rows):
-        raise ProjectionNotOnto("the set does not project onto the Levi part")
-    aaa = frame.product_rows(frame.product_rows(rows, rows), rows)
-    kernel_rows = aaa[frame.in_kernel(aaa)]
-    log_kernel = sum(math.log(k) for k in frame.kernel_sizes)
-    ident = np.zeros(frame.num_factors, dtype=np.int64)
-    eps = 0.0
-    for r in kernel_rows:
-        eps = max(eps, farah_distance(r, ident, frame.kernel_sizes) / log_kernel)
-    return {"eps_hat": eps, "kernel_hits": len(kernel_rows), "aaa_size": len(aaa), "log_kernel": log_kernel}
-
-
-@FEW
-@given(factors=st.sampled_from([["borel"], ["borel", "borel"], ["borel", "heisenberg"]]), data=st.data())
-def test_kernel_distances_at_once_are_the_row_by_row_distances(factors, data):
-    tables = {"borel": SPECTRUM_TABLES["semidirect borel 5"],
-              "heisenberg": SEMIDIRECT_TABLES["sl2 mod 3 on heisenberg 3"]}
-    frame = ProductFrame([tables[f] for f in factors])
-    # a row with Levi coordinates where the others are not moves only some coordinates off the kernel
-    coords = [st.sampled_from(np.flatnonzero(levi_mask(t)).tolist()) | st.integers(0, t.order - 1) for t in frame.factors]
-    extra = data.draw(st.lists(st.tuples(*coords), max_size=6))
-    rows = np.array(extra, dtype=np.int64).reshape(-1, len(factors))
-    if data.draw(st.booleans()):
-        rows = np.concatenate([frame.section_rows(), rows])
-    try:
-        expected = kernel_displacement_row_by_row(frame, rows)
-    except ProjectionNotOnto:
-        with pytest.raises(ProjectionNotOnto):
-            kernel_displacement(frame, rows)
-        return
-    assert kernel_displacement(frame, rows) == expected
-
-
-def displacement_or_refusal(f, frame, rows):
-    try:
-        return f(frame, rows)
-    except (ProjectionNotOnto, SizeCapExceeded) as e:
-        return type(e), str(e)
-
-
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("p7", [False, True], ids=["lemmas 5", "lemmas 5 x lemmas 7"])
-def test_kernel_distances_at_once_on_the_lemmas_frames(p7, seed):
-    # with the p = 7 factor the section's products pass PAIR_WORK_CAP and random rows miss L: both refuse
-    frame = ProductFrame([PRODUCT_TABLES["lemmas semidirect 5"]] + [lemmas_semidirect_7()] * p7)
-    rng = np.random.default_rng(seed)
-    random_rows = np.stack([rng.integers(0, t.order, size=10 * (seed + 1)) for t in frame.factors], axis=1)
-    for rows in (frame.section_rows(), random_rows, np.concatenate([frame.section_rows(), random_rows])):
-        assert (displacement_or_refusal(kernel_displacement, frame, rows)
-                == displacement_or_refusal(kernel_displacement_row_by_row, frame, rows))
-
-
 # ----- public names -----
 
 PUBLIC = [
@@ -1843,9 +1785,9 @@ PUBLIC = [
     "ball_size", "borel_subgroup", "certify_free", "chain_inequality", "cheeger_bracket",
     "commutator_identities_check", "conjugacy_classes", "convolve", "crt_tuple",
     "cyclic_group", "direct_product", "edge_expansion_exact", "escape_profile",
-    "farah_distance", "fixed_line_fraction", "fixed_point_fraction", "flatten_check",
+    "fixed_line_fraction", "fixed_point_fraction", "flatten_check",
     "generate_group", "gowers_cover", "heisenberg_group", "index_product_check",
-    "is_perfect", "kernel_displacement", "kesten_return", "kesten_series",
+    "is_perfect", "kesten_return", "kesten_series",
     "kesten_upper_bound", "lower_central_series", "nilpotent_recover", "normal_closure",
     "normal_closure_product", "normal_subgroups", "orbit_sum_span", "orbit_sum_subspace",
     "product_decompose", "product_set", "radial_distribution", "random_symmetric_set",
@@ -1922,8 +1864,6 @@ SIGNATURES = {
     "chain_inequality": "(A, C)",
     "gowers_cover": "(B1, B2, B3, d_min)",
     "ProductFrame": "(factors)",
-    "farah_distance": "(g1, g2, kernel_sizes)",
-    "kernel_displacement": "(frame, rows)",
     "normal_closure_product": "(frame, rows, g_row)",
     "ModuleAction": "(p, dim, generators=<factory>)",
     "orbit_sum_subspace": "(action, v)",

@@ -34,9 +34,9 @@ from expanderlab.spectral import (
     trace_moment,
     walk_flatten_exponent,
     walk_powers,
-    walk_step,
     walk_trace_side,
 )
+from oracles import walk_step
 
 
 def lubotzky_gens(t=3):
