@@ -223,10 +223,11 @@ class ProductFrame:
         return len(self.factors)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        a, b = self._rows(a), self._rows(b)
         return np.stack([t.mul_vec(x, y) for t, x, y in zip(self.factors, a.T, b.T)], axis=1)
 
     def inv(self, a: np.ndarray) -> np.ndarray:
-        return np.stack([t.inv_vec(x) for t, x in zip(self.factors, a.T)], axis=1)
+        return np.stack([t.inv_vec(x) for t, x in zip(self.factors, self._rows(a).T)], axis=1)
 
     def _rows(self, rows) -> np.ndarray:
         """The rows as int64, one column per factor; NotInGroup for another row width, whose
@@ -245,6 +246,7 @@ class ProductFrame:
 
     def in_kernel(self, rows: np.ndarray) -> np.ndarray:
         """Mask of rows with trivial Levi part in every factor."""
+        rows = self._rows(rows)
         mask = np.ones(len(rows), dtype=bool)
         for t, c, r in zip(self.factors, self._levi_codes, rows.T):
             mask &= c[r] == c[t.identity_id]
@@ -253,7 +255,7 @@ class ProductFrame:
     def levi_code(self, rows: np.ndarray) -> np.ndarray:
         """Combined code of the per-factor Levi projections, in the radix of
         the factor orders (a safe bound on the distinct Levi codes)."""
-        return sum(w * c[r] for c, w, r in zip(self._levi_codes, self.weights, rows.T))
+        return sum(w * c[r] for c, w, r in zip(self._levi_codes, self.weights, self._rows(rows).T))
 
     def projection_onto_levi(self, rows: np.ndarray) -> bool:
         return len(_distinct(self.levi_code(rows))) == math.prod(self.levi_sizes)

@@ -9,8 +9,8 @@ mixed-radix encoding of the digit row, so tables are deterministic.
 
 One BFS routine builds every table kind and its one id lookup, also its
 seen-set: a dense int32 key-to-id array for a key space of at most
-ID_INDEX_CAP = 2^25 keys, else int32 ids beside sorted keys, int32 below 2^31
-(SL2 mod 97), which a level costs one search and one in-place sort of int64
+ID_INDEX_CAP = 2^23 keys, else int32 ids beside sorted keys, int32 below 2^31
+(SL2 mod 59-97), which a level costs one search and one in-place sort of int64
 values key << b | position (b bits for a position), or an argsort of the keys
 where those could pass 62 bits (int64 keys: a 4x4 table mod 13).  A key is the
 mixed-radix code of the digit row; in a table with factors (mod a composite q,
@@ -26,11 +26,12 @@ lookups; a table with factors runs it on rows of factor ids, in the factors'
 recorded translations, and keeps them; other tables decode digit rows from
 their keys on first read, which a walk never does (SL2 mod 97 holds 36.5 MB).
 
-A table of at most PRODUCT_TABLE_CAP = 4096 elements answers mul_vec
-from an int16 product table, 2 bytes per pair, whose row b is x -> x b (a
-product set A B reads |B| rows), built on first use outward from the
-identity's row, the row of g y as the row of y at the ids x g, and inv_vec
-from a cached inverse permutation.
+A table of n <= PRODUCT_TABLE_CAP = 4096 elements answers mul_vec as a
+larger one does (below) until a call asks for n pairs or the n-th call comes.
+That call builds an int16 product table, 2 bytes per pair, which answers it
+and every later one: row b is x -> x b (a product set A B reads |B| rows),
+filled outward from the identity's row, the row of g y as the row of y at the
+ids x g.  Such a table answers inv_vec from a cached inverse permutation.
 
 Other products and inverses, the inverse permutation and every translation
 come, in a table with factors, from the same operation in each factor at its
@@ -74,7 +75,7 @@ from .exact import (
 )
 
 DEFAULT_ELEMENT_CAP = 2_000_000  # EXPANDERLAB_CAP_ELEMS overrides it
-ID_INDEX_CAP = 1 << 25
+ID_INDEX_CAP = 1 << 23
 PRODUCT_TABLE_CAP = 4096
 NORMAL_SUBGROUP_CAP = 100_000
 CENTRAL_SERIES_CAP = 4096
@@ -190,6 +191,7 @@ class GroupTable:
         self.level_ends = level_ends
         self._digit_bounds = radices.astype(np.uint64)
         self._perm_cache: dict[tuple[str, int], np.ndarray] = {}
+        self._kernel_calls = 0  # mul_vec calls made before the product table exists
         self._factors, self._factor_ids = [], None  # the factor tables and (r, order) ids, set by _bfs_table
 
     @functools.cached_property
@@ -241,6 +243,12 @@ class GroupTable:
         b = np.asarray(b_ids, dtype=np.int64)
         if self.order > PRODUCT_TABLE_CAP:
             return self._apply("mul_vec", a, b)
+        if ("P", 0) not in self._perm_cache:
+            # the n^2 table pays once a call asks for n pairs or the n-th call comes: a few small
+            # calls (the normal subgroups of the lemmas group) read far fewer of its entries
+            self._kernel_calls += 1
+            if self._kernel_calls < self.order and math.prod(np.broadcast_shapes(a.shape, b.shape)) < self.order:
+                return self._apply("mul_vec", a, b)
         P = self._products()  # row b is x -> x b
         # an outer product copies b's rows and reads a's ids in them, unless b is the longer
         # side: then (a few ids times a subgroup) the copy would be most of the table

@@ -550,6 +550,16 @@ def test_lemmas_reads_its_trial_cap_when_it_runs(monkeypatch, capsys):
     assert capsys.readouterr().err == "error[ValueError]: lemmas runs at most 3 trials, got --samples 4\n"
 
 
+def test_lemmas_leaves_the_product_table_of_its_semidirect_group_unbuilt(monkeypatch, capsys):
+    # its normal subgroups read a few thousand of the 9M products of the order-3,000 group
+    build, built = quotient.semidirect_group, []
+    monkeypatch.setattr(quotient, "semidirect_group", lambda spec: built.append(build(spec)) or built[-1])
+    assert main(["lemmas", "--p", "5", "--samples", "3"]) == EXIT_OK
+    capsys.readouterr()
+    [GS] = built
+    assert GS.order == 3000 and ("P", 0) not in GS._perm_cache
+
+
 @pytest.mark.parametrize("argv,message", [
     (["lemmas", "--samples", "0"], "lemmas needs --samples >= 1, got 0"),
     (["lemmas", "--samples", "-1"], "lemmas needs --samples >= 1, got -1"),

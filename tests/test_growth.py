@@ -288,6 +288,36 @@ def test_frame_rows_are_checked_against_the_factors(frame5):
         normal_closure_product(frame5, np.vstack([sec, [[-1]]]), [u])
 
 
+# unchecked, -1 wrapped to id 2999 and 3000 indexed past the Levi codes
+
+
+def test_frame_mul_checks_its_rows(frame5):
+    assert frame5.mul(np.array([[1]]), np.array([[0]])).tolist() == [[1]]
+    for a, b in (([[-1]], [[0]]), ([[0]], [[3000]])):
+        with pytest.raises(NotInGroup, match="must lie in 0..2999"):
+            frame5.mul(np.array(a), np.array(b))
+
+
+def test_frame_inv_checks_its_rows(frame5):
+    assert frame5.inv(np.array([[0]])).tolist() == [[0]]
+    with pytest.raises(NotInGroup, match="must lie in 0..2999"):
+        frame5.inv(np.array([[-1]]))
+
+
+def test_frame_in_kernel_checks_its_rows(frame5):
+    assert frame5.in_kernel(np.array([[0]])).tolist() == [True]
+    for bad in ([[3000]], [[-1]], [[0, 0]]):
+        with pytest.raises(NotInGroup):
+            frame5.in_kernel(np.array(bad))
+
+
+def test_frame_levi_code_checks_its_rows(frame5):
+    assert frame5.levi_code(np.array([[0]])).tolist() == [frame5._levi_codes[0][0]]
+    for bad in ([[3000]], [[-1]], [[0, 0]]):
+        with pytest.raises(NotInGroup):
+            frame5.levi_code(np.array(bad))
+
+
 def test_normal_closure_product_requires_surjection(frame5):
     u = int(np.flatnonzero(unipotent_mask(frame5.factors[0]))[1])
     with pytest.raises(ProjectionNotOnto):

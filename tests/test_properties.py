@@ -967,6 +967,21 @@ def test_the_sorted_index_builds_the_dense_index_table(name, monkeypatch):
     assert np.array_equal(G._index.lookup(keys), dense._index.lookup(keys))
 
 
+def test_sl2_mod_61_takes_the_sorted_index_and_builds_the_dense_index_table(monkeypatch):
+    gens = builtin_generators("lubotzky3")
+    assert 47**4 <= ID_INDEX_CAP < 59**4
+    G = generate_group(gens, 61)
+    monkeypatch.setattr(quotient, "ID_INDEX_CAP", 1 << 25)
+    dense = generate_group(gens, 61)
+    assert G._index.codes is not None and G._index.codes.dtype == np.int32 and dense._index.codes is None
+    assert np.array_equal(G._index.keys(), dense._index.keys())
+    assert np.array_equal(G.level_ends, dense.level_ends)
+    assert np.array_equal(G.generator_ids, dense.generator_ids)
+    for s in G.generator_ids.tolist():
+        assert np.array_equal(G._perm_cache["L", s], dense._perm_cache["L", s])
+    assert np.array_equal(G.digits, dense.digits)
+
+
 @pytest.mark.parametrize("p,dtype", [(7, np.int32), (13, np.int64)])
 def test_the_sorted_index_keys_are_int32_below_2_to_the_31(p, dtype):
     assert ID_INDEX_CAP < 7**9 < 2**31 < 13**9
@@ -1022,16 +1037,21 @@ def test_the_packed_sort_and_the_argsort_place_a_level_alike(start, level):
 
 # ----- the product table of small groups -----
 
+
+def lemmas_semidirect_5():
+    """The semidirect group of the lemmas subcommand at p = 5, of order 3,000."""
+    return semidirect_group(
+        SemidirectSpec(p=5, l_gens=[ModMatrix([[1, 3], [0, 1]], 5), ModMatrix([[1, 0], [3, 1]], 5)])
+    )
+
+
 PRODUCT_TABLES = {
     **SPECTRUM_TABLES,
     "unsymmetrized mod 7": generate_group(
         rational([[1, 1], [0, 1]], [[1, 0], [1, 1]]), 7, symmetrize=False
     ),
     "sl2 mod 5": generate_group(builtin_generators("lubotzky3"), 5),
-    # the semidirect group of the lemmas subcommand at p = 5, of order 3,000
-    "lemmas semidirect 5": semidirect_group(
-        SemidirectSpec(p=5, l_gens=[ModMatrix([[1, 3], [0, 1]], 5), ModMatrix([[1, 0], [3, 1]], 5)])
-    ),
+    "lemmas semidirect 5": lemmas_semidirect_5(),
 }
 
 
@@ -1195,14 +1215,47 @@ def test_the_product_table_is_built_only_by_mul_vec_and_only_up_to_the_cap():
     walk_powers(G, 6, exact=True)
     # spectra and walks never multiply ids, so they never pay for the n^2 table
     assert ("P", 0) not in G._perm_cache
+    # a call of fewer than order pairs takes the row kernels, and one of order pairs builds the table
     G.mul_vec(0, 1)
+    G.mul_vec(np.arange(G.order - 1), 1)
+    assert ("P", 0) not in G._perm_cache
+    G.mul_vec(1, np.arange(G.order))
     assert G._perm_cache["P", 0].dtype == np.int16
     assert G._perm_cache["P", 0].shape == (G.order, G.order)
+    # so does the order-th call, however small
+    H = generate_group(builtin_generators("lubotzky3"), 5)
+    for x in range(H.order - 1):
+        H.mul_vec(x, 1)
+    assert ("P", 0) not in H._perm_cache
+    H.mul_vec(0, 1)
+    assert H._perm_cache["P", 0].shape == (H.order, H.order)
     big = heisenberg_group(17)
     assert big.order > quotient.PRODUCT_TABLE_CAP
     every = np.arange(big.order)
     assert (big.mul_vec(every, big.inv_vec(every)) == big.identity_id).all()
     assert ("P", 0) not in big._perm_cache and ("I", 0) not in big._perm_cache
+
+
+# the product table is built on the first call of at least order pairs, or on the order-th call
+KERNELS_FIRST = {"lemmas semidirect 5": lemmas_semidirect_5, "sl2 mod 7": sl2_7}
+
+
+@FEW
+@given(name=st.sampled_from(sorted(KERNELS_FIRST)), data=st.data())
+def test_mul_vec_gives_the_same_ids_before_and_after_the_product_table(name, data):
+    G = KERNELS_FIRST[name]()
+    ids = st.lists(st.integers(0, G.order - 1), max_size=16).map(lambda x: np.array(x, dtype=np.int64))
+    a, b = data.draw(ids), data.draw(ids)
+    g = data.draw(st.integers(0, G.order - 1))
+    calls = [(a[:, None], b), (a[: len(b)], b[: len(a)]), (g, b), (a, g), (g, g), (a[:0, None], b)]
+    before = [G.mul_vec(*args) for args in calls]
+    assert ("P", 0) not in G._perm_cache
+    G.mul_vec(np.arange(G.order), g)
+    assert ("P", 0) in G._perm_cache
+    for args, want in zip(calls, before):
+        got = G.mul_vec(*args)
+        assert got.dtype == want.dtype == np.int64
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 # ----- products through the per-prime factors of composite tables -----

@@ -450,8 +450,18 @@ def test_composite_tables_have_one_factor_path(monkeypatch, capsys):
     again, again_report = product_decompose(G)
     assert again_report == report and all(F is F2 for F, F2 in zip(factors, again))
     assert G.mul_vec(1, 2) == G.mul(1, 2) and G.inv_vec(3) == G.inv(3)
-    # products and inverses went through the same factors' tables
-    assert all(("P", 0) in F._perm_cache and ("I", 0) in F._perm_cache for F in factors)
+    # products and inverses went through the same factors: one-pair products by their kernels,
+    # inverses by their inverse permutations
+    assert all(("P", 0) not in F._perm_cache and ("I", 0) in F._perm_cache for F in factors)
+    # a call of order pairs builds a factor's product table, and so does its order-th call
+    small, big = factors
+    G.mul_vec(np.arange(small.order), 2)
+    assert ("P", 0) in small._perm_cache and ("P", 0) not in big._perm_cache
+    for _ in range(big.order - 4):  # after the three calls above
+        G.mul_vec(1, 2)
+    assert ("P", 0) not in big._perm_cache
+    G.mul_vec(1, 2)
+    assert ("P", 0) in big._perm_cache
     H = subgroup_closure(G, [int(i) for i in G.generator_ids])
     assert index_product_check(G, H)["lhs"] == 1
     monkeypatch.undo()
