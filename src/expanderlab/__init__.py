@@ -77,7 +77,6 @@ _EXPORTS = {
     "orbit_sum_span": "growth",
     "nilpotent_recover": "growth",
     "random_transversal": "growth",
-    "commutator_identities_check": "growth",
 }
 
 __all__ = sorted(_EXPORTS) + ["__version__", "errors"]

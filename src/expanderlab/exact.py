@@ -297,6 +297,8 @@ def reduce_mod_p(M: RationalMatrix, p: int) -> ModMatrix:
     This is a ring homomorphism on matrices whose denominators avoid p,
     so reduce(MN) = reduce(M) reduce(N).
     """
+    if prime_factors(p) != [p]:  # the inverse is by Fermat
+        raise BadPrime(f"reduction mod p needs a prime p, got {p}")
     rows = []
     for row in M.rows:
         out = []

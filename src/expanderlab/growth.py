@@ -353,6 +353,8 @@ class ModuleAction:
     def __post_init__(self):
         if prime_factors(self.p) != [self.p]:
             raise BadPrime(f"a module over F_p needs a prime p, got {self.p}")
+        if self.dim < 1:
+            raise ValueError(f"a module needs a dimension of at least 1, got {self.dim}")
         mats = []
         for g in self.generators:
             m = np.asarray(g, dtype=np.int64) % self.p
@@ -373,8 +375,14 @@ class ModuleAction:
         """All images of v under the generated group, as (n, m) coords, in BFS
         level then code order."""
         mats = np.array(self.generators, dtype=np.int64).reshape(-1, self.dim, self.dim)
-        v = np.asarray(v, dtype=np.int64).reshape(1, -1) % self.p
-        return _vector_orbit(mats, v, self.p, _element_cap())[0]
+        return _vector_orbit(mats, self._vector(v)[None], self.p, _element_cap())[0]
+
+    def _vector(self, v) -> np.ndarray:
+        """v's coordinates mod p, refused unless there are dim of them."""
+        v = np.asarray(v, dtype=np.int64).ravel()
+        if len(v) != self.dim:
+            raise ValueError(f"a vector of this module has {self.dim} coordinates, got {len(v)}")
+        return v % self.p
 
     def submodule_spanned_by(self, v: np.ndarray) -> np.ndarray:
         """All p^r vectors of the H-submodule generated by v."""
@@ -406,7 +414,7 @@ def orbit_sum_subspace(action: ModuleAction, v) -> dict:
     """Smallest c for which the c-fold sumset of the orbit H.v contains a
     nonzero H-subspace.  Sums of at most c orbit elements, empty sum
     included, so 0 always belongs."""
-    v = np.asarray(v, dtype=np.int64) % action.p
+    v = action._vector(v)
     if not v.any():
         raise ZeroVector("orbit sums start from a nonzero vector")
     if action.has_fixed_vector():
@@ -438,7 +446,7 @@ def orbit_sum_span(action: ModuleAction, v) -> dict:
     """Minimal c <= PRODUCT_DEPTH_CAP with the c-fold orbit sumset equal
     to the H-submodule generated by v."""
     _reject_one_dim_module(action)
-    v = np.asarray(v, dtype=np.int64) % action.p
+    v = action._vector(v)
     if not v.any():
         return {"c": 0, "holds": True, "submodule_size": 1}
     p = action.p
@@ -506,19 +514,3 @@ def random_transversal(U: GroupTable, rng: np.random.Generator) -> ElementSet:
     by_coset, sizes = np.argsort(labels, kind="stable"), np.bincount(labels)  # each coset's ids ascending
     return ElementSet.from_ids(U, by_coset[np.cumsum(sizes) - sizes + rng.integers(0, sizes)])
 
-
-def commutator_identities_check(G: GroupTable, trials: int, seed: int = 0) -> bool:
-    """[x,yz] = [x,z][x,y]^z and [xy,z] = [x,z]^y [y,z] on random triples."""
-    rng = np.random.default_rng(seed)
-    x = rng.integers(0, G.order, size=trials)
-    y = rng.integers(0, G.order, size=trials)
-    z = rng.integers(0, G.order, size=trials)
-
-    def conj(a, b):  # a^b = b^-1 a b
-        return G.mul_vec(G.mul_vec(G.inv_vec(b), a), b)
-
-    lhs1 = G.comm_vec(x, G.mul_vec(y, z))
-    rhs1 = G.mul_vec(G.comm_vec(x, z), conj(G.comm_vec(x, y), z))
-    lhs2 = G.comm_vec(G.mul_vec(x, y), z)
-    rhs2 = G.mul_vec(conj(G.comm_vec(x, z), y), G.comm_vec(y, z))
-    return bool(np.array_equal(lhs1, rhs1) and np.array_equal(lhs2, rhs2))

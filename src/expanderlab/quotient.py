@@ -37,11 +37,11 @@ Other products and inverses, the inverse permutation and every translation
 come, in a table with factors, from the same operation in each factor at its
 factor ids, mapped back by rank; in any other table, from its callbacks.
 
-Subgroups and a subgroup's commutator subgroup come from one BFS from the identity
-that multiplies by the generators and conjugates by a second id set in each step,
-deduplicated by a mask, until past half the group.  Conjugacy classes come from one
-labelling that lowers each element's label to its class's least element, kept on the
-table; a normal closure is a BFS over classes, and normal subgroups are the normal
+A subgroup comes from one BFS from the identity that multiplies by its generators,
+deduplicated by a mask, until past half the group; a record reads its normality and
+perfection off products of generators, s x s^-1 and [s, h].  Conjugacy classes come
+from one labelling that lowers each element's label to its class's least element, kept
+on the table; a normal closure is a BFS over classes, and normal subgroups are the normal
 closures of one element per class, joined in pairs unless a found one is the join.
 """
 from __future__ import annotations
@@ -823,19 +823,23 @@ class SubgroupRecord:
 
     @functools.cached_property
     def normal(self) -> bool:
-        """Whether the generators' conjugates by the group's generators, which reach all of G, stay in H."""
-        G = self.parent
-        return all(self.member[G.conj_perm(s)[self.generator_ids]].all() for s in G.generator_ids.tolist())
+        """Whether s x s^-1 lies in H for every generator s of G and x of H: then s H s^-1, generated
+        by those, is H, and products of the s reach all of G.  (A normal record holds them anyway.)"""
+        G, S = self.parent, self.parent.generator_ids
+        conjugates = G.mul_vec(G.mul_vec(S[:, None], self.generator_ids), G.inv_vec(S)[:, None])
+        return bool(self.member[conjugates].all())
 
     @functools.cached_property
     def perfect(self) -> bool:
-        """Whether H = [H, H].  For a normal H, [H, H] is normal in G, and modulo the normal closure of the
-        [s, h], s a generator and h in H, the conjugates of s, which generate H, commute with H: so [H, H]
-        is that closure.  Otherwise [H, H] is the closure of [S, S] under conjugation by S."""
+        """Whether H = [H, H].  The [s, h], s a generator of H and h in H, generate [H, H]: as
+        [s, h h'] = [s, h'] [s, h]^h', they generate a normal N of H, and H / N is abelian, generated
+        by the central s N.  A normal record's generators generate H only as a normal subgroup; there
+        [H, H], normal in G, is the normal closure of the [s, h], as modulo it the s and their
+        conjugates, which generate H, are central."""
         G, S = self.parent, self.generator_ids
-        if self.normal:
-            return len(normal_closure(G, G.comm_vec(S[:, None], self.element_ids))) == self.size
-        return len(_closure_ids(G, G.comm_vec(S[:, None], S), S)) == self.size
+        commutators = G.comm_vec(S[:, None], self.element_ids)
+        closure = normal_closure(G, commutators) if self.normal else _closure_ids(G, commutators)
+        return len(closure) == self.size
 
     def __contains__(self, i: int) -> bool:
         return bool(self.member[i])
@@ -846,20 +850,16 @@ class SubgroupRecord:
         return self.parent is other.parent and np.array_equal(self.element_ids, other.element_ids)
 
 
-def _closure_ids(G: GroupTable, gen_ids, conj_ids=()) -> np.ndarray:
-    """Element ids of the smallest subgroup holding gen_ids and closed under conjugation by
-    conj_ids, by one BFS from the identity: each step multiplies on the right by the symmetrized
-    generators and conjugates by each conj_ids element.  A set holding e and closed under both
-    holds y (c s c^-1) = c ((c^-1 y c) s) c^-1, as conjugation by c^-1 is a power of conjugation
-    by c, so it is a group.  The walk stops past half the group, which is then the whole group."""
+def _closure_ids(G: GroupTable, gen_ids) -> np.ndarray:
+    """Element ids of the subgroup generated by gen_ids, by one BFS from the identity: each step
+    multiplies on the right by the symmetrized generators.  The walk stops past half the group,
+    which is then the whole group."""
     gens = _distinct(np.asarray(gen_ids, dtype=np.int64))
     gens = _distinct(np.concatenate([gens, G.inv_vec(gens)]))
-    conj = [G.conj_perm(int(c)) for c in _distinct(np.asarray(conj_ids, dtype=np.int64))]
     member = G.mask(G.identity_id)
     frontier = np.array([G.identity_id], dtype=np.int64)
     while frontier.size:
-        moves = [G.mul_vec(frontier[:, None], gens).ravel()] + [cp[frontier] for cp in conj]
-        fresh = G.mask(np.concatenate(moves)) & ~member
+        fresh = G.mask(G.mul_vec(frontier[:, None], gens)) & ~member
         member |= fresh
         frontier = np.flatnonzero(fresh)
         if 2 * member.sum() > G.order:

@@ -65,8 +65,10 @@ def _sphere_numerators(M: int, k: int) -> Iterator[list[int]]:
 
     One step from distance 0 goes to distance 1 with probability 1; from
     distance l >= 1 it drops to l-1 with probability 1/(2M) and grows to
-    l+1 with probability (2M-1)/(2M).
+    l+1 with probability (2M-1)/(2M).  A negative k is refused.
     """
+    if k < 0:
+        raise ValueError("step count must be nonnegative")
     D = 2 * M
     n = [0] * (k + 2)
     n[0] = 1
@@ -89,8 +91,6 @@ def _sphere_numerators(M: int, k: int) -> Iterator[list[int]]:
 def kesten_return(M: int, k: int) -> Fraction:
     """Exact return probability of the uniform walk on the free group F_M
     after k steps (zero for odd k)."""
-    if k < 0:
-        raise ValueError("step count must be nonnegative")
     for n in _sphere_numerators(M, k):
         pass
     return Fraction(n[0], (2 * M) ** k)
@@ -99,8 +99,6 @@ def kesten_return(M: int, k: int) -> Fraction:
 def kesten_series(M: int, n: int) -> list[Fraction]:
     """The even-step return probabilities [P_2, P_4, ..., P_2n] of the
     uniform walk on F_M, from one sweep; P_2k equals kesten_return(M, 2k)."""
-    if n < 0:
-        raise ValueError("step count must be nonnegative")
     D = 2 * M
     return [
         Fraction(num[0], D**j)
@@ -130,6 +128,8 @@ def kesten_upper_bound(M: int, k: int) -> Fraction:
     Fekete's lemma P_2k^(1/k) never exceeds its limit, which is Kesten's
     (2M-1)/M^2.
     """
+    if k < 0:
+        raise ValueError("step count must be nonnegative")
     return Fraction(2 * M - 1, M * M) ** k
 
 

@@ -23,7 +23,6 @@ from expanderlab.growth import (
     ModuleAction,
     ProductFrame,
     chain_inequality,
-    commutator_identities_check,
     gowers_cover,
     nilpotent_recover,
     normal_closure_product,
@@ -394,6 +393,19 @@ def test_module_action_refuses_a_modulus_that_is_not_prime():
         ModuleAction(9, 2, [np.array([[1, 3], [0, 1]]), np.array([[1, 0], [3, 1]])])
 
 
+def test_module_action_refuses_a_dimension_below_one():
+    with pytest.raises(ValueError, match="^a module needs a dimension of at least 1, got 0$"):
+        ModuleAction(7, 0, [])
+
+
+@pytest.mark.parametrize("op", [ModuleAction.orbit, orbit_sum_subspace, orbit_sum_span])
+@pytest.mark.parametrize("v", [[1, 0, 0], [0, 0, 0], [1]])
+def test_module_vectors_of_another_length_are_refused(op, v):
+    # else numpy's reshape or matmul error would surface, and the zero vector of F_7^3 would pass as one of F_7^2
+    with pytest.raises(ValueError, match=f"^a vector of this module has 2 coordinates, got {len(v)}$"):
+        op(sl2_f7_action(), v)
+
+
 def test_a_module_with_no_generators_has_invariant_lines():
     with pytest.raises(HypothesisViolated):
         orbit_sum_span(ModuleAction(7, 2, []), [1, 0])
@@ -539,7 +551,3 @@ def test_derived_cosets_are_cached_on_the_table():
     labels3, n_cosets3 = _derived_cosets(V)
     assert n_cosets3 == 9
     assert np.array_equal(labels3, coset_labels(V, lower_central_series(V)[1]))
-
-
-def test_commutator_identities(sl2_5):
-    assert commutator_identities_check(sl2_5, trials=200, seed=3)

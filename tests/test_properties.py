@@ -1459,9 +1459,15 @@ def test_normal_closure_over_classes_is_the_conjugation_closure(name, proper, da
     seeds = np.array(data.draw(st.lists(picks, max_size=3)), dtype=np.int64)
     got = normal_closure(G, seeds)
     assert got.dtype == np.int64 and (np.diff(got) > 0).all()
-    assert np.array_equal(got, quotient._closure_ids(G, seeds, G.generator_ids))
+    assert np.array_equal(got, subgroup_closure(G, all_conjugates(G, seeds).ravel()).element_ids)
     member = G.mask(got)
     assert all(member[c].all() or not member[c].any() for c in conjugacy_classes(G))
+
+
+def flags_by_their_definitions(G, H):
+    """(normal, perfect): g h g^-1 in H for every g in G and h in H, and H generated by the [h, h']."""
+    derived = brute_subgroup(G, G.comm_vec(H.element_ids[:, None], H.element_ids).ravel())
+    return bool(H.member[all_conjugates(G, H.element_ids)].all()), len(derived) == H.size
 
 
 @FEW
@@ -1471,9 +1477,38 @@ def test_subgroup_flags_match_their_definitions(name, data):
     seeds = closure_seeds(G, data)
     H = subgroup_closure(G, seeds)
     assert np.array_equal(H.element_ids, brute_subgroup(G, seeds))
-    assert H.normal == bool(H.member[all_conjugates(G, H.element_ids)].all())
-    derived = brute_subgroup(G, G.comm_vec(H.element_ids[:, None], H.element_ids).ravel())
-    assert H.perfect == (len(derived) == H.size)
+    assert (H.normal, H.perfect) == flags_by_their_definitions(G, H)
+
+
+def flags_with_no_conjugation_permutation(H):
+    """(normal, perfect) of H, read while conj_perm fails."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quotient.GroupTable, "conj_perm", lambda *a: pytest.fail("a conjugation permutation was built"))
+        return H.normal, H.perfect
+
+
+SL2_13 = generate_group(builtin_generators("lubotzky3"), 13)
+
+
+@pytest.mark.parametrize("record", [borel_subgroup, torus_subgroup], ids=["borel", "torus"])
+def test_named_subgroup_flags_are_products_of_generators(record):
+    H = record(SL2_13)
+    assert flags_with_no_conjugation_permutation(H) == flags_by_their_definitions(SL2_13, H) == (False, False)
+
+
+@FEW
+@given(data=st.data())
+def test_flags_of_subgroups_that_are_not_normal_are_products_of_generators(data):
+    # Levi elements generate a subgroup of L, which moves U; with a unipotent one it may reach G
+    G = CLOSURE_TABLES["lemmas semidirect 5"]
+    levi, unipotent = np.flatnonzero(levi_mask(G)).tolist(), np.flatnonzero(unipotent_mask(G)).tolist()
+    seeds = data.draw(st.lists(st.sampled_from(levi), min_size=1, max_size=2)) + data.draw(
+        st.lists(st.sampled_from(unipotent), max_size=1))
+    H = subgroup_closure(G, seeds)
+    assume(H.size < G.order)
+    want = flags_by_their_definitions(G, H)
+    assume(not want[0])
+    assert flags_with_no_conjugation_permutation(H) == want
 
 
 @pytest.mark.parametrize("name", ["sl2 mod 5", "lemmas semidirect 5"])
@@ -1836,8 +1871,8 @@ PUBLIC = [
     "CayleyGraph", "ElementSet", "GroupTable", "Measure", "ModMatrix", "ModuleAction",
     "PrimeSet", "ProductFrame", "RationalMatrix", "SemidirectSpec", "SubgroupRecord",
     "ball_size", "borel_subgroup", "certify_free", "chain_inequality", "cheeger_bracket",
-    "commutator_identities_check", "conjugacy_classes", "convolve", "crt_tuple",
-    "cyclic_group", "direct_product", "edge_expansion_exact", "escape_profile",
+    "conjugacy_classes", "convolve", "crt_tuple", "cyclic_group", "direct_product",
+    "edge_expansion_exact", "escape_profile",
     "fixed_line_fraction", "fixed_point_fraction", "flatten_check",
     "generate_group", "gowers_cover", "heisenberg_group", "index_product_check",
     "is_perfect", "kesten_return", "kesten_series",
@@ -1923,7 +1958,6 @@ SIGNATURES = {
     "orbit_sum_span": "(action, v)",
     "nilpotent_recover": "(U, A)",
     "random_transversal": "(U, rng)",
-    "commutator_identities_check": "(G, trials, seed=0)",
 }
 
 

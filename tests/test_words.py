@@ -97,6 +97,13 @@ def test_kesten_upper_bound_dominates():
         assert kesten_return(2, 2 * k) <= kesten_upper_bound(2, k)
 
 
+@pytest.mark.parametrize("count", [kesten_return, kesten_series, radial_distribution, kesten_upper_bound])
+def test_step_counts_below_zero_are_refused(count):
+    # at k = -1 the closed forms give radial_distribution [] and kesten_upper_bound 4/3, a bound above 1
+    with pytest.raises(ValueError, match="^step count must be nonnegative$"):
+        count(2, -1)
+
+
 def test_certify_free_lubotzky():
     free, witness = certify_free(lubotzky_pair(3), 10)
     assert free and witness is None
