@@ -1,8 +1,9 @@
 """Exact rational and modular matrix arithmetic.
 
-Everything in this module is arbitrary precision: scalars are
-`fractions.Fraction`, modular entries are Python ints.  Floating point
-is confined to the spectral module.
+Everything in this module is exact: scalars are `fractions.Fraction`,
+modular entries are Python ints.  Row reduction mod p works on int64
+arrays below p = 2^31 and on Python ints above, and loads numpy on its
+first call.  Floating point is confined to the spectral module.
 """
 from __future__ import annotations
 
@@ -45,28 +46,18 @@ def square_free_factors(q: int) -> list[int]:
     return factors
 
 
-def padic_val(r: Rational, p: int) -> int:
-    """p-adic valuation v_p(r); raises on r = 0 (valuation is +infinity)."""
-    if r == 0:
-        raise ZeroDivisionError("v_p(0) is infinite")
-    v = 0
-    num, den = r.numerator, r.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
-
-
 def padic_abs(r: Rational | int, p: int) -> Rational:
-    """p-adic absolute value |r|_p = p^(-v_p(r)), with |0|_p = 0."""
+    """p-adic absolute value |r|_p: the p-part of r's denominator over the
+    p-part of its numerator, with |0|_p = 0."""
     r = Fraction(r)
     if r == 0:
         return Fraction(0)
-    v = padic_val(r, p)
-    return Fraction(1, p**v) if v >= 0 else Fraction(p ** (-v))
+    num, den = abs(r.numerator), r.denominator
+    while num % p == 0:
+        num //= p
+    while den % p == 0:
+        den //= p
+    return Fraction(r.denominator // den, abs(r.numerator) // num)
 
 
 class RationalMatrix:
@@ -253,31 +244,44 @@ def mod_mul(a: ModMatrix, b: ModMatrix) -> ModMatrix:
     )
 
 
-def row_reduce_mod_p(
-    rows: Iterable[Iterable[int]], p: int
-) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over F_p, p prime.
+def _inverses_mod(values, p: int):
+    """x^-1 mod the prime p for each entry of the int array values, none
+    0 mod p: one `pow` per distinct value."""
+    import numpy as np
 
-    Returns the nonzero reduced rows, each with a 1 at its pivot column
-    and 0 there in every other row, and the ascending pivot columns; the
-    rank is the number of pivots.
+    distinct, at = np.unique(values, return_inverse=True)
+    return np.array([pow(int(x), -1, p) for x in distinct], dtype=values.dtype)[at.reshape(values.shape)]
+
+
+def row_reduce_mod_p(rows, p: int) -> tuple:
+    """Reduced row echelon form over F_p, p prime, of one (r, c) matrix or a stack (n, r, c).
+
+    Returns the nonzero reduced rows, (rank, c) or (n, rank, c), each with a 1 at its pivot
+    column and 0 there in every other row, and the ascending pivot columns.  In a stack a
+    column takes a pivot only where every matrix has a nonzero entry at or below the next
+    pivot row, as every column of an invertible stack does.  Entries are int64 below
+    p = 2^31, where a product of two stays below 2^62, and Python ints above.
     """
-    m = [[int(x) % p for x in row] for row in rows]
+    import numpy as np
+
+    m = np.array(rows, dtype=np.int64 if p < 1 << 31 else object) % p
+    a = m if m.ndim == 3 else m[None]
     pivots: list[int] = []
-    for c in range(len(m[0]) if m else 0):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
+    for c in range(a.shape[2]):
+        k = len(pivots)
+        if k == a.shape[1]:
+            break
+        nonzero = a[:, k:, c] != 0
+        if not nonzero.any(axis=1).all():
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [x * inv % p for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        at = np.arange(len(a)), k + nonzero.argmax(axis=1)
+        pivot = a[at]
+        row = pivot * _inverses_mod(pivot[:, c], p)[:, None] % p
+        a[at] = a[:, k]  # the swap; row k is overwritten below
+        a = (a - a[:, :, c, None] * row[:, None, :]) % p
+        a[:, k] = row
         pivots.append(c)
-    return m[: len(pivots)], pivots
+    return (a if m.ndim == 3 else a[0])[..., : len(pivots), :], pivots
 
 
 def mod_inv(a: ModMatrix) -> ModMatrix:
@@ -288,7 +292,7 @@ def mod_inv(a: ModMatrix) -> ModMatrix:
     )
     if pivots != list(range(d)):
         raise SingularMatrix(f"matrix singular mod {p}")
-    return ModMatrix([row[d:] for row in rows], p)
+    return ModMatrix(rows[:, d:].tolist(), p)
 
 
 def reduce_mod_p(M: RationalMatrix, p: int) -> ModMatrix:
@@ -297,7 +301,7 @@ def reduce_mod_p(M: RationalMatrix, p: int) -> ModMatrix:
     This is a ring homomorphism on matrices whose denominators avoid p,
     so reduce(MN) = reduce(M) reduce(N).
     """
-    if prime_factors(p) != [p]:  # the inverse is by Fermat
+    if prime_factors(p) != [p]:  # a/b mod p needs the field F_p
         raise BadPrime(f"reduction mod p needs a prime p, got {p}")
     rows = []
     for row in M.rows:
@@ -305,7 +309,7 @@ def reduce_mod_p(M: RationalMatrix, p: int) -> ModMatrix:
         for x in row:
             if x.denominator % p == 0:
                 raise BadPrime(f"{p} divides a denominator of {x}")
-            out.append(x.numerator * pow(x.denominator, p - 2, p) % p)
+            out.append(x.numerator * pow(x.denominator, -1, p) % p)
         rows.append(out)
     return ModMatrix(rows, p)
 

@@ -360,7 +360,7 @@ class ModuleAction:
             m = np.asarray(g, dtype=np.int64) % self.p
             if m.shape != (self.dim, self.dim):
                 raise ValueError("generator shape does not match the dimension")
-            if len(row_reduce_mod_p(m.tolist(), self.p)[1]) != self.dim:
+            if len(row_reduce_mod_p(m, self.p)[1]) != self.dim:
                 raise ValueError("generators must be invertible mod p")
             mats.append(m)
         self.generators = mats
@@ -369,7 +369,7 @@ class ModuleAction:
         """Nonzero v with gv = v for all generators, by exact rank."""
         eye = np.eye(self.dim, dtype=np.int64)
         stacked = np.array([(g - eye) % self.p for g in self.generators]).reshape(-1, self.dim)  # (0, m) for none
-        return len(row_reduce_mod_p(stacked.tolist(), self.p)[1]) < self.dim
+        return len(row_reduce_mod_p(stacked, self.p)[1]) < self.dim
 
     def orbit(self, v: np.ndarray) -> np.ndarray:
         """All images of v under the generated group, as (n, m) coords, in BFS
@@ -386,9 +386,7 @@ class ModuleAction:
 
     def submodule_spanned_by(self, v: np.ndarray) -> np.ndarray:
         """All p^r vectors of the H-submodule generated by v."""
-        orb = self.orbit(v)
-        basis, _ = row_reduce_mod_p(orb.tolist(), self.p)
-        return _span_vectors(np.array(basis, dtype=np.int64).reshape(-1, self.dim), self.p)
+        return _span_vectors(row_reduce_mod_p(self.orbit(v), self.p)[0], self.p)
 
 
 def _span_vectors(basis: np.ndarray, p: int) -> np.ndarray:

@@ -68,9 +68,10 @@ from .errors import (
 from .exact import (
     ModMatrix,
     RationalMatrix,
+    _inverses_mod,
     crt_tuple,
-    mod_inv,
     prime_factors,
+    row_reduce_mod_p,
     square_free_factors,
 )
 
@@ -80,19 +81,6 @@ PRODUCT_TABLE_CAP = 4096
 NORMAL_SUBGROUP_CAP = 100_000
 CENTRAL_SERIES_CAP = 4096
 MIN_PRIME = 5
-
-
-def _modpow_vec(base: np.ndarray, exp: int, p: int) -> np.ndarray:
-    """Elementwise base**exp mod p by binary exponentiation."""
-    result = np.ones_like(base)
-    b = base % p
-    e = exp
-    while e:
-        if e & 1:
-            result = result * b % p
-        b = b * b % p
-        e >>= 1
-    return result
 
 
 class _IdIndex:
@@ -430,23 +418,25 @@ def _block_mul(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
 
 
 def _inv_block(x: np.ndarray, p: int) -> np.ndarray:
+    """Stacked inverses mod p of (n, d, d) blocks: the adjugate over the determinant at d = 2,
+    else one reduction of the stack [x | I]; raises SingularMatrix."""
     d = x.shape[1]
     if d == 2:
         det = (x[:, 0, 0] * x[:, 1, 1] - x[:, 0, 1] * x[:, 1, 0]) % p
         if not det.all():
             raise SingularMatrix(f"matrix singular mod {p}")
-        di = _modpow_vec(det, p - 2, p)
+        di = _inverses_mod(det, p)
         out = np.empty_like(x)
         out[:, 0, 0] = x[:, 1, 1] * di % p
         out[:, 0, 1] = (p - x[:, 0, 1]) * di % p
         out[:, 1, 0] = (p - x[:, 1, 0]) * di % p
         out[:, 1, 1] = x[:, 0, 0] * di % p
         return out
-    # general small dimension: per-element elimination
-    out = np.empty_like(x)
-    for i in range(x.shape[0]):
-        out[i] = np.array(mod_inv(ModMatrix(x[i].tolist(), p)).rows, dtype=np.int64)
-    return out
+    eye = np.broadcast_to(np.eye(d, dtype=x.dtype), x.shape)
+    rows, pivots = row_reduce_mod_p(np.concatenate([x, eye], axis=2), p)
+    if pivots != list(range(d)):
+        raise SingularMatrix(f"matrix singular mod {p}")
+    return rows[:, :, d:]
 
 
 def _heisenberg_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -693,7 +683,7 @@ class SemidirectSpec:
     action: str = "natural"  # "natural" | "trivial"
 
     def __post_init__(self):
-        if prime_factors(self.p) != [self.p]:  # the Levi inverse is by Fermat
+        if prime_factors(self.p) != [self.p]:  # the Levi inverses need the field F_p
             raise BadPrime(f"a semidirect group over F_p needs a prime p, got {self.p}")
         if self.u_kind not in ("vector", "heisenberg"):
             raise ValueError("u_kind must be vector or heisenberg")
@@ -1145,14 +1135,14 @@ def borel_subgroup(G: GroupTable) -> SubgroupRecord:
     """Upper triangular subgroup of a 2x2 mod-p table, order p(p-1)."""
     p = _single_prime_dim2(G)
     g0 = _primitive_root(p)
-    return _named_subgroup(G, "borel", [[g0, 0, 0, pow(g0, p - 2, p)], [1, 1, 0, 1]])
+    return _named_subgroup(G, "borel", [[g0, 0, 0, pow(g0, -1, p)], [1, 1, 0, 1]])
 
 
 def torus_subgroup(G: GroupTable) -> SubgroupRecord:
     """Diagonal subgroup of a 2x2 mod-p table, order p-1."""
     p = _single_prime_dim2(G)
     g0 = _primitive_root(p)
-    return _named_subgroup(G, "torus", [[g0, 0, 0, pow(g0, p - 2, p)]])
+    return _named_subgroup(G, "torus", [[g0, 0, 0, pow(g0, -1, p)]])
 
 
 def verify_normal_perfect(G: GroupTable) -> dict:

@@ -30,6 +30,8 @@ Word = tuple[int, ...]
 
 def ball_size(M: int, l: int) -> int:
     """Number of reduced words of length exactly l: 2M(2M-1)^(l-1), and 1 at l=0."""
+    if M < 1:
+        raise ValueError("generator count must be at least 1")
     if l < 0:
         raise ValueError("length must be nonnegative")
     if l == 0:
@@ -65,8 +67,10 @@ def _sphere_numerators(M: int, k: int) -> Iterator[list[int]]:
 
     One step from distance 0 goes to distance 1 with probability 1; from
     distance l >= 1 it drops to l-1 with probability 1/(2M) and grows to
-    l+1 with probability (2M-1)/(2M).  A negative k is refused.
+    l+1 with probability (2M-1)/(2M).  M below 1 and a negative k are refused.
     """
+    if M < 1:
+        raise ValueError("generator count must be at least 1")
     if k < 0:
         raise ValueError("step count must be nonnegative")
     D = 2 * M
@@ -128,6 +132,8 @@ def kesten_upper_bound(M: int, k: int) -> Fraction:
     Fekete's lemma P_2k^(1/k) never exceeds its limit, which is Kesten's
     (2M-1)/M^2.
     """
+    if M < 1:
+        raise ValueError("generator count must be at least 1")
     if k < 0:
         raise ValueError("step count must be nonnegative")
     return Fraction(2 * M - 1, M * M) ** k

@@ -1,5 +1,5 @@
 """Plain-loop oracles that the property and spectral tests compare the
-library's kernels against."""
+library's kernels against: one walk step and the mod-p row reduction."""
 from expanderlab.spectral import Measure
 
 
@@ -13,3 +13,25 @@ def walk_step(mu: Measure, gen_ids) -> Measure:
     # exact sum of Fractions over an int stays a Fraction
     acc = sum(mu.weights[G.left_perm(int(s))] for s in gen_ids)
     return Measure(G, acc / len(gen_ids), mu.exact)
+
+
+def row_reduce_mod_p(rows, p):
+    """Reduced row echelon form over F_p of one matrix, row by row in Python
+    ints: the nonzero reduced rows and the ascending pivot columns that
+    exact.row_reduce_mod_p must equal."""
+    m = [[int(x) % p for x in row] for row in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = pow(m[r][c], p - 2, p)  # Fermat's inverse, p prime
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[: len(pivots)], pivots

@@ -124,7 +124,7 @@ def test_reduce_mod_p_is_homomorphism():
 
 @pytest.mark.parametrize("q", [4, 9, 1, 0])
 def test_reduce_mod_p_refuses_a_modulus_that_is_not_prime(q):
-    # Fermat's inverse b^(p-2) holds only mod a prime: mod 4 it takes 1/3 to 1, not 3, and mod 9 1/2 to 2, not 5
+    # Z/qZ is a field only for q prime, and every ModMatrix inverse row reduces over that field
     with pytest.raises(BadPrime, match=f"^reduction mod p needs a prime p, got {q}$"):
         reduce_mod_p(RationalMatrix([[Fraction(1, 3), 0], [0, Fraction(1, 2)]]), q)
 

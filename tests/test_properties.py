@@ -83,6 +83,7 @@ from expanderlab.spectral import (
     walk_trace_side,
 )
 from expanderlab.words import ball_size, certify_free, fixed_line_fraction, fixed_point_fraction, reduced_words
+import oracles
 from oracles import walk_step
 
 FEW = settings(max_examples=25, deadline=None)
@@ -292,9 +293,9 @@ def test_rank_is_the_dimension_of_the_row_space(rows, p):
     space = row_space(rows, p)
     assert len(space) == p ** len(pivots)
     assert len(reduced) == len(pivots) and pivots == sorted(set(pivots))
-    for r, c in zip(reduced, pivots):
-        assert r[c] == 1 and all(other[c] == 0 for other in reduced if other is not r)
-    if reduced:
+    for i, c in enumerate(pivots):
+        assert reduced[i][c] == 1 and all(reduced[j][c] == 0 for j in range(len(reduced)) if j != i)
+    if len(reduced):
         assert row_space(reduced, p) == space
 
 
@@ -314,6 +315,67 @@ def test_mod_inv_inverts_or_raises(d, p, data):
     inv = mod_inv(ModMatrix(a, p)).rows
     prod = [[sum(inv[i][k] * a[k][j] for k in range(d)) % p for j in range(d)] for i in range(d)]
     assert prod == [[int(i == j) for j in range(d)] for i in range(d)]
+
+
+REDUCER_PRIMES = [2, 3, 5, 7, 11, (1 << 61) - 1]  # the last above 2^31, so in Python ints
+
+
+@FEW
+@given(p=st.sampled_from(REDUCER_PRIMES), data=st.data())
+def test_row_reduce_mod_p_is_the_row_by_row_reduction(p, data):
+    n, c = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    entries = st.just(0) | st.integers(-12, 12) | st.integers(-2 * p, 2 * p)  # zeros make row swaps
+    rows = data.draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=n, max_size=n))
+    reduced, pivots = row_reduce_mod_p(rows, p)
+    want, want_pivots = oracles.row_reduce_mod_p(rows, p)
+    assert reduced.tolist() == want and pivots == want_pivots
+    assert {type(x) for row in reduced.tolist() for x in row} <= {int}
+    assert reduced.dtype == (np.int64 if p < 1 << 31 else object)
+
+
+def invertible_stacks(p, d, n):
+    """Stacks of n invertible d x d matrices mod p, each drawn as P L U: a permutation, a unit
+    lower triangular and an upper triangular matrix with a nonzero diagonal."""
+    def plu(perm, low, up, diag):
+        L = [[1 if i == j else low[i * d + j] if j < i else 0 for j in range(d)] for i in range(d)]
+        U = [[diag[i] if i == j else up[i * d + j] if j > i else 0 for j in range(d)] for i in range(d)]
+        LU = [[sum(L[i][k] * U[k][j] for k in range(d)) % p for j in range(d)] for i in range(d)]
+        return [LU[perm[i]] for i in range(d)]
+
+    entries = st.lists(st.integers(0, p - 1), min_size=d * d, max_size=d * d)
+    one = st.builds(plu, st.permutations(range(d)), entries, entries,
+                    st.lists(st.integers(1, p - 1), min_size=d, max_size=d))
+    return st.lists(one, min_size=n, max_size=n)
+
+
+@FEW
+@given(p=st.sampled_from(REDUCER_PRIMES), d=st.integers(1, 4), n=st.integers(1, 4),
+       extra=st.integers(0, 3), data=st.data())
+def test_a_stack_reduces_as_each_matrix_alone(p, d, n, extra, data):
+    xs = data.draw(invertible_stacks(p, d, n))
+    ys = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=d * extra, max_size=d * extra),
+                            min_size=n, max_size=n))
+    stack = [[x[i] + y[i * extra:(i + 1) * extra] for i in range(d)] for x, y in zip(xs, ys)]
+    reduced, pivots = row_reduce_mod_p(stack, p)
+    assert pivots == list(range(d)) and reduced.shape == (n, d, d + extra)
+    for got, m in zip(reduced.tolist(), stack):
+        assert (got, pivots) == oracles.row_reduce_mod_p(m, p)
+
+
+@FEW
+@given(p=st.sampled_from([5, 7, 11]), d=st.sampled_from([1, 3, 4]), n=st.integers(1, 4), data=st.data())
+def test_block_inverses_off_the_2x2_path_are_mod_inv_block_by_block(p, d, n, data):
+    x = np.array(data.draw(invertible_stacks(p, d, n)), dtype=np.int64)
+    inv = quotient._inv_block(x, p)
+    assert inv.dtype == np.int64 and inv.shape == (n, d, d)
+    for a, b in zip(x.tolist(), inv.tolist()):
+        assert ModMatrix(b, p) == mod_inv(ModMatrix(a, p))
+        assert mod_mul(ModMatrix(b, p), ModMatrix(a, p)) == ModMatrix.identity(d, p)
+    # one singular block, a zero row anywhere in the stack, makes the whole stack singular
+    bad = x.copy()
+    bad[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, d - 1))] = 0
+    with pytest.raises(SingularMatrix):
+        quotient._inv_block(bad, p)
 
 
 # ----- coset labeller -----

@@ -251,7 +251,7 @@ def test_semidirect_spec_refuses_levi_generators_mod_another_prime():
 
 
 def test_semidirect_spec_refuses_a_modulus_that_is_not_prime():
-    # mod 9 the Fermat inverse of diag(2, 1) would be diag(2, 4)
+    # Z/9 is no field (3 has no inverse mod 9), and the Levi inverses row reduce over F_p
     with pytest.raises(BadPrime, match="^a semidirect group over F_p needs a prime p, got 9$"):
         SemidirectSpec(p=9, l_gens=[ModMatrix([[2, 0], [0, 1]], 9)], action="trivial")
     # p = 3 stays: SL2 mod 3 acting on the Heisenberg group mod 3

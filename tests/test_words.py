@@ -104,6 +104,15 @@ def test_step_counts_below_zero_are_refused(count):
         count(2, -1)
 
 
+@pytest.mark.parametrize("count", [kesten_return, kesten_series, radial_distribution, kesten_upper_bound, ball_size])
+@pytest.mark.parametrize("M", [0, -1, -2])
+def test_generator_counts_below_one_are_refused(count, M):
+    # M = -1 gave kesten_return(-1, 2) = -1/2, a negative probability, and ball_size(-1, 2) = 6;
+    # M = 0 divided by (2M)^k = 0
+    with pytest.raises(ValueError, match="^generator count must be at least 1$"):
+        count(M, 2)
+
+
 def test_certify_free_lubotzky():
     free, witness = certify_free(lubotzky_pair(3), 10)
     assert free and witness is None
