@@ -103,27 +103,6 @@ class RationalMatrix:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"RationalMatrix({body})"
 
-    def det(self) -> Rational:
-        """Determinant by fraction-exact Gaussian elimination."""
-        d = self.dim
-        m = [list(row) for row in self.rows]
-        det = Fraction(1)
-        for col in range(d):
-            pivot = next((r for r in range(col, d) if m[r][col] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                det = -det
-            det *= m[col][col]
-            inv = 1 / m[col][col]
-            for r in range(col + 1, d):
-                f = m[r][col] * inv
-                if f:
-                    for c in range(col, d):
-                        m[r][c] -= f * m[col][c]
-        return det
-
     def inverse(self) -> "RationalMatrix":
         d = self.dim
         m = [list(row) + [Fraction(int(i == j)) for j in range(d)] for i, row in enumerate(self.rows)]

@@ -132,6 +132,14 @@ def product_power(A: ElementSet, n: int) -> ElementSet:
     return out
 
 
+def _powers(first, step):
+    """(c, P_c) for c = 1..PRODUCT_DEPTH_CAP, P_1 = first, P_(c+1) = step(P_c), each formed when asked for."""
+    yield 1, first
+    for c in range(2, PRODUCT_DEPTH_CAP + 1):
+        first = step(first)
+        yield c, first
+
+
 @dataclass
 class TriplingReport:
     size: int
@@ -168,8 +176,9 @@ def chain_inequality(A: ElementSet, C: int) -> dict:
         raise ValueError("chain length starts at 3")
     if not A.symmetric:
         raise ValueError("the chain inequality is stated for symmetric sets")
-    triple = product_power(A, 3)
-    chain = product_power(A, C)
+    triple = chain = product_power(A, 3)
+    for _ in range(C - 3):
+        chain = product_set(chain, A)
     # |P_C| * |A|^(C-3) <= |AAA|^(C-2), all integers
     lhs = chain.size * A.size ** (C - 3)
     rhs = triple.size ** (C - 2)
@@ -300,11 +309,9 @@ def normal_closure_product(frame: ProductFrame, rows: np.ndarray, g_row: Sequenc
     # the product of g's per-factor normal closures holds every product of conjugates of g,
     # so a power covers it exactly when it has as many rows
     closure_size = math.prod(len(normal_closure(t, [gi])) for t, gi in zip(frame.factors, g_row[0].tolist()))
-    power = conj
-    for c in range(1, PRODUCT_DEPTH_CAP + 1):
+    for c, power in _powers(conj, lambda P: frame.product_rows(P, conj)):
         if len(power) == closure_size:
             return {"c": c, "conjugates": len(conj), "closure_size": closure_size}
-        power = frame.product_rows(power, conj)
     return {"c": None, "conjugates": len(conj), "closure_size": closure_size}
 
 
@@ -408,6 +415,12 @@ def _add_orbit(current: np.ndarray, orbit: np.ndarray, p: int) -> np.ndarray:
     return np.stack(np.unravel_index(_distinct(_vector_codes(both, p)), (p,) * both.shape[1], order="F"), axis=1)
 
 
+def _orbit_sums(action: ModuleAction, v: np.ndarray):
+    """(c, the sums of at most c vectors of the orbit H.v, 0 included) from _powers."""
+    add = functools.partial(_add_orbit, orbit=action.orbit(v), p=action.p)
+    return _powers(add(np.zeros((1, action.dim), dtype=np.int64)), add)
+
+
 def orbit_sum_subspace(action: ModuleAction, v) -> dict:
     """Smallest c for which the c-fold sumset of the orbit H.v contains a
     nonzero H-subspace.  Sums of at most c orbit elements, empty sum
@@ -417,11 +430,7 @@ def orbit_sum_subspace(action: ModuleAction, v) -> dict:
         raise ZeroVector("orbit sums start from a nonzero vector")
     if action.has_fixed_vector():
         raise FixedVectorExists("the action fixes a nonzero vector")
-    p = action.p
-    orbit = action.orbit(v)
-    current = np.zeros((1, action.dim), dtype=np.int64)  # empty sum
-    for c in range(1, PRODUCT_DEPTH_CAP + 1):
-        current = _add_orbit(current, orbit, p)
+    for c, current in _orbit_sums(action, v):
         found = _contained_subspace(action, current)
         if found is not None:
             return {"c": c, "subspace": found, "sumset_size": len(current)}
@@ -441,18 +450,13 @@ def _contained_subspace(action: ModuleAction, vectors: np.ndarray) -> np.ndarray
 
 
 def orbit_sum_span(action: ModuleAction, v) -> dict:
-    """Minimal c <= PRODUCT_DEPTH_CAP with the c-fold orbit sumset equal
-    to the H-submodule generated by v."""
+    """Minimal c with the c-fold orbit sumset equal to the H-submodule generated by v."""
     _reject_one_dim_module(action)
     v = action._vector(v)
     if not v.any():
         return {"c": 0, "holds": True, "submodule_size": 1}
-    p = action.p
     size = len(action.submodule_spanned_by(v))  # the span of a row-reduced basis: p^rank distinct vectors
-    orbit = action.orbit(v)
-    current = np.zeros((1, action.dim), dtype=np.int64)
-    for c in range(1, PRODUCT_DEPTH_CAP + 1):
-        current = _add_orbit(current, orbit, p)
+    for c, current in _orbit_sums(action, v):
         if len(current) == size:
             return {"c": c, "holds": True, "submodule_size": size}
     return {"c": None, "holds": False, "submodule_size": size}
@@ -498,11 +502,9 @@ def nilpotent_recover(U: GroupTable, A: ElementSet) -> dict:
         raise HypothesisViolated(
             f"set covers {len(covered)} of {n_cosets} cosets of the derived subgroup"
         )
-    power = A
-    for t in range(1, PRODUCT_DEPTH_CAP + 1):
+    for t, power in _powers(A, lambda P: product_set(P, A)):
         if power.size == U.order:
             return {"t": t, "covered": True}
-        power = product_set(power, A)
     return {"t": None, "covered": False}
 
 

@@ -869,6 +869,12 @@ def _ids_in(G: GroupTable, ids) -> np.ndarray:
     return ids
 
 
+def _subgroup_of(G: GroupTable, H: SubgroupRecord) -> None:
+    """TableMismatch unless H is a subgroup of G itself: its ids index no other table."""
+    if H.parent is not G:
+        raise TableMismatch("subgroup belongs to a different table")
+
+
 def subgroup_closure(G: GroupTable, gen_ids: Sequence[int]) -> SubgroupRecord:
     gen_ids = _distinct(_ids_in(G, gen_ids))
     return SubgroupRecord(G, gen_ids, _closure_ids(G, gen_ids))
@@ -993,6 +999,7 @@ def product_decompose(G: GroupTable) -> tuple[list[GroupTable], dict]:
 
 def index_product_check(G: GroupTable, H: SubgroupRecord, delta: float = 0.25) -> dict:
     """Compare prod_p [G_p : pi_p(H)] against [G:H]^delta."""
+    _subgroup_of(G, H)
     # a matrix factor's primes, a Heisenberg or semidirect factor's p
     primes = [p for F in G._factors for p in F.meta.get("primes", [F.meta.get("p")]) if p is not None]
     if len(set(primes)) != len(primes):
@@ -1025,6 +1032,7 @@ def small_lifts(
     """Filter the ball down to lifts of H with S-norm below [G:H]^delta."""
     from .exact import PrimeSet, s_norm
 
+    _subgroup_of(G, H)
     S = PrimeSet(G.meta.get("denominator_primes", []))
     bound = float(H.index) ** delta
     out = []
@@ -1044,7 +1052,8 @@ def lower_central_series(U: GroupTable) -> list[np.ndarray]:
     """Chain gamma_1 = U, gamma_{i+1} = <[U, gamma_i]>, down to the identity.
 
     gamma_{i+1} is the normal closure of the [s, x], s a generator and x in
-    gamma_i, as [st, x] = [s, x]^t [t, x]; exact, for small p-groups.
+    gamma_i, as [st, x] = [s, x]^t [t, x]; exact, for small p-groups, which are
+    nilpotent: gamma_{i+1} < gamma_i until gamma_i is trivial.
     """
     fac = prime_factors(U.order)
     if len(fac) != 1:
@@ -1054,10 +1063,7 @@ def lower_central_series(U: GroupTable) -> list[np.ndarray]:
     chain = [np.arange(U.order, dtype=np.int64)]
     S = U.generator_ids
     while len(chain[-1]) > 1:
-        nxt = normal_closure(U, U.comm_vec(S[:, None], chain[-1]))
-        if len(nxt) == len(chain[-1]):
-            raise NotPGroup("series did not descend; group is not nilpotent")
-        chain.append(nxt)
+        chain.append(normal_closure(U, U.comm_vec(S[:, None], chain[-1])))
     return chain
 
 
@@ -1091,6 +1097,7 @@ def verify_product_form(G: GroupTable, H: SubgroupRecord) -> dict:
     (l, u) -> l u is one-to-one, so H, which holds every such product, splits when |H cap L||H cap U| = |H|.
     The action is trivial for every normal H, so acts_trivially is True and witness None: for h in H
     and u in U, [h, u] = h^-1 (u^-1 h u) lies in H and (h^-1 u^-1 h) u in U, so in H cap U."""
+    _subgroup_of(G, H)
     if not H.normal:
         raise NotNormal("product form is asserted for normal subgroups")
     hl = H.element_ids[levi_mask(G)[H.element_ids]]
@@ -1166,6 +1173,7 @@ def verify_factor_product_form(G: GroupTable, H: SubgroupRecord) -> dict:
     meet in e: their product, the core, is the x with factor ids in the copies inside
     H and e elsewhere, and H holds core Z_H, of order |core||Z_H| / |core & Z_H|.
     """
+    _subgroup_of(G, H)
     if G.kind != "matrix" or len(G.meta["primes"]) < 2:
         raise NotComposite("product form over factors needs a composite matrix table")
     inside, core = [], np.ones(G.order, dtype=bool)

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import SizeCapExceeded, TableMismatch
-from .quotient import GroupTable, SubgroupRecord, _centre, _ids_in, coset_labels
+from .quotient import GroupTable, SubgroupRecord, _centre, _ids_in, _subgroup_of, coset_labels
 
 EXACT_CAP = 10_000
 DENSE_EIG_CAP = 5000
@@ -35,12 +35,14 @@ def _zeros(n: int, exact: bool) -> np.ndarray:
 
 
 class Measure:
-    """Probability measure on a group table, dense weights indexed by id."""
+    """Probability measure on a group table, dense weights indexed by id; exact if of dtype object."""
 
-    def __init__(self, table: GroupTable, weights: np.ndarray, exact: bool = False):
-        self.table = table
-        self.weights = weights
-        self.exact = exact
+    def __init__(self, table: GroupTable, weights: np.ndarray):
+        if len(weights) != table.order:
+            raise TableMismatch(f"{len(weights)} weights for a table of order {table.order}")
+        self.table, self.weights = table, weights
+
+    exact = property(lambda self: self.weights.dtype == object)
 
     @classmethod
     def point(cls, table: GroupTable, gid: int = 0, exact: bool = False) -> "Measure":
@@ -54,7 +56,7 @@ class Measure:
         # a multiset is allowed: repeated ids accumulate weight
         share = Fraction(1, len(ids)) if exact else 1.0 / len(ids)
         np.add.at(w, _ids_in(table, ids), share)
-        return cls(table, w, exact)
+        return cls(table, w)
 
     @classmethod
     def uniform(cls, table: GroupTable, exact: bool = False) -> "Measure":
@@ -74,25 +76,18 @@ class Measure:
 
 
 def convolve(mu: Measure, nu: Measure) -> Measure:
-    """(mu*nu)(g) = sum_h mu(g h^-1) nu(h).
-
-    Runs in O(|G| * min(|supp mu|, |supp nu|)) by looping over the
-    sparser factor; the translation tables are built on the fly so a
-    dense support cannot flood the permutation cache.
-    """
+    """(mu*nu)(g) = sum of mu(x) nu(h) over x h = g, a chunk of the support pairs per mul_vec call."""
     if mu.table is not nu.table:
         raise TableMismatch("measures live on different tables")
-    G = mu.table
     if mu.exact != nu.exact:
         raise TableMismatch("cannot mix exact and float measures")
-    out = _zeros(G.order, mu.exact)
-    # sum_h nu(h) mu(g h^-1) over supp nu, or the same sum as sum_x mu(x) nu(x^-1 g)
-    right = np.count_nonzero(nu.weights) <= np.count_nonzero(mu.weights)
-    a, b = (nu, mu) if right else (mu, nu)
-    supp = np.flatnonzero(a.weights)
-    for h, hi in zip(supp.tolist(), G.inv_vec(supp).tolist()):
-        out = out + a.weights[h] * b.weights[G.translation(hi, right)]
-    return Measure(G, out, mu.exact)
+    from .growth import CHUNK  # product sets' pair chunk; a walk or spectrum op never loads growth
+    out = _zeros(mu.table.order, mu.exact)
+    x, h = np.flatnonzero(mu.weights), np.flatnonzero(nu.weights)
+    step = max(1, CHUNK // max(len(h), 1))
+    for xs in np.split(x, range(step, len(x), step)):
+        np.add.at(out, mu.table.mul_vec(xs[:, None], h), mu.weights[xs, None] * nu.weights[h])
+    return Measure(mu.table, out)
 
 
 def generator_measure(table: GroupTable, gen_ids: Sequence[int] | None = None, exact: bool = False) -> Measure:
@@ -144,15 +139,15 @@ def walk_powers(
             rows.append(WalkRow(l, l2, float(w.max() / scale), float(h / scale)))
     if exact:
         w = np.array([Fraction(c, scale) for c in w.tolist()], dtype=object)
-    return WalkSeries(rows=rows, final=Measure(table, w, exact), gen_ids=ids)
+    return WalkSeries(rows=rows, final=Measure(table, w), gen_ids=ids)
 
 
 def _walk_inputs(table: GroupTable, gen_ids, H: SubgroupRecord | None = None):
     """Ids of S (default: the table generators; NotInGroup for one outside the table), their left
     perms, and the table's level_ends if S^-1 is among the BFS generators (s t is the identity for
     a generator t), else []."""
-    if H is not None and H.parent is not table:
-        raise TableMismatch("subgroup belongs to a different table")
+    if H is not None:
+        _subgroup_of(table, H)
     ids = _ids_in(table, table.generator_ids if gen_ids is None else gen_ids).tolist()
     if not ids:
         raise ValueError("the generator multiset is empty")

@@ -1,5 +1,10 @@
 """Plain-loop oracles that the property and spectral tests compare the
-library's kernels against: one walk step and the mod-p row reduction."""
+library's kernels against: one walk step, a convolution and the mod-p row
+reduction."""
+from fractions import Fraction
+
+import numpy as np
+
 from expanderlab.spectral import Measure
 
 
@@ -12,7 +17,18 @@ def walk_step(mu: Measure, gen_ids) -> Measure:
     # 0 + t0 is t0, so the sum adds the terms in the order of gen_ids; an
     # exact sum of Fractions over an int stays a Fraction
     acc = sum(mu.weights[G.left_perm(int(s))] for s in gen_ids)
-    return Measure(G, acc / len(gen_ids), mu.exact)
+    return Measure(G, acc / len(gen_ids))
+
+
+def convolve(mu: Measure, nu: Measure) -> list:
+    """The weights of mu * nu as a list, one pair of the two supports at a time: mu(x) nu(h)
+    added at x h, with x in ascending order and h ascending within it."""
+    G = mu.table
+    out = [Fraction(0) if mu.exact else 0.0] * G.order
+    for x in np.flatnonzero(mu.weights).tolist():
+        for h in np.flatnonzero(nu.weights).tolist():
+            out[G.mul(x, h)] += mu.weights[x] * nu.weights[h]
+    return out
 
 
 def row_reduce_mod_p(rows, p):

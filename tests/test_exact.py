@@ -61,12 +61,6 @@ def test_rational_matrix_mul_inverse():
     assert (a * b).inverse() == b.inverse() * a.inverse()
 
 
-def test_rational_matrix_det():
-    assert RationalMatrix([[1, 3], [0, 1]]).det() == 1
-    assert RationalMatrix([[2, 0], [0, Fraction(1, 2)]]).det() == 1
-    assert RationalMatrix([[1, 2], [2, 4]]).det() == 0
-
-
 def test_singular_inverse_raises():
     with pytest.raises(SingularMatrix):
         RationalMatrix([[1, 2], [2, 4]]).inverse()

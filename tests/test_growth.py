@@ -491,6 +491,38 @@ def test_product_depth_cap_leaves_the_power_unfound(frame5, monkeypatch):
     assert orbit_sum_span(rot, [1, 0]) == {"c": 6, "holds": True, "submodule_size": 49}
 
 
+def counted(monkeypatch, owner, name):
+    """Wrap owner.name so that each call appends its arguments to the returned list."""
+    calls, f = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or f(*args))
+    return calls
+
+
+def test_a_least_power_search_forms_only_the_powers_it_tests(frame5, monkeypatch):
+    g = [int(np.nonzero(unipotent_mask(frame5.factors[0]))[0][1])]
+    U = heisenberg_group(5)
+    tr = random_transversal(U, np.random.default_rng(9))
+    rows, sets = counted(monkeypatch, frame5, "product_rows"), counted(monkeypatch, growth, "product_set")
+    # found at c = t = 2: P_2 takes one product
+    assert normal_closure_product(frame5, frame5.section_rows(), g)["c"] == 2 and len(rows) == 1
+    assert nilpotent_recover(U, tr)["t"] == 2 and len(sets) == 1
+    # capped at 1, the search tests P_1 alone and forms no product
+    monkeypatch.setattr(growth, "PRODUCT_DEPTH_CAP", 1)
+    rows.clear()
+    sets.clear()
+    assert normal_closure_product(frame5, frame5.section_rows(), g)["c"] is None and rows == []
+    assert nilpotent_recover(U, tr)["t"] is None and sets == []
+
+
+@pytest.mark.parametrize("C", [3, 4, 6])
+def test_chain_inequality_forms_each_power_once(sl2_5, C, monkeypatch):
+    A = random_symmetric_set(sl2_5, 6, np.random.default_rng(C))
+    want = product_power(A, C).size
+    sets = counted(monkeypatch, growth, "product_set")
+    assert chain_inequality(A, C)["chain_size"] == want
+    assert len(sets) == C - 1  # A^2 and A^3, then one more per power up to A^C
+
+
 # ----- nilpotent recovery -----
 
 

@@ -1995,7 +1995,7 @@ SIGNATURES = {
     "verify_factor_product_form": "(G, H)",
     "borel_subgroup": "(G)",
     "torus_subgroup": "(G)",
-    "Measure": "(table, weights, exact=False)",
+    "Measure": "(table, weights)",
     "convolve": "(mu, nu)",
     "walk_powers": "(table, l_max, gen_ids=None, H=None, exact=False)",
     "flatten_check": "(mu, nu)",

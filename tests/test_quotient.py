@@ -596,6 +596,46 @@ def test_small_lifts(sl2_5):
     assert [w for w, _ in tight] == [()]
 
 
+@pytest.fixture(scope="module")
+def sl2_65():
+    return generate_group(lubotzky_gens(), 65)
+
+
+def first_generator_subgroups(*tables):
+    return [subgroup_closure(G, G.generator_ids[:1]) for G in tables]
+
+
+def lemmas_semidirect(p):
+    return semidirect_group(SemidirectSpec(p=p, l_gens=[ModMatrix([[1, 3], [0, 1]], p), ModMatrix([[1, 0], [3, 1]], p)]))
+
+
+# a subgroup's ids index its own table only: read in another, they name other elements or none
+def test_index_product_check_refuses_a_subgroup_of_another_table(sl2_35, sl2_65):
+    H35, H65 = first_generator_subgroups(sl2_35, sl2_65)
+    for G, H in ((sl2_65, H35), (sl2_35, H65)):
+        with pytest.raises(TableMismatch, match="subgroup belongs to a different table"):
+            index_product_check(G, H)
+
+
+def test_small_lifts_refuses_a_subgroup_of_another_table(sl2_35, sl2_65):
+    (H65,) = first_generator_subgroups(sl2_65)
+    with pytest.raises(TableMismatch, match="subgroup belongs to a different table"):
+        small_lifts(word_ball(lubotzky_gens(), 1), sl2_35, H65, 0.5)
+
+
+def test_verify_product_form_refuses_a_subgroup_of_another_table():
+    G5, G7 = lemmas_semidirect(5), lemmas_semidirect(7)
+    H5 = next(H for H in normal_subgroups(G5) if 1 < H.size < G5.order)
+    with pytest.raises(TableMismatch, match="subgroup belongs to a different table"):
+        verify_product_form(G7, H5)
+
+
+def test_verify_factor_product_form_refuses_a_subgroup_of_another_table(sl2_35, sl2_65):
+    (H35,) = first_generator_subgroups(sl2_35)
+    with pytest.raises(TableMismatch, match="subgroup belongs to a different table"):
+        verify_factor_product_form(sl2_65, H35)
+
+
 def test_lower_central_series_heisenberg():
     U = heisenberg_group(5)
     chain = lower_central_series(U)

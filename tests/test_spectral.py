@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from expanderlab import spectral
+from expanderlab import growth, spectral
 from expanderlab.cli import builtin_generators
 from expanderlab.errors import NotInGroup, SizeCapExceeded, TableMismatch
 from expanderlab.exact import RationalMatrix
 from expanderlab.quotient import (
+    _centre,
     _vector_orbit,
     borel_subgroup,
     cyclic_group,
+    direct_product,
     generate_group,
+    heisenberg_group,
 )
 from expanderlab.spectral import (
     CayleyGraph,
@@ -22,6 +25,9 @@ from expanderlab.spectral import (
     Measure,
     WalkRow,
     _block_eigenvalues,
+    _cluster,
+    _cycle_length,
+    _split_element,
     _walk,
     cheeger_bracket,
     convolve,
@@ -36,6 +42,7 @@ from expanderlab.spectral import (
     walk_powers,
     walk_trace_side,
 )
+import oracles
 from oracles import walk_step
 
 
@@ -119,6 +126,49 @@ def test_convolve_exact_matches_float():
     outf = convolve(muf, nuf)
     for i in range(5):
         assert abs(float(out.weights[i]) - outf.weights[i]) < 1e-14
+
+
+@pytest.fixture(scope="module")
+def sl2_17():
+    return generate_group(lubotzky_gens(), 17)  # 4,896 elements, above PRODUCT_TABLE_CAP
+
+
+def random_measure(G, size, exact, rng):
+    """A measure on size distinct random ids with random positive weights."""
+    ids = rng.choice(G.order, size=size, replace=False)
+    raw = rng.integers(1, 10, size=size).tolist()
+    w = np.array([Fraction(0)] * G.order, dtype=object) if exact else np.zeros(G.order)
+    w[ids] = [Fraction(r, sum(raw)) for r in raw] if exact else np.array(raw) / sum(raw)
+    return Measure(G, w)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("table", ["sl2_7", "sl2_17"])
+def test_convolve_is_the_sum_over_pairs_of_the_supports(table, exact, request, monkeypatch):
+    G = request.getfixturevalue(table)
+    rng = np.random.default_rng(G.order)
+    mu, nu = random_measure(G, 25, exact, rng), random_measure(G, 12, exact, rng)
+    want = oracles.convolve(mu, nu)
+    calls = []
+    mul_vec = G.mul_vec
+    monkeypatch.setattr(G, "mul_vec", lambda a, b: calls.append(a.shape) or mul_vec(a, b))
+    # one chunk of all 300 pairs, then chunks of 30 pairs: 2 ids of mu against the 12 of nu
+    for chunk, shapes in ((growth.CHUNK, [(25, 1)]), (30, [(2, 1)] * 12 + [(1, 1)])):
+        monkeypatch.setattr(growth, "CHUNK", chunk)
+        calls.clear()
+        out = convolve(mu, nu)
+        assert calls == shapes and out.exact == exact
+        if exact:
+            assert out.weights.tolist() == want and out.mass() == 1
+        else:
+            assert np.abs(out.weights - want).max() <= 1e-14
+
+
+def test_measure_refuses_weights_of_another_length(sl2_5):
+    with pytest.raises(TableMismatch, match="5 weights for a table of order 120"):
+        Measure(sl2_5, np.ones(5) / 5)
+    assert not Measure(sl2_5, np.ones(120) / 120).exact
+    assert Measure(sl2_5, np.array([Fraction(1, 120)] * 120, dtype=object)).exact
 
 
 def test_walk_step_is_convolution_by_generator_measure(sl2_5):
@@ -402,6 +452,23 @@ def schreier_graph(name, p):
     order = np.argsort(codes)
     right = order[np.searchsorted(codes, (c * orbit % p) @ [p, 1], sorter=order)]
     return G, [np.concatenate(m) for m in moves], np.cumsum([len(m) for m in moves[0]]), right
+
+
+def test_split_element_falls_through_when_no_s_z_meets_the_bound():
+    # H_3 x C_2 x C_6: a centre of order 36 and exponent 6, so every s z has order at most 6
+    # and the search never meets its bound lcm(ord(s), 36) >= 36: it ends on the last z
+    G = direct_product(heisenberg_group(3), direct_product(cyclic_group(2), cyclic_group(6)))
+    graph = CayleyGraph(G)
+    right, m = _split_element(graph)
+    centre = np.flatnonzero(_centre(G)).tolist()
+    assert G.order == 324 and len(centre) == 36
+    orders = [_cycle_length(G.translation(G.mul(s, z), True)) for s in graph.s_ids.tolist() for z in centre]
+    assert m == max(orders) == 6
+    assert _cycle_length(right) == m
+    report = spectrum(graph)
+    dense = np.linalg.eigvalsh(graph.dense_operator())[::-1]
+    assert np.abs(report.eigenvalues - dense).max() <= 1e-12
+    assert [k for _, k in report.clusters] == [k for _, k in _cluster(dense)]
 
 
 @pytest.mark.parametrize("name", ["lubotzky3", "sanov2"])
