@@ -15,7 +15,6 @@ _EXPORTS = {
     "ModMatrix": "exact",
     "reduce_mod_p": "exact",
     "crt_tuple": "exact",
-    "s_norm": "exact",
     "square_free_factors": "exact",
     # words
     "ball_size": "words",
@@ -25,8 +24,6 @@ _EXPORTS = {
     "kesten_upper_bound": "words",
     "radial_distribution": "words",
     "certify_free": "words",
-    "fixed_line_fraction": "words",
-    "fixed_point_fraction": "words",
     # quotient
     "GroupTable": "quotient",
     "generate_group": "quotient",
@@ -43,7 +40,6 @@ _EXPORTS = {
     "is_perfect": "quotient",
     "product_decompose": "quotient",
     "index_product_check": "quotient",
-    "small_lifts": "quotient",
     "lower_central_series": "quotient",
     "verify_product_form": "quotient",
     "verify_normal_perfect": "quotient",
@@ -51,11 +47,7 @@ _EXPORTS = {
     "borel_subgroup": "quotient",
     "torus_subgroup": "quotient",
     # spectral
-    "Measure": "spectral",
-    "convolve": "spectral",
     "walk_powers": "spectral",
-    "flatten_check": "spectral",
-    "walk_flatten_exponent": "spectral",
     "escape_profile": "spectral",
     "CayleyGraph": "spectral",
     "spectrum": "spectral",

@@ -18,7 +18,7 @@ class DenominatorOutsideS(ExpanderLabError):
 
 
 class BadPrime(ExpanderLabError):
-    """Reduction mod p requested where p divides an entry denominator."""
+    """A modulus that is not prime, or a prime that divides an entry denominator."""
 
 
 class NotSquareFree(ExpanderLabError):

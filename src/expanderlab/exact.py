@@ -3,18 +3,17 @@
 Everything in this module is exact: scalars are `fractions.Fraction`,
 modular entries are Python ints.  Row reduction mod p works on int64
 arrays below p = 2^31 and on Python ints above, and loads numpy on its
-first call.  Floating point is confined to the spectral module.
+first call; a modulus below 2, or a residue it cannot invert, raises
+BadPrime.  Floating point is confined to the spectral module.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import BadPrime, DenominatorOutsideS, NotSquareFree, SingularMatrix
+from .errors import BadPrime, NotSquareFree, SingularMatrix
 
 MAX_DIM = 8
-
-Rational = Fraction
 
 
 def prime_factors(n: int) -> list[int]:
@@ -44,20 +43,6 @@ def square_free_factors(q: int) -> list[int]:
     if prod != q:
         raise NotSquareFree(f"{q} has a repeated prime factor")
     return factors
-
-
-def padic_abs(r: Rational | int, p: int) -> Rational:
-    """p-adic absolute value |r|_p: the p-part of r's denominator over the
-    p-part of its numerator, with |0|_p = 0."""
-    r = Fraction(r)
-    if r == 0:
-        return Fraction(0)
-    num, den = abs(r.numerator), r.denominator
-    while num % p == 0:
-        num //= p
-    while den % p == 0:
-        den //= p
-    return Fraction(r.denominator // den, abs(r.numerator) // num)
 
 
 class RationalMatrix:
@@ -154,34 +139,14 @@ class PrimeSet:
         return f"PrimeSet({list(self.primes)})"
 
 
-def s_norm(M: RationalMatrix, S: PrimeSet) -> float:
-    """The S-arithmetic norm: max over the archimedean operator norm and
-    the p-adic operator norms for p in S.
-
-    The archimedean norm is the l-infinity induced norm, i.e. the maximum
-    absolute row sum; the p-adic operator norm is the maximum p-adic
-    absolute value of an entry.  Both are computed exactly as rationals
-    and only the final value is converted to float.
-    """
-    outside = M.denominator_support() - set(S.primes)
-    if outside:
-        raise DenominatorOutsideS(f"denominator primes {sorted(outside)} not in S")
-    best = max(sum(abs(x) for x in row) for row in M.rows)
-    for p in S:
-        for row in M.rows:
-            for x in row:
-                a = padic_abs(x, p)
-                if a > best:
-                    best = a
-    return float(best)
-
-
 class ModMatrix:
     """Square matrix over Z/pZ, entries reduced to [0, p)."""
 
     __slots__ = ("p", "rows")
 
     def __init__(self, rows: Iterable[Iterable[int]], p: int):
+        if p < 2:
+            raise BadPrime(f"a modulus must be at least 2, got {p}")
         self.p = p
         self.rows = tuple(tuple(int(x) % p for x in row) for row in rows)
         d = len(self.rows)
@@ -225,11 +190,16 @@ def mod_mul(a: ModMatrix, b: ModMatrix) -> ModMatrix:
 
 def _inverses_mod(values, p: int):
     """x^-1 mod the prime p for each entry of the int array values, none
-    0 mod p: one `pow` per distinct value."""
+    0 mod p: one `pow` per distinct value.  A residue without an inverse
+    shares a factor with p, which raises BadPrime."""
     import numpy as np
 
     distinct, at = np.unique(values, return_inverse=True)
-    return np.array([pow(int(x), -1, p) for x in distinct], dtype=values.dtype)[at.reshape(values.shape)]
+    try:
+        inverses = [pow(int(x), -1, p) for x in distinct]
+    except ValueError:
+        raise BadPrime(f"a residue has no inverse mod {p}, so {p} is not prime") from None
+    return np.array(inverses, dtype=values.dtype)[at.reshape(values.shape)]
 
 
 def row_reduce_mod_p(rows, p: int) -> tuple:

@@ -50,7 +50,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -1021,31 +1021,6 @@ def index_product_check(G: GroupTable, H: SubgroupRecord, delta: float = 0.25) -
         "holds": lhs >= rhs**delta,
         "delta": delta,
     }
-
-
-def small_lifts(
-    ball: Iterable[tuple[tuple, RationalMatrix]],
-    G: GroupTable,
-    H: SubgroupRecord,
-    delta: float,
-) -> list[tuple[tuple, RationalMatrix]]:
-    """Filter the ball down to lifts of H with S-norm below [G:H]^delta."""
-    from .exact import PrimeSet, s_norm
-
-    _subgroup_of(G, H)
-    S = PrimeSet(G.meta.get("denominator_primes", []))
-    bound = float(H.index) ** delta
-    out = []
-    for word, mat in ball:
-        if s_norm(mat, S) >= bound:
-            continue
-        try:
-            gid = int(ids_of_matrices(G, [mat])[0])
-        except NotInGroup:
-            continue
-        if H.member[gid]:
-            out.append((word, mat))
-    return out
 
 
 def lower_central_series(U: GroupTable) -> list[np.ndarray]:

@@ -1,4 +1,4 @@
-"""Measures, convolution walks, and Cayley graph spectra.
+"""Random walks, escape from subgroups, and Cayley graph spectra.
 
 Walks are driven by the normalized counting measure on a symmetric
 generator multiset S.  One step sends mu to the average of its left
@@ -13,14 +13,13 @@ act on); a walk starts at vertex 0, the identity of a table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import math
 
 import numpy as np
 
-from .errors import SizeCapExceeded, TableMismatch
+from .errors import SizeCapExceeded
 from .quotient import GroupTable, SubgroupRecord, _centre, _ids_in, _subgroup_of, coset_labels
 
 EXACT_CAP = 10_000
@@ -28,71 +27,6 @@ DENSE_EIG_CAP = 5000
 MAX_EIGS = 20
 CLUSTER_TOL = 1e-6
 ESCAPE_EPSILON = 0.01
-
-
-def _zeros(n: int, exact: bool) -> np.ndarray:
-    return np.array([Fraction(0)] * n, dtype=object) if exact else np.zeros(n)
-
-
-class Measure:
-    """Probability measure on a group table, dense weights indexed by id; exact if of dtype object."""
-
-    def __init__(self, table: GroupTable, weights: np.ndarray):
-        if len(weights) != table.order:
-            raise TableMismatch(f"{len(weights)} weights for a table of order {table.order}")
-        self.table, self.weights = table, weights
-
-    exact = property(lambda self: self.weights.dtype == object)
-
-    @classmethod
-    def point(cls, table: GroupTable, gid: int = 0, exact: bool = False) -> "Measure":
-        return cls.uniform_on(table, [gid], exact)
-
-    @classmethod
-    def uniform_on(cls, table: GroupTable, ids: Sequence[int], exact: bool = False) -> "Measure":
-        if not len(ids):
-            raise ValueError("a uniform measure needs at least one id")
-        w = _zeros(table.order, exact)
-        # a multiset is allowed: repeated ids accumulate weight
-        share = Fraction(1, len(ids)) if exact else 1.0 / len(ids)
-        np.add.at(w, _ids_in(table, ids), share)
-        return cls(table, w)
-
-    @classmethod
-    def uniform(cls, table: GroupTable, exact: bool = False) -> "Measure":
-        return cls.uniform_on(table, np.arange(table.order), exact)
-
-    def mass(self) -> float | Fraction:
-        return self.weights.sum()
-
-    def l2_squared(self) -> float | Fraction:
-        return (self.weights * self.weights).sum()
-
-    def l2(self) -> float:
-        return math.sqrt(float(self.l2_squared()))
-
-    def linf(self) -> float | Fraction:
-        return self.weights.max()
-
-
-def convolve(mu: Measure, nu: Measure) -> Measure:
-    """(mu*nu)(g) = sum of mu(x) nu(h) over x h = g, a chunk of the support pairs per mul_vec call."""
-    if mu.table is not nu.table:
-        raise TableMismatch("measures live on different tables")
-    if mu.exact != nu.exact:
-        raise TableMismatch("cannot mix exact and float measures")
-    from .growth import CHUNK  # product sets' pair chunk; a walk or spectrum op never loads growth
-    out = _zeros(mu.table.order, mu.exact)
-    x, h = np.flatnonzero(mu.weights), np.flatnonzero(nu.weights)
-    step = max(1, CHUNK // max(len(h), 1))
-    for xs in np.split(x, range(step, len(x), step)):
-        np.add.at(out, mu.table.mul_vec(xs[:, None], h), mu.weights[xs, None] * nu.weights[h])
-    return Measure(mu.table, out)
-
-
-def generator_measure(table: GroupTable, gen_ids: Sequence[int] | None = None, exact: bool = False) -> Measure:
-    """chi_S: the normalized counting measure on the generator multiset."""
-    return Measure.uniform_on(table, table.generator_ids if gen_ids is None else gen_ids, exact)
 
 
 @dataclass
@@ -106,8 +40,6 @@ class WalkRow:
 @dataclass
 class WalkSeries:
     rows: list[WalkRow]
-    final: Measure
-    gen_ids: list[int]
 
     def l2_series(self) -> list[float]:
         return [r.l2_norm for r in self.rows]
@@ -137,9 +69,7 @@ def walk_powers(
             h = w[table.identity_id] if H is None else w[H.member].sum()
             l2 = math.sqrt((w * w).sum() / scale**2)
             rows.append(WalkRow(l, l2, float(w.max() / scale), float(h / scale)))
-    if exact:
-        w = np.array([Fraction(c, scale) for c in w.tolist()], dtype=object)
-    return WalkSeries(rows=rows, final=Measure(table, w), gen_ids=ids)
+    return WalkSeries(rows=rows)
 
 
 def _walk_inputs(table: GroupTable, gen_ids, H: SubgroupRecord | None = None):
@@ -188,44 +118,6 @@ def _walk(perms: list[np.ndarray], ends, l_max: int, exact: bool):
         end = ends[l] if l < len(ends) else len(w)
         w, spare = _step(w, perms, spare, end, not exact), w
         yield l, w
-
-
-@dataclass
-class FlattenReport:
-    lhs: float
-    rhs: float
-    delta_hat: float
-
-
-def flatten_check(mu: Measure, nu: Measure) -> FlattenReport:
-    """Both sides of the flattening inequality plus the implied exponent.
-
-    lhs = ||mu*nu||_2, rhs = ||mu||_2^(1/2) ||nu||_2^(1/2), and delta_hat
-    solves lhs = ||mu||_2^(1/2+delta) ||nu||_2^(1/2).  A point mass has
-    ||mu||_2 = 1 and carries no flattening information; the exponent is
-    reported as 0.0 in that degenerate case.
-    """
-    m2 = mu.l2()
-    return _flatten_report(convolve(mu, nu).l2(), math.sqrt(m2) * math.sqrt(nu.l2()), m2)
-
-
-def _flatten_report(lhs: float, rhs: float, m2: float) -> FlattenReport:
-    """delta_hat solves lhs = m2^delta rhs; 0.0 when |log m2| <= 1e-12."""
-    log_m = math.log(m2) if m2 > 0 else 0.0
-    delta = math.log(lhs / rhs) / log_m if abs(log_m) > 1e-12 else 0.0
-    return FlattenReport(lhs=lhs, rhs=rhs, delta_hat=delta)
-
-
-def walk_flatten_exponent(series: WalkSeries, l: int) -> FlattenReport:
-    """Flattening report for mu = nu = chi^(l), read off the walk series.
-
-    chi^(l) * chi^(l) = chi^(2l), so both sides of the inequality come
-    from the recorded norms; the series must reach step 2l.
-    """
-    if not 1 <= l <= len(series.rows) // 2:
-        raise ValueError(f"l must be in 1..{len(series.rows) // 2} for {len(series.rows)} steps, got {l}")
-    m2 = series.rows[l - 1].l2_norm
-    return _flatten_report(series.rows[2 * l - 1].l2_norm, m2, m2)  # rhs = sqrt(m2) * sqrt(m2)
 
 
 @dataclass

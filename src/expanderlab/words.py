@@ -12,16 +12,13 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain, repeat
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .errors import ZeroVector
 from .exact import RationalMatrix
 
-BALL_SCAN_CAP = 12  # longest word fixed_line_fraction and fixed_point_fraction scan
 FREE_LENGTH_CAP = 16  # longest relation certify_free searches for
 _add = partial(map, operator.add)  # elementwise sum of two iterables
 
@@ -221,100 +218,3 @@ def certify_free(gens: Sequence[RationalMatrix], L: int) -> tuple[bool, Word | N
         return True, None
     return False, tuple(-(r // 2 + 1) if r & 1 else r // 2 + 1 for r in witness)
 
-
-def _adjoint_matrices(g: RationalMatrix) -> RationalMatrix:
-    """Matrix of X -> g X g^(-1) on the trace-zero basis E, H, F (dim 2 input)."""
-    if g.dim != 2:
-        raise ValueError("adjoint representation implemented for dim 2 only")
-    gi = g.inverse()
-    basis = [
-        RationalMatrix([[0, 1], [0, 0]]),
-        RationalMatrix([[1, 0], [0, -1]]),
-        RationalMatrix([[0, 0], [1, 0]]),
-    ]
-
-    def coords(m: RationalMatrix):
-        # a*E + b*H + c*F = [[b, a], [c, -b]]
-        return (m.rows[0][1], m.rows[0][0], m.rows[1][0])
-
-    cols = [coords(g * x * gi) for x in basis]
-    return RationalMatrix([[cols[j][i] for j in range(3)] for i in range(3)])
-
-
-def fixed_line_fraction(
-    gens: Sequence[RationalMatrix],
-    rep: str,
-    w: Sequence,
-    l: int,
-) -> dict:
-    """Count words g in B_l whose representation image fixes the line [w].
-
-    rep is "natural" (the matrices themselves) or "adjoint" (conjugation on
-    trace-zero matrices, dim 2 generators only).  The test is exact: two
-    vectors span one line iff their entries over their first nonzero entry
-    agree.
-    """
-    w = [Fraction(x) for x in w]
-    if all(x == 0 for x in w):
-        raise ZeroVector("fixed-line test needs a nonzero vector")
-    if rep == "natural":
-        mats = list(gens)
-    elif rep == "adjoint":
-        mats = [_adjoint_matrices(g) for g in gens]
-    else:
-        raise ValueError(f"unknown representation {rep!r}")
-    return _fixing_count([m.rows for g in mats for m in (g, g.inverse())], w, l,
-                         lambda e: tuple(Fraction(x, next(filter(None, e[1:]))) for x in e[1:]))
-
-
-def fixed_point_fraction(
-    gens: Sequence[RationalMatrix],
-    translations: Sequence[Sequence],
-    w: Sequence,
-    l: int,
-) -> dict:
-    """Count words g in B_l whose affine action x -> rho(g)x + v(g) fixes w.
-
-    The action is linear in homogeneous coordinates (x, 1): the letter g
-    acts by rows [[A, v], [0, 1]], its inverse by [[A^-1, -A^-1 v], [0, 1]].
-    Two points are equal iff their (denominator, *entries) in lowest terms are.
-    """
-    w = [Fraction(x) for x in w] + [1]
-    if [len(v) for v in translations] != [g.dim for g in gens]:
-        raise ValueError("one translation part per generator, of its matrix's size, required")
-    action = []
-    for g, v in zip(gens, translations):
-        gi, v = g.inverse(), [Fraction(x) for x in v]
-        vi = [-sum(map(operator.mul, row, v)) for row in gi.rows]
-        for m, t in ((g, v), (gi, vi)):
-            action.append([[*row, x] for row, x in zip(m.rows, t)] + [[0] * g.dim + [1]])
-    return _fixing_count(action, w, l, tuple)
-
-
-def _fixing_count(action: Sequence[Sequence[Sequence]], w: Sequence, l: int, key: Callable[[tuple], tuple]) -> dict:
-    """Count the words g = g_1 ... g_l of B_l with key(A_g_l ... A_g_1 w) = key(w); action holds
-    each letter's matrix A by rank.  The search meets in the middle: g = u v with |u| = l // 2
-    counts iff u and v^-1 take w to vectors of one key, and is reduced iff they end in different
-    letters.  _spheres builds both, started at the row w^T under the transposed letters, and its
-    (denominator, *entries) in lowest terms goes to key."""
-    if not action:
-        raise ValueError("need at least one generator")
-    total = ball_size(len(action) // 2, l)
-    if l > BALL_SCAN_CAP:
-        raise ValueError(f"ball scan cap is l <= {BALL_SCAN_CAP}")
-    if any(len(rows) != len(w) for rows in action):
-        raise ValueError("the vector and the matrices differ in size")
-    h = l // 2
-    spheres = list(_spheres([list(zip(*rows)) for rows in action], [w], l - h))
-    near, far = ([(key(e), last) for last, (_, *cols) in spheres[k] for e in zip(*cols)] for k in (h, l - h))
-    per_key, per_end = Counter(k for k, _ in far), Counter(far)
-    # a pair of one key counts unless both words end in one letter; the empty word ends in -1
-    count = sum(per_key[k] - (per_end[k, last] if last >= 0 else 0) for k, last in near)
-    exponent = math.log(count) / math.log(total) if count > 1 and total > 1 else 0.0
-    return {
-        "count": count,
-        "ball": total,
-        "fraction": Fraction(count, total),
-        "exponent": exponent,
-        "degenerate": count == total,
-    }

@@ -1,34 +1,16 @@
 """Plain-loop oracles that the property and spectral tests compare the
-library's kernels against: one walk step, a convolution and the mod-p row
-reduction."""
-from fractions import Fraction
-
-import numpy as np
-
-from expanderlab.spectral import Measure
+library's kernels against: one walk step and the mod-p row reduction; and a
+ping-pong proof of freeness that the length-bounded certificate must agree with."""
 
 
-def walk_step(mu: Measure, gen_ids) -> Measure:
-    """One convolution by chi_S, a full gather through the left translation of each
-    s in gen_ids: the step that spectral._walk must equal with ==."""
+def walk_step(G, weights, gen_ids):
+    """The weights after one convolution by chi_S, a full gather through the left
+    translation of each s in gen_ids: the step that spectral._walk must equal with ==."""
     if not len(gen_ids):
         raise ValueError("the generator multiset is empty")
-    G = mu.table
     # 0 + t0 is t0, so the sum adds the terms in the order of gen_ids; an
     # exact sum of Fractions over an int stays a Fraction
-    acc = sum(mu.weights[G.left_perm(int(s))] for s in gen_ids)
-    return Measure(G, acc / len(gen_ids))
-
-
-def convolve(mu: Measure, nu: Measure) -> list:
-    """The weights of mu * nu as a list, one pair of the two supports at a time: mu(x) nu(h)
-    added at x h, with x in ascending order and h ascending within it."""
-    G = mu.table
-    out = [Fraction(0) if mu.exact else 0.0] * G.order
-    for x in np.flatnonzero(mu.weights).tolist():
-        for h in np.flatnonzero(nu.weights).tolist():
-            out[G.mul(x, h)] += mu.weights[x] * nu.weights[h]
-    return out
+    return sum(weights[G.left_perm(int(s))] for s in gen_ids) / len(gen_ids)
 
 
 def row_reduce_mod_p(rows, p):
@@ -51,3 +33,22 @@ def row_reduce_mod_p(rows, p):
                 m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
         pivots.append(c)
     return m[: len(pivots)], pivots
+
+
+def ping_pong_free(A, B):
+    """True when ping-pong proves the 2x2 rational matrices A and B free, else None (no conclusion).
+
+    With det 1, traces +-2 and neither +-I, both are +-parabolics with rational fixed points.
+    Distinct fixed points conjugate them over Q to +-(1 a; 0 1) and +-(1 0; b 1); a shared one
+    makes tr(AB) = +-2.  The signs do not change the image in PSL2, and with both traces made 2,
+    tr(AB) = 2 + ab.  When |ab| >= 4, every A^n (n != 0) maps the slopes {|u| < |a|/2} of P^1(Q)
+    into {|u| > |a|/2} and every B^n maps them back, so <A, B> is free (Klein; Lyndon and Ullman
+    1969; de la Harpe 2000, II.B)."""
+    (a, b), (c, d) = A.rows
+    (e, f), (g, h) = B.rows
+    if a * d - b * c != 1 or e * h - f * g != 1 or abs(a + d) != 2 or abs(e + h) != 2:
+        return None
+    if not (b or c) or not (f or g):  # with trace +-2 and det 1, +-I
+        return None
+    normalised = (a + d) * (e + h) / 4 * (a * e + b * g + c * f + d * h)
+    return True if abs(normalised - 2) >= 4 else None

@@ -41,8 +41,11 @@ from expanderlab.quotient import (
     cyclic_group,
     direct_product,
     generate_group,
+    ids_of_matrices,
+    index_product_check,
     is_perfect,
     product_decompose,
+    subgroup_closure,
 )
 from expanderlab.spectral import (
     CayleyGraph,
@@ -62,6 +65,7 @@ from expanderlab.words import (
     radial_distribution,
     reduced_words,
 )
+from oracles import ping_pong_free
 
 REPORT_LINES: list[str] = []
 
@@ -71,6 +75,14 @@ SWEEP_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
 CONTROL_PRIMES = (53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 MULTIPLICITY_PRIMES = (5, 7, 11, 13, 17, 19, 23)
 UNIPOTENT = RationalMatrix([["1", "1"], ["0", "1"]])
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+# subgroups of SL2(Z/35) by generator file: [G:H] and prod_p [G_p : pi_p(H)]
+GOURSAT_SUBGROUPS = {
+    "b5_x_sl2_7": (6, 6),
+    "sl2_5_x_b7": (8, 8),
+    "b5_b7_fibre": (96, 48),
+    "u5_x_u7": (1152, 1152),
+}
 
 
 def record(label: str, ok: bool, detail: str) -> None:
@@ -294,6 +306,29 @@ def test_c07_escape_from_borel():
            f"non-increasing past l = 20: {monotone}")
 
 
+def test_c07d_escape_at_composite_q():
+    # Goursat: with N2 = H n ({1} x G2), [G:H] = prod_p [G_p : pi_p(H)] [pi_2(H) : N2]
+    G = sl2(35)
+    rows, bad = [], []
+    for name, expected in GOURSAT_SUBGROUPS.items():
+        mats, _ = parse_generators(str(TOOLS / f"{name}.txt"))
+        H = subgroup_closure(G, ids_of_matrices(G, mats).tolist())
+        lhs = index_product_check(G, H)["lhs"]
+        f5, f7 = G._factor_ids[:, H.element_ids]
+        pi2, n2 = len(np.unique(f7)), int((f5 == G._factors[0].identity_id).sum())
+        series = escape_profile(G, H, 40).max_coset_series()
+        dev = abs(series[39] - 1.0 / H.index)
+        monotone = all(series[l] <= series[l - 1] + 1e-12 for l in range(20, 40))
+        if not ((H.index, lhs) == expected and lhs * pi2 == H.index * n2
+                and dev <= 0.01 and monotone):
+            bad.append(name)
+        rows.append(f"{name} {H.index} = {lhs} x {pi2 // n2}, m_40 = {series[39]:.6f}")
+    record("07d", not bad,
+           "escape in SL2(Z/35) by Goursat's count, m_40 within 0.01 of 1/[G:H] and "
+           "non-increasing past l = 20: " + "; ".join(rows)
+           + ("" if not bad else f"; failed: {bad}"))
+
+
 def test_c08_flattening_to_uniform():
     G = sl2(41)
     series = walk_powers(G, 200)
@@ -355,6 +390,17 @@ def test_c11_freeness_certificates():
     record("11", ok,
            f"t = 3 pair free through length 12: {free}; t = 1 pair witness "
            f"{relator} at length {len(relator) if relator else '-'}")
+
+
+def test_c11c_freeness_by_ping_pong():
+    proved = {name: ping_pong_free(*builtin_generators(name)[::2]) for name in ("lubotzky3", "sanov2")}
+    agree = {name: certify_free(builtin_generators(name)[::2], 16) for name in proved}
+    # t^2 = 9/4 < 4: ping-pong decides nothing, and neither does this check
+    open_pair = ping_pong_free(*positive_pair("3/2"))
+    ok = all(proved.values()) and all(a == (True, None) for a in agree.values()) and open_pair is None
+    record("11c", ok,
+           f"ping-pong proves free: {proved}; certify_free through length 16: "
+           f"{ {name: free for name, (free, _) in agree.items()} }; t = 3/2: {open_pair}")
 
 
 def test_c12_cheeger_bracket():

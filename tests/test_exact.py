@@ -4,7 +4,6 @@ import pytest
 
 from expanderlab.errors import (
     BadPrime,
-    DenominatorOutsideS,
     NotSquareFree,
     SingularMatrix,
 )
@@ -15,10 +14,8 @@ from expanderlab.exact import (
     crt_tuple,
     mod_inv,
     mod_mul,
-    padic_abs,
     prime_factors,
     reduce_mod_p,
-    s_norm,
     square_free_factors,
 )
 
@@ -37,19 +34,6 @@ def test_square_free_factors():
         square_free_factors(12)
     with pytest.raises(NotSquareFree):
         square_free_factors(1)
-
-
-@pytest.mark.parametrize(
-    "r,p,expected",
-    [
-        (Fraction(1, 3), 3, Fraction(3)),
-        (Fraction(9, 2), 3, Fraction(1, 9)),
-        (Fraction(5), 3, Fraction(1)),
-        (0, 7, Fraction(0)),
-    ],
-)
-def test_padic_abs(r, p, expected):
-    assert padic_abs(r, p) == expected
 
 
 def test_rational_matrix_mul_inverse():
@@ -87,17 +71,6 @@ def test_prime_set():
         PrimeSet([4])
 
 
-def test_s_norm():
-    # integer matrix: plain max row sum
-    a = RationalMatrix([[1, 3], [0, 1]])
-    assert s_norm(a, PrimeSet()) == 4.0
-    # 1/3 entry has |.|_3 = 3, beating the archimedean part
-    m = RationalMatrix([[1, Fraction(1, 3)], [0, 1]])
-    assert s_norm(m, PrimeSet([3])) == 3.0
-    with pytest.raises(DenominatorOutsideS):
-        s_norm(m, PrimeSet())
-
-
 def test_mod_matrix_roundtrip():
     a = ModMatrix([[1, 3], [0, 1]], 5)
     b = ModMatrix([[1, 0], [3, 1]], 5)
@@ -121,6 +94,15 @@ def test_reduce_mod_p_refuses_a_modulus_that_is_not_prime(q):
     # Z/qZ is a field only for q prime, and every ModMatrix inverse row reduces over that field
     with pytest.raises(BadPrime, match=f"^reduction mod p needs a prime p, got {q}$"):
         reduce_mod_p(RationalMatrix([[Fraction(1, 3), 0], [0, Fraction(1, 2)]]), q)
+
+
+def test_the_mod_p_reducer_refuses_a_composite_modulus():
+    # det 1, so only the pivot 2, without an inverse mod 4, shows 4 composite: pow's bare ValueError escaped
+    with pytest.raises(BadPrime, match="^a residue has no inverse mod 4, so 4 is not prime$"):
+        mod_inv(ModMatrix([[2, 1], [1, 1]], 4))
+    for p in (1, 0, -3):  # 0 raised ZeroDivisionError
+        with pytest.raises(BadPrime, match=f"^a modulus must be at least 2, got {p}$"):
+            ModMatrix([[1]], p)
 
 
 def test_crt_tuple():

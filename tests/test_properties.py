@@ -70,21 +70,20 @@ from expanderlab.quotient import (
 from expanderlab.spectral import (
     CayleyGraph,
     EscapeRow,
-    Measure,
     WalkRow,
     _cluster,
     _split_element,
-    convolve,
+    _walk,
+    _walk_inputs,
     escape_profile,
-    generator_measure,
     spectrum,
     trace_moment,
     walk_powers,
     walk_trace_side,
 )
-from expanderlab.words import ball_size, certify_free, fixed_line_fraction, fixed_point_fraction, reduced_words
+from expanderlab.words import ball_size, certify_free, reduced_words
 import oracles
-from oracles import walk_step
+from oracles import ping_pong_free, walk_step
 
 FEW = settings(max_examples=25, deadline=None)
 
@@ -162,53 +161,6 @@ def test_certify_free_witness_is_the_first_identity_word(picks, L):
     assert certify_free(gens, L) == (expected is None, expected)
 
 
-def proportional(u, v):
-    """Whether u = c v for some c, v nonzero: c from v's first nonzero entry."""
-    i = next(i for i, x in enumerate(v) if x)
-    return all(x == Fraction(u[i]) / v[i] * y for x, y in zip(u, v))
-
-
-def apply(m, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in m.rows]
-
-
-@FEW
-@given(
-    data=st.data(),
-    line=st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any),
-    trace_zero=st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)).filter(any),
-    point=st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
-)
-def test_fixed_word_counts_match_the_multiplied_out_words(data, line, trace_zero, point):
-    # two generators up to length 5, three up to length 4 (750 words)
-    M = data.draw(st.sampled_from([2, 3]))
-    picks = data.draw(st.lists(st.integers(0, len(GENERATOR_POOL) - 1), min_size=M, max_size=M, unique=True))
-    shifts = data.draw(st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)), min_size=M, max_size=M))
-    l = data.draw(st.integers(0, 7 - M))
-    gens = [GENERATOR_POOL[i] for i in picks]
-    ident = RationalMatrix.identity(2)
-    # each letter as an affine map (A, v): x -> A x + v, and its inverse
-    affine = {}
-    for i, (g, v) in enumerate(zip(gens, shifts), start=1):
-        gi = g.inverse()
-        affine[i], affine[-i] = (g, list(v)), (gi, [-x for x in apply(gi, v)])
-    natural = adjoint = fixed = 0
-    for word in reduced_words(M, l):
-        A, v = ident, [0, 0]
-        for a in word:  # (A, v) after (B, u) is (A B, A u + v)
-            B, u = affine[a]
-            A, v = A * B, [x + y for x, y in zip(apply(A, u), v)]
-        natural += proportional(apply(A, line), line)
-        # a E + b H + c F is [[b, a], [c, -b]]
-        a, b, c = trace_zero
-        X = RationalMatrix([[b, a], [c, -b]])
-        adjoint += proportional(sum((A * X * A.inverse()).rows, ()), sum(X.rows, ()))
-        fixed += [x + y for x, y in zip(apply(A, point), v)] == list(point)
-    assert fixed_line_fraction(gens, "natural", line, l)["count"] == natural
-    assert fixed_line_fraction(gens, "adjoint", trace_zero, l)["count"] == adjoint
-    assert fixed_point_fraction(gens, shifts, point, l)["count"] == fixed
-
-
 def first_identity_word(gens, L):
     """Recursive preorder scan of the reduced words of length 1..L,
     letters in the order 1, -1, 2, -2, ...; the first identity or None."""
@@ -250,6 +202,29 @@ def test_certify_free_agrees_with_a_preorder_scan(data):
 def test_certify_free_finds_torsion():
     # a rotation of order 4 gives the witness a^4 before anything longer
     assert certify_free([GENERATOR_POOL[6], GENERATOR_POOL[0]], 5) == (False, (1, 1, 1, 1))
+
+
+SMALL_RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@FEW
+@given(
+    a=SMALL_RATIONALS.filter(bool), b=SMALL_RATIONALS, shared=st.booleans(),
+    signs=st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1])),
+    g=st.lists(SMALL_RATIONALS, min_size=4, max_size=4).filter(lambda e: e[0] * e[3] != e[1] * e[2]),
+)
+def test_ping_pong_is_unchanged_by_conjugation_and_certify_free_agrees(a, b, shared, signs, g):
+    # +-(1 a; 0 1) and +-(1 0; b 1), proved free when |ab| >= 4, or +-(1 b; 0 1), which
+    # shares the fixed point of the first and commutes with it
+    A = RationalMatrix([[signs[0], signs[0] * a], [0, signs[0]]])
+    B = RationalMatrix([[signs[1], signs[1] * b if shared else 0], [0 if shared else signs[1] * b, signs[1]]])
+    proved = ping_pong_free(A, B)
+    assert proved == (None if shared or abs(a * b) < 4 else True)
+    P = RationalMatrix([g[:2], g[2:]])
+    conjugated = [P * M * P.inverse() for M in (A, B)]
+    assert ping_pong_free(*conjugated) == proved
+    if proved:
+        assert certify_free(conjugated, 12) == (True, None)
 
 
 # ----- row reducer -----
@@ -842,44 +817,6 @@ def test_orders_multiply_across_the_crt_factors(gens):
     assert (element_orders(G) == np.lcm(element_orders(F5)[i5], element_orders(F7)[i7])).all()
 
 
-@FEW
-@given(name=st.sampled_from(sorted(SPECTRUM_TABLES)), data=st.data())
-def test_exact_walk_steps_keep_mass_1_and_are_convolutions(name, data):
-    G = SPECTRUM_TABLES[name]
-    picks = data.draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=3))
-    s_ids = picks + G.inv_vec(picks).tolist()
-    chi = generator_measure(G, s_ids, exact=True)
-    mu = Measure.point(G, G.identity_id, exact=True)
-    for _ in range(data.draw(st.integers(1, 3))):
-        # from the identity the walk is chi_S^(k), which commutes with chi_S
-        step = walk_step(mu, s_ids)
-        assert (step.weights == convolve(mu, chi).weights).all()
-        mu = step
-        assert mu.mass() == 1
-    # for any measure and any multiset S, one step is chi_(S^-1) * mu
-    support = data.draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=4))
-    nu = Measure.uniform_on(G, support, exact=True)
-    chi_inv = generator_measure(G, G.inv_vec(picks), exact=True)
-    assert (walk_step(nu, picks).weights == convolve(chi_inv, nu).weights).all()
-
-
-C24 = cyclic_group(24)
-
-
-@FEW
-@given(ids=st.lists(st.integers(0, 23), min_size=1, max_size=12), g=st.integers(0, 23))
-def test_uniform_on_weighs_each_id_by_its_count_and_point_is_one_id(ids, g):
-    G = C24
-    w = Measure.uniform_on(G, ids, exact=True).weights
-    assert all(type(x) is Fraction for x in w)
-    assert w.tolist() == [Fraction(ids.count(i), len(ids)) for i in range(G.order)]
-    assert sum(w) == 1
-    for exact in (False, True):
-        point, one = Measure.point(G, g, exact).weights, Measure.uniform_on(G, [g], exact).weights
-        assert point.dtype == one.dtype and [type(x) for x in point] == [type(x) for x in one]
-        assert point.tolist() == one.tolist() == [int(i == g) for i in range(G.order)]
-
-
 # ----- BFS-recorded translations and the walks that use them -----
 
 
@@ -925,27 +862,31 @@ def test_level_ends_are_the_word_length_spheres(name):
 
 
 def check_walks_against_full_steps(G, gen_ids, l_max, exact, H):
-    """walk_powers (with and without H) and, for float walks, escape_profile
-    against a plain loop of full walk_step calls, compared with ==."""
+    """walk_powers (with and without H), the last vector of spectral._walk and, for float
+    walks, escape_profile against a plain loop of full walk_step calls, compared with ==."""
     S = G.generator_ids.tolist() if gen_ids is None else gen_ids
-    mus = [Measure.point(G, G.identity_id, exact)]
+    ws = [np.array([Fraction(int(i == G.identity_id)) for i in range(G.order)], dtype=object if exact else float)]
     for _ in range(l_max):
-        mus.append(walk_step(mus[-1], S))
+        ws.append(walk_step(G, ws[-1], S))
+
+    def l2(w):
+        return math.sqrt(float((w * w).sum()))
+
     for sub, mass in ((None, lambda w: w[G.identity_id]), (H, lambda w: w[H.member].sum())):
         series = walk_powers(G, l_max, gen_ids, H=sub, exact=exact)
-        assert series.rows == [
-            WalkRow(l, mu.l2(), float(mu.linf()), float(mass(mu.weights)))
-            for l, mu in enumerate(mus) if l
-        ]
-        assert series.final.exact == exact
-        assert series.final.weights.tolist() == mus[-1].weights.tolist()
-        assert {type(x) for x in series.final.weights.tolist()} == {Fraction if exact else float}
+        assert series.rows == [WalkRow(l, l2(w), float(w.max()), float(mass(w))) for l, w in enumerate(ws) if l]
+    # exact walks yield Python-int word counts, k^l times the weights
+    ids, perms, ends = _walk_inputs(G, gen_ids)
+    *_, (_, last) = _walk(perms, ends, l_max, exact)
+    assert {type(x) for x in last.tolist()} == {int if exact else float}
+    got = [Fraction(c, len(ids) ** l_max) for c in last.tolist()] if exact else last.tolist()
+    assert got == ws[-1].tolist()
     if not exact:
         labels = coset_labels(G, H.element_ids)
         want = []
-        for l, mu in enumerate(mus[1:], 1):
-            m = np.bincount(labels, weights=mu.weights, minlength=H.index)
-            want.append(EscapeRow(l, mu.l2(), float(mu.linf()), float(m[labels[0]]), float(m.max())))
+        for l, w in enumerate(ws[1:], 1):
+            m = np.bincount(labels, weights=w, minlength=H.index)
+            want.append(EscapeRow(l, l2(w), float(w.max()), float(m[labels[0]]), float(m.max())))
         assert escape_profile(G, H, l_max, gen_ids).rows == want
 
 
@@ -1930,21 +1871,20 @@ def test_orbit_sum_subspaces_found_by_code_are_those_of_the_code_sets(data):
 # ----- public names -----
 
 PUBLIC = [
-    "CayleyGraph", "ElementSet", "GroupTable", "Measure", "ModMatrix", "ModuleAction",
+    "CayleyGraph", "ElementSet", "GroupTable", "ModMatrix", "ModuleAction",
     "PrimeSet", "ProductFrame", "RationalMatrix", "SemidirectSpec", "SubgroupRecord",
     "ball_size", "borel_subgroup", "certify_free", "chain_inequality", "cheeger_bracket",
-    "conjugacy_classes", "convolve", "crt_tuple", "cyclic_group", "direct_product",
+    "conjugacy_classes", "crt_tuple", "cyclic_group", "direct_product",
     "edge_expansion_exact", "escape_profile",
-    "fixed_line_fraction", "fixed_point_fraction", "flatten_check",
     "generate_group", "gowers_cover", "heisenberg_group", "index_product_check",
     "is_perfect", "kesten_return", "kesten_series",
     "kesten_upper_bound", "lower_central_series", "nilpotent_recover", "normal_closure",
     "normal_closure_product", "normal_subgroups", "orbit_sum_span", "orbit_sum_subspace",
     "product_decompose", "product_set", "radial_distribution", "random_symmetric_set",
-    "random_transversal", "reduce_mod_p", "reduced_words", "s_norm", "semidirect_group",
-    "small_lifts", "spectrum", "square_free_factors", "subgroup_closure", "torus_subgroup",
+    "random_transversal", "reduce_mod_p", "reduced_words", "semidirect_group",
+    "spectrum", "square_free_factors", "subgroup_closure", "torus_subgroup",
     "trace_moment", "tripling_report", "verify_factor_product_form", "verify_normal_perfect",
-    "verify_product_form", "walk_flatten_exponent", "walk_powers", "walk_trace_side",
+    "verify_product_form", "walk_powers", "walk_trace_side",
 ]
 
 
@@ -1962,7 +1902,6 @@ SIGNATURES = {
     "ModMatrix": "(rows, p)",
     "reduce_mod_p": "(M, p)",
     "crt_tuple": "(M, q)",
-    "s_norm": "(M, S)",
     "square_free_factors": "(q)",
     "ball_size": "(M, l)",
     "reduced_words": "(M, l)",
@@ -1971,8 +1910,6 @@ SIGNATURES = {
     "kesten_upper_bound": "(M, k)",
     "radial_distribution": "(M, k)",
     "certify_free": "(gens, L)",
-    "fixed_line_fraction": "(gens, rep, w, l)",
-    "fixed_point_fraction": "(gens, translations, w, l)",
     "GroupTable": "(digits, radices, mul_rows, inv_rows, generator_ids, kind, meta, index, level_ends)",
     "generate_group": "(gens, q=None, *, symmetrize=True)",
     "cyclic_group": "(n)",
@@ -1988,18 +1925,13 @@ SIGNATURES = {
     "is_perfect": "(G)",
     "product_decompose": "(G)",
     "index_product_check": "(G, H, delta=0.25)",
-    "small_lifts": "(ball, G, H, delta)",
     "lower_central_series": "(U)",
     "verify_product_form": "(G, H)",
     "verify_normal_perfect": "(G)",
     "verify_factor_product_form": "(G, H)",
     "borel_subgroup": "(G)",
     "torus_subgroup": "(G)",
-    "Measure": "(table, weights)",
-    "convolve": "(mu, nu)",
     "walk_powers": "(table, l_max, gen_ids=None, H=None, exact=False)",
-    "flatten_check": "(mu, nu)",
-    "walk_flatten_exponent": "(series, l)",
     "escape_profile": "(G, H, l_max, gen_ids=None)",
     "CayleyGraph": "(table, s_ids=None)",
     "spectrum": "(graph)",

@@ -33,7 +33,6 @@ from expanderlab.quotient import (
     normal_subgroups,
     product_decompose,
     semidirect_group,
-    small_lifts,
     subgroup_closure,
     torus_subgroup,
     unipotent_mask,
@@ -42,8 +41,7 @@ from expanderlab.quotient import (
     verify_product_form,
 )
 from expanderlab.growth import ElementSet
-from expanderlab.spectral import CayleyGraph, Measure, generator_measure, walk_powers
-from expanderlab.words import reduced_words
+from expanderlab.spectral import CayleyGraph, walk_powers
 
 
 def lubotzky_gens(t=3):
@@ -273,8 +271,8 @@ def test_closures_refuse_ids_outside_the_table(sl2_5, bad):
 def test_ids_not_of_integer_kind_are_refused(bad):
     # a cast would close over id 1 for 1.7 and read the mask as the ids 0 and 1
     G = cyclic_group(6)
-    calls = [subgroup_closure, normal_closure, Measure.uniform_on, generator_measure, ElementSet.from_ids,
-             CayleyGraph, lambda G, ids: walk_powers(G, 2, gen_ids=ids)]
+    calls = [subgroup_closure, normal_closure, ElementSet.from_ids, CayleyGraph,
+             lambda G, ids: walk_powers(G, 2, gen_ids=ids)]
     for call in calls:
         with pytest.raises(NotInGroup, match="element ids must be integers, got (float64|bool)"):
             call(G, bad)
@@ -288,12 +286,10 @@ def test_an_empty_id_list_is_still_taken():
 
 
 def test_ids_of_matrices_refuses_a_table_that_is_not_a_matrix_table():
-    # a cyclic table has no modulus q: a bare KeyError: 'q' escaped small_lifts, which catches NotInGroup
+    # a cyclic table has no modulus q: a bare KeyError: 'q' escaped
     G, one = cyclic_group(5), RationalMatrix([[1, 0], [0, 1]])
     with pytest.raises(TableMismatch, match="^ids of matrices need a matrix table$"):
         ids_of_matrices(G, [one])
-    with pytest.raises(TableMismatch):
-        small_lifts([((), one)], G, subgroup_closure(G, []), 2.0)
 
 
 def test_direct_product():
@@ -562,40 +558,6 @@ def test_index_product_check_needs_a_composite_table(table, sl2_5):
     assert str(err.value) == "index_product_check needs a matrix table with composite q or a direct product"
 
 
-def word_ball(gens, l_max):
-    """(word, matrix) pairs for every reduced word of length <= l_max."""
-    mats = {}
-    for i, g in enumerate(gens, start=1):
-        mats[i] = g
-        mats[-i] = g.inverse()
-    out = [((), RationalMatrix.identity(gens[0].dim))]
-    for l in range(1, l_max + 1):
-        for w in reduced_words(len(gens), l):
-            m = mats[w[0]]
-            for a in w[1:]:
-                m = m * mats[a]
-            out.append((w, m))
-    return out
-
-
-def test_small_lifts(sl2_5):
-    G = sl2_5
-    H = borel_subgroup(G)
-    ball = word_ball(lubotzky_gens(), 3)
-    # generous exponent: plenty of short words project into the Borel
-    lifts = small_lifts(ball, G, H, delta=3.0)
-    assert (((),) + tuple())[0] == ()  # identity word always lifts
-    assert any(w == () for w, _ in lifts)
-    bound = float(H.index) ** 3.0
-    from expanderlab.exact import PrimeSet, s_norm
-
-    for w, m in lifts:
-        assert s_norm(m, PrimeSet()) < bound
-    # tight exponent keeps only the identity
-    tight = small_lifts(ball, G, H, delta=0.1)
-    assert [w for w, _ in tight] == [()]
-
-
 @pytest.fixture(scope="module")
 def sl2_65():
     return generate_group(lubotzky_gens(), 65)
@@ -615,12 +577,6 @@ def test_index_product_check_refuses_a_subgroup_of_another_table(sl2_35, sl2_65)
     for G, H in ((sl2_65, H35), (sl2_35, H65)):
         with pytest.raises(TableMismatch, match="subgroup belongs to a different table"):
             index_product_check(G, H)
-
-
-def test_small_lifts_refuses_a_subgroup_of_another_table(sl2_35, sl2_65):
-    (H65,) = first_generator_subgroups(sl2_65)
-    with pytest.raises(TableMismatch, match="subgroup belongs to a different table"):
-        small_lifts(word_ball(lubotzky_gens(), 1), sl2_35, H65, 0.5)
 
 
 def test_verify_product_form_refuses_a_subgroup_of_another_table():

@@ -5,13 +5,10 @@ from fractions import Fraction
 import pytest
 
 from expanderlab import words
-from expanderlab.errors import ZeroVector
 from expanderlab.exact import RationalMatrix
 from expanderlab.words import (
     ball_size,
     certify_free,
-    fixed_line_fraction,
-    fixed_point_fraction,
     kesten_return,
     kesten_series,
     kesten_upper_bound,
@@ -238,88 +235,3 @@ def test_certify_free_at_length_0_checks_no_word():
     gens = [RationalMatrix.identity(2), RationalMatrix([[1, 2], [0, 1]])]
     assert certify_free(gens, 0) == (True, None)
 
-
-def test_fixed_line_natural():
-    # (1 3; 0 1) fixes the line [e1]; its transpose partner does not
-    out = fixed_line_fraction(lubotzky_pair(3), "natural", [1, 0], 1)
-    # length-1 words: a, a^-1 fix [e1]; b, b^-1 move it
-    assert out["count"] == 2
-    assert out["ball"] == 4
-
-
-def test_fixed_line_adjoint_smaller_than_natural():
-    gens = lubotzky_pair(3)
-    nat = fixed_line_fraction(gens, "natural", [1, 0], 4)
-    adj = fixed_line_fraction(gens, "adjoint", [0, 1, 0], 4)
-    assert 0 < nat["count"]
-    assert adj["count"] <= nat["count"]
-
-
-def test_fixed_line_rejects_zero():
-    with pytest.raises(ZeroVector):
-        fixed_line_fraction(lubotzky_pair(3), "natural", [0, 0], 2)
-
-
-def test_ball_scan_cap(monkeypatch):
-    gens = lubotzky_pair(3)
-    with pytest.raises(ValueError, match="ball scan cap is l <= 12$"):
-        fixed_line_fraction(gens, "natural", [1, 0], 13)
-    monkeypatch.setattr(words, "BALL_SCAN_CAP", 2)
-    with pytest.raises(ValueError, match="ball scan cap is l <= 2$"):
-        fixed_line_fraction(gens, "natural", [1, 0], 3)
-    with pytest.raises(ValueError, match="ball scan cap is l <= 2$"):
-        fixed_point_fraction(gens, [[0, 0], [0, 0]], [0, 0], 3)
-
-
-def test_fixed_word_counts_at_lengths_11_and_12():
-    # (natural [1, 0], adjoint H, affine at the origin) counts, recorded from a depth-first
-    # count in Fractions over all of B_l; the order-4 rotation and (1 1; 0 1) generate SL2(Z)
-    sl2z = [RationalMatrix([[0, -1], [1, 0]]), RationalMatrix([[1, 1], [0, 1]])]
-    pinned = [
-        (lubotzky_pair(3), 11, (2, 0, 0)),
-        (lubotzky_pair(3), 12, (2, 0, 0)),
-        (sl2z, 11, (22714, 7426, 2038)),
-        (sl2z, 12, (62340, 19894, 14074)),
-    ]
-    for gens, l, counts in pinned:
-        assert (
-            fixed_line_fraction(gens, "natural", [1, 0], l)["count"],
-            fixed_line_fraction(gens, "adjoint", [0, 1, 0], l)["count"],
-            fixed_point_fraction(gens, [[1, 0], [0, 1]], [0, 0], l)["count"],
-        ) == counts
-
-
-def test_fixed_word_counts_reject_a_vector_of_another_length():
-    with pytest.raises(ValueError, match="^the vector and the matrices differ in size$"):
-        fixed_line_fraction(lubotzky_pair(3), "natural", [1, 0, 0], 2)
-    with pytest.raises(ValueError, match="^the vector and the matrices differ in size$"):
-        fixed_point_fraction(lubotzky_pair(3), [[0, 0], [0, 0]], [0, 0, 0], 2)
-
-
-def test_fixed_point_count_rejects_a_translation_of_another_length():
-    # a long translation's extra entries were dropped: these counted all 36 words of B_3
-    for shifts in ([[0, 0, 5], [0, 0, 7]], [[0, 0], [1]], [[0, 0]]):
-        with pytest.raises(ValueError, match="^one translation part per generator, of its matrix's size, required$"):
-            fixed_point_fraction(lubotzky_pair(3), shifts, [0, 0], 3)
-
-
-@pytest.mark.parametrize("l", [0, 2])
-def test_fixed_line_count_needs_a_generator(l):
-    with pytest.raises(ValueError, match="^need at least one generator$"):
-        fixed_line_fraction([], "natural", [1, 0], l)
-
-
-@pytest.mark.parametrize("l", [0, 2])
-def test_fixed_point_count_needs_a_generator(l):
-    with pytest.raises(ValueError, match="^need at least one generator$"):
-        fixed_point_fraction([], [], [0, 0], l)
-
-
-def test_fixed_point_affine():
-    gens = lubotzky_pair(3)
-    # translations zero: fixing the origin is automatic for every word
-    out = fixed_point_fraction(gens, [[0, 0], [0, 0]], [0, 0], 3)
-    assert out["count"] == out["ball"]
-    # generic translations: no length-1 word fixes the origin
-    out = fixed_point_fraction(gens, [[1, 0], [0, 1]], [0, 0], 1)
-    assert out["count"] == 0
