@@ -1,9 +1,12 @@
 """Product-set growth experiments and unipotent-radical recovery ops.
 
-Sets of group elements are dense boolean masks over a GroupTable.
-Product sets are computed by exact table lookups over all pairs, in
-chunks, so the cost is the literal pair count, which PAIR_WORK_CAP
-bounds; searches for the least power c or t stop at PRODUCT_DEPTH_CAP.
+Sets of group elements are sorted ids over a GroupTable, with a
+membership mask worked out on first read.
+Product sets are computed by exact table lookups in chunks, over all
+pairs of A.B or, when that is fewer, over A.b0 and the membership in A
+of x b^-1 for each x outside it; either way the work is at most
+|A|*|B| pair lookups, and PAIR_WORK_CAP bounds |A|*|B|. Searches for
+the least power c or t stop at PRODUCT_DEPTH_CAP.
 A product frame reads the Levi projection beta: L x U -> L of each
 semidirect factor, and its kernel U, from quotient's one reader of the
 Levi block, as Levi codes.
@@ -24,7 +27,6 @@ from .errors import (
     FixedVectorExists,
     HypothesisViolated,
     NotInGroup,
-    NotPGroup,
     ProjectionNotOnto,
     SizeCapExceeded,
     TableMismatch,
@@ -33,7 +35,6 @@ from .errors import (
 from .exact import prime_factors, row_reduce_mod_p
 from .quotient import (
     GroupTable,
-    SubgroupRecord,
     _distinct,
     _element_cap,
     _ids_in,
@@ -104,21 +105,30 @@ def random_symmetric_set(table: GroupTable, size: int, rng: np.random.Generator)
             inv = table.inv(extra)
             member[[extra, inv]] = True
             count += 1 + (inv != extra)
-    return ElementSet.from_ids(table, np.flatnonzero(member))
+    return ElementSet(table, np.flatnonzero(member))
 
 
 def product_set(A: ElementSet, B: ElementSet) -> ElementSet:
-    """A.B = {ab}, exact, chunked over all |A|*|B| pairs."""
+    """A.B = {ab}, exact, chunked over all |A|*|B| pairs, or, when that is fewer
+    lookups, over A.b0 and then each x outside it times every b^-1: x = ab
+    exactly when x b^-1 = a lies in A."""
     if A.parent is not B.parent:
         raise TableMismatch("sets live on different tables")
     G = A.parent
     pairs = A.size * B.size
     if pairs > PAIR_WORK_CAP:
         raise SizeCapExceeded(f"product set needs {pairs} pair lookups, cap {PAIR_WORK_CAP}")
-    member = np.zeros(G.order, dtype=bool)
     step = max(1, CHUNK // max(B.size, 1))
-    for lo in range(0, A.size, step):
-        member[G.mul_vec(A.ids[lo : lo + step, None], B.ids)] = True
+    if A.size + (G.order - A.size) * B.size < pairs:
+        member = G.mask(G.mul_vec(A.ids, B.ids[0]))
+        missed, inverses = np.flatnonzero(~member), G.inv_vec(B.ids)
+        for lo in range(0, len(missed), step):
+            x = missed[lo : lo + step]
+            member[x] = A.member[G.mul_vec(x[:, None], inverses)].any(axis=1)
+    else:
+        member = np.zeros(G.order, dtype=bool)
+        for lo in range(0, A.size, step):
+            member[G.mul_vec(A.ids[lo : lo + step, None], B.ids)] = True
     return ElementSet(G, np.flatnonzero(member))
 
 

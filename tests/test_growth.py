@@ -163,6 +163,18 @@ def test_product_set_work_cap(sl2_5, monkeypatch):
         product_power(A, 2)
 
 
+def test_a_dense_set_times_b_looks_up_only_the_pairs_of_what_a_b0_misses(sl2_5, monkeypatch):
+    B = random_symmetric_set(sl2_5, 8, np.random.default_rng(5))
+    calls = counted(monkeypatch, sl2_5, "mul_vec")
+    for A in (ElementSet(sl2_5, np.arange(10)), ElementSet(sl2_5, np.arange(10, sl2_5.order))):
+        calls.clear()
+        got = product_set(A, B)
+        pairs = sum(math.prod(np.broadcast_shapes(np.shape(a), np.shape(b))) for a, b in calls)
+        # 10 ids: all 10 |B| pairs; 110 ids: A.b0, then the 10 ids outside it times B^-1, not 110 |B|
+        assert pairs == min(A.size * B.size, A.size + (sl2_5.order - A.size) * B.size)
+        assert np.array_equal(got.ids, np.unique(sl2_5._apply("mul_vec", A.ids[:, None], B.ids)))
+
+
 def test_tripling_report(sl2_5):
     rng = np.random.default_rng(11)
     A = random_symmetric_set(sl2_5, 8, rng)

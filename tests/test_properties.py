@@ -25,7 +25,6 @@ import expanderlab
 from expanderlab import growth, quotient
 from expanderlab.cli import builtin_generators, parse_generators
 from expanderlab.errors import (
-    FixedVectorExists,
     HypothesisViolated,
     NotInGroup,
     NotNormal,
@@ -1207,6 +1206,26 @@ def test_product_sets_are_the_kernel_products(name, data):
     G = PRODUCT_TABLES[name]
     ids = st.lists(st.integers(0, G.order - 1), min_size=1, max_size=80)
     A, B = (ElementSet.from_ids(G, data.draw(ids)) for _ in range(2))
+    want = np.unique(G._apply("mul_vec", A.ids[:, None], B.ids))
+    assert np.array_equal(product_set(A, B).ids, want)
+
+
+@FEW
+@given(name=st.sampled_from(sorted(PRODUCT_TABLES)), b_kind=st.sampled_from(["with 1", "without 1", "one id"]),
+       data=st.data())
+def test_product_sets_of_a_dense_set_are_the_kernel_products(name, b_kind, data):
+    G = PRODUCT_TABLES[name]
+    if b_kind == "with 1":
+        B = ElementSet.from_ids(G, [G.identity_id, *data.draw(st.lists(st.integers(0, G.order - 1), max_size=8))])
+    elif b_kind == "without 1":
+        B = ElementSet.from_ids(G, data.draw(st.lists(st.integers(1, G.order - 1), min_size=1, max_size=8)))
+    else:
+        B = ElementSet.from_ids(G, [data.draw(st.integers(0, G.order - 1))])
+    # A is the complement of a few ids and of x B^-1, so x lies outside A.B, which is
+    # then found by testing what A.b0 misses
+    x = data.draw(st.integers(0, G.order - 1))
+    holes = [*data.draw(st.lists(st.integers(0, G.order - 1), max_size=80)), *G.mul_vec(x, G.inv_vec(B.ids)).tolist()]
+    A = ElementSet(G, np.flatnonzero(~G.mask(holes)))
     want = np.unique(G._apply("mul_vec", A.ids[:, None], B.ids))
     assert np.array_equal(product_set(A, B).ids, want)
 
