@@ -49,10 +49,10 @@ class RationalMatrix:
     """Square matrix over Q with exact entries.
 
     Entries are stored as a tuple of row tuples of Fractions, so instances
-    are hashable and safe to share.
+    are hashable and safe to share.  The inverse is kept once computed.
     """
 
-    __slots__ = ("dim", "rows")
+    __slots__ = ("dim", "rows", "_inverse")
 
     def __init__(self, rows: Iterable[Iterable]):
         rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
@@ -61,6 +61,7 @@ class RationalMatrix:
             raise ValueError(f"need a square matrix with 2 <= dim <= {MAX_DIM}")
         self.dim = d
         self.rows = rows
+        self._inverse = None
 
     @classmethod
     def identity(cls, d: int) -> "RationalMatrix":
@@ -89,6 +90,8 @@ class RationalMatrix:
         return f"RationalMatrix({body})"
 
     def inverse(self) -> "RationalMatrix":
+        if self._inverse is not None:
+            return self._inverse
         d = self.dim
         m = [list(row) + [Fraction(int(i == j)) for j in range(d)] for i, row in enumerate(self.rows)]
         for col in range(d):
@@ -102,7 +105,8 @@ class RationalMatrix:
                 if r != col and m[r][col]:
                     f = m[r][col]
                     m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-        return RationalMatrix([row[d:] for row in m])
+        self._inverse = RationalMatrix([row[d:] for row in m])
+        return self._inverse
 
     def denominator_support(self) -> set[int]:
         """Primes dividing any entry denominator."""

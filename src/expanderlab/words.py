@@ -6,7 +6,8 @@ letters with no adjacent cancelling pair.  B_l denotes the set of
 reduced words of length exactly l.  Words are ordered letter by letter
 under 1 < -1 < 2 < -2 < ...; inside _spheres and certify_free a letter
 is its rank in that order (0, 1, 2, 3, ...), so r ^ 1 is the inverse of
-r and rank tuples compare as the words do.
+r and rank tuples compare as the words do, and a letter's matrix is D A
+in integers, with D the lcm of the entry denominators of every letter A.
 """
 from __future__ import annotations
 
@@ -17,9 +18,11 @@ from functools import partial, reduce
 from itertools import chain, repeat
 from typing import Iterator, Sequence
 
+from .errors import SizeCapExceeded
 from .exact import RationalMatrix
 
 FREE_LENGTH_CAP = 16  # longest relation certify_free searches for
+FREE_BALL_CAP = 10**6  # most words certify_free hashes
 _add = partial(map, operator.add)  # elementwise sum of two iterables
 
 Word = tuple[int, ...]
@@ -136,33 +139,24 @@ def kesten_upper_bound(M: int, k: int) -> Fraction:
     return Fraction(2 * M - 1, M * M) ** k
 
 
-def _spheres(letters: Sequence[Sequence[Sequence]], start: Sequence[Sequence], radius: int) -> Iterator[list]:
-    """The spheres 0..radius of reduced words in letters (matrices as rows, by rank: r ^ 1 is the
-    inverse of r), each as blocks (last rank, [words, dens, *entries]) by last letter, -1 for the
-    empty word.  A word's entries over its denominator, in lowest terms, are those of start times
-    its letters in order.  The extension by a joins every block but that of a^-1: it multiplies
-    them by a's integer coefficients and cancels factors."""
-    d = len(start[0])
-    coeffs = []  # per rank: the columns of the matrix with cleared denominators, and those
-    for mat in letters:
-        den = math.lcm(*(x.denominator for row in mat for x in row))
-        coeffs.append(([[int(row[j] * den) for row in mat] for j in range(d)], den))
-    den = math.lcm(*(x.denominator for row in start for x in row))
-    sphere = [(-1, [[()], [den], *([int(x * den)] for row in start for x in row)])]
+def _spheres(letters: Sequence[Sequence[Sequence[int]]], radius: int) -> Iterator[list]:
+    """The spheres 0..radius of reduced words in letters (integer matrices as rows, by rank: r ^ 1
+    is the inverse of r), each as blocks (last rank, [words, *entries]) by last letter, -1 for the
+    empty word.  A word's entries are those of the product of its letters in order.  The extension
+    by a joins every block but that of a^-1 and multiplies them by a's coefficients."""
+    d = len(letters[0])
+    coeffs = [[[row[j] for row in mat] for j in range(d)] for mat in letters]  # per rank, the columns
+    sphere = [(-1, [[()], *([int(i == j)] for i in range(d) for j in range(d))])]
     yield sphere
     for _ in range(radius):
         grown = []
-        for a, (cs, dg) in enumerate(coeffs):
+        for a, cs in enumerate(coeffs):
             parts = zip(*(block for last, block in sphere if last != a ^ 1))
-            ws, den, *cols = (list(chain.from_iterable(part)) for part in parts)
+            ws, *cols = (list(chain.from_iterable(part)) for part in parts)
             prod = [list(reduce(_add, (col if c == 1 else map(c.__mul__, col)
                                        for col, c in zip(cols[i:i + d], cs[j]) if c)))
                     for i in range(0, len(cols), d) for j in range(d)]
-            den = den if dg == 1 else list(map(dg.__mul__, den))
-            g = list(map(math.gcd, den, *prod))
-            if g.count(1) != len(g):
-                den, *prod = (list(map(operator.floordiv, col, g)) for col in (den, *prod))
-            grown.append((a, [list(map(operator.add, ws, repeat((a,)))), den, *prod]))
+            grown.append((a, [list(map(operator.add, ws, repeat((a,)))), *prod]))
         sphere = grown
         yield sphere
 
@@ -179,11 +173,13 @@ def certify_free(gens: Sequence[RationalMatrix], L: int) -> tuple[bool, Word | N
     u v^-1 with u = w[:ceil(n/2)] and v the inverse of the rest: reduced
     words with one matrix, |u| - |v| in {0, 1}, not ending in the same
     letter; conversely such a pair joins to a relation.  So the ball of
-    radius ceil(L/2), built by _spheres from the identity, is hashed once
-    by exact matrix, whatever the answer, and the witness is the
-    lexicographically first u v^-1 over colliding pairs (letters
-    1 < -1 < 2 < -2 < ..., a prefix first; the first identity word in
-    preorder, not always the shortest).
+    radius R = ceil(L/2) is hashed once by exact matrix, whatever the
+    answer, and the witness is the lexicographically first u v^-1 over
+    colliding pairs (letters 1 < -1 < 2 < -2 < ..., a prefix first; the
+    first identity word in preorder, not always the shortest).  A word w of
+    length l carries D^l M(w) and is keyed by D^(R-l) D^l M(w), so equal
+    keys are equal matrices.  A ball of more than FREE_BALL_CAP words
+    raises SizeCapExceeded before any word is built.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -192,10 +188,18 @@ def certify_free(gens: Sequence[RationalMatrix], L: int) -> tuple[bool, Word | N
     dims = sorted({g.dim for g in gens})
     if len(dims) > 1:
         raise ValueError(f"generators of mixed dimension {dims}")
+    R = (L + 1) // 2
+    size = sum(ball_size(len(gens), l) for l in range(R + 1))
+    if size > FREE_BALL_CAP:
+        raise SizeCapExceeded(f"word ball of radius {R} holds {size} words, above the cap of {FREE_BALL_CAP}")
     letters = [m.rows for g in gens for m in (g, g.inverse())]
-    buckets = {}  # per (denominator, *entries) in lowest terms: the words
-    for sphere in _spheres(letters, RationalMatrix.identity(dims[0]).rows, (L + 1) // 2):
+    D = math.lcm(*(x.denominator for rows in letters for row in rows for x in row))
+    buckets = {}  # per entries of D^R M(w): the words
+    for l, sphere in enumerate(_spheres([[[int(x * D) for x in row] for row in rows] for rows in letters], R)):
+        scale = D ** (R - l)
         for _, (ws, *cols) in sphere:
+            if scale != 1:
+                cols = [list(map(scale.__mul__, col)) for col in cols]
             for key, w in zip(zip(*cols), ws):
                 buckets.setdefault(key, []).append(w)
 

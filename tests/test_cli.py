@@ -355,6 +355,40 @@ def test_freeness_lmax_range(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_freeness_inverts_each_generator_once(monkeypatch, capsys):
+    # the dedup of inverses and the word search both read each generator's
+    # inverse; it is computed once, so every call after the first returns
+    # the same matrix
+    results = []
+    inverse = RationalMatrix.inverse
+
+    def recorded(self):
+        results.append(inverse(self))
+        return results[-1]
+
+    monkeypatch.setattr(RationalMatrix, "inverse", recorded)
+    assert main(["freeness", "--builtin", "lubotzky3", "--lmax", "8"]) == EXIT_OK
+    capsys.readouterr()
+    assert len(results) == 4 and len({id(r) for r in results}) == 2
+
+
+def test_freeness_ball_over_the_cap_exits_1(tmp_path, monkeypatch, capsys):
+    # four generators at --lmax 16 would hash 7,686,401 words; the search
+    # refuses before it builds one, with a typed error and exit 1
+    from expanderlab import words
+
+    def no_ball(*args):
+        raise AssertionError("the ball was built")
+
+    monkeypatch.setattr(words, "_spheres", no_ball)
+    gens = write(tmp_path, "g.txt", "dim 2\nprimes\n1 2 0 1\n1 0 2 1\n1 4 2 5\n5 2 2 1\n")
+    assert main(["freeness", "--gens", gens, "--lmax", "16"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error[SizeCapExceeded]: word ball of radius 8 holds 7686401 words, "
+                            f"above the cap of {words.FREE_BALL_CAP}\n")
+
+
 def test_freeness_loads_no_numpy(tmp_path):
     # importing numpy would more than triple a fresh freeness process's
     # start-up, so parsing a file, the word search and the JSON report

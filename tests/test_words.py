@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from expanderlab import words
+from expanderlab.errors import SizeCapExceeded
 from expanderlab.exact import RationalMatrix
 from expanderlab.words import (
     ball_size,
@@ -212,6 +213,41 @@ def test_certify_free_compares_reduced_fractions():
     # certificate must compare their matrices as reduced fractions
     gens = [RationalMatrix([[1, 2], [0, 1]]), RationalMatrix([[1, 0], ["1/2", 1]])]
     assert certify_free(gens, 6) == (False, (1, 2, -1, 2, 1, -2))
+
+
+def test_certify_free_compares_halves_of_different_lengths_over_one_denominator():
+    # a = (1 1/3; 0 1) and b = (1 0; 9/2 1), so D = 6; a^2 b^-1 has trace -1
+    # and order 3, so the first relation has length 9 and its halves
+    # u = (1, 1, -2, 1, 1) and v^-1 = (-2, 1, 1, -2) have lengths R = 5 and
+    # R - 1 = 4: their keys match only as D^5 M(u) and D D^4 M(v)
+    gens = [RationalMatrix([[1, "1/3"], [0, 1]]), RationalMatrix([[1, 0], ["9/2", 1]])]
+    witness = (1, 1, -2, 1, 1, -2, 1, 1, -2)
+    assert certify_free(gens, 8) == (True, None)
+    assert certify_free(gens, 9) == (False, witness)
+    assert evaluate(gens, witness) == RationalMatrix.identity(2)
+
+
+def test_certify_free_refuses_a_ball_over_the_cap_before_building_it(monkeypatch):
+    # four generators at L = 16 hash a radius-8 ball of 7,686,401 words,
+    # which ran out of memory under a 1.5 GB address-space limit; three
+    # hash 585,937, under FREE_BALL_CAP
+    a, b = lubotzky_pair(2)
+    four = [a, b, a * a * b, b * a * b]
+    assert sum(ball_size(4, l) for l in range(9)) == 7_686_401 > words.FREE_BALL_CAP
+
+    def no_ball(*args):
+        raise AssertionError("the ball was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(words, "_spheres", no_ball)
+        with pytest.raises(SizeCapExceeded, match="^word ball of radius 8 holds 7686401 words"):
+            certify_free(four, 16)
+        with pytest.raises(SizeCapExceeded, match="^word ball of radius 7 holds 1098057 words"):
+            certify_free(four, 13)
+    # the longest four-generator search under the cap, and a free basis of
+    # the index-2 subgroup <a^2, b, a b a^-1> of <a, b> at the length cap
+    assert certify_free(four, 12) == (False, (1, 1, 1, 1, 1, 1, 2, -3, -1, -1, -1, -1))
+    assert certify_free([a * a, b, a * b * a.inverse()], 16) == (True, None)
 
 
 def test_certify_free_word_cap():
