@@ -13,18 +13,21 @@ ID_INDEX_CAP = 2^23 keys, else int32 ids beside sorted keys, int32 below 2^31
 (SL2 mod 59-97), which a level costs one search and one in-place sort of int64
 values key << b | position (b bits for a position), or an argsort of the keys
 where those could pass 62 bits (int64 keys: a 4x4 table mod 13).  A key is the
-mixed-radix code of the digit row; in a table with factors (mod a composite q,
-inside the product of its per-prime images by the CRT, or a direct product),
-built first, the ranks of the factor blocks' codes in mixed radix over the
-factor orders, which sort as the codes do (262,080 keys for SL2 mod 65).  The
-BFS multiplies on the left (a sphere is the same from either side), and the
-products g x seed left_perm(g); the first level_ends[l] ids are the ball B_l.
-As g x acts on each column of x apart, a matrix table mod a prime first maps
-to the orbit of the identity's columns (9,408 vectors mod 97), and its BFS
-runs on rows of column ids: each product one gather, each code a sum of
-lookups; a table with factors runs it on rows of factor ids, in the factors'
-recorded translations, and keeps them; other tables decode digit rows from
-their keys on first read, which a walk never does (SL2 mod 97 holds 36.5 MB).
+mixed-radix code of the digit row; in a table with factors, the ranks of its
+factor ids in mixed radix over the factor orders, which sort as the codes do
+(262,080 keys for SL2 mod 65).  A table with factors is the subgroup of their
+product that rows of factor ids generate: mod a composite q, inside the product
+of its per-prime images by the CRT, the generators' ids in the tables mod each
+prime, built first from their reduced rows; in a direct product, (g, e) and
+(e, h).  The BFS multiplies on the left (a sphere is the same from either
+side), and the products g x seed left_perm(g); the first level_ends[l] ids are
+the ball B_l.  As g x acts on each column of x apart, a matrix table mod a
+prime first maps to the orbit of the identity's columns (9,408 vectors mod 97),
+and its BFS runs on rows of column ids: each product one gather, each code a
+sum of lookups; a table with factors runs it on rows of factor ids, in the
+factors' recorded translations, and keeps them; other tables decode digit rows
+from their keys on first read, which a walk never does (SL2 mod 97 holds
+36.5 MB).
 
 A table of n <= PRODUCT_TABLE_CAP = 4096 elements answers mul_vec as a
 larger one does (below) until a call asks for n pairs or the n-th call comes.
@@ -180,7 +183,7 @@ class GroupTable:
         self._digit_bounds = radices.astype(np.uint64)
         self._perm_cache: dict[tuple[str, int], np.ndarray] = {}
         self._kernel_calls = 0  # mul_vec calls made before the product table exists
-        self._factors, self._factor_ids = [], None  # the factor tables and (r, order) ids, set by _bfs_table
+        self._factors, self._factor_ids = [], None  # the factor tables and (r, order) ids, set by _factor_table
 
     @functools.cached_property
     def digits(self) -> np.ndarray:
@@ -350,25 +353,8 @@ class GroupTable:
             ("C", int(gid)), lambda: self.left_perm(gid)[self.right_perm(self.inv(gid))]
         )
 
-    def element_str(self, i: int) -> str:
-        row = self.digits[i]
-        if self.kind == "matrix":
-            d = self.meta["dim"]
-            return "|".join(
-                f"mod{p}:" + ";".join(",".join(str(x) for x in r) for r in row[cols].reshape(d, d))
-                for p, cols in _prime_blocks(self)
-            )
-        return ",".join(str(x) for x in row)
-
     def __repr__(self) -> str:
         return f"GroupTable({self.kind}, order={self.order})"
-
-
-def _prime_blocks(G: GroupTable) -> list[tuple[int, slice]]:
-    """(p, digit columns of the mod-p matrix) per prime factor of the q of
-    a matrix table."""
-    dd = G.meta["dim"] ** 2
-    return [(p, slice(i * dd, (i + 1) * dd)) for i, p in enumerate(G.meta["primes"])]
 
 
 def _rank_keys(factors: list[GroupTable], ids: list[np.ndarray]) -> np.ndarray:
@@ -504,49 +490,54 @@ def _column_bfs(gen_rows: np.ndarray, meta: dict, weights: np.ndarray, cap: int,
             lambda x: functools.reduce(np.add, (np.take(E_L[c], x[:, c], axis=1, mode="clip") for c in range(d))))
 
 
-def _factor_bfs(gen_rows: np.ndarray, factors: list[GroupTable]):
-    """Start, step, image keys and digit map of a BFS on rows of factor ids: g x
-    has the ids L_gi[x_i], L_gi the left translation by g's block in factor i,
-    and the key sum_i w_i R_i[L_gi[x_i]], R_i the ranks of factor i's ids."""
-    blocks = np.split(gen_rows, np.cumsum([len(F.radices) for F in factors])[:-1], axis=1)
-    L = [np.array([F.left_perm(g) for g in F.id_of_rows(b)], dtype=np.int32) for F, b in zip(factors, blocks)]
-    K = [w * F._rank[L_i] for F, L_i, w in zip(factors, L, _radix_weights([F.order for F in factors]))]
-    return (np.zeros((1, len(factors)), dtype=np.int32),
-            lambda j, x: np.stack([L_i[j, x[:, i]] for i, L_i in enumerate(L)], axis=1),
-            lambda x: functools.reduce(np.add, (K_i[:, x[:, i]] for i, K_i in enumerate(K))),
-            lambda f: np.concatenate([F.digits[f_i] for F, f_i in zip(factors, f)], axis=1))
-
-
 def _bfs_table(start_row, gen_rows, radices, mul_rows, inv_rows, kind: str, meta: dict) -> GroupTable:
+    """A table without factors, the orbit of the start row under the generator rows: a matrix
+    table (over one prime) runs on column ids, any other on digit rows by its row kernels."""
     cap = _element_cap()
-    factors = list(meta.get("factors", ()))  # a direct product's
-    if kind == "matrix" and len(meta["primes"]) > 1:  # the images mod each prime, each closed mod it
-        primes, d = meta["primes"], meta["dim"]
-        blocks = gen_rows.reshape(len(gen_rows), len(primes), d, d)
-        factors = [generate_group([ModMatrix(m.tolist(), p) for m in blocks[:, i]], p)
-                   for i, p in enumerate(primes)]
-    if factors:
-        start, step, image_codes, digits = _factor_bfs(gen_rows, factors)
-        space, keys = math.prod(F.order for F in factors), functools.partial(_row_keys, factors)
-    else:
-        weights = _radix_weights(radices)
-        space, keys = int(weights[-1]) * int(radices[-1]), lambda rows: rows @ weights
-    index = _IdIndex(space, keys(start_row[None]), space <= ID_INDEX_CAP)
-    if kind == "matrix" and not factors:  # its image codes take the index's dtype
+    weights = _radix_weights(radices)
+    space = int(weights[-1]) * int(radices[-1])
+    index = _IdIndex(space, start_row[None] @ weights, space <= ID_INDEX_CAP)
+    if kind == "matrix":  # its image codes take the index's dtype
         start, step, image_codes = _column_bfs(gen_rows, meta, weights, cap, index.dtype)
-    elif not factors:
+    else:
         start = start_row[None]
         step = lambda j, x: mul_rows(np.broadcast_to(gen_rows[j], x.shape), x)
         image_codes = lambda x: np.stack([step(j, x) @ weights for j in range(len(gen_rows))])
-    rows, level_ends, moves = _bfs(start, index, len(gen_rows), step, image_codes, cap)
-    rows = np.ascontiguousarray(rows.T) if factors else None  # else the keys are the digit codes
-    table = GroupTable(lambda: digits(rows) if factors else index.keys()[:, None] // weights % radices,
-                       radices, mul_rows, inv_rows, index.lookup(keys(gen_rows)), kind, meta, index, level_ends)
+    _, level_ends, moves = _bfs(start, index, len(gen_rows), step, image_codes, cap)
+    # the keys are the digit codes
+    table = GroupTable(lambda: index.keys()[:, None] // weights % radices, radices, mul_rows, inv_rows,
+                       index.lookup(gen_rows @ weights), kind, meta, index, level_ends)
+    return _record_moves(table, moves)
+
+
+def _factor_table(gen_fids: np.ndarray, factors: list[GroupTable], kind: str, meta: dict) -> GroupTable:
+    """The subgroup of the product of the factors generated by the rows of factor ids gen_fids,
+    by a BFS on rows of factor ids from the identity's (id 0 in each factor): g x has the ids
+    L_gi[x_i], L_gi the left translation by g's id in factor i, and the key sum_i w_i R_i[L_gi[x_i]],
+    R_i the ranks of factor i's ids.  Its digit rows are its factors' side by side.  The identity's
+    translation is taken as the identity, which spares a factor a product and its digit rows."""
+    L = [np.array([F.left_perm(g) if g else np.arange(F.order) for g in f], dtype=np.int32)
+         for F, f in zip(factors, gen_fids.T.tolist())]
+    K = [w * F._rank[L_i] for F, L_i, w in zip(factors, L, _radix_weights([F.order for F in factors]))]
+    start = np.zeros((1, len(factors)), dtype=np.int32)
+    space = math.prod(F.order for F in factors)
+    index = _IdIndex(space, _rank_keys(factors, start.T), space <= ID_INDEX_CAP)
+    rows, level_ends, moves = _bfs(
+        start, index, len(gen_fids), lambda j, x: np.stack([L_i[j, x[:, i]] for i, L_i in enumerate(L)], axis=1),
+        lambda x: functools.reduce(np.add, (K_i[:, x[:, i]] for i, K_i in enumerate(K))), _element_cap())
+    fids = np.ascontiguousarray(rows.T)
+    table = GroupTable(lambda: np.concatenate([F.digits[f] for F, f in zip(factors, fids)], axis=1),
+                       np.concatenate([F.radices for F in factors]), None, None,
+                       index.lookup(_rank_keys(factors, gen_fids.T)), kind, meta, index, level_ends)
+    table._factors, table._factor_ids = factors, fids
+    return _record_moves(table, moves)
+
+
+def _record_moves(table: GroupTable, moves: list[list[np.ndarray]]) -> GroupTable:
+    """The table, with each generator's left translation, the g x ids of its BFS, recorded."""
     for j, gid in enumerate(table.generator_ids.tolist()):
         table._perm_cache["L", gid] = np.concatenate(moves[j], dtype=np.int64)
         moves[j] = []
-    if factors:  # the BFS rows are the elements' factor ids
-        table._factors, table._factor_ids = factors, rows
     return table
 
 
@@ -564,17 +555,27 @@ def _symmetrize_rows(rows: np.ndarray, inverse: np.ndarray) -> np.ndarray:
     return both[np.sort(np.unique(both, axis=0, return_index=True)[1])]
 
 
-def generate_group(gens: Sequence, q: int | None = None, *, symmetrize: bool = True) -> GroupTable:
+def _prime_table(rows: np.ndarray, p: int, d: int, symmetrize: bool) -> GroupTable:
+    """The table mod the prime p generated by the digit rows of d x d matrices mod p."""
+    mul_rows, inv_rows = _matrix_mul_factory(p, d)
+    inverse = inv_rows(rows)  # raises SingularMatrix on a generator singular mod p
+    if symmetrize:
+        rows = _symmetrize_rows(rows, inverse)
+    ident = np.eye(d, dtype=np.int64).ravel()
+    meta = {"q": p, "primes": [p], "dim": d}
+    return _bfs_table(ident, rows, np.full(d * d, p, dtype=np.int64), mul_rows, inv_rows, "matrix", meta)
+
+
+def generate_group(gens: Sequence, q: int, *, symmetrize: bool = True) -> GroupTable:
     """BFS closure of the generators inside the mod-q matrix group.
 
     gens may be RationalMatrix values (reduced mod every prime factor of
     q), or tuples of ModMatrix lined up with the prime factorization.
     The element ordering is BFS layer first, then the mixed-radix
     encoding of the digit row, so identical input always produces an
-    identical table.
+    identical table.  Mod a composite q the table has factors: the tables
+    mod each prime, each generated by the symmetrized reductions.
     """
-    if q is None:
-        raise ValueError("modulus q is required")
     if not gens:
         raise ValueError("need at least one generator")
     primes = square_free_factors(q)
@@ -582,10 +583,8 @@ def generate_group(gens: Sequence, q: int | None = None, *, symmetrize: bool = T
     if low:
         raise BadPrime(f"prime factors {low} below the working threshold {MIN_PRIME}")
     mats: list[list[ModMatrix]] = []
-    denom_primes: set[int] = set()
     for g in gens:
         if isinstance(g, RationalMatrix):
-            denom_primes.update(g.denominator_support())
             mats.append(crt_tuple(g, q))
         else:
             tup = [g] if isinstance(g, ModMatrix) else list(g)
@@ -601,25 +600,15 @@ def generate_group(gens: Sequence, q: int | None = None, *, symmetrize: bool = T
         [[x for m in tup for row in m.rows for x in row] for tup in mats],
         dtype=np.int64,
     )
-    radices = np.array([p for p in primes for _ in range(d * d)], dtype=np.int64)
-    kernels = [_matrix_mul_factory(p, d) for p in primes]
-    # raises SingularMatrix on a generator singular mod a prime of q
-    inverse = np.concatenate([inv(b) for (_, inv), b in zip(kernels, np.split(rows, len(primes), axis=1))], axis=1)
-    if symmetrize:
-        rows = _symmetrize_rows(rows, inverse)
-    ident = np.array(
-        [int(i == j) for _ in primes for i in range(d) for j in range(d)],
-        dtype=np.int64,
-    )
-    meta = {
-        "q": q,
-        "primes": primes,
-        "dim": d,
-        "denominator_primes": sorted(denom_primes),
-    }
-    # a table mod a composite q multiplies in its factors
-    mul_rows, inv_rows = kernels[0] if len(primes) == 1 else (None, None)
-    return _bfs_table(ident, rows, radices, mul_rows, inv_rows, "matrix", meta)
+    if len(primes) == 1:
+        return _prime_table(rows, q, d, symmetrize)
+    blocks = np.split(rows, len(primes), axis=1)
+    factors = [_prime_table(b, p, d, True) for b, p in zip(blocks, primes)]
+    fids = np.stack([F.id_of_rows(b) for F, b in zip(factors, blocks)], axis=1)
+    if symmetrize:  # rows of factor ids and digit rows are in bijection, so this keeps the generator order
+        inverse = np.stack([F.id_of_rows(F._inv_rows(b)) for F, b in zip(factors, blocks)], axis=1)
+        fids = _symmetrize_rows(fids, inverse)
+    return _factor_table(fids, factors, "matrix", {"q": q, "primes": primes, "dim": d})
 
 
 def ids_of_matrices(G: GroupTable, mats: Sequence[RationalMatrix]) -> np.ndarray:
@@ -771,18 +760,10 @@ def semidirect_group(spec: SemidirectSpec) -> GroupTable:
 
 
 def direct_product(t1: GroupTable, t2: GroupTable) -> GroupTable:
-    """Explicit direct product table (for modest factor sizes)."""
-    radices = np.concatenate([t1.radices, t2.radices])
-    gens = []
-    id1 = t1.digits[0]
-    id2 = t2.digits[0]
-    for g in t1.generator_ids:
-        gens.append(np.concatenate([t1.digits[g], id2]))
-    for g in t2.generator_ids:
-        gens.append(np.concatenate([id1, t2.digits[g]]))
-    rows = np.array(gens, dtype=np.int64)
-    ident = np.concatenate([id1, id2])
-    return _bfs_table(ident, rows, radices, None, None, "product", {"factors": (t1, t2)})
+    """Explicit direct product table (for modest factor sizes), generated by the (g, e) and then
+    the (e, h), g and h the generators of t1 and t2."""
+    gen_fids = [(g, 0) for g in t1.generator_ids.tolist()] + [(0, h) for h in t2.generator_ids.tolist()]
+    return _factor_table(np.array(gen_fids, dtype=np.int64), [t1, t2], "product", {})
 
 
 # ---------------------------------------------------------------------------

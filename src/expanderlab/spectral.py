@@ -135,18 +135,13 @@ class EscapeReport:
         return [r.max_coset_mass for r in self.rows]
 
 
-def escape_profile(
-    G: GroupTable,
-    H: SubgroupRecord,
-    l_max: int,
-    gen_ids: Sequence[int] | None = None,
-) -> EscapeReport:
-    """Track m_l = max_g chi^(l)(gH) along the walk.
+def escape_profile(G: GroupTable, H: SubgroupRecord, l_max: int) -> EscapeReport:
+    """Track m_l = max_g chi^(l)(gH) along the walk by the generators of G.
 
     The walk has escaped once the heaviest coset carries no more than
     2/[G:H] + ESCAPE_EPSILON, the stationary share with room to spare.
     """
-    _, perms, ends = _walk_inputs(G, gen_ids, H)
+    _, perms, ends = _walk_inputs(G, None, H)
     labels = coset_labels(G, H.element_ids)
     rows = []
     for l, w in _walk(perms, ends, l_max, False):

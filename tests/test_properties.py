@@ -662,6 +662,50 @@ def test_bfs_matches_a_plain_dict_bfs_on_a_long_unipotent_orbit():
     assert_bfs_matches_the_oracle([RationalMatrix([[1, 2], [0, 1]]), RationalMatrix([[1, -2], [0, 1]])], 10007)
 
 
+def assert_table_matches_the_oracle(G, gen_rows):
+    """G's digit rows, level ends, generator ids and recorded left translations
+    equal those of oracle_bfs under the generator rows."""
+    rows, ends, perms = oracle_bfs(G, gen_rows)
+    assert np.array_equal(G.digits, rows)
+    assert np.array_equal(G.level_ends, ends)
+    assert G.generator_ids.tolist() == G.id_of_rows(gen_rows).tolist()
+    for s, perm in zip(G.generator_ids.tolist(), perms):
+        assert np.array_equal(G._perm_cache["L", s], perm)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: (heisenberg_group(3), cyclic_group(4)),
+    lambda: (cyclic_group(7), heisenberg_group(3)),
+    lambda: (generate_group(builtin_generators("lubotzky3"), 5), cyclic_group(2)),
+    lambda: (cyclic_group(2), direct_product(cyclic_group(2), cyclic_group(2))),
+], ids=["heisenberg 3 x cyclic 4", "cyclic 7 x heisenberg 3", "sl2 mod 5 x cyclic 2", "cyclic 2 x cyclic 2^2"])
+def test_direct_products_match_a_plain_dict_bfs(build):
+    # the BFS of a direct product under its generators (g, e), then (e, h),
+    # which reads no digit rows of its factors
+    t1, t2 = build()
+    G = direct_product(t1, t2)
+    assert "digits" not in vars(t1) and "digits" not in vars(t2)
+    gen_rows = [np.concatenate([t1.digits[g], t2.digits[0]]) for g in t1.generator_ids.tolist()]
+    gen_rows += [np.concatenate([t1.digits[0], t2.digits[h]]) for h in t2.generator_ids.tolist()]
+    assert_table_matches_the_oracle(G, np.array(gen_rows))
+
+
+def test_factor_tables_whose_generators_meet_mod_one_prime():
+    # (1 5; 0 1) is I mod 5 but not mod 35, so the table mod 5 lists I among its
+    # generators, and mod 5 the pair and its inverses are three distinct elements
+    gens = rational([[1, 5], [0, 1]], [[1, 0], [1, 1]])
+    G = generate_group(gens, 35)
+    listed = [crt_tuple(m, 35) for m in gens + [g.inverse() for g in gens]]
+    for i, F in enumerate(G._factors):
+        firsts = dict.fromkeys(tuple(x for r in tup[i].rows for x in r) for tup in listed)
+        assert F.rows_of(F.generator_ids).tolist() == [list(row) for row in firsts]
+    assert len(G._factors[0].generator_ids) == 3 and G._factors[0].generator_ids[0] == G.identity_id
+    assert_table_matches_the_oracle(G, np.array([[x for m in tup for r in m.rows for x in r] for tup in listed]))
+    assert product_decompose(G)[1] == {
+        "orders": [5, 336], "product_of_orders": 1680, "group_order": 1680, "bijective": True,
+    }
+
+
 @pytest.mark.parametrize("cap", [60, 100])
 def test_element_cap_holds_for_the_column_orbit_and_the_group(cap, monkeypatch):
     # SL2 mod 13 has 168 nonzero columns and 2,184 elements: at cap 60 the
@@ -898,7 +942,8 @@ def test_level_ends_are_the_word_length_spheres(name):
 
 def check_walks_against_full_steps(G, gen_ids, l_max, exact, H):
     """walk_powers (with and without H), the last vector of spectral._walk and, for float
-    walks, escape_profile against a plain loop of full walk_step calls, compared with ==."""
+    walks by the table's generators, escape_profile against a plain loop of full walk_step
+    calls, compared with ==."""
     S = G.generator_ids.tolist() if gen_ids is None else gen_ids
     ws = [np.array([Fraction(int(i == G.identity_id)) for i in range(G.order)], dtype=object if exact else float)]
     for _ in range(l_max):
@@ -916,13 +961,13 @@ def check_walks_against_full_steps(G, gen_ids, l_max, exact, H):
     assert {type(x) for x in last.tolist()} == {int if exact else float}
     got = [Fraction(c, len(ids) ** l_max) for c in last.tolist()] if exact else last.tolist()
     assert got == ws[-1].tolist()
-    if not exact:
+    if not exact and gen_ids is None:
         labels = coset_labels(G, H.element_ids)
         want = []
         for l, w in enumerate(ws[1:], 1):
             m = np.bincount(labels, weights=w, minlength=H.index)
             want.append(EscapeRow(l, l2(w), float(w.max()), float(m[labels[0]]), float(m.max())))
-        assert escape_profile(G, H, l_max, gen_ids).rows == want
+        assert escape_profile(G, H, l_max).rows == want
 
 
 @FEW
@@ -1966,7 +2011,7 @@ SIGNATURES = {
     "radial_distribution": "(M, k)",
     "certify_free": "(gens, L)",
     "GroupTable": "(digits, radices, mul_rows, inv_rows, generator_ids, kind, meta, index, level_ends)",
-    "generate_group": "(gens, q=None, *, symmetrize=True)",
+    "generate_group": "(gens, q, *, symmetrize=True)",
     "cyclic_group": "(n)",
     "heisenberg_group": "(p)",
     "SemidirectSpec": "(p, l_gens, u_kind='vector', u_dim=2, action='natural')",
@@ -1987,7 +2032,7 @@ SIGNATURES = {
     "borel_subgroup": "(G)",
     "torus_subgroup": "(G)",
     "walk_powers": "(table, l_max, gen_ids=None, H=None, exact=False)",
-    "escape_profile": "(G, H, l_max, gen_ids=None)",
+    "escape_profile": "(G, H, l_max)",
     "CayleyGraph": "(table, s_ids=None)",
     "spectrum": "(graph)",
     "trace_moment": "(graph, l, report=None)",

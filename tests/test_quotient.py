@@ -661,8 +661,3 @@ def test_verify_normal_perfect():
     trivial = semidirect_group(SemidirectSpec(p=p, l_gens=lmats, action="trivial"))
     rep = verify_normal_perfect(trivial)
     assert not rep["applicable"]
-
-
-def test_element_str(sl2_5):
-    s = sl2_5.element_str(0)
-    assert "1" in s

@@ -91,8 +91,6 @@ def test_an_empty_multiset_is_refused(sl2_5):
     with pytest.raises(ValueError, match="generator multiset is empty"):
         walk_powers(sl2_5, 5, gen_ids=[])
     with pytest.raises(ValueError, match="generator multiset is empty"):
-        escape_profile(sl2_5, borel_subgroup(sl2_5), 5, gen_ids=[])
-    with pytest.raises(ValueError, match="generator multiset is empty"):
         spectrum(CayleyGraph(sl2_5, []))
 
 
@@ -150,8 +148,6 @@ def test_walks_refuse_generator_ids_outside_the_table(sl2_5, bad):
     s = [int(sl2_5.generator_ids[0]), bad]
     with pytest.raises(NotInGroup):
         walk_powers(sl2_5, 3, gen_ids=s)
-    with pytest.raises(NotInGroup):
-        escape_profile(sl2_5, borel_subgroup(sl2_5), 3, gen_ids=s)
     with pytest.raises(NotInGroup):
         CayleyGraph(sl2_5, [bad])
 
