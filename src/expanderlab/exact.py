@@ -118,6 +118,15 @@ class RationalMatrix:
         return support
 
 
+def _dimension(mats) -> int:
+    """The common dim of a nonempty list of matrices."""
+    if not mats:
+        raise ValueError("need at least one generator")
+    if len(dims := sorted({m.dim for m in mats})) > 1:
+        raise ValueError(f"generators of mixed dimension {dims}")
+    return dims[0]
+
+
 class PrimeSet:
     """A sorted set of distinct primes, the declared denominator support."""
 
@@ -254,6 +263,8 @@ def reduce_mod_p(M: RationalMatrix, p: int) -> ModMatrix:
     This is a ring homomorphism on matrices whose denominators avoid p,
     so reduce(MN) = reduce(M) reduce(N).
     """
+    if not isinstance(M, RationalMatrix):  # the residues of a ModMatrix would be read as integers
+        raise TypeError(f"reduction mod p needs a RationalMatrix, got {type(M).__name__}")
     if prime_factors(p) != [p]:  # a/b mod p needs the field F_p
         raise BadPrime(f"reduction mod p needs a prime p, got {p}")
     rows = []

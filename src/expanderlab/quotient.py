@@ -71,6 +71,7 @@ from .errors import (
 from .exact import (
     ModMatrix,
     RationalMatrix,
+    _dimension,
     _inverses_mod,
     crt_tuple,
     prime_factors,
@@ -205,6 +206,8 @@ class GroupTable:
     # ----- id resolution -----
     def id_of_rows(self, rows: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
+        if rows.shape[-1] != len(self.radices):  # a matrix of another dimension, or no row
+            raise NotInGroup(f"rows of {rows.shape[-1]} digits, not the table's {len(self.radices)}")
         # read as unsigned, a negative digit fails the bound as well; a digit
         # out of range would give another element's code, or one outside the
         # index (where numpy wraps a negative code without an error)
@@ -566,40 +569,18 @@ def _prime_table(rows: np.ndarray, p: int, d: int, symmetrize: bool) -> GroupTab
     return _bfs_table(ident, rows, np.full(d * d, p, dtype=np.int64), mul_rows, inv_rows, "matrix", meta)
 
 
-def generate_group(gens: Sequence, q: int, *, symmetrize: bool = True) -> GroupTable:
-    """BFS closure of the generators inside the mod-q matrix group.
-
-    gens may be RationalMatrix values (reduced mod every prime factor of
-    q), or tuples of ModMatrix lined up with the prime factorization.
-    The element ordering is BFS layer first, then the mixed-radix
-    encoding of the digit row, so identical input always produces an
-    identical table.  Mod a composite q the table has factors: the tables
-    mod each prime, each generated by the symmetrized reductions.
+def generate_group(gens: Sequence[RationalMatrix], q: int, *, symmetrize: bool = True) -> GroupTable:
+    """BFS closure of the RationalMatrix generators, reduced mod every prime of q, inside the
+    mod-q matrix group.  The element ordering is BFS layer first, then the mixed-radix encoding
+    of the digit row, so identical input always produces an identical table.  Mod a composite q
+    the table has factors: the tables mod each prime, each generated by the symmetrized reductions.
     """
-    if not gens:
-        raise ValueError("need at least one generator")
     primes = square_free_factors(q)
     low = [p for p in primes if p < MIN_PRIME]
     if low:
         raise BadPrime(f"prime factors {low} below the working threshold {MIN_PRIME}")
-    mats: list[list[ModMatrix]] = []
-    for g in gens:
-        if isinstance(g, RationalMatrix):
-            mats.append(crt_tuple(g, q))
-        else:
-            tup = [g] if isinstance(g, ModMatrix) else list(g)
-            moduli = [m.p for m in tup]
-            if moduli != primes:
-                raise ValueError(f"generator moduli {moduli} differ from the primes {primes} of q")
-            mats.append(tup)
-    dims = {m.dim for tup in mats for m in tup}
-    if len(dims) != 1:
-        raise ValueError(f"generators of mixed dimension {sorted(dims)}")
-    d = dims.pop()
-    rows = np.array(
-        [[x for m in tup for row in m.rows for x in row] for tup in mats],
-        dtype=np.int64,
-    )
+    rows = _matrix_rows(gens, q)
+    d = gens[0].dim
     if len(primes) == 1:
         return _prime_table(rows, q, d, symmetrize)
     blocks = np.split(rows, len(primes), axis=1)
@@ -611,14 +592,20 @@ def generate_group(gens: Sequence, q: int, *, symmetrize: bool = True) -> GroupT
     return _factor_table(fids, factors, "matrix", {"q": q, "primes": primes, "dim": d})
 
 
+def _matrix_rows(mats: Sequence[RationalMatrix], q: int) -> np.ndarray:
+    """The digit rows of the matrices mod q: the entries of their reductions mod each prime
+    of q (crt_tuple), row by row, side by side."""
+    reductions = [crt_tuple(m, q) for m in mats]
+    _dimension(mats)  # after the reductions, which refuse a tuple or a ModMatrix with TypeError
+    return np.array([[x for m in tup for row in m.rows for x in row] for tup in reductions], dtype=np.int64)
+
+
 def ids_of_matrices(G: GroupTable, mats: Sequence[RationalMatrix]) -> np.ndarray:
     """Ids in the matrix table G of the reductions of rational matrices mod its q; raises
     NotInGroup for a matrix whose image is not in G, TableMismatch for a G of another kind."""
     if G.kind != "matrix":
         raise TableMismatch("ids of matrices need a matrix table")
-    q = G.meta["q"]
-    rows = [[x for m in crt_tuple(mat, q) for r in m.rows for x in r] for mat in mats]
-    return G.id_of_rows(np.array(rows, dtype=np.int64))
+    return G.id_of_rows(_matrix_rows(mats, G.meta["q"]))
 
 
 def cyclic_group(n: int) -> GroupTable:
@@ -678,14 +665,10 @@ class SemidirectSpec:
             raise ValueError("u_kind must be vector or heisenberg")
         if self.action not in ("natural", "trivial"):
             raise ValueError("action must be natural or trivial")
-        if not self.l_gens:
-            raise ValueError("need at least one generator")
-        dims = {m.dim for m in self.l_gens}
-        if len(dims) != 1:
-            raise ValueError(f"generators of mixed dimension {sorted(dims)}")
+        d = _dimension(self.l_gens)
         if moduli := sorted({m.p for m in self.l_gens} - {self.p}):
             raise ValueError(f"generator moduli {moduli} differ from p = {self.p}")
-        d, acted = dims.pop(), 2 if self.u_kind == "heisenberg" else self.u_dim
+        acted = 2 if self.u_kind == "heisenberg" else self.u_dim
         if self.action == "natural" and acted != d:
             raise HypothesisViolated(f"the natural action of {d}x{d} Levi generators on {acted} coordinates")
         if self.u_kind == "heisenberg" and self.action == "natural":

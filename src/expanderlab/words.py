@@ -19,7 +19,7 @@ from itertools import chain, repeat
 from typing import Iterator, Sequence
 
 from .errors import SizeCapExceeded
-from .exact import RationalMatrix
+from .exact import RationalMatrix, _dimension
 
 FREE_LENGTH_CAP = 16  # longest relation certify_free searches for
 FREE_BALL_CAP = 10**6  # most words certify_free hashes
@@ -181,13 +181,9 @@ def certify_free(gens: Sequence[RationalMatrix], L: int) -> tuple[bool, Word | N
     keys are equal matrices.  A ball of more than FREE_BALL_CAP words
     raises SizeCapExceeded before any word is built.
     """
-    if not gens:
-        raise ValueError("need at least one generator")
+    _dimension(gens)
     if not 0 <= L <= FREE_LENGTH_CAP:
         raise ValueError(f"word length must be in 0..{FREE_LENGTH_CAP}")
-    dims = sorted({g.dim for g in gens})
-    if len(dims) > 1:
-        raise ValueError(f"generators of mixed dimension {dims}")
     R = (L + 1) // 2
     size = sum(ball_size(len(gens), l) for l in range(R + 1))
     if size > FREE_BALL_CAP:

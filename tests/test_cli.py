@@ -523,6 +523,15 @@ def test_subgroup_file_outside_group_exits_1(tmp_path, capsys):
     assert err.startswith("error[NotInGroup]: element not in group table")
 
 
+@pytest.mark.parametrize("q", [7, 35])
+def test_subgroup_file_of_another_dimension_exits_1(tmp_path, capsys, q):
+    # 3x3 matrices against a 2x2 table: numpy's broadcast ValueError escaped
+    sub = write(tmp_path, "sub.txt", "dim 3\nprimes\n1 2 0 0 1 0 0 0 1\n")
+    rc = main(["escape", "--builtin", "lubotzky3", "--q", str(q), "--subgroup", f"file:{sub}"])
+    assert rc == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error[NotInGroup]")
+
+
 def test_subgroup_file_reads_its_normality(tmp_path):
     # the centre {I, -I} of SL2(F_13)
     G = quotient.generate_group(builtin_generators("lubotzky3"), 13)

@@ -105,6 +105,15 @@ def test_the_mod_p_reducer_refuses_a_composite_modulus():
             ModMatrix([[1]], p)
 
 
+def test_reduction_refuses_a_matrix_already_reduced():
+    # a ModMatrix mod 7 was read as integers: mod 5 its 6 became 1
+    m = ModMatrix([[1, 3], [0, 6]], 7)
+    with pytest.raises(TypeError):
+        reduce_mod_p(m, 5)
+    with pytest.raises(TypeError):
+        crt_tuple(m, 35)
+
+
 def test_crt_tuple():
     a = RationalMatrix([[1, 3], [0, 1]])
     parts = crt_tuple(a, 35)

@@ -1812,7 +1812,7 @@ CLASS_TABLES = {
     # no inverses among the generators, so conjugation by them alone must
     # reach every conjugate
     "non-symmetric pair mod 7": generate_group(
-        [ModMatrix([[1, 1], [0, 1]], 7), ModMatrix([[1, 0], [1, 1]], 7)], 7, symmetrize=False
+        rational([[1, 1], [0, 1]], [[1, 0], [1, 1]]), 7, symmetrize=False
     ),
 }
 

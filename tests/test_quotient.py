@@ -109,12 +109,28 @@ def test_generate_group_rejects_singular_generators():
 
 
 def test_generate_group_rejects_moduli_other_than_the_primes_of_q():
-    # matrices declared mod 7 must not be read as matrices mod 5
-    with pytest.raises(ValueError, match=r"\[7\].*\[5\]"):
+    # mod-7 matrices must not be read mod 5: the group layer reduces only rational matrices
+    with pytest.raises(TypeError):
         generate_group([ModMatrix([[1, 2], [0, 1]], 7), ModMatrix([[1, 0], [2, 1]], 7)], 5)
-    # q = 35 needs a matrix mod 5 and one mod 7 in every tuple
-    with pytest.raises(ValueError, match=r"\[5\].*\[5, 7\]"):
-        generate_group([(ModMatrix([[1, 2], [0, 1]], 5),)], 35)
+    with pytest.raises(TypeError):
+        generate_group([(ModMatrix([[1, 2], [0, 1]], 5), ModMatrix([[1, 2], [0, 1]], 7))], 35)
+
+
+def test_ids_of_matrices_refuses_a_matrix_already_reduced():
+    # the residues 1, 3, 0, 1 mod 7 were read as integers mod 5: id 2, no error
+    G = generate_group(builtin_generators("lubotzky3"), 5)
+    with pytest.raises(TypeError):
+        ids_of_matrices(G, [ModMatrix([[1, 3], [0, 1]], 7)])
+
+
+def test_id_of_rows_refuses_rows_of_another_width():
+    # numpy's broadcast ValueError escaped; a 3x3 matrix mod 35 has 18 digits, not 8
+    for q in (5, 35):
+        G = generate_group(builtin_generators("lubotzky3"), q)
+        for rows in ([1, 0, 0], [], np.zeros((2, 9 * len(G.meta["primes"])), dtype=np.int64)):
+            with pytest.raises(NotInGroup):
+                G.id_of_rows(rows)
+        assert G.id_of_rows(np.zeros((0, len(G.radices)), dtype=np.int64)).tolist() == []
 
 
 def test_generate_group_rejects_empty_and_mixed_input():
