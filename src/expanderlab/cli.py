@@ -225,7 +225,7 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
     graph = S.CayleyGraph(G)
     report = S.spectrum(graph)
     mults = [m for _, m in report.clusters for _ in range(m)]  # the clusters cover the values in order
-    rows = [(i, float(v), m) for i, (v, m) in enumerate(zip(report.eigenvalues, mults))]
+    rows = [(i, v, m) for i, (v, m) in enumerate(zip(report.eigenvalues.tolist(), mults))]
     lo, hi = S.cheeger_bracket(report.lam2, graph.degree)
     notes = [
         f"lam2 = {report.lam2:.12g}",

@@ -8,7 +8,11 @@ k^l per reported value; everything else runs in float64.
 
 The walk and block-spectrum kernels read only permutations of a vertex
 set (the left translations by S on a table, or moves on any set they
-act on); a walk starts at vertex 0, the identity of a table.
+act on); a walk starts at vertex 0, the identity of a table.  The full
+spectrum splits the operator by the characters k of a cyclic <g> and solves
+one block per orbit of k under -1 and the c with g^c conjugate to g: right
+translation by an h with h^-1 g h = g^c commutes with the walk and maps
+block k onto block kc, so the two have one spectrum.
 """
 from __future__ import annotations
 
@@ -200,8 +204,9 @@ class SpectrumReport:
 
 def _cluster(values: np.ndarray) -> list[tuple[float, int]]:
     """(mean, size) of the runs of descending values split at gaps above CLUSTER_TOL."""
-    blocks = np.split(values, np.flatnonzero(values[:-1] - values[1:] > CLUSTER_TOL) + 1)
-    return [(float(block.mean()), len(block)) for block in blocks]
+    starts = np.append(0, np.flatnonzero(values[:-1] - values[1:] > CLUSTER_TOL) + 1)
+    sizes = np.diff(starts, append=len(values))
+    return list(zip((np.add.reduceat(values, starts) / sizes).tolist(), sizes.tolist()))
 
 
 def _cycle_length(perm: np.ndarray) -> int:
@@ -212,9 +217,10 @@ def _cycle_length(perm: np.ndarray) -> int:
     return m
 
 
-def _split_element(graph: CayleyGraph) -> tuple[np.ndarray, int]:
+def _split_element(graph: CayleyGraph) -> tuple[np.ndarray, int, list[int]]:
     """The map x -> x g and the order m of g, for the g = s z of largest
-    order with s in S and z central (on SL2(F_p), a unipotent s times -I).
+    order with s in S and z central (on SL2(F_p), a unipotent s times -I),
+    and the units c mod m with g^c conjugate to g (see _block_eigenvalues).
     ord(s z) divides lcm(ord(s), E), E = |Z| or, on an abelian table, the
     lcm of the generator orders; the search stops at the largest such bound.
     """
@@ -231,17 +237,35 @@ def _split_element(graph: CayleyGraph) -> tuple[np.ndarray, int]:
             if (order := _cycle_length(perm)) > m:
                 m, best = order, perm
             if m == bound:
-                return best, m
-    return best, m
+                return best, m, _conjugate_powers(G, best, m)
+    return best, m, _conjugate_powers(G, best, m)
 
 
-def _block_eigenvalues(perms: list[np.ndarray], right: np.ndarray, m: int, degree: int) -> np.ndarray:
+def _conjugate_powers(G: GroupTable, right: np.ndarray, m: int) -> list[int]:
+    """The c mod m with g^c conjugate to g, for right the map x -> x g of a g of order m.
+    Such a c is prime to m, as a conjugate of g has order m, and g^c = x^-1 g x means
+    x g^c = g x: the c at which the map x -> x g^c agrees with x -> g x somewhere."""
+    left, cur, units = G.translation(int(right[0]), right=False), right, [1]
+    for c in range(2, m):
+        cur = right[cur]  # x g^c
+        if math.gcd(c, m) == 1 and (cur == left).any():
+            units.append(c)
+    return units
+
+
+def _block_eigenvalues(
+    perms: list[np.ndarray], right: np.ndarray, m: int, degree: int, units: Sequence[int] = ()
+) -> np.ndarray:
     """Full spectrum of T = (1/degree) sum of the perms, descending, from Hermitian
     blocks of size n/m.  right, x -> x g, commutes with every perm and has orbits of
     size m (on a table, the right translation by the g of _split_element).  On the f
     with f(x g^a) = w^(ka) f(x), w = exp(2 pi i/m), T is B_k[i, j] = (1/degree) sum of
     w^(kb) over the s with s r_i = r_j g^b; r_i is the least vertex of its orbit.
-    B_(m-k) is the conjugate of B_k, so only k <= m/2 is solved.
+    B_(m-k) is the conjugate of B_k.  The units are a group of c mod m with g^c = h^-1 g h
+    for some h (on a table; _split_element finds them): then f -> f(. h) commutes with T
+    and maps V_k onto V_(kc), as f(x g h) = f(x h g^c), so B_(kc) has B_k's spectrum.  Each
+    orbit of k under the units and -1 (without units, {k, m - k}) is solved once, at its
+    least k, and its eigenvalues count once per member.
     """
     n = len(right)
     rep, exp, cur = np.arange(n), np.zeros(n, dtype=np.int64), np.arange(n)
@@ -253,13 +277,17 @@ def _block_eigenvalues(perms: list[np.ndarray], right: np.ndarray, m: int, degre
     hit = np.stack(perms)[:, reps]  # s r_i, one row per generator
     rows = np.broadcast_to(np.arange(len(reps)), hit.shape)
     cols, b = np.searchsorted(reps, rep[hit]), exp[hit]
-    vals = []
-    for k in range(m // 2 + 1):
+    vals, seen = [], set()
+    for k in range(m):
+        if k in seen:
+            continue
+        orbit = {k * c * e % m for c in (1, *units) for e in (1, -1)}
+        seen |= orbit
         w = np.exp(2j * np.pi * (k * b % m) / m)
         real = 2 * k % m == 0
         B = np.zeros((len(reps), len(reps)), dtype=np.float64 if real else np.complex128)
         np.add.at(B, (rows, cols), w.real if real else w)
-        vals += [np.linalg.eigvalsh(B / degree)] * (1 if real else 2)
+        vals += [np.linalg.eigvalsh(B / degree)] * len(orbit)
     return np.sort(np.concatenate(vals))[::-1]
 
 
@@ -267,14 +295,16 @@ def spectrum(graph: CayleyGraph) -> SpectrumReport:
     """Eigenvalues of the normalized adjacency operator.
 
     Graphs of at most DENSE_EIG_CAP vertices get the full spectrum from
-    n/m-sized blocks, split off by an s z of order m with z central (see
-    _block_eigenvalues).  Larger ones fall back to an implicitly restarted
-    Lanczos run (ARPACK) on the permutation-action operator, returning the
-    top MAX_EIGS eigenvalues and the bottom few, flagged as partial.
+    n/m-sized blocks, split off by an s z of order m with z central, with
+    one block solved per orbit of isospectral blocks (see _block_eigenvalues).
+    Larger ones fall back to an implicitly restarted Lanczos run (ARPACK) on
+    the permutation-action operator, returning the top MAX_EIGS eigenvalues
+    and the bottom few, flagged as partial.
     """
     n = graph.order
     if n <= DENSE_EIG_CAP:
-        vals = _block_eigenvalues(graph.perms, *_split_element(graph), graph.degree)
+        right, m, units = _split_element(graph)
+        vals = _block_eigenvalues(graph.perms, right, m, graph.degree, units)
         report = SpectrumReport(eigenvalues=vals)
     else:
         from scipy.sparse.linalg import LinearOperator, eigsh

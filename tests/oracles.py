@@ -1,6 +1,8 @@
 """Plain-loop oracles that the property and spectral tests compare the
-library's kernels against: one walk step and the mod-p row reduction; and a
-ping-pong proof of freeness that the length-bounded certificate must agree with."""
+library's kernels against: one walk step, one character block of the spectrum
+and the mod-p row reduction; and a ping-pong proof of freeness that the
+length-bounded certificate must agree with."""
+import cmath
 
 
 def walk_step(G, weights, gen_ids):
@@ -11,6 +13,25 @@ def walk_step(G, weights, gen_ids):
     # 0 + t0 is t0, so the sum adds the terms in the order of gen_ids; an
     # exact sum of Fractions over an int stays a Fraction
     return sum(weights[G.left_perm(int(s))] for s in gen_ids) / len(gen_ids)
+
+
+def character_block(perms, right, m, degree, k):
+    """The block B_k that spectral._block_eigenvalues solves, as a list of rows: T = (1/degree)
+    sum of the perms on the f with f(x g^a) = w^(ka) f(x), w = exp(2 pi i/m), in the basis of
+    the orbits of right (x -> x g), each vertex written r g^a from its orbit's least vertex r."""
+    rep, power = {}, {}
+    for x in range(len(right)):
+        y = x
+        for a in range(0 if x in rep else m):
+            rep[y], power[y] = x, a
+            y = int(right[y])
+    index = {r: i for i, r in enumerate(sorted(set(rep.values())))}
+    B = [[0j] * len(index) for _ in index]
+    for r, i in index.items():
+        for p in perms:
+            y = int(p[r])  # s r = rep[y] g^power[y]
+            B[i][index[rep[y]]] += cmath.exp(2j * cmath.pi * k * power[y] / m) / degree
+    return B
 
 
 def row_reduce_mod_p(rows, p):

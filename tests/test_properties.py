@@ -70,6 +70,7 @@ from expanderlab.spectral import (
     CayleyGraph,
     EscapeRow,
     WalkRow,
+    _block_eigenvalues,
     _cluster,
     _split_element,
     _walk,
@@ -779,7 +780,7 @@ def test_centre_is_the_elements_that_commute_with_every_element(name):
 def assert_split_element(graph, order):
     """_split_element gives the right translation by an s z of the order."""
     G = graph.table
-    perm, m = _split_element(graph)
+    perm, m, _ = _split_element(graph)
     h = int(perm[0])
     assert m == order and np.array_equal(perm, G.right_perm(h))
     power, k = h, 1
@@ -797,6 +798,34 @@ def assert_split_element(graph, order):
 def test_the_split_element_of_sl2_has_order_2p(name, p):
     # a unipotent generator (order p) times -I
     assert_split_element(CayleyGraph(generate_group(builtin_generators(name), p)), 2 * p)
+
+
+@pytest.mark.parametrize("name", ["lubotzky3", "sanov2"])
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
+def test_one_block_per_orbit_gives_the_spectrum_of_every_block(name, p):
+    # the solve with the units against the solve of every pair {k, m - k}: the eigenvalues
+    # repeated across an orbit are those of its other blocks
+    graph = CayleyGraph(generate_group(builtin_generators(name), p))
+    right, m, units = _split_element(graph)
+    assert len(units) == (p - 1) // 2
+    reduced = _block_eigenvalues(graph.perms, right, m, graph.degree, units)
+    every = _block_eigenvalues(graph.perms, right, m, graph.degree)
+    assert np.abs(reduced - every).max() <= 1e-12
+    assert [k for _, k in _cluster(reduced)] == [k for _, k in _cluster(every)]
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRUM_TABLES))
+def test_the_units_are_the_powers_in_the_class_of_the_split_element(name):
+    # against the classes of quotient's label propagation: the c with g^c in the class of g
+    G = SPECTRUM_TABLES[name]
+    right, m, units = _split_element(CayleyGraph(G))
+    classes = quotient.conjugacy_classes(G)
+    cls = next(c for c in classes if right[0] in c)
+    power, powers = 0, []
+    for _ in range(m):
+        powers.append(power)
+        power = int(right[power])
+    assert units == [c for c in range(m) if powers[c] in cls]
 
 
 SPLIT_CASES = [

@@ -37,7 +37,7 @@ from expanderlab.spectral import (
     walk_powers,
     walk_trace_side,
 )
-from oracles import walk_step
+from oracles import character_block, walk_step
 
 
 def lubotzky_gens(t=3):
@@ -271,7 +271,7 @@ def test_split_element_falls_through_when_no_s_z_meets_the_bound():
     # and the search never meets its bound lcm(ord(s), 36) >= 36: it ends on the last z
     G = direct_product(heisenberg_group(3), direct_product(cyclic_group(2), cyclic_group(6)))
     graph = CayleyGraph(G)
-    right, m = _split_element(graph)
+    right, m, _ = _split_element(graph)
     centre = np.flatnonzero(_centre(G)).tolist()
     assert G.order == 324 and len(centre) == 36
     orders = [_cycle_length(G.translation(G.mul(s, z), True)) for s in graph.s_ids.tolist() for z in centre]
@@ -296,6 +296,51 @@ def test_block_eigenvalues_of_a_schreier_graph(name, p):
     # the Schreier spectrum is a sub-multiset of the Cayley spectrum
     cayley = spectrum(CayleyGraph(G)).eigenvalues
     assert np.abs(vals[:, None] - cayley[None, :]).min(axis=1).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["lubotzky3", "sanov2"])
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_the_blocks_of_an_orbit_are_isospectral(name, p):
+    # every block B_k, built by plain loops, has the spectrum of the least k of its orbit under
+    # the units and -1, the one block of the orbit that the builder solves
+    graph = CayleyGraph(generate_group(builtin_generators(name), p))
+    right, m, units = _split_element(graph)
+    blocks = [np.linalg.eigvalsh(np.array(character_block(graph.perms, right, m, graph.degree, k))) for k in range(m)]
+    for k in range(m):
+        least = min(k * c * e % m for c in units for e in (1, -1))
+        assert np.abs(blocks[k] - blocks[least]).max() <= 1e-12
+        # the constants, eigenvalue 1 of the connected graph, lie in block 0 alone
+        assert (blocks[k].max() > 1 - 1e-9) == (k == 0)
+
+
+@pytest.mark.parametrize("name", ["lubotzky3", "sanov2"])
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_the_units_on_sl2_are_the_squares_prime_to_2p(name, p):
+    # g = u (-I), u unipotent: g^c = (-1)^c u^c is conjugate to g when c is odd and u^c ~ u,
+    # that is when c is a nonzero square mod p
+    _, m, units = _split_element(CayleyGraph(generate_group(builtin_generators(name), p)))
+    squares = {a * a % p for a in range(1, p)}
+    assert m == 2 * p
+    assert units == [c for c in range(m) if math.gcd(c, m) == 1 and c % p in squares]
+
+
+@pytest.mark.parametrize("G,order", [(heisenberg_group(5), 5), (cyclic_group(12), 12)],
+                         ids=["heisenberg 5", "cyclic 12"])
+def test_a_split_element_conjugate_to_no_other_power_has_the_unit_1_alone(G, order):
+    # a noncentral g of order 5 in H_5 is conjugate only to the g z, z central, and g^c is not
+    # one of them for c != 1; an abelian g is conjugate to itself alone
+    _, m, units = _split_element(CayleyGraph(G))
+    assert (m, units) == (order, [1])
+
+
+def test_cluster_sizes_and_means_are_those_of_the_split_runs():
+    values = spectrum(CayleyGraph(generate_group(builtin_generators("sanov2"), 11))).eigenvalues
+    runs = np.split(values, np.flatnonzero(values[:-1] - values[1:] > spectral.CLUSTER_TOL) + 1)
+    clusters = _cluster(values)
+    assert len(runs) == 78 and [k for _, k in clusters] == [len(r) for r in runs]
+    # reduceat sums in another order than mean
+    assert np.abs(np.array([v for v, _ in clusters]) - [r.mean() for r in runs]).max() <= 1e-12
+    assert _cluster(np.array([1.0])) == [(1.0, 1)]
 
 
 @pytest.mark.parametrize("name", ["lubotzky3", "sanov2"])
