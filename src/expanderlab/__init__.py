@@ -62,8 +62,6 @@ _EXPORTS = {
     "tripling_report": "growth",
     "chain_inequality": "growth",
     "gowers_cover": "growth",
-    "ProductFrame": "growth",
-    "normal_closure_product": "growth",
     "ModuleAction": "growth",
     "orbit_sum_subspace": "growth",
     "orbit_sum_span": "growth",

@@ -63,9 +63,5 @@ class FixedVectorExists(ExpanderLabError):
     """The module action has a nonzero fixed vector."""
 
 
-class ProjectionNotOnto(ExpanderLabError):
-    """The projection of the given set onto the Levi part is not surjective."""
-
-
 class ZeroVector(ExpanderLabError):
     """A nonzero vector argument was required."""

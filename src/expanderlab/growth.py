@@ -7,9 +7,6 @@ pairs of A.B or, when that is fewer, over A.b0 and the membership in A
 of x b^-1 for each x outside it; either way the work is at most
 |A|*|B| pair lookups, and PAIR_WORK_CAP bounds |A|*|B|. Searches for
 the least power c or t stop at PRODUCT_DEPTH_CAP.
-A product frame reads the Levi projection beta: L x U -> L of each
-semidirect factor, and its kernel U, from quotient's one reader of the
-Levi block, as Levi codes.
 The module-action operations (orbit sums, fixed vectors) run exact
 linear algebra mod p on small coordinate arrays.
 """
@@ -26,8 +23,6 @@ from .errors import (
     BadPrime,
     FixedVectorExists,
     HypothesisViolated,
-    NotInGroup,
-    ProjectionNotOnto,
     SizeCapExceeded,
     TableMismatch,
     ZeroVector,
@@ -38,13 +33,10 @@ from .quotient import (
     _distinct,
     _element_cap,
     _ids_in,
-    _levi,
     _radix_weights,
     _vector_orbit,
     coset_labels,
-    levi_mask,
     lower_central_series,
-    normal_closure,
 )
 
 PAIR_WORK_CAP = 100_000_000
@@ -218,119 +210,7 @@ def gowers_cover(B1: ElementSet, B2: ElementSet, B3: ElementSet, d_min: int) -> 
 
 
 # ---------------------------------------------------------------------------
-# product frames: subsets of G_1 x ... x G_k without enumerating the product
-
-
-class ProductFrame:
-    """Rows of per-factor element ids standing for elements of a direct
-    product of semidirect tables, with the Levi projection beta, read per
-    factor as Levi codes: the kernel of beta is where each factor's code is
-    the identity's, and |L| = |G| / |Ker beta|, as |G| = |L||U|."""
-
-    def __init__(self, factors: Sequence[GroupTable]):
-        self.factors = list(factors)
-        if not self.factors:
-            raise TableMismatch("a product frame needs at least one factor")
-        self.orders = np.array([t.order for t in self.factors], dtype=np.int64)
-        self.weights = _radix_weights(self.orders)
-        self._levi_codes = [_levi(t)[0] for t in self.factors]  # raises TableMismatch for non-semidirect factors
-        self.kernel_sizes = [int((c == c[t.identity_id]).sum()) for t, c in zip(self.factors, self._levi_codes)]
-        self.levi_sizes = [t.order // k for t, k in zip(self.factors, self.kernel_sizes)]
-
-    @property
-    def num_factors(self) -> int:
-        return len(self.factors)
-
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a, b = self._rows(a), self._rows(b)
-        return np.stack([t.mul_vec(x, y) for t, x, y in zip(self.factors, a.T, b.T)], axis=1)
-
-    def inv(self, a: np.ndarray) -> np.ndarray:
-        return np.stack([t.inv_vec(x) for t, x in zip(self.factors, self._rows(a).T)], axis=1)
-
-    def _rows(self, rows) -> np.ndarray:
-        """The rows as int64, one column per factor; NotInGroup for another row width, whose
-        mixed-radix code would fold coordinates together, or for an id outside its factor."""
-        rows = np.asarray(rows)
-        if rows.ndim != 2 or rows.shape[1] != self.num_factors:
-            raise NotInGroup(f"frame rows must have {self.num_factors} coordinates, got shape {rows.shape}")
-        return np.stack([_ids_in(t, c) for t, c in zip(self.factors, rows.T)], axis=1)
-
-    def codes(self, rows: np.ndarray) -> np.ndarray:
-        return self._rows(rows) @ self.weights
-
-    def dedup(self, rows: np.ndarray) -> np.ndarray:
-        """Each distinct row once, in code order."""
-        return np.stack(np.unravel_index(_distinct(self.codes(rows)), self.orders, order="F"), axis=1)
-
-    def in_kernel(self, rows: np.ndarray) -> np.ndarray:
-        """Mask of rows with trivial Levi part in every factor."""
-        rows = self._rows(rows)
-        mask = np.ones(len(rows), dtype=bool)
-        for t, c, r in zip(self.factors, self._levi_codes, rows.T):
-            mask &= c[r] == c[t.identity_id]
-        return mask
-
-    def levi_code(self, rows: np.ndarray) -> np.ndarray:
-        """Combined code of the per-factor Levi projections, in the radix of
-        the factor orders (a safe bound on the distinct Levi codes)."""
-        return sum(w * c[r] for c, w, r in zip(self._levi_codes, self.weights, self._rows(rows).T))
-
-    def projection_onto_levi(self, rows: np.ndarray) -> bool:
-        return len(_distinct(self.levi_code(rows))) == math.prod(self.levi_sizes)
-
-    def product_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a, b = self._rows(a), self._rows(b)
-        pairs = len(a) * len(b)
-        if pairs > PAIR_WORK_CAP:
-            raise SizeCapExceeded(f"frame product needs {pairs} pair lookups")
-        # code i len(b) + j is that of a_i b_j, summed factor by factor
-        codes = sum(w * t.mul_vec(x[:, None], y).ravel() for t, w, x, y in zip(self.factors, self.weights, a.T, b.T))
-        return np.stack(np.unravel_index(_distinct(codes), self.orders, order="F"), axis=1)
-
-    def section_rows(self) -> np.ndarray:
-        """The homomorphism-section subgroup: all rows with trivial
-        unipotent part in every factor."""
-        per = [np.nonzero(levi_mask(t))[0].astype(np.int64) for t in self.factors]
-        grids = np.meshgrid(*per, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def normal_closure_product(frame: ProductFrame, rows: np.ndarray, g_row: Sequence[int]) -> dict:
-    """Smallest c with prod_c {h g h^-1 : h in A} containing the normal
-    closure of g.  Preconditions: beta(A) = L, beta(g) = 1, elementary
-    abelian kernels acting without one-dimensional composition factors.
-    """
-    rows = frame.dedup(rows)
-    g_row = frame._rows([g_row])
-    if not frame.projection_onto_levi(rows):
-        raise ProjectionNotOnto("the set does not project onto the Levi part")
-    if not frame.in_kernel(g_row)[0]:
-        raise HypothesisViolated("g must lie in the kernel of beta")
-    for t in frame.factors:
-        if t.meta.get("u_kind") != "vector":
-            raise HypothesisViolated("kernels must be elementary abelian")
-        _check_no_one_dim_factor(t)
-    # conjugates of g by the rows
-    n = len(rows)
-    g_rep = np.repeat(g_row, n, axis=0)
-    conj = frame.mul(frame.mul(rows, g_rep), frame.inv(rows))
-    conj = frame.dedup(conj)
-    # the product of g's per-factor normal closures holds every product of conjugates of g,
-    # so a power covers it exactly when it has as many rows
-    closure_size = math.prod(len(normal_closure(t, [gi])) for t, gi in zip(frame.factors, g_row[0].tolist()))
-    for c, power in _powers(conj, lambda P: frame.product_rows(P, conj)):
-        if len(power) == closure_size:
-            return {"c": c, "conjugates": len(conj), "closure_size": closure_size}
-    return {"c": None, "conjugates": len(conj), "closure_size": closure_size}
-
-
-def _check_no_one_dim_factor(t: GroupTable) -> None:
-    """Reject semidirect tables whose Levi part acts on the unipotent part
-    with a one-dimensional submodule or quotient (see _reject_one_dim_module)."""
-    if t.meta.get("action") == "trivial":
-        raise HypothesisViolated("trivial action has one-dimensional factors")
-    _reject_one_dim_module(ModuleAction(t.meta["p"], t.meta["dim"], list(_levi(t)[2])))
+# module actions: exact linear algebra over F_p
 
 
 def _invariant_line(mats: list[np.ndarray], p: int, d: int) -> tuple | None:
@@ -353,10 +233,6 @@ def _projective_points(p: int, d: int) -> np.ndarray:
                    np.arange(p**tail)[:, None] // p ** np.arange(tail) % p])
         for tail in range(d - 1, -1, -1)
     ])
-
-
-# ---------------------------------------------------------------------------
-# module actions: exact linear algebra over F_p
 
 
 @dataclass

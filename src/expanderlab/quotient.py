@@ -351,10 +351,14 @@ class GroupTable:
         return self._cached(("R", int(gid)), lambda: self.translation(gid, right=True))
 
     def conj_perm(self, gid: int) -> np.ndarray:
-        """Array mapping x to id(g x g^-1)."""
-        return self._cached(
-            ("C", int(gid)), lambda: self.left_perm(gid)[self.right_perm(self.inv(gid))]
-        )
+        """Array mapping x to id(g x g^-1): x = y g goes to g y, so one scatter with no inverse."""
+
+        def build() -> np.ndarray:
+            out = np.empty(self.order, dtype=np.int64)
+            out[self.right_perm(gid)] = self.left_perm(gid)
+            return out
+
+        return self._cached(("C", int(gid)), build)
 
     def __repr__(self) -> str:
         return f"GroupTable({self.kind}, order={self.order})"
@@ -1014,15 +1018,14 @@ def levi_mask(G: GroupTable) -> np.ndarray:
     return _levi(G)[1] == 0
 
 
-def _levi(G: GroupTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Levi projection beta: L x U -> L of a semidirect table as each element's Levi digit code, its U
-    digit code (a row holds its Levi part in its first l_digits digits, so its code is beta + p^l_digits U),
-    and each generator's Levi part as a (dim, dim) matrix.  TableMismatch for any other table."""
+def _levi(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
+    """The Levi projection beta: L x U -> L of a semidirect table as each element's Levi digit code, and
+    its U digit code (a row holds its Levi part in its first l_digits digits, so its code is
+    beta + p^l_digits U).  TableMismatch for any other table."""
     if G.kind != "semidirect":
         raise TableMismatch("levi/unipotent split needs a semidirect table")
-    d, dd = G.meta["dim"], G.meta["l_digits"]
-    u_code, beta = np.divmod(G.digits @ G._weights, G._weights[dd])
-    return beta, u_code, G.digits[G.generator_ids, :dd].reshape(-1, d, d)
+    u_code, beta = np.divmod(G.digits @ G._weights, G._weights[G.meta["l_digits"]])
+    return beta, u_code
 
 
 def unipotent_mask(G: GroupTable) -> np.ndarray:

@@ -10,22 +10,19 @@ from expanderlab.errors import (
     BadPrime,
     FixedVectorExists,
     HypothesisViolated,
-    ProjectionNotOnto,
     NotInGroup,
     SizeCapExceeded,
     TableMismatch,
     ZeroVector,
 )
-from expanderlab.exact import ModMatrix, RationalMatrix
+from expanderlab.exact import RationalMatrix
 from expanderlab.growth import (
     ElementSet,
     _derived_cosets,
     ModuleAction,
-    ProductFrame,
     chain_inequality,
     gowers_cover,
     nilpotent_recover,
-    normal_closure_product,
     orbit_sum_span,
     orbit_sum_subspace,
     product_power,
@@ -35,14 +32,11 @@ from expanderlab.growth import (
     tripling_report,
 )
 from expanderlab.quotient import (
-    SemidirectSpec,
     coset_labels,
     cyclic_group,
     generate_group,
     heisenberg_group,
     lower_central_series,
-    semidirect_group,
-    unipotent_mask,
 )
 
 
@@ -51,11 +45,6 @@ def lubotzky_gens(t=3):
         RationalMatrix([[1, t], [0, 1]]),
         RationalMatrix([[1, 0], [t, 1]]),
     ]
-
-
-def semidirect_sl2(p):
-    lmats = [ModMatrix([[1, 3 % p], [0, 1]], p), ModMatrix([[1, 0], [3 % p, 1]], p)]
-    return semidirect_group(SemidirectSpec(p=p, l_gens=lmats))
 
 
 @pytest.fixture(scope="module")
@@ -229,150 +218,6 @@ def test_gowers_cover(sl2_7):
     assert rep["consistent"]
 
 
-# ----- product frames -----
-
-
-@pytest.fixture(scope="module")
-def frame5():
-    return ProductFrame([semidirect_sl2(5)])
-
-
-@pytest.fixture(scope="module")
-def frame57():
-    return ProductFrame([semidirect_sl2(5), semidirect_sl2(7)])
-
-
-def test_frame_rejects_plain_tables(sl2_5):
-    with pytest.raises(TableMismatch):
-        ProductFrame([sl2_5])
-
-
-def test_frame_kernel_sizes(frame57):
-    assert frame57.kernel_sizes == [25, 49]
-    assert frame57.levi_sizes == [120, 336]
-
-
-def test_frame_section_is_subgroup(frame5):
-    sec = frame5.section_rows()
-    assert len(sec) == 120
-    prod = frame5.product_rows(sec, sec)
-    assert len(prod) == len(sec)
-
-
-def test_frame_product_rows_work_cap(frame5, monkeypatch):
-    sec = frame5.section_rows()
-    monkeypatch.setattr(growth, "PAIR_WORK_CAP", 120 * 120 - 1)
-    with pytest.raises(SizeCapExceeded, match="frame product needs 14400 pair lookups"):
-        frame5.product_rows(sec, sec)
-    monkeypatch.setattr(growth, "PAIR_WORK_CAP", 120 * 120)
-    assert len(frame5.product_rows(sec, sec)) == 120
-
-
-def test_an_empty_frame_is_refused():
-    with pytest.raises(TableMismatch, match="at least one factor"):
-        ProductFrame([])
-
-
-def test_frame_rows_are_checked_against_the_factors(frame5):
-    t = frame5.factors[0]
-    frame = ProductFrame([t, t])
-    # an unchecked row's mixed-radix code wraps: the first rows encode as [2999, 0] and [0, 1]
-    for bad in ([[-1, 1], [3000, 0]], [[0, 3000]], [[0, -1]]):
-        with pytest.raises(NotInGroup, match="must lie in 0..2999"):
-            frame.dedup(bad)
-        with pytest.raises(NotInGroup, match="must lie in 0..2999"):
-            frame.product_rows(bad, [[0, 0]])
-    with pytest.raises(NotInGroup, match="must be integers"):
-        frame.dedup(np.zeros((1, 2)))
-    for width in ([[0]], [[0, 0, 0]], [0, 0]):
-        with pytest.raises(NotInGroup, match="must have 2 coordinates"):
-            frame.dedup(width)
-    sec = frame5.section_rows()
-    u = int(np.flatnonzero(unipotent_mask(t))[1])
-    assert normal_closure_product(frame5, sec, [u])["c"] == 2
-    # a coordinate past the frame's factors would be dropped by zip, giving the answer for [u]
-    with pytest.raises(NotInGroup, match="must have 1 coordinates"):
-        normal_closure_product(frame5, sec, [u, 7])
-    with pytest.raises(NotInGroup, match="must lie in 0..2999"):
-        normal_closure_product(frame5, sec, [3000])
-    with pytest.raises(NotInGroup, match="must lie in 0..2999"):
-        normal_closure_product(frame5, np.vstack([sec, [[-1]]]), [u])
-
-
-# unchecked, -1 wrapped to id 2999 and 3000 indexed past the Levi codes
-
-
-def test_frame_mul_checks_its_rows(frame5):
-    assert frame5.mul(np.array([[1]]), np.array([[0]])).tolist() == [[1]]
-    for a, b in (([[-1]], [[0]]), ([[0]], [[3000]])):
-        with pytest.raises(NotInGroup, match="must lie in 0..2999"):
-            frame5.mul(np.array(a), np.array(b))
-
-
-def test_frame_inv_checks_its_rows(frame5):
-    assert frame5.inv(np.array([[0]])).tolist() == [[0]]
-    with pytest.raises(NotInGroup, match="must lie in 0..2999"):
-        frame5.inv(np.array([[-1]]))
-
-
-def test_frame_in_kernel_checks_its_rows(frame5):
-    assert frame5.in_kernel(np.array([[0]])).tolist() == [True]
-    for bad in ([[3000]], [[-1]], [[0, 0]]):
-        with pytest.raises(NotInGroup):
-            frame5.in_kernel(np.array(bad))
-
-
-def test_frame_levi_code_checks_its_rows(frame5):
-    assert frame5.levi_code(np.array([[0]])).tolist() == [frame5._levi_codes[0][0]]
-    for bad in ([[3000]], [[-1]], [[0, 0]]):
-        with pytest.raises(NotInGroup):
-            frame5.levi_code(np.array(bad))
-
-
-def test_normal_closure_product_requires_surjection(frame5):
-    u = int(np.flatnonzero(unipotent_mask(frame5.factors[0]))[1])
-    with pytest.raises(ProjectionNotOnto):
-        normal_closure_product(frame5, frame5.section_rows()[:5], [u])
-
-
-def test_the_lemma_checks_take_no_block_inverse(frame5, monkeypatch):
-    # the table's inverse permutation is built once by the kernels; the dual lines read transposes
-    t = frame5.factors[0]
-    t.inv_vec([0])
-    assert "_inv_block" not in vars(growth)
-    monkeypatch.setattr(quotient, "_inv_block", lambda *a: pytest.fail("a block inverse was taken"))
-    assert orbit_sum_span(sl2_f7_action(), [1, 0])["holds"]
-    g = [int(np.flatnonzero(unipotent_mask(t))[1])]
-    assert normal_closure_product(frame5, frame5.section_rows(), g)["c"] == 2
-
-
-def test_normal_closure_product_single(frame5):
-    t = frame5.factors[0]
-    uids = np.nonzero(unipotent_mask(t))[0]
-    g = [int(uids[1])]
-    rep = normal_closure_product(frame5, frame5.section_rows(), g)
-    assert rep == {"c": 2, "conjugates": 24, "closure_size": 25}
-
-
-def test_normal_closure_product_two_factor(frame57):
-    t5, t7 = frame57.factors
-    u5 = np.nonzero(unipotent_mask(t5))[0]
-    u7 = np.nonzero(unipotent_mask(t7))[0]
-    g = [int(u5[1]), int(u7[1])]
-    rep = normal_closure_product(frame57, frame57.section_rows(), g)
-    assert rep["c"] == 2
-    assert rep["conjugates"] == 1152
-    assert rep["closure_size"] == 1225
-
-
-def test_normal_closure_product_rejects_non_kernel(frame5):
-    sec = frame5.section_rows()
-    g = [int(sec[5][0])]  # a Levi element
-    if not frame5.in_kernel(np.array([g])).item():
-        with pytest.raises(HypothesisViolated):
-            normal_closure_product(frame5, sec, g)
-
-
 # ----- module actions and orbit sums -----
 
 
@@ -482,11 +327,15 @@ def test_orbit_sum_span_rejects_one_dim():
         orbit_sum_span(act, [1, 1])
 
 
-def test_product_depth_cap_leaves_the_power_unfound(frame5, monkeypatch):
+def test_the_lemma_checks_take_no_block_inverse(monkeypatch):
+    # the dual lines read transposes
+    assert "_inv_block" not in vars(growth)
+    monkeypatch.setattr(quotient, "_inv_block", lambda *a: pytest.fail("a block inverse was taken"))
+    assert orbit_sum_span(sl2_f7_action(), [1, 0])["holds"]
+
+
+def test_product_depth_cap_leaves_the_power_unfound(monkeypatch):
     monkeypatch.setattr(growth, "PRODUCT_DEPTH_CAP", 1)
-    uids = np.nonzero(unipotent_mask(frame5.factors[0]))[0]
-    rep = normal_closure_product(frame5, frame5.section_rows(), [int(uids[1])])
-    assert rep == {"c": None, "conjugates": 24, "closure_size": 25}  # c = 2 uncapped
     U = heisenberg_group(5)
     tr = random_transversal(U, np.random.default_rng(9))
     assert nilpotent_recover(U, tr) == {"t": None, "covered": False}  # t = 2 uncapped
@@ -510,19 +359,15 @@ def counted(monkeypatch, owner, name):
     return calls
 
 
-def test_a_least_power_search_forms_only_the_powers_it_tests(frame5, monkeypatch):
-    g = [int(np.nonzero(unipotent_mask(frame5.factors[0]))[0][1])]
+def test_a_least_power_search_forms_only_the_powers_it_tests(monkeypatch):
     U = heisenberg_group(5)
     tr = random_transversal(U, np.random.default_rng(9))
-    rows, sets = counted(monkeypatch, frame5, "product_rows"), counted(monkeypatch, growth, "product_set")
-    # found at c = t = 2: P_2 takes one product
-    assert normal_closure_product(frame5, frame5.section_rows(), g)["c"] == 2 and len(rows) == 1
+    sets = counted(monkeypatch, growth, "product_set")
+    # found at t = 2: P_2 takes one product
     assert nilpotent_recover(U, tr)["t"] == 2 and len(sets) == 1
     # capped at 1, the search tests P_1 alone and forms no product
     monkeypatch.setattr(growth, "PRODUCT_DEPTH_CAP", 1)
-    rows.clear()
     sets.clear()
-    assert normal_closure_product(frame5, frame5.section_rows(), g)["c"] is None and rows == []
     assert nilpotent_recover(U, tr)["t"] is None and sets == []
 
 

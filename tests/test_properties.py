@@ -4,9 +4,8 @@ the coset labeller, the table id lookup, the block spectrum, the
 translations and ball radii the BFS records and the walks that use them,
 the products through the per-prime factors of composite tables and their
 factor-rank id index, the measure constructors, the subgroup and normal
-closures and the lower central series, the Levi projection of product
-frames and their normal-closure powers, the splitting and factor product-form
-checks, each against a brute-force oracle,
+closures and the lower central series, the Levi and unipotent masks, the
+splitting and factor product-form checks, each against a brute-force oracle,
 plus guards on the BFS element order and the package's public names and
 signatures."""
 import functools
@@ -35,8 +34,6 @@ from expanderlab.exact import ModMatrix, RationalMatrix, crt_tuple, mod_inv, mod
 from expanderlab.growth import (
     ElementSet,
     ModuleAction,
-    ProductFrame,
-    normal_closure_product,
     orbit_sum_subspace,
     product_set,
 )
@@ -1210,71 +1207,6 @@ def test_the_product_table_answers_as_the_kernels_on_random_ids(name, data):
     check(G, "inv_vec", g)
 
 
-@FEW
-@given(data=st.data())
-def test_frame_products_are_the_pairs_written_out_in_order(data):
-    borel = SPECTRUM_TABLES["semidirect borel 5"]
-    frame = ProductFrame([borel, borel])
-    rows = st.lists(st.tuples(*(st.integers(0, t.order - 1) for t in frame.factors)), max_size=12)
-    a, b = (np.array(data.draw(rows), dtype=np.int64).reshape(-1, 2) for _ in range(2))
-    pairs = frame.mul(np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1)))
-    assert np.array_equal(frame.product_rows(a, b), frame.dedup(pairs))
-
-
-@FEW
-@given(data=st.data())
-def test_frame_rows_are_the_sets_of_tuples_in_code_order(data):
-    borel = SPECTRUM_TABLES["semidirect borel 5"]
-    frame = ProductFrame([borel] * data.draw(st.integers(1, 3)))
-    k, n = frame.num_factors, borel.order
-    rows = st.lists(st.tuples(*(st.integers(0, n - 1) for _ in range(k))), max_size=12)
-    a, b = data.draw(rows), data.draw(rows)
-    as_rows = lambda tuples: np.array(tuples, dtype=np.int64).reshape(-1, k)
-    in_code_order = lambda tuples: sorted(tuples, key=lambda t: sum(x * n**i for i, x in enumerate(t)))
-
-    got = [tuple(r) for r in frame.dedup(as_rows(a + a[::-1])).tolist()]
-    assert got == in_code_order(set(a))
-    pairs = set()
-    for x in a:
-        for y in b:
-            pairs.add(tuple(frame.mul(as_rows([x]), as_rows([y]))[0].tolist()))
-    assert [tuple(r) for r in frame.product_rows(as_rows(a), as_rows(b)).tolist()] == in_code_order(pairs)
-
-
-def closure_power_by_the_meshgrid(frame, rows, g_row):
-    """normal_closure_product by its definition: the product of g's per-factor normal
-    closures written out as rows, and the least power of the conjugates of g by the
-    rows that holds each of them."""
-    rows = frame.dedup(np.asarray(rows, dtype=np.int64))
-    g = np.asarray(g_row, dtype=np.int64).reshape(1, -1)
-    conj = frame.dedup(frame.mul(frame.mul(rows, np.repeat(g, len(rows), axis=0)), frame.inv(rows)))
-    per_factor = [np.array([gi]) if gi == t.identity_id else normal_closure(t, [gi])
-                  for t, gi in zip(frame.factors, g[0].tolist())]
-    grids = np.meshgrid(*per_factor, indexing="ij")
-    closure = np.unique(frame.codes(np.stack([x.ravel() for x in grids], axis=1)))
-    power = conj
-    for c in range(1, growth.PRODUCT_DEPTH_CAP + 1):
-        if np.isin(closure, frame.codes(power)).all():
-            return {"c": c, "conjugates": len(conj), "closure_size": len(closure)}
-        power = frame.product_rows(power, conj)
-    return {"c": None, "conjugates": len(conj), "closure_size": len(closure)}
-
-
-@FEW
-@given(factors=st.integers(1, 2), data=st.data())
-def test_normal_closure_products_stop_at_the_size_of_the_closure_product(factors, data):
-    borel = SPECTRUM_TABLES["semidirect borel 5"]
-    frame = ProductFrame([borel] * factors)
-    g = [data.draw(st.sampled_from(np.flatnonzero(unipotent_mask(borel)).tolist())) for _ in range(factors)]
-    extra = data.draw(st.lists(st.tuples(*[st.integers(0, borel.order - 1)] * factors), max_size=8))
-    rows = np.concatenate([frame.section_rows(), np.array(extra, dtype=np.int64).reshape(-1, factors)])
-    # the count rule needs only g in the kernel; the Borel's invariant line, which the
-    # hypothesis check refuses, gives normal closures of g that are proper in U
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(growth, "_check_no_one_dim_factor", lambda t: None)
-        assert normal_closure_product(frame, rows, g) == closure_power_by_the_meshgrid(frame, rows, g)
-
-
 LEMMAS_LEVI_5 = [ModMatrix([[1, 3], [0, 1]], 5), ModMatrix([[1, 0], [3, 1]], 5)]
 SEMIDIRECT_TABLES = {
     "semidirect borel 5": SPECTRUM_TABLES["semidirect borel 5"],
@@ -1287,19 +1219,14 @@ SEMIDIRECT_TABLES = {
 
 
 @pytest.mark.parametrize("name", sorted(SEMIDIRECT_TABLES))
-def test_the_frame_reads_its_kernel_and_levi_sizes_off_beta(name):
+def test_the_unipotent_mask_is_the_written_out_kernel(name):
     t = SEMIDIRECT_TABLES[name]
     d, p, u_len = t.meta["dim"], t.meta["p"], t.meta["u_len"]
     # the kernel of beta written out: the rows (identity, u) for every u
     u = np.indices((p,) * u_len).reshape(u_len, -1).T
     kernel = t.mask(t.id_of_rows(np.hstack([np.tile(np.eye(d, dtype=np.int64).ravel(), (len(u), 1)), u])))
     assert np.array_equal(unipotent_mask(t), kernel)
-    frame = ProductFrame([t, t])
-    assert frame.kernel_sizes == [int(kernel.sum())] * 2
-    assert frame.levi_sizes == [int(levi_mask(t).sum())] * 2
-    every = np.arange(t.order)
-    for other in (every[::-1], np.resize(np.flatnonzero(kernel), t.order)):
-        assert np.array_equal(frame.in_kernel(np.stack([every, other], axis=1)), kernel & kernel[other])
+    assert levi_mask(t).sum() * kernel.sum() == t.order  # |G| = |L||U|
 
 
 @pytest.mark.parametrize("name", sorted(PRODUCT_TABLES))
@@ -2001,14 +1928,14 @@ def test_orbit_sum_subspaces_found_by_code_are_those_of_the_code_sets(data):
 
 PUBLIC = [
     "CayleyGraph", "ElementSet", "GroupTable", "ModMatrix", "ModuleAction",
-    "PrimeSet", "ProductFrame", "RationalMatrix", "SemidirectSpec", "SubgroupRecord",
+    "PrimeSet", "RationalMatrix", "SemidirectSpec", "SubgroupRecord",
     "ball_size", "borel_subgroup", "certify_free", "chain_inequality", "cheeger_bracket",
     "conjugacy_classes", "crt_tuple", "cyclic_group", "direct_product",
     "edge_expansion_exact", "escape_profile",
     "generate_group", "gowers_cover", "heisenberg_group", "index_product_check",
     "is_perfect", "kesten_return", "kesten_series",
     "kesten_upper_bound", "lower_central_series", "nilpotent_recover", "normal_closure",
-    "normal_closure_product", "normal_subgroups", "orbit_sum_span", "orbit_sum_subspace",
+    "normal_subgroups", "orbit_sum_span", "orbit_sum_subspace",
     "product_decompose", "product_set", "radial_distribution", "random_symmetric_set",
     "random_transversal", "reduce_mod_p", "reduced_words", "semidirect_group",
     "spectrum", "square_free_factors", "subgroup_closure", "torus_subgroup",
@@ -2074,8 +2001,6 @@ SIGNATURES = {
     "tripling_report": "(A)",
     "chain_inequality": "(A, C)",
     "gowers_cover": "(B1, B2, B3, d_min)",
-    "ProductFrame": "(factors)",
-    "normal_closure_product": "(frame, rows, g_row)",
     "ModuleAction": "(p, dim, generators=<factory>)",
     "orbit_sum_subspace": "(action, v)",
     "orbit_sum_span": "(action, v)",

@@ -179,6 +179,10 @@ def test_perms_are_permutations(sl2_5):
     s = int(G.generator_ids[0])
     for perm in (G.left_perm(s), G.right_perm(s), G.conj_perm(s)):
         assert len(np.unique(perm)) == G.order
+    # x = y s goes to s y: the first conjugation on a fresh table builds no inverse table
+    fresh = generate_group(lubotzky_gens(), 5)
+    fresh.conj_perm(s)
+    assert ("I", 0) not in fresh._perm_cache
 
 
 def test_bfs_is_deterministic():
