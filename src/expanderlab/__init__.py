@@ -11,8 +11,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     # exact
     "RationalMatrix": "exact",
-    "PrimeSet": "exact",
-    "ModMatrix": "exact",
     "reduce_mod_p": "exact",
     "crt_tuple": "exact",
     "square_free_factors": "exact",

@@ -46,7 +46,7 @@ def parse_generators(path: str):
     """Read a generator file: 'dim d', 'primes p1 p2 ...', then one
     matrix per line as d*d rational tokens in row-major order."""
     from .errors import DenominatorOutsideS, ParseError
-    from .exact import PrimeSet, RationalMatrix
+    from .exact import RationalMatrix, prime_factors
 
     with open(path) as fh:
         raw = fh.read().splitlines()
@@ -69,9 +69,12 @@ def parse_generators(path: str):
     if not sparts or sparts[0] != "primes":
         raise ParseError("expected 'primes p1 p2 ...' on the second line", n1)
     try:
-        declared = PrimeSet([int(x) for x in sparts[1:]])
+        declared = tuple(sorted({int(x) for x in sparts[1:]}))
     except ValueError as e:
         raise ParseError(str(e), n1)
+    for p in declared:
+        if prime_factors(p) != [p]:
+            raise ParseError(f"{p} is not prime", n1)
     mats = []
     for n, ln in lines[2:]:
         toks = ln.split()
@@ -91,7 +94,7 @@ def parse_generators(path: str):
     support = set()
     for m in mats:
         support.update(m.denominator_support())
-    extra = support - set(declared.primes)
+    extra = support - set(declared)
     if extra:
         raise DenominatorOutsideS(
             f"denominator primes {sorted(extra)} outside the declared set"
@@ -333,7 +336,7 @@ def cmd_lemmas(cfg: argparse.Namespace) -> int:
 
     from . import growth as GR, quotient as Q
     from .errors import BadPrime
-    from .exact import ModMatrix, prime_factors
+    from .exact import RationalMatrix, prime_factors
 
     p = 5 if cfg.p is None else cfg.p
     if p < Q.MIN_PRIME or prime_factors(p) != [p]:
@@ -355,7 +358,7 @@ def cmd_lemmas(cfg: argparse.Namespace) -> int:
     checks.append((f"normal subgroups of the mod-{q2} quotient are product-form", ok))
 
     # semidirect splitting and the perfect-surjection lemma
-    lmats = [ModMatrix([[1, 3 % p], [0, 1]], p), ModMatrix([[1, 0], [3 % p, 1]], p)]
+    lmats = [RationalMatrix([[1, 3], [0, 1]]), RationalMatrix([[1, 0], [3, 1]])]
     GS = Q.semidirect_group(Q.SemidirectSpec(p=p, l_gens=lmats))
     split_ok = True
     for H in Q.normal_subgroups(GS):

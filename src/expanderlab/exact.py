@@ -3,8 +3,8 @@
 Everything in this module is exact: scalars are `fractions.Fraction`,
 modular entries are Python ints.  Row reduction mod p works on int64
 arrays below p = 2^31 and on Python ints above, and loads numpy on its
-first call; a modulus below 2, or a residue it cannot invert, raises
-BadPrime.  Floating point is confined to the spectral module.
+first call; a residue it cannot invert raises BadPrime.  Floating
+point is confined to the spectral module.
 """
 from __future__ import annotations
 
@@ -127,80 +127,6 @@ def _dimension(mats) -> int:
     return dims[0]
 
 
-class PrimeSet:
-    """A sorted set of distinct primes, the declared denominator support."""
-
-    __slots__ = ("primes",)
-
-    def __init__(self, primes: Iterable[int] = ()):
-        ps = sorted(set(int(p) for p in primes))
-        for p in ps:
-            if p < 2 or prime_factors(p) != [p]:
-                raise ValueError(f"{p} is not prime")
-        self.primes = tuple(ps)
-
-    def __contains__(self, p: int) -> bool:
-        return p in self.primes
-
-    def __iter__(self):
-        return iter(self.primes)
-
-    def __len__(self) -> int:
-        return len(self.primes)
-
-    def __repr__(self) -> str:
-        return f"PrimeSet({list(self.primes)})"
-
-
-class ModMatrix:
-    """Square matrix over Z/pZ, entries reduced to [0, p)."""
-
-    __slots__ = ("p", "rows")
-
-    def __init__(self, rows: Iterable[Iterable[int]], p: int):
-        if p < 2:
-            raise BadPrime(f"a modulus must be at least 2, got {p}")
-        self.p = p
-        self.rows = tuple(tuple(int(x) % p for x in row) for row in rows)
-        d = len(self.rows)
-        if any(len(r) != d for r in self.rows):
-            raise ValueError("rows must form a square matrix")
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    @classmethod
-    def identity(cls, d: int, p: int) -> "ModMatrix":
-        return cls([[int(i == j) for j in range(d)] for i in range(d)], p)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ModMatrix) and self.p == other.p and self.rows == other.rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.rows))
-
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
-        return f"ModMatrix({body} mod {self.p})"
-
-
-def mod_mul(a: ModMatrix, b: ModMatrix) -> ModMatrix:
-    if a.p != b.p:
-        raise ValueError("modulus mismatch")
-    d = a.dim
-    p = a.p
-    return ModMatrix(
-        [
-            [sum(a.rows[i][k] * b.rows[k][j] for k in range(d)) % p for j in range(d)]
-            for i in range(d)
-        ],
-        p,
-    )
-
-
 def _inverses_mod(values, p: int):
     """x^-1 mod the prime p for each entry of the int array values, none
     0 mod p: one `pow` per distinct value.  A residue without an inverse
@@ -246,24 +172,13 @@ def row_reduce_mod_p(rows, p: int) -> tuple:
     return (a if m.ndim == 3 else a[0])[..., : len(pivots), :], pivots
 
 
-def mod_inv(a: ModMatrix) -> ModMatrix:
-    """Inverse mod p by row reduction of [a | I]; raises SingularMatrix."""
-    d, p = a.dim, a.p
-    rows, pivots = row_reduce_mod_p(
-        [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(a.rows)], p
-    )
-    if pivots != list(range(d)):
-        raise SingularMatrix(f"matrix singular mod {p}")
-    return ModMatrix(rows[:, d:].tolist(), p)
-
-
-def reduce_mod_p(M: RationalMatrix, p: int) -> ModMatrix:
-    """Entrywise reduction a/b -> a * b^(-1) mod p.
+def reduce_mod_p(M: RationalMatrix, p: int) -> tuple[tuple[int, ...], ...]:
+    """Entrywise reduction a/b -> a * b^(-1) mod p, as row tuples of ints in [0, p).
 
     This is a ring homomorphism on matrices whose denominators avoid p,
     so reduce(MN) = reduce(M) reduce(N).
     """
-    if not isinstance(M, RationalMatrix):  # the residues of a ModMatrix would be read as integers
+    if not isinstance(M, RationalMatrix):  # residues already reduced would be read as integers
         raise TypeError(f"reduction mod p needs a RationalMatrix, got {type(M).__name__}")
     if prime_factors(p) != [p]:  # a/b mod p needs the field F_p
         raise BadPrime(f"reduction mod p needs a prime p, got {p}")
@@ -274,10 +189,10 @@ def reduce_mod_p(M: RationalMatrix, p: int) -> ModMatrix:
             if x.denominator % p == 0:
                 raise BadPrime(f"{p} divides a denominator of {x}")
             out.append(x.numerator * pow(x.denominator, -1, p) % p)
-        rows.append(out)
-    return ModMatrix(rows, p)
+        rows.append(tuple(out))
+    return tuple(rows)
 
 
-def crt_tuple(M: RationalMatrix, q: int) -> list[ModMatrix]:
+def crt_tuple(M: RationalMatrix, q: int) -> list[tuple[tuple[int, ...], ...]]:
     """Per-prime reductions of M for the square-free modulus q, ordered by prime."""
     return [reduce_mod_p(M, p) for p in square_free_factors(q)]

@@ -69,7 +69,6 @@ from .errors import (
     TableMismatch,
 )
 from .exact import (
-    ModMatrix,
     RationalMatrix,
     _dimension,
     _inverses_mod,
@@ -600,8 +599,8 @@ def _matrix_rows(mats: Sequence[RationalMatrix], q: int) -> np.ndarray:
     """The digit rows of the matrices mod q: the entries of their reductions mod each prime
     of q (crt_tuple), row by row, side by side."""
     reductions = [crt_tuple(m, q) for m in mats]
-    _dimension(mats)  # after the reductions, which refuse a tuple or a ModMatrix with TypeError
-    return np.array([[x for m in tup for row in m.rows for x in row] for tup in reductions], dtype=np.int64)
+    _dimension(mats)  # after the reductions, which refuse anything but a RationalMatrix with TypeError
+    return np.array([[x for m in tup for row in m for x in row] for tup in reductions], dtype=np.int64)
 
 
 def ids_of_matrices(G: GroupTable, mats: Sequence[RationalMatrix]) -> np.ndarray:
@@ -657,7 +656,7 @@ class SemidirectSpec:
     pairs (A, u) with (A,u)(B,w) = (AB, u + A.w)."""
 
     p: int
-    l_gens: list[ModMatrix]
+    l_gens: list[RationalMatrix]
     u_kind: str = "vector"  # "vector" | "heisenberg"
     u_dim: int = 2
     action: str = "natural"  # "natural" | "trivial"
@@ -669,17 +668,14 @@ class SemidirectSpec:
             raise ValueError("u_kind must be vector or heisenberg")
         if self.action not in ("natural", "trivial"):
             raise ValueError("action must be natural or trivial")
-        d = _dimension(self.l_gens)
-        if moduli := sorted({m.p for m in self.l_gens} - {self.p}):
-            raise ValueError(f"generator moduli {moduli} differ from p = {self.p}")
+        rows = _matrix_rows(self.l_gens, self.p)
+        d = self.l_gens[0].dim
         acted = 2 if self.u_kind == "heisenberg" else self.u_dim
         if self.action == "natural" and acted != d:
             raise HypothesisViolated(f"the natural action of {d}x{d} Levi generators on {acted} coordinates")
         if self.u_kind == "heisenberg" and self.action == "natural":
             # the twist must preserve the symplectic form
-            for m in self.l_gens:
-                a, b = m.rows[0]
-                c, d = m.rows[1]
+            for a, b, c, d in rows.tolist():
                 if (a * d - b * c) % self.p != 1:
                     raise HypothesisViolated(
                         "natural action on the Heisenberg part needs det = 1"
@@ -725,9 +721,7 @@ def semidirect_group(spec: SemidirectSpec) -> GroupTable:
 
     radices = np.full(dd + u_len, p, dtype=np.int64)
     ident_l = [int(i == j) for i in range(d) for j in range(d)]
-    gen_rows = []
-    for m in spec.l_gens:
-        gen_rows.append([x for row in m.rows for x in row] + [0] * u_len)
+    gen_rows = [row + [0] * u_len for row in _matrix_rows(spec.l_gens, p).tolist()]
     for i in range(2 if heis else u_len):
         u = [0] * u_len
         u[i] = 1

@@ -1,8 +1,10 @@
 """Plain-loop oracles that the property and spectral tests compare the
-library's kernels against: one walk step, one character block of the spectrum
-and the mod-p row reduction; and a ping-pong proof of freeness that the
-length-bounded certificate must agree with."""
+library's kernels against: one walk step, one character block of the spectrum,
+the mod-p row reduction and the mod-p matrix product and inverse; and a
+ping-pong proof of freeness that the length-bounded certificate must agree with."""
 import cmath
+
+from expanderlab.errors import SingularMatrix
 
 
 def walk_step(G, weights, gen_ids):
@@ -54,6 +56,22 @@ def row_reduce_mod_p(rows, p):
                 m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
         pivots.append(c)
     return m[: len(pivots)], pivots
+
+
+def mod_mul(a, b, p):
+    """The product of the square matrices a and b mod p, as row tuples in [0, p)."""
+    d = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(d)) % p for j in range(d)) for i in range(d))
+
+
+def mod_inv(a, p):
+    """The inverse of the square matrix a mod the prime p, as row tuples, from the
+    row reduction of [a | I]; raises SingularMatrix."""
+    d = len(a)
+    rows, pivots = row_reduce_mod_p([list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(a)], p)
+    if pivots != list(range(d)):
+        raise SingularMatrix(f"matrix singular mod {p}")
+    return tuple(tuple(row[d:]) for row in rows)
 
 
 def ping_pong_free(A, B):

@@ -60,6 +60,22 @@ def test_parse_generators_comments_and_blanks(tmp_path):
     assert len(mats) == 1 and len(primes) == 0
 
 
+def test_parse_generators_reads_the_primes_line_sorted_and_distinct(tmp_path):
+    _, primes = parse_generators(write(tmp_path, "g.txt", "dim 2\nprimes 7 3 3\n1 2 0 1\n"))
+    assert primes == (3, 7)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("primes 4", "4 is not prime"), ("primes 4 1", "1 is not prime"), ("primes -3", "-3 is not prime"),
+     ("primes 3 x", "invalid literal for int() with base 10: 'x'")],
+)
+def test_parse_generators_refuses_the_first_entry_not_prime(tmp_path, line, message):
+    with pytest.raises(ParseError) as e:
+        parse_generators(write(tmp_path, "g.txt", f"dim 2\n{line}\n1 2 0 1\n"))
+    assert (str(e.value), e.value.line) == (f"line 2: {message}", 2)
+
+
 def test_parse_generators_bad_header(tmp_path):
     path = write(tmp_path, "g.txt", "dimension 2\nprimes\n1 0 0 1\n")
     with pytest.raises(ParseError) as e:

@@ -16,7 +16,7 @@ from expanderlab.errors import (
     SizeCapExceeded,
     TableMismatch,
 )
-from expanderlab.exact import ModMatrix, RationalMatrix
+from expanderlab.exact import RationalMatrix, reduce_mod_p
 from expanderlab.quotient import (
     SemidirectSpec,
     borel_subgroup,
@@ -109,18 +109,19 @@ def test_generate_group_rejects_singular_generators():
 
 
 def test_generate_group_rejects_moduli_other_than_the_primes_of_q():
-    # mod-7 matrices must not be read mod 5: the group layer reduces only rational matrices
+    # residues mod 7 must not be read mod 5: the group layer reduces only rational matrices
+    a, b = RationalMatrix([[1, 2], [0, 1]]), RationalMatrix([[1, 0], [2, 1]])
     with pytest.raises(TypeError):
-        generate_group([ModMatrix([[1, 2], [0, 1]], 7), ModMatrix([[1, 0], [2, 1]], 7)], 5)
+        generate_group([reduce_mod_p(a, 7), reduce_mod_p(b, 7)], 5)
     with pytest.raises(TypeError):
-        generate_group([(ModMatrix([[1, 2], [0, 1]], 5), ModMatrix([[1, 2], [0, 1]], 7))], 35)
+        generate_group([(reduce_mod_p(a, 5), reduce_mod_p(a, 7))], 35)
 
 
 def test_ids_of_matrices_refuses_a_matrix_already_reduced():
     # the residues 1, 3, 0, 1 mod 7 were read as integers mod 5: id 2, no error
     G = generate_group(builtin_generators("lubotzky3"), 5)
     with pytest.raises(TypeError):
-        ids_of_matrices(G, [ModMatrix([[1, 3], [0, 1]], 7)])
+        ids_of_matrices(G, [reduce_mod_p(RationalMatrix([[1, 3], [0, 1]]), 7)])
 
 
 def test_id_of_rows_refuses_rows_of_another_width():
@@ -217,7 +218,7 @@ def test_heisenberg_group():
 
 def test_semidirect_group_order():
     p = 5
-    lmats = [ModMatrix([[1, 3], [0, 1]], p), ModMatrix([[1, 0], [3, 1]], p)]
+    lmats = [RationalMatrix([[1, 3], [0, 1]]), RationalMatrix([[1, 0], [3, 1]])]
     G = semidirect_group(SemidirectSpec(p=p, l_gens=lmats))
     assert G.order == sl2_order(p) * p * p
     assert G.kind == "semidirect"
@@ -226,7 +227,7 @@ def test_semidirect_group_order():
 
 def test_semidirect_trivial_action():
     p = 5
-    lmats = [ModMatrix([[1, 3], [0, 1]], p), ModMatrix([[1, 0], [3, 1]], p)]
+    lmats = [RationalMatrix([[1, 3], [0, 1]]), RationalMatrix([[1, 0], [3, 1]])]
     G = semidirect_group(SemidirectSpec(p=p, l_gens=lmats, action="trivial"))
     assert G.order == sl2_order(p) * p * p
     assert not is_perfect(G)
@@ -234,7 +235,7 @@ def test_semidirect_trivial_action():
 
 def test_semidirect_spec_validation():
     p = 5
-    lmats = [ModMatrix([[1, 3], [0, 1]], p)]
+    lmats = [RationalMatrix([[1, 3], [0, 1]])]
     with pytest.raises(ValueError):
         SemidirectSpec(p=p, l_gens=lmats, u_kind="nope")
     with pytest.raises(ValueError):
@@ -247,33 +248,40 @@ def test_semidirect_spec_refuses_no_levi_generators():
 
 
 def test_semidirect_spec_refuses_levi_generators_of_mixed_dimension():
-    lmats = [ModMatrix([[1, 1], [0, 1]], 5), ModMatrix.identity(3, 5)]
+    lmats = [RationalMatrix([[1, 1], [0, 1]]), RationalMatrix.identity(3)]
     with pytest.raises(ValueError, match=r"^generators of mixed dimension \[2, 3\]$"):
         SemidirectSpec(p=5, l_gens=lmats, action="trivial")
 
 
 def test_semidirect_spec_refuses_a_natural_action_off_the_levi_dimension():
-    lmats = [ModMatrix([[1, 1], [0, 1]], 5)]
+    lmats = [RationalMatrix([[1, 1], [0, 1]])]
     with pytest.raises(HypothesisViolated):
         SemidirectSpec(p=5, l_gens=lmats, u_dim=3)
     with pytest.raises(HypothesisViolated):
-        SemidirectSpec(p=5, l_gens=[ModMatrix.identity(3, 5)], u_kind="heisenberg")
+        SemidirectSpec(p=5, l_gens=[RationalMatrix.identity(3)], u_kind="heisenberg")
     # the trivial action reads no dimension
     assert semidirect_group(SemidirectSpec(p=5, l_gens=lmats, u_dim=3, action="trivial")).order == 5 * 125
 
 
-def test_semidirect_spec_refuses_levi_generators_mod_another_prime():
-    lmats = [ModMatrix([[1, 6], [0, 1]], 7)]
-    with pytest.raises(ValueError, match=r"^generator moduli \[7\] differ from p = 5$"):
-        SemidirectSpec(p=5, l_gens=lmats)
+def test_semidirect_spec_refuses_a_levi_generator_whose_denominator_p_divides():
+    with pytest.raises(BadPrime, match="^5 divides a denominator of 1/5$"):
+        SemidirectSpec(p=5, l_gens=[RationalMatrix([[1, Fraction(1, 5)], [0, 1]])])
+
+
+def test_semidirect_spec_refuses_levi_generators_given_as_rows():
+    # rows have no .dim, so the dimension check raised a bare AttributeError
+    with pytest.raises(TypeError):
+        SemidirectSpec(p=5, l_gens=[((1, 1), (0, 1))])
+    with pytest.raises(TypeError):
+        SemidirectSpec(p=5, l_gens=[RationalMatrix([[1, 1], [0, 1]]), ((1, 0), (1, 1))])
 
 
 def test_semidirect_spec_refuses_a_modulus_that_is_not_prime():
     # Z/9 is no field (3 has no inverse mod 9), and the Levi inverses row reduce over F_p
     with pytest.raises(BadPrime, match="^a semidirect group over F_p needs a prime p, got 9$"):
-        SemidirectSpec(p=9, l_gens=[ModMatrix([[2, 0], [0, 1]], 9)], action="trivial")
+        SemidirectSpec(p=9, l_gens=[RationalMatrix([[2, 0], [0, 1]])], action="trivial")
     # p = 3 stays: SL2 mod 3 acting on the Heisenberg group mod 3
-    lmats = [ModMatrix([[1, 1], [0, 1]], 3), ModMatrix([[1, 0], [1, 1]], 3)]
+    lmats = [RationalMatrix([[1, 1], [0, 1]]), RationalMatrix([[1, 0], [1, 1]])]
     assert semidirect_group(SemidirectSpec(p=3, l_gens=lmats, u_kind="heisenberg")).order == 24 * 27
 
 
@@ -588,7 +596,7 @@ def first_generator_subgroups(*tables):
 
 
 def lemmas_semidirect(p):
-    return semidirect_group(SemidirectSpec(p=p, l_gens=[ModMatrix([[1, 3], [0, 1]], p), ModMatrix([[1, 0], [3, 1]], p)]))
+    return semidirect_group(SemidirectSpec(p=p, l_gens=[RationalMatrix([[1, 3], [0, 1]]), RationalMatrix([[1, 0], [3, 1]])]))
 
 
 # a subgroup's ids index its own table only: read in another, they name other elements or none
@@ -623,7 +631,7 @@ def test_lower_central_series_heisenberg():
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_is_perfect_on_the_lemmas_semidirect_tables(p):
-    lmats = [ModMatrix([[1, 3], [0, 1]], p), ModMatrix([[1, 0], [3, 1]], p)]
+    lmats = [RationalMatrix([[1, 3], [0, 1]]), RationalMatrix([[1, 0], [3, 1]])]
     assert is_perfect(semidirect_group(SemidirectSpec(p=p, l_gens=lmats)))
     assert not is_perfect(semidirect_group(SemidirectSpec(p=p, l_gens=lmats, action="trivial")))
 
@@ -644,7 +652,7 @@ def test_lower_central_series_rejects_non_p_group(sl2_5):
 
 def test_verify_product_form_semidirect():
     p = 5
-    lmats = [ModMatrix([[1, 3], [0, 1]], p), ModMatrix([[1, 0], [3, 1]], p)]
+    lmats = [RationalMatrix([[1, 3], [0, 1]]), RationalMatrix([[1, 0], [3, 1]])]
     G = semidirect_group(SemidirectSpec(p=p, l_gens=lmats))
     for H in normal_subgroups(G):
         rep = verify_product_form(G, H)
@@ -663,7 +671,7 @@ def test_verify_product_form_requires_normal(sl2_5):
 
 def test_verify_product_form_not_normal():
     p = 5
-    lmats = [ModMatrix([[1, 3], [0, 1]], p), ModMatrix([[1, 0], [3, 1]], p)]
+    lmats = [RationalMatrix([[1, 3], [0, 1]]), RationalMatrix([[1, 0], [3, 1]])]
     G = semidirect_group(SemidirectSpec(p=p, l_gens=lmats))
     # a random non-normal subgroup
     H = subgroup_closure(G, [int(G.generator_ids[0])])
@@ -674,7 +682,7 @@ def test_verify_product_form_not_normal():
 
 def test_verify_normal_perfect():
     p = 5
-    lmats = [ModMatrix([[1, 3], [0, 1]], p), ModMatrix([[1, 0], [3, 1]], p)]
+    lmats = [RationalMatrix([[1, 3], [0, 1]]), RationalMatrix([[1, 0], [3, 1]])]
     G = semidirect_group(SemidirectSpec(p=p, l_gens=lmats))
     rep = verify_normal_perfect(G)
     assert rep["applicable"] and rep["passed"]
