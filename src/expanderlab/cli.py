@@ -9,6 +9,7 @@ digits (in JSON, Python's repr of the rounded value), sorted config echo.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -91,14 +92,15 @@ def parse_generators(path: str):
         mats.append(RationalMatrix(rows))
     if not mats:
         raise ParseError("no generator matrices", lines[-1][0])
-    support = set()
-    for m in mats:
-        support.update(m.denominator_support())
-    extra = support - set(declared)
-    if extra:
-        raise DenominatorOutsideS(
-            f"denominator primes {sorted(extra)} outside the declared set"
-        )
+    outside = set()  # the denominators with the declared primes divided out
+    for b in {x.denominator for m in mats for row in m.rows for x in row}:
+        for p in declared:
+            while b % p == 0:
+                b //= p
+        outside.add(b)
+    if outside != {1}:
+        extra = sorted({p for b in outside for p in prime_factors(b)})
+        raise DenominatorOutsideS(f"denominator primes {extra} outside the declared set")
     return mats, declared
 
 
@@ -406,7 +408,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state in it,
+    and building it costs several times the parse."""
     ap = argparse.ArgumentParser(
         prog="expanderlab",
         description="exact expansion experiments on congruence quotients",

@@ -11,17 +11,25 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import BadPrime, NotSquareFree, SingularMatrix
+from .errors import BadPrime, NotSquareFree, SingularMatrix, SizeCapExceeded
 
 MAX_DIM = 8
+# largest trial divisor: a prime p above it gives a d >= 2 table mod p a code
+# space of p^4 or more, above 2^62, so no table needs a larger one
+FACTOR_CAP = 46_341
 
 
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of |n| by trial division (inputs here are small)."""
+    """Distinct prime factors of |n| by trial division up to FACTOR_CAP.  What is
+    left then, if it is at least the square of the next divisor, may not be prime
+    and raises SizeCapExceeded."""
     n = abs(n)
+    whole = n
     out = []
     d = 2
     while d * d <= n:
+        if d > FACTOR_CAP:
+            raise SizeCapExceeded(f"trial division of {whole} stops at {FACTOR_CAP}, leaving {n} unfactored")
         if n % d == 0:
             out.append(d)
             while n % d == 0:
@@ -107,15 +115,6 @@ class RationalMatrix:
                     m[r] = [x - f * y for x, y in zip(m[r], m[col])]
         self._inverse = RationalMatrix([row[d:] for row in m])
         return self._inverse
-
-    def denominator_support(self) -> set[int]:
-        """Primes dividing any entry denominator."""
-        support: set[int] = set()
-        for row in self.rows:
-            for x in row:
-                if x.denominator > 1:
-                    support.update(prime_factors(x.denominator))
-        return support
 
 
 def _dimension(mats) -> int:

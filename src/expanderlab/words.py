@@ -190,19 +190,22 @@ def certify_free(gens: Sequence[RationalMatrix], L: int) -> tuple[bool, Word | N
         raise SizeCapExceeded(f"word ball of radius {R} holds {size} words, above the cap of {FREE_BALL_CAP}")
     letters = [m.rows for g in gens for m in (g, g.inverse())]
     D = math.lcm(*(x.denominator for rows in letters for row in rows for x in row))
-    buckets = {}  # per entries of D^R M(w): the words
+    firsts = {}  # per entries of D^R M(w): the first word
+    buckets = {}  # per entries that more than one word takes: all its words
     for l, sphere in enumerate(_spheres([[[int(x * D) for x in row] for row in rows] for rows in letters], R)):
         scale = D ** (R - l)
         for _, (ws, *cols) in sphere:
             if scale != 1:
                 cols = [list(map(scale.__mul__, col)) for col in cols]
             for key, w in zip(zip(*cols), ws):
-                buckets.setdefault(key, []).append(w)
+                held = firsts.setdefault(key, w)
+                if held is not w:  # distinct words are distinct tuples
+                    buckets.setdefault(key, [held]).append(w)
 
     # a relation u v^-1 of a bucket starts with one of its nonempty words, so
     # buckets go in order of their first such word until one passes the witness
     witness = end = (len(letters),)  # after every word
-    for first, ws in sorted((min(filter(None, ws)), ws) for ws in buckets.values() if len(ws) > 1):
+    for first, ws in sorted((min(filter(None, ws)), ws) for ws in buckets.values()):
         if witness <= first:
             break
         top = {}  # per length, the first two v^-1 that start with different letters

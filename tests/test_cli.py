@@ -6,9 +6,11 @@ import math
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +31,9 @@ from expanderlab.cli import (
 )
 from expanderlab.errors import DenominatorOutsideS, ParseError
 from expanderlab.exact import RationalMatrix
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TOOLS = ROOT / "tools"
 
 GOOD_FILE = """dim 2
 primes 3
@@ -119,6 +124,39 @@ def test_parse_generators_undeclared_denominator(tmp_path):
     path = write(tmp_path, "g.txt", "dim 2\nprimes\n1 1/3 0 1\n")
     with pytest.raises(DenominatorOutsideS):
         parse_generators(path)
+
+
+def test_parse_generators_names_the_undeclared_denominator_primes(tmp_path):
+    path = write(tmp_path, "g.txt", "dim 2\nprimes 3\n1/6 0 0 3/5\n1 1/9 0 1\n")
+    with pytest.raises(DenominatorOutsideS) as e:
+        parse_generators(path)
+    assert str(e.value) == "denominator primes [2, 5] outside the declared set"
+
+
+def test_parse_generators_divides_denominators_by_the_declared_primes(tmp_path):
+    # 1000003^2 is too large to factor by trial division, but only its
+    # declared prime divides it
+    path = write(tmp_path, "g.txt", "dim 2\nprimes 1000003\n1 1/1000006000009 0 1\n")
+    mats, primes = parse_generators(path)
+    assert len(mats) == 1 and primes == (1000003,)
+
+
+M61 = 2**61 - 1  # a prime too large to be known prime by trial division to FACTOR_CAP
+
+
+@pytest.mark.parametrize("argv", [
+    ["quotient", "--builtin", "lubotzky3", "--q", str(M61)],
+    ["lemmas", "--p", str(M61)],
+    ["quotient", "--gens", str(TOOLS / "huge_declared_prime.txt"), "--q", "5"],
+    ["quotient", "--gens", str(TOOLS / "huge_denominator.txt"), "--q", "5"],
+], ids=["q", "p", "primes-line", "denominator"])
+def test_integers_too_large_to_factor_exit_1_at_once(argv, capsys):
+    t0 = time.perf_counter()
+    assert main(argv) == EXIT_ERROR
+    assert time.perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error[SizeCapExceeded]: trial division of {M61} stops at 46341, leaving {M61} unfactored\n"
 
 
 def test_builtin_generators():
@@ -703,8 +741,61 @@ def test_option_list_is_stable():
     assert [a.dest for a in actions if not a.option_strings] == ["command"]
 
 
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
+    assert build_parser() is not build_parser.__wrapped__()
+
+
+def test_flags_set_in_one_call_are_at_their_defaults_in_the_next():
+    fresh = vars(build_parser.__wrapped__().parse_args(["walk"]))
+    flags = {"exact": [], "subgroup": ["borel"], "lmax": ["7"], "seed": ["3"], "samples": ["4"],
+             "set_size": ["5"], "threads": ["1"]}
+    argv = ["walk"] + [x for dest, v in flags.items() for x in ["--" + dest.replace("_", "-"), *v]]
+    parsed = vars(build_parser().parse_args(argv))
+    assert all(parsed[dest] != fresh[dest] for dest in flags)
+    assert vars(build_parser().parse_args(["walk"])) == fresh
+
+
+def test_usage_errors_and_help_leave_the_parser_usable(capsys):
+    assert main(["walk", "--q", "x"]) == EXIT_ERROR
+    assert main(["--help"]) == EXIT_OK
+    capsys.readouterr()
+    argv = ["walk", "--q", "7", "--lmax", "3"]
+    assert vars(build_parser().parse_args(argv)) == vars(build_parser.__wrapped__().parse_args(argv))
+
+
+def first_report_argv_per_command(max_q=40):
+    """The first argv of each subcommand in tools/report_argvs.txt whose --q, if any, is below max_q."""
+    first = {}
+    for line in (TOOLS / "report_argvs.txt").read_text().splitlines():
+        argv = shlex.split(line, comments=True)
+        q = argv[argv.index("--q") + 1] if "--q" in argv else None
+        if argv and (q is None or int(q) < max_q):
+            first.setdefault(argv[0], argv)
+    return list(first.values())
+
+
+def test_reports_do_not_depend_on_the_calls_before_them_in_one_process(tmp_path, monkeypatch, capsys):
+    # tools/report_digests.py runs one fresh process per argv, so it cannot
+    # see state one in-process call leaves for the next
+    monkeypatch.chdir(ROOT)
+    argvs = first_report_argv_per_command()
+    assert sorted(a[0] for a in argvs) == sorted(cli.COMMANDS)
+
+    def run(i):
+        out = tmp_path / f"{i}.json"
+        rc = main(argvs[i] + ["--out", str(out)])
+        return rc, out.read_bytes() if out.exists() else None
+
+    forward = [run(i) for i in range(len(argvs))]
+    backward = [run(i) for i in reversed(range(len(argvs)))][::-1]
+    capsys.readouterr()
+    assert all(report is not None for _, report in forward)
+    assert backward == forward
+
+
 def test_readme_python_blocks_run(capsys):
-    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    readme = ROOT / "README.md"
     blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
     assert blocks
     for block in blocks:

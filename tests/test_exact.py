@@ -6,8 +6,10 @@ from expanderlab.errors import (
     BadPrime,
     NotSquareFree,
     SingularMatrix,
+    SizeCapExceeded,
 )
 from expanderlab.exact import (
+    FACTOR_CAP,
     RationalMatrix,
     crt_tuple,
     prime_factors,
@@ -23,6 +25,13 @@ def test_prime_factors():
     assert prime_factors(2) == [2]
     assert prime_factors(360) == [2, 3, 5]
     assert prime_factors(97) == [97]
+    # past FACTOR_CAP the next divisor is 46,343, so what is left below its square is prime
+    assert FACTOR_CAP == 46341
+    assert prime_factors(2 * (2**31 - 1)) == [2, 2**31 - 1]
+    assert prime_factors(46337 * 46349) == [46337, 46349]
+    for n in (46349 * 46351, 2**61 - 1, 3 * (2**61 - 1)):
+        with pytest.raises(SizeCapExceeded, match=f"stops at {FACTOR_CAP}"):
+            prime_factors(n)
 
 
 def test_square_free_factors():
@@ -53,12 +62,6 @@ def test_rational_matrix_validation():
         RationalMatrix([[1]])
     with pytest.raises(ValueError):
         RationalMatrix([[1, 2, 3], [4, 5, 6]])
-
-
-def test_denominator_support():
-    m = RationalMatrix([[Fraction(1, 6), 0], [0, Fraction(3, 5)]])
-    assert m.denominator_support() == {2, 3, 5}
-    assert RationalMatrix.identity(2).denominator_support() == set()
 
 
 def test_reduce_mod_p_is_homomorphism():

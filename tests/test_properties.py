@@ -8,6 +8,7 @@ closures and the lower central series, the Levi and unipotent masks, the
 splitting and factor product-form checks, each against a brute-force oracle,
 plus guards on the BFS element order and the package's public names and
 signatures."""
+import collections
 import functools
 import hashlib
 import inspect
@@ -235,6 +236,21 @@ def test_certify_free_over_mixed_denominators_agrees_with_a_preorder_scan(data):
 def test_certify_free_finds_torsion():
     # a rotation of order 4 gives the witness a^4 before anything longer
     assert certify_free([GENERATOR_POOL[6], GENERATOR_POOL[0]], 5) == (False, (1, 1, 1, 1))
+
+
+def test_certify_free_reads_a_matrix_that_three_words_take():
+    # (1 1; 0 1) and c of order 3 generate SL2(Z): 14 words of the radius-5
+    # ball, which certify_free hashes at L = 9 and 10, take one matrix
+    gens = [GENERATOR_POOL[0], GENERATOR_POOL[7]]
+    by_letter = {1: gens[0], -1: gens[0].inverse(), 2: gens[1], -2: gens[1].inverse()}
+    ball = [w for l in range(6) for w in brute_reduced_words(2, l)]
+    takers = collections.Counter(
+        functools.reduce(lambda m, a: m * by_letter[a], w, RationalMatrix.identity(2)) for w in ball
+    )
+    assert max(takers.values()) == 14
+    for L in range(1, 11):
+        expected = first_identity_word(gens, L)
+        assert certify_free(gens, L) == (expected is None, expected)
 
 
 SMALL_RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=4)
